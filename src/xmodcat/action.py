@@ -126,13 +126,15 @@ def validate_strict_action(a: StrictAction, cap: int = DEFAULT_CAP) -> Report:
     # --- presentation 1: endofunctors and natural transformations
     for gamma in g.elements():
         frep = validate_functor(functor_of(a, gamma))
-        rep.tick(frep.checked)
+        for law, n in frep.instances.items():
+            rep.tick("endofunctor-" + law, n)
         for v in frep.violations:
             rep.add("endofunctor-" + v.law, (gamma,) + v.witness)
     for gamma in g.elements():
         for chi in h.elements():
             nrep = validate_nat_trans(nat_trans_of(a, gamma, chi))
-            rep.tick(nrep.checked)
+            for law, n in nrep.instances.items():
+                rep.tick("transformation-" + law, n)
             for v in nrep.violations:
                 rep.add("transformation-" + v.law, (gamma, chi) + v.witness)
 
@@ -143,7 +145,7 @@ def validate_strict_action(a: StrictAction, cap: int = DEFAULT_CAP) -> Report:
             for c2 in h.elements():
                 c21 = h.table[c2][c1]
                 for x in c.objects():
-                    rep.tick()
+                    rep.tick("component-stacking")
                     got = comp.get(
                         (nat_component(a, g2, c2, x), nat_component(a, g1, c1, x))
                     )
@@ -153,7 +155,7 @@ def validate_strict_action(a: StrictAction, cap: int = DEFAULT_CAP) -> Report:
     # unit pair has identity components
     for gamma in g.elements():
         for x in c.objects():
-            rep.tick()
+            rep.tick("unit-component")
             if nat_component(a, gamma, e_h, x) != c.identity[a.act_obj[gamma][x]]:
                 rep.add("unit-component", (gamma, x))
 
@@ -161,7 +163,7 @@ def validate_strict_action(a: StrictAction, cap: int = DEFAULT_CAP) -> Report:
     for g1 in g.elements():
         f1 = functor_of(a, g1)
         for g3 in g.elements():
-            rep.tick()
+            rep.tick("translation-composition")
             if functor_compose(f1, functor_of(a, g3)) != functor_of(a, g.table[g1][g3]):
                 rep.add("translation-composition", (g1, g3))
 
@@ -177,7 +179,7 @@ def validate_strict_action(a: StrictAction, cap: int = DEFAULT_CAP) -> Report:
                     g4 = g.table[xm.bnd(c2)][g3]
                     c12 = h.table[c1][xm.act(g1, c2)]
                     for x in c.objects():
-                        rep.tick()
+                        rep.tick("component-product")
                         got = comp.get(
                             (
                                 nat_component(a, g1, c1, a.act_obj[g4][x]),
@@ -194,7 +196,7 @@ def validate_strict_action(a: StrictAction, cap: int = DEFAULT_CAP) -> Report:
             row = a.act_mor[xm.pair_index(gamma, chi)]
             tg = g.table[xm.bnd(chi)][gamma]
             for f in c.morphisms():
-                rep.tick()
+                rep.tick("pair-typing")
                 ff = row[f]
                 if (
                     src[ff] != a.act_obj[gamma][src[f]]
@@ -210,7 +212,7 @@ def validate_strict_action(a: StrictAction, cap: int = DEFAULT_CAP) -> Report:
                 row2 = a.act_mor[xm.pair_index(g2, c2)]
                 row21 = a.act_mor[xm.pair_index(g1, h.table[c2][c1])]
                 for fg, ff in c.composable_pairs():
-                    rep.tick()
+                    rep.tick("pair-functoriality")
                     got = comp.get((row2[fg], row1[ff]))
                     if got != row21[comp[(fg, ff)]]:
                         rep.add("pair-functoriality", (g1, c1, c2, fg, ff))
@@ -219,7 +221,7 @@ def validate_strict_action(a: StrictAction, cap: int = DEFAULT_CAP) -> Report:
         row = a.act_mor[xm.pair_index(gamma, e_h)]
         orow = a.act_obj[gamma]
         for x in c.objects():
-            rep.tick()
+            rep.tick("pair-identity")
             if row[c.identity[x]] != c.identity[orow[x]]:
                 rep.add("pair-identity", (gamma, x))
 
@@ -228,7 +230,7 @@ def validate_strict_action(a: StrictAction, cap: int = DEFAULT_CAP) -> Report:
             row13 = a.act_obj[g.table[g1][g3]]
             row1, row3 = a.act_obj[g1], a.act_obj[g3]
             for x in c.objects():
-                rep.tick()
+                rep.tick("object-associativity")
                 if row13[x] != row1[row3[x]]:
                     rep.add("object-associativity", (g1, g3, x))
 
@@ -241,18 +243,18 @@ def validate_strict_action(a: StrictAction, cap: int = DEFAULT_CAP) -> Report:
                     row3 = a.act_mor[xm.pair_index(g3, c2)]
                     row13 = a.act_mor[xm.pair_index(g13, h.table[c1][xm.act(g1, c2)])]
                     for f in c.morphisms():
-                        rep.tick()
+                        rep.tick("morphism-associativity")
                         if row13[f] != row1[row3[f]]:
                             rep.add("morphism-associativity", (g1, c1, g3, c2, f))
 
     # explicit unit law
     for x in c.objects():
-        rep.tick()
+        rep.tick("unit-object")
         if a.act_obj[e_g][x] != x:
             rep.add("unit-object", (x,))
     unit_row = a.act_mor[xm.pair_index(e_g, e_h)]
     for f in c.morphisms():
-        rep.tick()
+        rep.tick("unit-morphism")
         if unit_row[f] != f:
             rep.add("unit-morphism", (f,))
 
@@ -265,7 +267,7 @@ def validate_strict_action(a: StrictAction, cap: int = DEFAULT_CAP) -> Report:
             tg = g.table[xm.bnd(chi)][gamma]
             mor_tg = a.act_mor[xm.pair_index(tg, e_h)]
             for f in c.morphisms():
-                rep.tick()
+                rep.tick("whisker-agreement")
                 via_tgt = comp.get((nat_component(a, gamma, chi, tgt[f]), mor_g[f]))
                 via_src = comp.get((mor_tg[f], nat_component(a, gamma, chi, src[f])))
                 if row[f] != via_tgt or row[f] != via_src:
@@ -362,13 +364,14 @@ def check_compositor_coherence(w: WeakActionData, cap: int = DEFAULT_CAP) -> Rep
     for g1 in g.elements():
         for g2 in g.elements():
             for x in c.objects():
-                rep.tick()
+                rep.tick("compositor-typing")
                 m = w.compositor[g1][g2][x]
                 want_src = a.act_obj[g1][a.act_obj[g2][x]]
                 want_tgt = a.act_obj[g.table[g1][g2]][x]
                 if c.src[m] != want_src or c.tgt[m] != want_tgt:
                     rep.add("compositor-typing", (g1, g2, x))
                     continue
+                rep.tick("compositor-invertible")
                 if not any(
                     comp.get((n, m)) == c.identity[want_src]
                     and comp.get((m, n)) == c.identity[want_tgt]
@@ -380,7 +383,7 @@ def check_compositor_coherence(w: WeakActionData, cap: int = DEFAULT_CAP) -> Rep
         for g2 in g.elements():
             g12 = g.table[g1][g2]
             for f in c.morphisms():
-                rep.tick()
+                rep.tick("compositor-naturality")
                 x, y = c.src[f], c.tgt[f]
                 lhs = comp.get(
                     (w.compositor[g1][g2][y], a.on_mor(g1, a.on_mor(g2, f)))
@@ -392,7 +395,7 @@ def check_compositor_coherence(w: WeakActionData, cap: int = DEFAULT_CAP) -> Rep
     e = g.identity
     for gamma in g.elements():
         for x in c.objects():
-            rep.tick(2)
+            rep.tick("unit-triangle", 2)
             if not c.is_identity(w.compositor[e][gamma][x]):
                 rep.add("unit-triangle", (e, gamma, x))
             if not c.is_identity(w.compositor[gamma][e][x]):
@@ -404,7 +407,7 @@ def check_compositor_coherence(w: WeakActionData, cap: int = DEFAULT_CAP) -> Rep
             for h1 in g.elements():
                 g1h1 = g.table[g1][h1]
                 for x in c.objects():
-                    rep.tick()
+                    rep.tick("pentagon")
                     lhs = comp.get(
                         (w.compositor[f1g1][h1][x], w.compositor[f1][g1][a.act_obj[h1][x]])
                     )

@@ -48,7 +48,7 @@ from .serialize import (
     write_json,
     xmod_to_obj,
 )
-from .suites import ACTION_LAWS, SUITES, law_lines, run_all, thread_count
+from .suites import ACTION_LAWS, SUITES, law_lines, run_all
 from .transform import (
     build_transformation_double,
     double_to_obj,
@@ -142,7 +142,7 @@ def cmd_validate(args, out: _Out) -> int:
         if kind == "group":
             _resolve_group(args.path)
             rep = Report()
-            rep.tick()
+            rep.tick("group-tables")
             for line in law_lines("validate", rep, ["group-tables"]):
                 out.law(line)
         elif kind == "xmod":
@@ -153,7 +153,7 @@ def cmd_validate(args, out: _Out) -> int:
         elif kind == "category":
             _resolve_category(args.path)
             rep = Report()
-            rep.tick()
+            rep.tick("category-tables")
             for line in law_lines("validate", rep, ["category-tables"]):
                 out.law(line)
         elif kind == "action":
@@ -237,6 +237,9 @@ def cmd_eval(args, out: _Out) -> int:
 
 
 def cmd_verify(args, out: _Out) -> int:
+    for flag, value in (("--samples", args.samples), ("--max-exhaustive", args.max_exhaustive)):
+        if value < 0:
+            raise FixtureFormatError(f"{flag} must be at least 0, got {value}")
     act = _load_verb_action(args)
     max_exhaustive = 10**18 if args.exhaustive else args.max_exhaustive
     only = args.suite or None
@@ -245,12 +248,7 @@ def cmd_verify(args, out: _Out) -> int:
         for name in only:
             if name not in known:
                 raise FixtureFormatError(f"unknown suite {name!r}")
-    out.log(
-        seed=args.seed,
-        samples=args.samples,
-        exhaustive=args.exhaustive,
-        threads=thread_count(),
-    )
+    out.log(seed=args.seed, samples=args.samples, exhaustive=args.exhaustive)
     for line in run_all(
         act,
         samples=args.samples,

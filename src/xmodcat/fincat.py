@@ -184,16 +184,16 @@ def validate_functor(fun: Functor, cap: int = DEFAULT_CAP) -> Report:
     if len(fun.obj_map) != c.n_objects or len(fun.mor_map) != c.n_morphisms:
         raise MalformedTable("functor tables have the wrong lengths")
     for f in c.morphisms():
-        rep.tick()
+        rep.tick("typing")
         ff = fun.mor_map[f]
         if d.src[ff] != fun.obj_map[c.src[f]] or d.tgt[ff] != fun.obj_map[c.tgt[f]]:
             rep.add("typing", (f,))
     for x in c.objects():
-        rep.tick()
+        rep.tick("identities")
         if fun.mor_map[c.identity[x]] != d.identity[fun.obj_map[x]]:
             rep.add("identities", (x,))
     for g, f in c.composable_pairs():
-        rep.tick()
+        rep.tick("composition")
         lhs = fun.mor_map[c.comp[(g, f)]]
         rhs = d.comp.get((fun.mor_map[g], fun.mor_map[f]))
         if lhs != rhs:
@@ -219,14 +219,14 @@ def validate_nat_trans(t: NatTrans, cap: int = DEFAULT_CAP) -> Report:
     rep = Report(cap=cap)
     c, d = t.source.source, t.source.target
     for x in c.objects():
-        rep.tick()
+        rep.tick("component-typing")
         a = t.components[x]
         if d.src[a] != t.source.obj_map[x] or d.tgt[a] != t.target.obj_map[x]:
             rep.add("component-typing", (x,))
     if not rep.ok:
         return rep
     for f in c.morphisms():
-        rep.tick()
+        rep.tick("naturality")
         x, y = c.src[f], c.tgt[f]
         lhs = d.comp.get((t.components[y], t.source.mor_map[f]))
         rhs = d.comp.get((t.target.mor_map[f], t.components[x]))

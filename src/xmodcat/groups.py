@@ -233,7 +233,7 @@ def validate_homomorphism(f: Homomorphism, cap: int = DEFAULT_CAP) -> Report:
     src, tgt, m = f.source, f.target, f.map
     for a in src.elements():
         for b in src.elements():
-            rep.tick()
+            rep.tick("homomorphism")
             if m[src.table[a][b]] != tgt.table[m[a]][m[b]]:
                 rep.add("homomorphism", (a, b))
     return rep
@@ -283,23 +283,23 @@ def validate_automorphism_action(a: GroupAction, cap: int = DEFAULT_CAP) -> Repo
     gt, st, t = a.actor, a.space, a.table
     for g in gt.elements():
         row = t[g]
-        rep.tick()
+        rep.tick("bijective")
         if len(set(row)) != st.order:
             rep.add("bijective", (g,), "row is not a permutation")
         for h1 in st.elements():
             for h2 in st.elements():
-                rep.tick()
+                rep.tick("respects-product")
                 if row[st.table[h1][h2]] != st.table[row[h1]][row[h2]]:
                     rep.add("respects-product", (g, h1, h2))
     for h in st.elements():
-        rep.tick()
+        rep.tick("unit")
         if t[gt.identity][h] != h:
             rep.add("unit", (h,))
     for g1 in gt.elements():
         for g2 in gt.elements():
             g12 = gt.table[g1][g2]
             for h in st.elements():
-                rep.tick()
+                rep.tick("composition")
                 if t[g12][h] != t[g1][t[g2][h]]:
                     rep.add("composition", (g1, g2, h))
     return rep

@@ -1,15 +1,23 @@
-"""Violation reports returned by every validator.
+"""Violation reports returned by every validator, and the law driver.
 
 A validator checks each instance of each law it owns and records failures as
-(law, witness) pairs. Reports collect *all* violations up to a per-law cap
-(default 100) instead of stopping at the first, so a broken fixture shows
-its full damage in one run and a flood of failures in one law can never
-hide another law's witnesses.
+(law, witness) pairs. Reports count every violation and checked instance per
+law, and keep witnesses up to a per-law cap (default 100) instead of stopping
+at the first, so a broken fixture shows its full damage in one run and a
+flood of failures in one law can never hide another law's witnesses.
+
+`run_laws` alone decides whether a law is enumerated or sampled; a sampled
+law draws from its own stream, so its draws never depend on another law.
 """
 
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import product
+from typing import Callable, Iterable
 
 DEFAULT_CAP = 100
 
@@ -28,56 +36,95 @@ class Violation:
 @dataclass
 class Report:
     violations: list[Violation] = field(default_factory=list)
-    checked: int = 0
     capped: bool = False
     cap: int = DEFAULT_CAP
 
     def __post_init__(self) -> None:
-        self._per_law: dict[str, int] = {}
+        self.instances: dict[str, int] = {}  # law -> instances checked
+        self._found: dict[str, int] = {}  # law -> violations, past the cap too
         for v in self.violations:
-            self._per_law[v.law] = self._per_law.get(v.law, 0) + 1
+            self._found[v.law] = self._found.get(v.law, 0) + 1
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
+    @property
+    def checked(self) -> int:
+        return sum(self.instances.values())
+
     def count(self, law: str | None = None) -> int:
+        """Violations found (of one law), including those past the cap."""
         if law is None:
-            return len(self.violations)
-        return self._per_law.get(law, 0)
+            return sum(self._found.values())
+        return self._found.get(law, 0)
 
     def add(self, law: str, witness: tuple, detail: str = "") -> None:
-        """Record one violation, respecting the per-law cap."""
-        n = self._per_law.get(law, 0)
+        """Record one violation; its witness is kept while under the cap."""
+        n = self._found.get(law, 0)
+        self._found[law] = n + 1
         if n >= self.cap:
             self.capped = True
             return
-        self._per_law[law] = n + 1
         self.violations.append(Violation(law, witness, detail))
 
-    def tick(self, n: int = 1) -> None:
-        self.checked += n
-
-    def merge(self, other: "Report") -> None:
-        self.checked += other.checked
-        self.capped = self.capped or other.capped
-        for v in other.violations:
-            self.add(v.law, v.witness, v.detail)
-
-    def laws(self) -> list[str]:
-        seen: list[str] = []
-        for v in self.violations:
-            if v.law not in seen:
-                seen.append(v.law)
-        return seen
+    def tick(self, law: str, n: int = 1) -> None:
+        self.instances[law] = self.instances.get(law, 0) + n
 
     def __str__(self) -> str:
         if self.ok:
             return f"ok ({self.checked} checks)"
-        head = f"{len(self.violations)} violation(s) in {self.checked} checks"
+        head = f"{self.count()} violation(s) in {self.checked} checks"
         if self.capped:
             head += " (capped)"
         lines = [head] + [f"  {v}" for v in self.violations[:10]]
         if len(self.violations) > 10:
             lines.append(f"  ... {len(self.violations) - 10} more")
         return "\n".join(lines)
+
+
+@dataclass(frozen=True)
+class Law:
+    """One law: `instances()` walks its space in a fixed order and yields
+    exactly `size` instances, `draw(rng)` returns one at random, and
+    `check(instances, fail)` loops over what it is handed, calling
+    `fail(witness, detail="")` once per violation."""
+
+    name: str
+    size: int
+    instances: Callable[[], Iterable]
+    draw: Callable[[random.Random], object]
+    check: Callable[[Iterable, Callable], None]
+
+
+def product_law(name: str, check, *coords) -> Law:
+    """A law over the tuples of product(*coords); no coords: the one tuple ()."""
+    return Law(
+        name,
+        math.prod(len(c) for c in coords),
+        lambda: product(*coords),
+        lambda rng: tuple(rng.choice(c) for c in coords),
+        check,
+    )
+
+
+def run_laws(
+    rep: Report,
+    suite: str,
+    laws: Iterable[Law],
+    samples: int = 0,
+    seed: int = 0,
+    max_exhaustive: float = math.inf,
+) -> Report:
+    """Enumerate each law whose size is at most max_exhaustive, else check it
+    on `samples` draws seeded by "<seed>/<suite>/<law>"; count per law."""
+    for law in laws:
+        fail = partial(rep.add, law.name)
+        if law.size <= max_exhaustive:
+            law.check(law.instances(), fail)
+            rep.tick(law.name, law.size)
+        else:
+            rng = random.Random(f"{seed}/{suite}/{law.name}")
+            law.check((law.draw(rng) for _ in range(samples)), fail)
+            rep.tick(law.name, samples)
+    return rep

@@ -2,19 +2,15 @@
 
 Each suite checks a family of laws and returns one LawLine per law, in a
 fixed order, so two runs with the same inputs and seed produce identical
-output. Exhaustive enumeration is used whenever the instance space fits in
-`max_exhaustive`; otherwise `samples` seeded random instances are drawn.
-
-The XMODCAT_THREADS environment variable sizes a thread pool across suites;
-results are still emitted in the fixed suite order.
+output. The laws of this module and of transform.py go through
+report.run_laws, which enumerates a law whose instance space fits in
+`max_exhaustive` and otherwise draws `samples` seeded random instances.
 """
 
 from __future__ import annotations
 
-import os
-import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 from . import catgroup
@@ -22,7 +18,6 @@ from .action import (
     StrictAction,
     check_compositor_coherence,
     identity_compositor,
-    nat_component,
     validate_strict_action,
 )
 from .catgroup import Mor2G, mor_of
@@ -42,13 +37,15 @@ from .quintet import (
     v_identity,
 )
 from .groups import validate_automorphism_action, validate_homomorphism
-from .report import Report
+from .report import Law, Report, product_law, run_laws
 from .transform import (
+    TransDoubleCat,
     build_transformation_double,
+    double_laws,
     horizontal_2category,
     nested_inclusions,
-    verify_double_category,
-    verify_transpose,
+    nested_laws,
+    transpose_laws,
     vertical_2category,
 )
 from .xmod import validate_crossed_module
@@ -81,26 +78,19 @@ class LawLine:
 
 
 def law_lines(suite: str, rep: Report, laws: list[str]) -> list[LawLine]:
-    """One line per law; `checked` is the owning suite's total instance count."""
+    """One line per law with its own instance and violation counts; a law
+    with no instances is a skip. Laws outside the list follow, sorted."""
     out = []
-    for law in laws:
-        hits = [v for v in rep.violations if v.law == law]
-        if hits:
-            out.append(
-                LawLine(
-                    suite, law, "fail", rep.checked, len(hits),
-                    hits[0].witness, hits[0].detail,
-                )
-            )
+    for law in laws + sorted({v.law for v in rep.violations} - set(laws)):
+        n = rep.instances.get(law, 0)
+        found = rep.count(law)
+        if found:
+            first = next(v for v in rep.violations if v.law == law)
+            out.append(LawLine(suite, law, "fail", n, found, first.witness, first.detail))
+        elif n:
+            out.append(LawLine(suite, law, "pass", n))
         else:
-            out.append(LawLine(suite, law, "pass", rep.checked))
-    # anything the report recorded under a law name not in the fixed list
-    extra = [v for v in rep.violations if v.law not in laws]
-    for law in sorted({v.law for v in extra}):
-        hits = [v for v in extra if v.law == law]
-        out.append(
-            LawLine(suite, law, "fail", rep.checked, len(hits), hits[0].witness)
-        )
+            out.append(LawLine(suite, law, "skip", 0, detail="no instances checked"))
     return out
 
 
@@ -108,12 +98,14 @@ def skip_lines(suite: str, laws: list[str], why: str) -> list[LawLine]:
     return [LawLine(suite, law, "skip", 0, detail=why) for law in laws]
 
 
-# --- crossed module ---------------------------------------------------------
+def run_suite(suite, laws_of, act, samples, seed, max_exhaustive) -> list[LawLine]:
+    """Run laws_of(d), d the action's double category, through run_laws."""
+    laws = laws_of(build_transformation_double(act, validate=False))
+    rep = run_laws(Report(), suite, laws, samples, seed, max_exhaustive)
+    return law_lines(suite, rep, [law.name for law in laws])
 
-XMOD_LAWS = [
-    "homomorphism", "bijective", "respects-product", "unit", "composition",
-    "equivariance", "peiffer",
-]
+
+# --- crossed module ---------------------------------------------------------
 
 
 def suite_xmod(act, samples, seed, max_exhaustive) -> list[LawLine]:
@@ -131,65 +123,50 @@ def suite_xmod(act, samples, seed, max_exhaustive) -> list[LawLine]:
 
 # --- categorical group ------------------------------------------------------
 
-CATGROUP_LAWS = [
-    "tensor-typing", "interchange", "tensor-inverse", "compose-inverse",
-    "eckmann-hilton",
-]
-
-
-def suite_catgroup(act, samples, seed, max_exhaustive) -> list[LawLine]:
-    xm = act.xm
+def catgroup_laws(d: TransDoubleCat) -> list[Law]:
+    xm = d.xm
     g, h = xm.g, xm.h
-    rep = Report()
     mors = [Mor2G(xm, gg, eta) for gg in g.elements() for eta in h.elements()]
+    kernel = [chi for chi in h.elements() if xm.bnd(chi) == g.identity]
+    e_mor = catgroup.identity_morphism(xm, g.identity)
 
-    for m1 in mors:
-        for m2 in mors:
-            rep.tick()
+    def tensor_typing(insts, fail) -> None:
+        for m1, m2 in insts:
             t = catgroup.tensor(m1, m2)
             s1, t1 = catgroup.boundary(m1)
             s2, t2 = catgroup.boundary(m2)
             s, t_ = catgroup.boundary(t)
             if s != g.table[s1][s2] or t_ != g.table[t1][t2]:
-                rep.add("tensor-typing", (m1.g, m1.eta, m2.g, m2.eta))
+                fail((m1.g, m1.eta, m2.g, m2.eta))
 
     # (m2 . m1) x (n2 . n1) == (m2 x n2) . (m1 x n1) on composable columns
-    for m1 in mors:
-        for c2 in h.elements():
+    def interchange(insts, fail) -> None:
+        for m1, c2, n1, d2 in insts:
             m2 = Mor2G(xm, catgroup.boundary(m1)[1], c2)
-            m21 = catgroup.compose(m2, m1)
-            for n1 in mors:
-                for d2 in h.elements():
-                    n2 = Mor2G(xm, catgroup.boundary(n1)[1], d2)
-                    rep.tick()
-                    lhs = catgroup.tensor(m21, catgroup.compose(n2, n1))
-                    rhs = catgroup.compose(
-                        catgroup.tensor(m2, n2), catgroup.tensor(m1, n1)
-                    )
-                    if lhs != rhs:
-                        rep.add(
-                            "interchange",
-                            (m1.g, m1.eta, c2, n1.g, n1.eta, d2),
-                        )
+            n2 = Mor2G(xm, catgroup.boundary(n1)[1], d2)
+            lhs = catgroup.tensor(catgroup.compose(m2, m1), catgroup.compose(n2, n1))
+            rhs = catgroup.compose(catgroup.tensor(m2, n2), catgroup.tensor(m1, n1))
+            if lhs != rhs:
+                fail((m1.g, m1.eta, c2, n1.g, n1.eta, d2))
 
-    e_mor = catgroup.identity_morphism(xm, g.identity)
-    for m in mors:
-        rep.tick(2)
-        mi = catgroup.invert(m, "tensor")
-        if catgroup.tensor(m, mi) != e_mor or catgroup.tensor(mi, m) != e_mor:
-            rep.add("tensor-inverse", (m.g, m.eta))
-        mc = catgroup.invert(m, "compose")
-        s, t = catgroup.boundary(m)
-        if (
-            catgroup.compose(mc, m) != catgroup.identity_morphism(xm, s)
-            or catgroup.compose(m, mc) != catgroup.identity_morphism(xm, t)
-        ):
-            rep.add("compose-inverse", (m.g, m.eta))
+    def tensor_inverse(insts, fail) -> None:
+        for (m,) in insts:
+            mi = catgroup.invert(m, "tensor")
+            if catgroup.tensor(m, mi) != e_mor or catgroup.tensor(mi, m) != e_mor:
+                fail((m.g, m.eta))
 
-    kernel = [chi for chi in h.elements() if xm.bnd(chi) == g.identity]
-    for a in kernel:
-        for b in kernel:
-            rep.tick()
+    def compose_inverse(insts, fail) -> None:
+        for (m,) in insts:
+            mc = catgroup.invert(m, "compose")
+            s, t = catgroup.boundary(m)
+            if (
+                catgroup.compose(mc, m) != catgroup.identity_morphism(xm, s)
+                or catgroup.compose(m, mc) != catgroup.identity_morphism(xm, t)
+            ):
+                fail((m.g, m.eta))
+
+    def eckmann_hilton(insts, fail) -> None:
+        for a, b in insts:
             ma, mb = Mor2G(xm, g.identity, a), Mor2G(xm, g.identity, b)
             tab = catgroup.tensor(ma, mb)
             if (
@@ -197,72 +174,77 @@ def suite_catgroup(act, samples, seed, max_exhaustive) -> list[LawLine]:
                 or tab.eta != h.table[a][b]
                 or h.table[a][b] != h.table[b][a]
             ):
-                rep.add("eckmann-hilton", (a, b))
+                fail((a, b))
 
-    return law_lines("catgroup", rep, CATGROUP_LAWS)
+    return [
+        product_law("tensor-typing", tensor_typing, mors, mors),
+        product_law("interchange", interchange, mors, h.elements(), mors, h.elements()),
+        product_law("tensor-inverse", tensor_inverse, mors),
+        product_law("compose-inverse", compose_inverse, mors),
+        product_law("eckmann-hilton", eckmann_hilton, kernel, kernel),
+    ]
 
 
 # --- quintet squares --------------------------------------------------------
 
-QUINTET_LAWS = [
-    "face-formulas-agree", "h-inverse", "v-inverse", "h-identity", "v-identity",
-    "grid-interchange", "embed-compose",
-]
-
-
-def suite_quintet(act, samples, seed, max_exhaustive) -> list[LawLine]:
-    xm = act.xm
+def quintet_laws(d: TransDoubleCat) -> list[Law]:
+    xm = d.xm
     g, h = xm.g, xm.h
-    rep = Report()
     squares = enumerate_squares(xm)
     by_left: dict[int, list] = {}
     for sq in squares:
         by_left.setdefault(sq.left, []).append(sq)
 
-    for a in squares:
-        for b in by_left[a.right]:
-            rep.tick()
+    def pairs():
+        for a in squares:
+            for b in by_left[a.right]:
+                yield a, b
+
+    def draw_pair(rng):
+        a = rng.choice(squares)
+        return a, rng.choice(by_left[a.right])
+
+    def faces_agree(insts, fail) -> None:
+        for a, b in insts:
             if compose_h(a, b).face != compose_h_face_alt(a, b):
-                rep.add("face-formulas-agree", a.edges() + (a.face,) + (b.top, b.right, b.face))
+                fail(a.edges() + (a.face,) + (b.top, b.right, b.face))
 
-    for sq in squares:
-        rep.tick(4)
-        w = sq.edges() + (sq.face,)
-        ih = invert(sq, "h")
-        if (
-            compose_h(sq, ih) != h_identity(xm, sq.left)
-            or compose_h(ih, sq) != h_identity(xm, sq.right)
-        ):
-            rep.add("h-inverse", w)
-        iv = invert(sq, "v")
-        if (
-            compose_v(sq, iv) != v_identity(xm, sq.top)
-            or compose_v(iv, sq) != v_identity(xm, sq.bottom)
-        ):
-            rep.add("v-inverse", w)
-        if (
-            compose_h(h_identity(xm, sq.left), sq) != sq
-            or compose_h(sq, h_identity(xm, sq.right)) != sq
-        ):
-            rep.add("h-identity", w)
-        if (
-            compose_v(v_identity(xm, sq.top), sq) != sq
-            or compose_v(sq, v_identity(xm, sq.bottom)) != sq
-        ):
-            rep.add("v-identity", w)
+    def h_inverse(insts, fail) -> None:
+        for (sq,) in insts:
+            ih = invert(sq, "h")
+            if (
+                compose_h(sq, ih) != h_identity(xm, sq.left)
+                or compose_h(ih, sq) != h_identity(xm, sq.right)
+            ):
+                fail(sq.edges() + (sq.face,))
 
-    # interchange: every (or sampled) 2x2 grid evaluates the same by rows
-    # and by columns
-    def check_grid(grid) -> None:
-        rep.tick()
-        if evaluate_grid(grid, "rows") != evaluate_grid(grid, "columns"):
-            rep.add(
-                "grid-interchange",
-                tuple((s.edges() + (s.face,)) for row in grid.cells for s in row),
-            )
+    def v_inverse(insts, fail) -> None:
+        for (sq,) in insts:
+            iv = invert(sq, "v")
+            if (
+                compose_v(sq, iv) != v_identity(xm, sq.top)
+                or compose_v(iv, sq) != v_identity(xm, sq.bottom)
+            ):
+                fail(sq.edges() + (sq.face,))
 
-    total = g.order**8 * h.order**4
-    if total <= max_exhaustive:
+    def h_identities(insts, fail) -> None:
+        for (sq,) in insts:
+            if (
+                compose_h(h_identity(xm, sq.left), sq) != sq
+                or compose_h(sq, h_identity(xm, sq.right)) != sq
+            ):
+                fail(sq.edges() + (sq.face,))
+
+    def v_identities(insts, fail) -> None:
+        for (sq,) in insts:
+            if (
+                compose_v(v_identity(xm, sq.top), sq) != sq
+                or compose_v(sq, v_identity(xm, sq.bottom)) != sq
+            ):
+                fail(sq.edges() + (sq.face,))
+
+    # interchange: every 2x2 grid evaluates the same by rows and by columns
+    def grids():
         gs, hs = range(g.order), range(h.order)
         for l0, t0, r0, e0 in product(gs, gs, gs, hs):
             a = square_from_edges(xm, l0, t0, r0, e0)
@@ -272,24 +254,43 @@ def suite_quintet(act, samples, seed, max_exhaustive) -> list[LawLine]:
                     c = square_from_edges(xm, l2, a.bottom, r2, e2)
                     for r3, e3 in product(gs, hs):
                         d = square_from_edges(xm, c.right, b.bottom, r3, e3)
-                        check_grid(make_grid([[a, b], [c, d]]))
-    else:
-        rng = random.Random(seed)
-        for _ in range(samples):
-            check_grid(random_grid(xm, 2, 2, rng))
+                        yield make_grid([[a, b], [c, d]])
+
+    def grid_interchange(insts, fail) -> None:
+        for grid in insts:
+            if evaluate_grid(grid, "rows") != evaluate_grid(grid, "columns"):
+                fail(tuple((s.edges() + (s.face,)) for row in grid.cells for s in row))
 
     # embedding as squares respects categorical-group composition
-    for gg in g.elements():
-        for eta in h.elements():
+    def embed_compose(insts, fail) -> None:
+        for gg, eta, eta2 in insts:
             m1 = Mor2G(xm, gg, eta)
-            for eta2 in h.elements():
-                rep.tick()
-                m2 = Mor2G(xm, catgroup.boundary(m1)[1], eta2)
-                lhs = compose_h(embed_morphism(m1), embed_morphism(m2))
-                if lhs != embed_morphism(catgroup.compose(m2, m1)):
-                    rep.add("embed-compose", (gg, eta, eta2))
+            m2 = Mor2G(xm, catgroup.boundary(m1)[1], eta2)
+            lhs = compose_h(embed_morphism(m1), embed_morphism(m2))
+            if lhs != embed_morphism(catgroup.compose(m2, m1)):
+                fail((gg, eta, eta2))
 
-    return law_lines("quintet", rep, QUINTET_LAWS)
+    return [
+        Law(
+            "face-formulas-agree",
+            sum(len(by_left[a.right]) for a in squares),
+            pairs,
+            draw_pair,
+            faces_agree,
+        ),
+        product_law("h-inverse", h_inverse, squares),
+        product_law("v-inverse", v_inverse, squares),
+        product_law("h-identity", h_identities, squares),
+        product_law("v-identity", v_identities, squares),
+        Law(
+            "grid-interchange",
+            g.order**8 * h.order**4,
+            grids,
+            lambda rng: random_grid(xm, 2, 2, rng),
+            grid_interchange,
+        ),
+        product_law("embed-compose", embed_compose, g.elements(), h.elements(), h.elements()),
+    ]
 
 
 # --- strict action, both presentations --------------------------------------
@@ -309,9 +310,6 @@ def suite_action(act, samples, seed, max_exhaustive) -> list[LawLine]:
 
 
 # --- adjoint oracle: morphism action as a five-square row -------------------
-
-ADJOINT_LAWS = ["five-square-strip"]
-
 
 def five_square_strip(act: StrictAction, gamma: int, chi: int, f: int):
     """Fold the width-5 witness row for (gamma, chi) acting on morphism f.
@@ -340,145 +338,137 @@ def five_square_strip(act: StrictAction, gamma: int, chi: int, f: int):
     return out
 
 
+def adjoint_laws(d: TransDoubleCat) -> list[Law]:
+    act, xm = d.act, d.xm
+    g = xm.g
+
+    def strip(insts, fail) -> None:
+        for gamma, chi, f in insts:
+            out = five_square_strip(act, gamma, chi, f)
+            want = mor_of(xm, act.on_mor_pair(gamma, chi, f))
+            if (
+                out.left != g.identity
+                or out.right != g.identity
+                or out.top != want.g
+                or out.face != want.eta
+            ):
+                fail((gamma, chi, f))
+
+    mors = d.category.morphisms()
+    return [product_law("five-square-strip", strip, g.elements(), xm.h.elements(), mors)]
+
+
 def suite_adjoint_oracle(act, samples, seed, max_exhaustive) -> list[LawLine]:
     if not act.is_adjoint:
-        return skip_lines("adjoint-oracle", ADJOINT_LAWS, "action was not built as adjoint")
-    xm = act.xm
-    g, h = xm.g, xm.h
-    rep = Report()
-    n_mor = act.category.n_morphisms
-
-    def check(gamma: int, chi: int, f: int) -> None:
-        rep.tick()
-        out = five_square_strip(act, gamma, chi, f)
-        want = mor_of(xm, act.on_mor_pair(gamma, chi, f))
-        want_g, want_eta = want.g, want.eta
-        if (
-            out.left != g.identity
-            or out.right != g.identity
-            or out.top != want_g
-            or out.face != want_eta
-        ):
-            rep.add("five-square-strip", (gamma, chi, f))
-
-    total = g.order * h.order * n_mor
-    if total <= max_exhaustive:
-        for gamma in g.elements():
-            for chi in h.elements():
-                for f in range(n_mor):
-                    check(gamma, chi, f)
-    else:
-        rng = random.Random(seed)
-        for _ in range(samples):
-            check(rng.randrange(g.order), rng.randrange(h.order), rng.randrange(n_mor))
-    return law_lines("adjoint-oracle", rep, ADJOINT_LAWS)
+        why = "action was not built as adjoint"
+        return skip_lines("adjoint-oracle", ["five-square-strip"], why)
+    return run_suite("adjoint-oracle", adjoint_laws, act, samples, seed, max_exhaustive)
 
 
-# --- transformation double category ------------------------------------------
+# --- nested sub-double-categories --------------------------------------------
 
-DOUBLE_LAWS = [
-    "pair-target", "h-unit", "v-unit", "h-boundary", "v-boundary",
-    "h-assoc", "v-assoc", "interchange", "six-composites",
-]
-
-
-def suite_double(act, samples, seed, max_exhaustive) -> list[LawLine]:
-    d = build_transformation_double(act, validate=False)
-    rep = verify_double_category(
-        d, samples=samples, seed=seed, max_exhaustive=max_exhaustive
-    )
-    return law_lines("double", rep, DOUBLE_LAWS)
-
-
-TRANSPOSE_LAWS = [
-    "obj-bijection", "obj-endpoints", "obj-composition", "obj-identity",
-    "mor-bijection", "mor-endpoints", "mor-composition", "mor-identity",
-    "mor-inverse",
-]
-
-
-def suite_transpose(act, samples, seed, max_exhaustive) -> list[LawLine]:
-    d = build_transformation_double(act, validate=False)
-    return law_lines("transpose", verify_transpose(d), TRANSPOSE_LAWS)
-
-
-NESTED_LAWS = [
-    "first-injective", "first-typing", "first-composition", "first-identities",
-    "second-typing", "second-composition", "second-identities", "first-full",
-    "second-fullness",
-]
-
-
-def suite_nested(act, samples, seed, max_exhaustive) -> list[LawLine]:
-    d = build_transformation_double(act, validate=False)
+def nested_suite_laws(d: TransDoubleCat) -> list[Law]:
     inc = nested_inclusions(d)
-    rep = inc.report
     # the middle inclusion widens the acting group by H: it stays full only
     # when H is trivial
-    expect_full = act.xm.h.order == 1
-    rep.tick()
-    if inc.second_full != expect_full:
-        rep.add(
-            "second-fullness",
-            (act.xm.h.order,),
-            f"second_full={inc.second_full}, expected {expect_full}",
-        )
-    return law_lines("nested", rep, NESTED_LAWS)
+    expect_full = d.xm.h.order == 1
+
+    def fullness(insts, fail) -> None:
+        for _ in insts:
+            if inc.second_full != expect_full:
+                fail((d.xm.h.order,), f"second_full={inc.second_full}, expected {expect_full}")
+
+    return nested_laws(inc) + [product_law("second-fullness", fullness)]
 
 
 # --- degenerate-square 2-categories ------------------------------------------
 
-H2_LAWS = ["kernel-central", "h2-identity", "h2-stacking"]
-
-
-def suite_h2cat(act, samples, seed, max_exhaustive) -> list[LawLine]:
-    xm = act.xm
-    h = xm.h
-    d = build_transformation_double(act, validate=False)
+def h2_laws(d: TransDoubleCat) -> list[Law]:
+    h = d.xm.h
     two = horizontal_2category(d)
-    rep = Report()
-    for chi in two.kernel:
-        for b in h.elements():
-            rep.tick()
+    lookup = {f: dict(cells) for f, cells in two.cells.items()}  # f -> chi -> f'
+    mors = tuple(two.cells)
+
+    def kernel_central(insts, fail) -> None:
+        for chi, b in insts:
             if h.table[chi][b] != h.table[b][chi]:
-                rep.add("kernel-central", (chi, b))
-    for f, cells in two.cells.items():
-        lookup = dict(cells)
-        rep.tick()
-        if lookup.get(h.identity) != f:
-            rep.add("h2-identity", (f,))
-        for c1, f1 in cells:
-            for c2, f2 in two.cells[f1]:
-                rep.tick()
-                if lookup.get(two.stack(h.table, c1, c2)) != f2:
-                    rep.add("h2-stacking", (f, c1, c2))
-    return law_lines("h2cat", rep, H2_LAWS)
+                fail((chi, b))
+
+    def h2_identity(insts, fail) -> None:
+        for (f,) in insts:
+            if lookup[f].get(h.identity) != f:
+                fail((f,))
+
+    def stacks():  # (f, c1, c2, f2): a cell out of f, then one out of its target
+        for f, cells in two.cells.items():
+            for c1, f1 in cells:
+                for c2, f2 in two.cells[f1]:
+                    yield f, c1, c2, f2
+
+    def draw_stack(rng):
+        f = rng.choice(mors)
+        c1, f1 = rng.choice(two.cells[f])
+        return (f, c1, *rng.choice(two.cells[f1]))
+
+    def h2_stacking(insts, fail) -> None:
+        for f, c1, c2, f2 in insts:
+            if lookup[f].get(two.stack(h.table, c1, c2)) != f2:
+                fail((f, c1, c2))
+
+    n_stacks = sum(len(two.cells[f1]) for cells in two.cells.values() for _, f1 in cells)
+    return [
+        product_law("kernel-central", kernel_central, two.kernel, h.elements()),
+        product_law("h2-identity", h2_identity, mors),
+        Law("h2-stacking", n_stacks, stacks, draw_stack, h2_stacking),
+    ]
 
 
-V2_LAWS = ["v2-identity-cell", "v2-stacking", "v2-inverse"]
-
-
-def suite_v2cat(act, samples, seed, max_exhaustive) -> list[LawLine]:
-    xm = act.xm
-    g, h = xm.g, xm.h
-    d = build_transformation_double(act, validate=False)
+def v2_laws(d: TransDoubleCat) -> list[Law]:
+    h = d.xm.h
     two = vertical_2category(d)
-    rep = Report()
-    for (gamma, x), cells in two.cells.items():
-        labels = dict(cells)
-        rep.tick()
-        if h.identity not in labels:
-            rep.add("v2-identity-cell", (gamma, x))
-        for chi, tg in cells:
-            rep.tick()
-            ich = h.inverse[chi]
-            if ich not in dict(two.cells[(tg, x)]):
-                rep.add("v2-inverse", (gamma, x, chi))
+    labels = {key: dict(cells) for key, cells in two.cells.items()}  # chi -> gamma'
+    keys = tuple(two.cells)  # vertical morphisms (gamma, x)
+
+    def identity_cell(insts, fail) -> None:
+        for (key,) in insts:
+            if h.identity not in labels[key]:
+                fail(key)
+
+    def cells():  # (gamma, x, chi, gamma'): each cell out of (gamma, x)
+        for (gamma, x), out in two.cells.items():
+            for chi, tg in out:
+                yield gamma, x, chi, tg
+
+    def draw_cell(rng):
+        gamma, x = key = rng.choice(keys)
+        return (gamma, x, *rng.choice(two.cells[key]))
+
+    def stacked():  # (gamma, x, chi, chi2): a cell, then one out of its target
+        for gamma, x, chi, tg in cells():
             for chi2, _ in two.cells[(tg, x)]:
-                rep.tick()
-                if h.table[chi2][chi] not in labels:
-                    rep.add("v2-stacking", (gamma, x, chi, chi2))
-    return law_lines("v2cat", rep, V2_LAWS)
+                yield gamma, x, chi, chi2
+
+    def draw_stacked(rng):
+        gamma, x, chi, tg = draw_cell(rng)
+        return gamma, x, chi, rng.choice(two.cells[(tg, x)])[0]
+
+    def stacking(insts, fail) -> None:
+        for gamma, x, chi, chi2 in insts:
+            if h.table[chi2][chi] not in labels[(gamma, x)]:
+                fail((gamma, x, chi, chi2))
+
+    def inverse(insts, fail) -> None:
+        for gamma, x, chi, tg in insts:
+            if h.inverse[chi] not in labels[(tg, x)]:
+                fail((gamma, x, chi))
+
+    n_cells = sum(len(out) for out in two.cells.values())
+    n_stacked = sum(len(two.cells[(tg, x)]) for (_, x), out in two.cells.items() for _, tg in out)
+    return [
+        product_law("v2-identity-cell", identity_cell, keys),
+        Law("v2-stacking", n_stacked, stacked, draw_stacked, stacking),
+        Law("v2-inverse", n_cells, cells, draw_cell, inverse),
+    ]
 
 
 # --- coherence of the identity compositor ------------------------------------
@@ -498,31 +488,17 @@ def suite_pentagon(act, samples, seed, max_exhaustive) -> list[LawLine]:
 
 SUITES: list[tuple[str, object]] = [
     ("xmod", suite_xmod),
-    ("catgroup", suite_catgroup),
-    ("quintet", suite_quintet),
+    ("catgroup", partial(run_suite, "catgroup", catgroup_laws)),
+    ("quintet", partial(run_suite, "quintet", quintet_laws)),
     ("action", suite_action),
     ("adjoint-oracle", suite_adjoint_oracle),
-    ("double", suite_double),
-    ("transpose", suite_transpose),
-    ("nested", suite_nested),
-    ("h2cat", suite_h2cat),
-    ("v2cat", suite_v2cat),
+    ("double", partial(run_suite, "double", double_laws)),
+    ("transpose", partial(run_suite, "transpose", transpose_laws)),
+    ("nested", partial(run_suite, "nested", nested_suite_laws)),
+    ("h2cat", partial(run_suite, "h2cat", h2_laws)),
+    ("v2cat", partial(run_suite, "v2cat", v2_laws)),
     ("pentagon", suite_pentagon),
 ]
-
-SUITE_LAW_LISTS = {
-    "xmod": XMOD_LAWS,
-    "catgroup": CATGROUP_LAWS,
-    "quintet": QUINTET_LAWS,
-    "action": ACTION_LAWS,
-    "adjoint-oracle": ADJOINT_LAWS,
-    "double": DOUBLE_LAWS,
-    "transpose": TRANSPOSE_LAWS,
-    "nested": NESTED_LAWS,
-    "h2cat": H2_LAWS,
-    "v2cat": V2_LAWS,
-    "pentagon": PENTAGON_LAWS,
-}
 
 
 def _guarded(name, fn, act, samples, seed, max_exhaustive) -> list[LawLine]:
@@ -534,16 +510,6 @@ def _guarded(name, fn, act, samples, seed, max_exhaustive) -> list[LawLine]:
         ]
 
 
-def thread_count() -> int:
-    raw = os.environ.get("XMODCAT_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_all(
     act: StrictAction,
     samples: int = 100_000,
@@ -552,18 +518,9 @@ def run_all(
     only: list[str] | None = None,
 ) -> list[LawLine]:
     """Run every suite (or the named subset) in the registry order."""
-    chosen = [(n, f) for n, f in SUITES if only is None or n in only]
-    workers = thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            batches = list(
-                pool.map(
-                    lambda nf: _guarded(nf[0], nf[1], act, samples, seed, max_exhaustive),
-                    chosen,
-                )
-            )
-    else:
-        batches = [
-            _guarded(n, f, act, samples, seed, max_exhaustive) for n, f in chosen
-        ]
-    return [line for batch in batches for line in batch]
+    return [
+        line
+        for name, fn in SUITES
+        if only is None or name in only
+        for line in _guarded(name, fn, act, samples, seed, max_exhaustive)
+    ]

@@ -17,18 +17,18 @@ top edges, vertical pasting multiplies the pairs in the semidirect product.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .action import StrictAction, nat_component, validate_strict_action
 from .errors import InvalidAction, MixedStructures, NotAdjacent
 from .fincat import FiniteCategory, category_from_tables
-from .report import DEFAULT_CAP, Report
+from .report import DEFAULT_CAP, Law, Report, product_law, run_laws
 from .xmod import CrossedModule, semidirect_group
 
 
 class TransDoubleCat:
-    """Eagerly indexed store of all four cell kinds.
+    """All four cell kinds of the double category, computed on demand.
 
     objects:    objects of C
     horizontal: morphisms of C
@@ -176,54 +176,28 @@ def vertical_inverse_square(s: TDSquare) -> TDSquare:
 
 # --- verification ----------------------------------------------------------
 
-def _tables(act: StrictAction):
-    xm, c = act.xm, act.category
-    n_h = xm.h.order
-    pair_tgt = [
-        xm.g.table[xm.bnd(chi)][gamma]
-        for gamma in xm.g.elements()
-        for chi in range(n_h)
-    ]
-    by_src: list[list[int]] = [[] for _ in c.objects()]
-    for f in c.morphisms():
-        by_src[c.src[f]].append(f)
-    natc = [
-        [act.act_mor[p][c.identity[x]] for x in c.objects()]
-        for p in range(xm.npairs)
-    ]
-    return pair_tgt, by_src, natc
-
-
-def verify_double_category(
-    d: TransDoubleCat,
-    samples: int = 100_000,
-    seed: int = 0,
-    max_exhaustive: int = 10_000_000,
-    cap: int = DEFAULT_CAP,
-) -> Report:
-    """Check every double-category law on the stored squares.
-
-    Per law the instance space is walked exhaustively when its size is at
-    most max_exhaustive, otherwise `samples` seeded random instances are
-    drawn. Laws: pasting units and associativity on both axes, boundary
-    bookkeeping of both pastings, the 2x2 interchange law, the semidirect
-    target identity, and equality of the six equivalent composites filling
-    a vertically stacked pair of squares.
-    """
+def double_laws(d: TransDoubleCat) -> list[Law]:
+    """Pasting units and associativity on both axes, boundary bookkeeping of
+    both pastings, the 2x2 interchange law, the semidirect target identity,
+    and equality of the six equivalent composites filling a vertically
+    stacked pair of squares."""
     act = d.act
     xm, c = d.xm, d.category
     g, h = xm.g, xm.h
-    rep = Report(cap=cap)
     comp = c.comp
     src, tgt, ident = c.src, c.tgt, c.identity
     n_h = h.order
     npairs = xm.npairs
     n_mor = c.n_morphisms
     act_m, act_o = act.act_mor, act.act_obj
-    pair_tgt, by_src, natc = _tables(act)
-    rng = random.Random(seed)
     hm = h.table
     e_h = h.identity
+    pairs, mors, hs = range(npairs), range(n_mor), range(n_h)
+    pair_tgt = [g.table[xm.bnd(chi)][gamma] for gamma in g.elements() for chi in hs]
+    by_src: list[list[int]] = [[] for _ in c.objects()]
+    for f in mors:
+        by_src[src[f]].append(f)
+    natc = [[act_m[p][ident[x]] for x in c.objects()] for p in pairs]  # components
 
     def pmul(p1: int, p2: int) -> int:
         g1, c1 = divmod(p1, n_h)
@@ -237,226 +211,194 @@ def verify_double_category(
             return None
         return (p1 // n_h) * n_h + hm[p2 % n_h][p1 % n_h], ff
 
-    # pair-target: the semidirect product pair lands where the stacked
-    # right edges land
-    for p1 in range(npairs):
-        for p2 in range(npairs):
-            rep.tick()
+    def pair_target(insts, fail) -> None:
+        # the semidirect product pair lands where the stacked right edges land
+        for p1, p2 in insts:
             if pair_tgt[pmul(p2, p1)] != g.table[pair_tgt[p2]][pair_tgt[p1]]:
-                rep.add("pair-target", (*divmod(p1, n_h), *divmod(p2, n_h)))
+                fail((*divmod(p1, n_h), *divmod(p2, n_h)))
 
-    # pasting units
+    def h_unit(insts, fail) -> None:
+        for p, f in insts:
+            w = (p // n_h, p % n_h, f)
+            if hcomp(p // n_h * n_h + e_h, ident[src[f]], p, f) != (p, f):
+                fail(w, "left unit")
+            if hcomp(p, f, pair_tgt[p] * n_h + e_h, ident[tgt[f]]) != (p, f):
+                fail(w, "right unit")
+
     unit_p = g.identity * n_h + e_h
-    for p in range(npairs):
-        gamma = p // n_h
-        for f in range(n_mor):
-            rep.tick(4)
-            left_id = (gamma * n_h + e_h, ident[src[f]])
-            right_id = (pair_tgt[p] * n_h + e_h, ident[tgt[f]])
-            if hcomp(*left_id, p, f) != (p, f):
-                rep.add("h-unit", (gamma, p % n_h, f), "left unit")
-            if hcomp(p, f, *right_id) != (p, f):
-                rep.add("h-unit", (gamma, p % n_h, f), "right unit")
+
+    def v_unit(insts, fail) -> None:
+        for p, f in insts:
+            w = (p // n_h, p % n_h, f)
             # unit above: s pastes under the unit square at f only if the
             # unit pair fixes f, and the pair product must return p
             if act_m[unit_p][f] != f or pmul(p, unit_p) != p:
-                rep.add("v-unit", (gamma, p % n_h, f), "unit above")
+                fail(w, "unit above")
             # unit below: the unit square at s's bottom edge pastes under s
             if pmul(unit_p, p) != p:
-                rep.add("v-unit", (gamma, p % n_h, f), "unit below")
+                fail(w, "unit below")
 
-    # boundary bookkeeping of both pastings
-    for p1 in range(npairs):
-        for f1 in range(n_mor):
-            fb1 = act_m[p1][f1]
-            for c2 in range(n_h):
-                p2 = pair_tgt[p1] * n_h + c2
-                for f2 in by_src[tgt[f1]]:
-                    rep.tick()
-                    out = hcomp(p1, f1, p2, f2)
-                    if out is None:
-                        rep.add("h-boundary", (p1, f1, p2, f2), "tops do not compose")
-                        continue
-                    bot = comp.get((act_m[p2][f2], fb1))
-                    if bot is None or act_m[out[0]][out[1]] != bot:
-                        rep.add("h-boundary", (p1, f1, p2, f2))
-    for p2 in range(npairs):
-        for f2 in range(n_mor):
-            f1 = act_m[p2][f2]
-            for p1 in range(npairs):
-                rep.tick()
-                pv = pmul(p1, p2)
-                if (
-                    pair_tgt[pv] != g.table[pair_tgt[p1]][pair_tgt[p2]]
-                    or act_m[pv][f2] != act_m[p1][f1]
-                ):
-                    rep.add("v-boundary", (p1, p2, f2))
+    # a row (p1, f1, p2, f2): square s1 and a square s2 to its right
+    def rows():
+        for p1 in pairs:
+            for f1 in mors:
+                for c2 in hs:
+                    p2 = pair_tgt[p1] * n_h + c2
+                    for f2 in by_src[tgt[f1]]:
+                        yield p1, f1, p2, f2
+
+    def draw_row(rng):
+        p1, f1 = rng.randrange(npairs), rng.randrange(n_mor)
+        return p1, f1, pair_tgt[p1] * n_h + rng.randrange(n_h), rng.choice(by_src[tgt[f1]])
+
+    n_rows = npairs * n_h * sum(len(by_src[tgt[f1]]) for f1 in mors)
+
+    def h_boundary(insts, fail) -> None:
+        for p1, f1, p2, f2 in insts:
+            out = hcomp(p1, f1, p2, f2)
+            if out is None:
+                fail((p1, f1, p2, f2), "tops do not compose")
+                continue
+            bot = comp.get((act_m[p2][f2], act_m[p1][f1]))
+            if bot is None or act_m[out[0]][out[1]] != bot:
+                fail((p1, f1, p2, f2))
+
+    def v_boundary(insts, fail) -> None:
+        for p2, f2, p1 in insts:
+            pv = pmul(p1, p2)
+            if (
+                pair_tgt[pv] != g.table[pair_tgt[p1]][pair_tgt[p2]]
+                or act_m[pv][f2] != act_m[p1][act_m[p2][f2]]
+            ):
+                fail((p1, p2, f2))
 
     # associativity, horizontal: s1 | s2 | s3 in a row
-    h_triples = 0
-    for f1 in range(n_mor):
-        for f2 in by_src[tgt[f1]]:
-            h_triples += len(by_src[tgt[f2]])
-    h_triples *= npairs * n_h * n_h
+    def triples():
+        for p1, f1, p2, f2 in rows():
+            for c3 in hs:
+                p3 = pair_tgt[p2] * n_h + c3
+                for f3 in by_src[tgt[f2]]:
+                    yield p1, f1, p2, f2, p3, f3
 
-    def h_assoc_check(p1, f1, c2, f2, c3, f3):
-        rep.tick()
-        p2 = pair_tgt[p1] * n_h + c2
-        p3 = pair_tgt[p2] * n_h + c3
-        ab = hcomp(p1, f1, p2, f2)
-        bc = hcomp(p2, f2, p3, f3)
-        if ab is None or bc is None:
-            rep.add("h-assoc", (p1, f1, c2, f2, c3, f3), "row not composable")
-            return
-        lhs = hcomp(*ab, p3, f3)
-        rhs = hcomp(p1, f1, *bc)
-        if lhs is None or lhs != rhs:
-            rep.add("h-assoc", (p1, f1, c2, f2, c3, f3))
+    def draw_triple(rng):
+        p1, f1, p2, f2 = draw_row(rng)
+        p3 = pair_tgt[p2] * n_h + rng.randrange(n_h)
+        return p1, f1, p2, f2, p3, rng.choice(by_src[tgt[f2]])
 
-    if h_triples <= max_exhaustive:
-        for p1 in range(npairs):
-            for f1 in range(n_mor):
-                for c2 in range(n_h):
-                    for f2 in by_src[tgt[f1]]:
-                        for c3 in range(n_h):
-                            for f3 in by_src[tgt[f2]]:
-                                h_assoc_check(p1, f1, c2, f2, c3, f3)
-    else:
-        for _ in range(samples):
-            p1 = rng.randrange(npairs)
-            f1 = rng.randrange(n_mor)
-            f2 = rng.choice(by_src[tgt[f1]])
-            f3 = rng.choice(by_src[tgt[f2]])
-            h_assoc_check(p1, f1, rng.randrange(n_h), f2, rng.randrange(n_h), f3)
+    n_triples = npairs * n_h * n_h * sum(
+        len(by_src[tgt[f2]]) for f1 in mors for f2 in by_src[tgt[f1]]
+    )
+
+    def h_assoc(insts, fail) -> None:
+        for p1, f1, p2, f2, p3, f3 in insts:
+            w = (p1, f1, p2 % n_h, f2, p3 % n_h, f3)
+            ab = hcomp(p1, f1, p2, f2)
+            bc = hcomp(p2, f2, p3, f3)
+            if ab is None or bc is None:
+                fail(w, "row not composable")
+                continue
+            lhs = hcomp(*ab, p3, f3)
+            if lhs is None or lhs != hcomp(p1, f1, *bc):
+                fail(w)
 
     # associativity, vertical: s3 on top, then s2, then s1
-    def v_assoc_check(p1, p2, p3, f3):
-        rep.tick()
-        f2 = act_m[p3][f3]
-        lhs = pmul(pmul(p1, p2), p3)
-        rhs = pmul(p1, pmul(p2, p3))
-        if lhs != rhs or act_m[p2][f2] != act_m[pmul(p2, p3)][f3]:
-            rep.add("v-assoc", (p1, p2, p3, f3))
-
-    if npairs**3 * n_mor <= max_exhaustive:
-        for p1 in range(npairs):
-            for p2 in range(npairs):
-                for p3 in range(npairs):
-                    for f3 in range(n_mor):
-                        v_assoc_check(p1, p2, p3, f3)
-    else:
-        for _ in range(samples):
-            v_assoc_check(
-                rng.randrange(npairs),
-                rng.randrange(npairs),
-                rng.randrange(npairs),
-                rng.randrange(n_mor),
-            )
+    def v_assoc(insts, fail) -> None:
+        for p1, p2, p3, f3 in insts:
+            f2 = act_m[p3][f3]
+            lhs = pmul(pmul(p1, p2), p3)
+            rhs = pmul(p1, pmul(p2, p3))
+            if lhs != rhs or act_m[p2][f2] != act_m[pmul(p2, p3)][f3]:
+                fail((p1, p2, p3, f3))
 
     # interchange on 2x2 blocks:  A B   rows-then-columns equals
     #                             C D   columns-then-rows
-    def block_check(pa, fa, cb, fb, pc, cd):
-        rep.tick()
-        pb = pair_tgt[pa] * n_h + cb
-        fc = act_m[pa][fa]
-        fd = act_m[pb][fb]
-        pd = pair_tgt[pc] * n_h + cd
-        row_top = hcomp(pa, fa, pb, fb)
-        row_bot = hcomp(pc, fc, pd, fd)
-        witness = (pa, fa, cb, fb, pc, cd)
-        if row_top is None or row_bot is None:
-            rep.add("interchange", witness, "rows not composable")
-            return
-        if act_m[row_top[0]][row_top[1]] != row_bot[1]:
-            rep.add("interchange", witness, "rows not stackable")
-            return
-        via_rows = (pmul(row_bot[0], row_top[0]), row_top[1])
-        col_left = (pmul(pc, pa), fa)
-        col_right = (pmul(pd, pb), fb)
-        via_cols = hcomp(*col_left, *col_right)
-        if via_cols is None or via_rows != via_cols:
-            rep.add("interchange", witness)
+    def blocks():
+        for pa, fa, pb, fb in rows():
+            for pc in pairs:
+                for cd in hs:
+                    yield pa, fa, pb, fb, pc, cd
 
-    block_total = 0
-    for f1 in range(n_mor):
-        block_total += len(by_src[tgt[f1]])
-    block_total *= npairs * n_h * npairs * n_h
-    if block_total <= max_exhaustive:
-        for pa in range(npairs):
-            for fa in range(n_mor):
-                for cb in range(n_h):
-                    for fb in by_src[tgt[fa]]:
-                        for pc in range(npairs):
-                            for cd in range(n_h):
-                                block_check(pa, fa, cb, fb, pc, cd)
-    else:
-        for _ in range(samples):
-            fa = rng.randrange(n_mor)
-            block_check(
-                rng.randrange(npairs),
-                fa,
-                rng.randrange(n_h),
-                rng.choice(by_src[tgt[fa]]),
-                rng.randrange(npairs),
-                rng.randrange(n_h),
-            )
+    def interchange(insts, fail) -> None:
+        for pa, fa, pb, fb, pc, cd in insts:
+            fc = act_m[pa][fa]
+            fd = act_m[pb][fb]
+            pd = pair_tgt[pc] * n_h + cd
+            row_top = hcomp(pa, fa, pb, fb)
+            row_bot = hcomp(pc, fc, pd, fd)
+            w = (pa, fa, pb % n_h, fb, pc, cd)
+            if row_top is None or row_bot is None:
+                fail(w, "rows not composable")
+                continue
+            if act_m[row_top[0]][row_top[1]] != row_bot[1]:
+                fail(w, "rows not stackable")
+                continue
+            via_rows = (pmul(row_bot[0], row_top[0]), row_top[1])
+            via_cols = hcomp(pmul(pc, pa), fa, pmul(pd, pb), fb)
+            if via_cols is None or via_rows != via_cols:
+                fail(w)
 
     # six equivalent composites filling a stacked pair of squares
-    def six_check(g1, c1, g2, c2, f):
-        rep.tick()
-        x, y = src[f], tgt[f]
-        p1 = g1 * n_h + c1
-        p2 = g2 * n_h + c2
-        b1 = pair_tgt[p1]  # bnd(c1) * g1
-        b2 = pair_tgt[p2]
-        g21 = g.table[g2][g1]
-        exp = act_m[pmul(p2, p1)][f]
-        e_pair = lambda gamma: gamma * n_h + e_h
-        w2y = act_m[e_pair(g2)][natc[p1][y]]      # g2 |> component of p1 at y
-        w2x = act_m[e_pair(g2)][natc[p1][x]]
-        wb2y = act_m[e_pair(b2)][natc[p1][y]]     # bnd(c2)g2 |> component at y
-        wb2x = act_m[e_pair(b2)][natc[p1][x]]
-        f_21 = act_m[e_pair(g21)][f]
-        f_2b1 = act_m[e_pair(g.table[g2][b1])][f]
-        f_b21 = act_m[e_pair(g.table[b2][g1])][f]
-        f_b2b1 = act_m[e_pair(g.table[b2][b1])][f]
-        oy_b1 = act_o[b1][y]
-        ox_b1 = act_o[b1][x]
-        oy_1 = act_o[g1][y]
-        ox_1 = act_o[g1][x]
-        c_list = (
-            comp.get((natc[p2][oy_b1], comp.get((w2y, f_21), -1))),
-            comp.get((wb2y, comp.get((natc[p2][oy_1], f_21), -1))),
-            comp.get((natc[p2][oy_b1], comp.get((f_2b1, w2x), -1))),
-            comp.get((f_b2b1, comp.get((natc[p2][ox_b1], w2x), -1))),
-            comp.get((wb2y, comp.get((f_b21, natc[p2][ox_1]), -1))),
-            comp.get((f_b2b1, comp.get((wb2x, natc[p2][ox_1]), -1))),
-        )
-        if any(v != exp for v in c_list):
-            rep.add(
-                "six-composites",
-                (g2, c2, g1, c1, f),
-                f"composites {c_list} expected {exp}",
+    def six_composites(insts, fail) -> None:
+        for g1, c1, g2, c2, f in insts:
+            x, y = src[f], tgt[f]
+            p1 = g1 * n_h + c1
+            p2 = g2 * n_h + c2
+            b1 = pair_tgt[p1]  # bnd(c1) * g1
+            b2 = pair_tgt[p2]
+            g21 = g.table[g2][g1]
+            exp = act_m[pmul(p2, p1)][f]
+            w2y = act_m[g2 * n_h + e_h][natc[p1][y]]  # g2 |> component of p1 at y
+            w2x = act_m[g2 * n_h + e_h][natc[p1][x]]
+            wb2y = act_m[b2 * n_h + e_h][natc[p1][y]]  # bnd(c2)g2 |> component at y
+            wb2x = act_m[b2 * n_h + e_h][natc[p1][x]]
+            f_21 = act_m[g21 * n_h + e_h][f]
+            f_2b1 = act_m[g.table[g2][b1] * n_h + e_h][f]
+            f_b21 = act_m[g.table[b2][g1] * n_h + e_h][f]
+            f_b2b1 = act_m[g.table[b2][b1] * n_h + e_h][f]
+            oy_b1 = act_o[b1][y]
+            ox_b1 = act_o[b1][x]
+            oy_1 = act_o[g1][y]
+            ox_1 = act_o[g1][x]
+            c_list = (
+                comp.get((natc[p2][oy_b1], comp.get((w2y, f_21), -1))),
+                comp.get((wb2y, comp.get((natc[p2][oy_1], f_21), -1))),
+                comp.get((natc[p2][oy_b1], comp.get((f_2b1, w2x), -1))),
+                comp.get((f_b2b1, comp.get((natc[p2][ox_b1], w2x), -1))),
+                comp.get((wb2y, comp.get((f_b21, natc[p2][ox_1]), -1))),
+                comp.get((f_b2b1, comp.get((wb2x, natc[p2][ox_1]), -1))),
             )
+            if any(v != exp for v in c_list):
+                fail((g2, c2, g1, c1, f), f"composites {c_list} expected {exp}")
 
-    if npairs * npairs * n_mor <= max_exhaustive:
-        for g1 in g.elements():
-            for c1 in range(n_h):
-                for g2 in g.elements():
-                    for c2 in range(n_h):
-                        for f in range(n_mor):
-                            six_check(g1, c1, g2, c2, f)
-    else:
-        for _ in range(samples):
-            six_check(
-                rng.randrange(g.order),
-                rng.randrange(n_h),
-                rng.randrange(g.order),
-                rng.randrange(n_h),
-                rng.randrange(n_mor),
-            )
+    return [
+        product_law("pair-target", pair_target, pairs, pairs),
+        product_law("h-unit", h_unit, pairs, mors),
+        product_law("v-unit", v_unit, pairs, mors),
+        Law("h-boundary", n_rows, rows, draw_row, h_boundary),
+        product_law("v-boundary", v_boundary, pairs, mors, pairs),
+        Law("h-assoc", n_triples, triples, draw_triple, h_assoc),
+        product_law("v-assoc", v_assoc, pairs, pairs, pairs, mors),
+        Law(
+            "interchange",
+            n_rows * npairs * n_h,
+            blocks,
+            lambda rng: (*draw_row(rng), rng.randrange(npairs), rng.randrange(n_h)),
+            interchange,
+        ),
+        product_law("six-composites", six_composites, g.elements(), hs, g.elements(), hs, mors),
+    ]
 
-    return rep
+
+def verify_double_category(
+    d: TransDoubleCat,
+    samples: int = 100_000,
+    seed: int = 0,
+    max_exhaustive: int = 10_000_000,
+    cap: int = DEFAULT_CAP,
+) -> Report:
+    """Check every law of double_laws(d), each enumerated when its size is at
+    most max_exhaustive and otherwise sampled `samples` times."""
+    return run_laws(Report(cap=cap), "double", double_laws(d), samples, seed, max_exhaustive)
 
 
 # --- transformation groupoids and the transpose ---------------------------
@@ -503,6 +445,7 @@ def transformation_groupoid(group, n_points: int, table) -> FiniteGroupoid:
 def validate_groupoid(gpd: FiniteGroupoid, cap: int = DEFAULT_CAP) -> Report:
     """Re-run the category laws and check both inverse laws."""
     rep = Report(cap=cap)
+    rep.tick("category-laws")
     try:
         category_from_tables(
             gpd.n_objects,
@@ -512,7 +455,8 @@ def validate_groupoid(gpd: FiniteGroupoid, cap: int = DEFAULT_CAP) -> Report:
         )
     except Exception as exc:  # witness carried in the message
         rep.add("category-laws", (), str(exc))
-    rep.tick(gpd.n_morphisms * 2)
+    rep.tick("inverse-left", gpd.n_morphisms)
+    rep.tick("inverse-right", gpd.n_morphisms)
     for f in gpd.morphisms():
         fi = gpd.inverse[f]
         if gpd.comp.get((fi, f)) != gpd.identity[gpd.src[f]]:
@@ -572,72 +516,95 @@ def transpose_views(d: TransDoubleCat) -> TransposeViews:
     return TransposeViews(obj_gpd, mor_gpd, obj_witness, mor_witness)
 
 
-def verify_transpose(d: TransDoubleCat, cap: int = DEFAULT_CAP) -> Report:
-    """Entrywise check that the witness maps are structure-preserving
+def transpose_laws(d: TransDoubleCat) -> list[Law]:
+    """Entrywise checks that the witness maps are structure-preserving
     bijections from the double category's vertical data onto the groupoids."""
     views = transpose_views(d)
     act = d.act
     xm, c = d.xm, d.category
-    rep = Report(cap=cap)
     og, ow = views.obj_groupoid, views.obj_witness
-    if sorted(ow) != list(range(og.n_morphisms)):
-        rep.add("obj-bijection", ())
-    for i in range(d.n_vertical):
-        rep.tick()
-        gamma, x = d.vertical_of(i)
-        m = ow[i]
-        if og.src[m] != x or og.tgt[m] != act.act_obj[gamma][x]:
-            rep.add("obj-endpoints", (gamma, x))
-    for gamma in xm.g.elements():
-        for x in c.objects():
-            for g2 in xm.g.elements():
-                rep.tick()
-                lhs = og.comp.get(
-                    (ow[d.vertical_index(g2, act.act_obj[gamma][x])],
-                     ow[d.vertical_index(gamma, x)])
-                )
-                if lhs != ow[d.vertical_index(xm.g.table[g2][gamma], x)]:
-                    rep.add("obj-composition", (g2, gamma, x))
-    for x in c.objects():
-        rep.tick()
-        if og.identity[x] != ow[d.vertical_index(xm.g.identity, x)]:
-            rep.add("obj-identity", (x,))
-
     mg, mw = views.mor_groupoid, views.mor_witness
-    if sorted(mw) != list(range(mg.n_morphisms)):
-        rep.add("mor-bijection", ())
-    for i in range(d.n_squares):
-        rep.tick()
-        gamma, chi, f = d.square_of(i)
-        m = mw[i]
-        if mg.src[m] != f or mg.tgt[m] != act.on_mor_pair(gamma, chi, f):
-            rep.add("mor-endpoints", (gamma, chi, f))
     n_mor = c.n_morphisms
-    for p1 in range(xm.npairs):
-        for f in range(n_mor):
+    gs, pairs = xm.g.elements(), range(xm.npairs)
+
+    def obj_bijection(insts, fail) -> None:
+        for _ in insts:
+            if sorted(ow) != list(range(og.n_morphisms)):
+                fail(())
+
+    def obj_endpoints(insts, fail) -> None:
+        for (i,) in insts:
+            gamma, x = d.vertical_of(i)
+            m = ow[i]
+            if og.src[m] != x or og.tgt[m] != act.act_obj[gamma][x]:
+                fail((gamma, x))
+
+    def obj_composition(insts, fail) -> None:
+        for gamma, x, g2 in insts:
+            lhs = og.comp.get(
+                (ow[d.vertical_index(g2, act.act_obj[gamma][x])],
+                 ow[d.vertical_index(gamma, x)])
+            )
+            if lhs != ow[d.vertical_index(xm.g.table[g2][gamma], x)]:
+                fail((g2, gamma, x))
+
+    def obj_identity(insts, fail) -> None:
+        for (x,) in insts:
+            if og.identity[x] != ow[d.vertical_index(xm.g.identity, x)]:
+                fail((x,))
+
+    def mor_bijection(insts, fail) -> None:
+        for _ in insts:
+            if sorted(mw) != list(range(mg.n_morphisms)):
+                fail(())
+
+    def mor_endpoints(insts, fail) -> None:
+        for (i,) in insts:
+            gamma, chi, f = d.square_of(i)
+            m = mw[i]
+            if mg.src[m] != f or mg.tgt[m] != act.on_mor_pair(gamma, chi, f):
+                fail((gamma, chi, f))
+
+    def mor_composition(insts, fail) -> None:
+        for p1, f, p2 in insts:
             fb = act.act_mor[p1][f]
-            for p2 in range(xm.npairs):
-                rep.tick()
-                lhs = mg.comp.get((mw[p2 * n_mor + fb], mw[p1 * n_mor + f]))
-                g1, c1 = xm.pair_of(p1)
-                g2, c2 = xm.pair_of(p2)
-                prod = xm.pair_index(*xm.pair_mul((g2, c2), (g1, c1)))
-                if lhs != mw[prod * n_mor + f]:
-                    rep.add("mor-composition", (p2, p1, f))
-    for f in range(n_mor):
-        rep.tick()
-        e_pair = xm.pair_index(xm.g.identity, xm.h.identity)
-        if mg.identity[f] != mw[e_pair * n_mor + f]:
-            rep.add("mor-identity", (f,))
+            lhs = mg.comp.get((mw[p2 * n_mor + fb], mw[p1 * n_mor + f]))
+            prod = xm.pair_index(*xm.pair_mul(xm.pair_of(p2), xm.pair_of(p1)))
+            if lhs != mw[prod * n_mor + f]:
+                fail((p2, p1, f))
+
+    e_pair = xm.pair_index(xm.g.identity, xm.h.identity)
+
+    def mor_identity(insts, fail) -> None:
+        for (f,) in insts:
+            if mg.identity[f] != mw[e_pair * n_mor + f]:
+                fail((f,))
+
     # vertical inverses land on groupoid inverses
-    for i in range(d.n_squares):
-        rep.tick()
-        gamma, chi, f = d.square_of(i)
-        s_inv = vertical_inverse_square(TDSquare(act, gamma, chi, f))
-        j = d.square_index(s_inv.gamma, s_inv.chi, s_inv.f)
-        if mg.inverse[mw[i]] != mw[j]:
-            rep.add("mor-inverse", (gamma, chi, f))
-    return rep
+    def mor_inverse(insts, fail) -> None:
+        for (i,) in insts:
+            gamma, chi, f = d.square_of(i)
+            s_inv = vertical_inverse_square(TDSquare(act, gamma, chi, f))
+            j = d.square_index(s_inv.gamma, s_inv.chi, s_inv.f)
+            if mg.inverse[mw[i]] != mw[j]:
+                fail((gamma, chi, f))
+
+    return [
+        product_law("obj-bijection", obj_bijection),
+        product_law("obj-endpoints", obj_endpoints, range(d.n_vertical)),
+        product_law("obj-composition", obj_composition, gs, c.objects(), gs),
+        product_law("obj-identity", obj_identity, c.objects()),
+        product_law("mor-bijection", mor_bijection),
+        product_law("mor-endpoints", mor_endpoints, range(d.n_squares)),
+        product_law("mor-composition", mor_composition, pairs, range(n_mor), pairs),
+        product_law("mor-identity", mor_identity, range(n_mor)),
+        product_law("mor-inverse", mor_inverse, range(d.n_squares)),
+    ]
+
+
+def verify_transpose(d: TransDoubleCat, cap: int = DEFAULT_CAP) -> Report:
+    """Run every transpose law of d exhaustively (see transpose_laws)."""
+    return run_laws(Report(cap=cap), "transpose", transpose_laws(d))
 
 
 # --- nested inclusions -----------------------------------------------------
@@ -653,17 +620,24 @@ class NestedInclusions:
     first_mor_map: tuple[int, ...]
     second_obj_map: tuple[int, ...]
     second_mor_map: tuple[int, ...]
-    report: Report
-    first_full: bool
     second_full: bool
     second_nonfull_witnesses: list[tuple[int, int]]
+    cap: int = DEFAULT_CAP
+
+    @cached_property
+    def report(self) -> Report:
+        """Every law of nested_laws, checked exhaustively."""
+        return run_laws(Report(cap=self.cap), "nested", nested_laws(self))
+
+    @property
+    def first_full(self) -> bool:
+        return not self.report.count("first-full")
 
 
 def nested_inclusions(d: TransDoubleCat, cap: int = DEFAULT_CAP) -> NestedInclusions:
     act = d.act
     xm, c = d.xm, d.category
     n_obj, n_mor = c.n_objects, c.n_morphisms
-    rep = Report(cap=cap)
 
     gpd0 = transformation_groupoid(xm.g, n_obj, act.act_obj)
     mor_g_table = tuple(
@@ -685,63 +659,81 @@ def nested_inclusions(d: TransDoubleCat, cap: int = DEFAULT_CAP) -> NestedInclus
         for f in range(n_mor)
     )
 
-    if len(set(first_obj)) != len(first_obj):
-        rep.add("first-injective", ())
-    for i in range(gpd0.n_morphisms):
-        rep.tick()
-        m = first_mor[i]
-        if (
-            gpd1.src[m] != first_obj[gpd0.src[i]]
-            or gpd1.tgt[m] != first_obj[gpd0.tgt[i]]
-        ):
-            rep.add("first-typing", (i,))
-    for (g2, g1), r in gpd0.comp.items():
-        rep.tick()
-        if gpd1.comp.get((first_mor[g2], first_mor[g1])) != first_mor[r]:
-            rep.add("first-composition", (g2, g1))
-    for x in range(n_obj):
-        rep.tick()
-        if first_mor[gpd0.identity[x]] != gpd1.identity[first_obj[x]]:
-            rep.add("first-identities", (x,))
-
-    for i in range(gpd1.n_morphisms):
-        rep.tick()
-        m = second_mor[i]
-        if gpd2.src[m] != gpd1.src[i] or gpd2.tgt[m] != gpd1.tgt[i]:
-            rep.add("second-typing", (i,))
-    for (g2, g1), r in gpd1.comp.items():
-        rep.tick()
-        if gpd2.comp.get((second_mor[g2], second_mor[g1])) != second_mor[r]:
-            rep.add("second-composition", (g2, g1))
-    for f in range(n_mor):
-        rep.tick()
-        if second_mor[gpd1.identity[f]] != gpd2.identity[f]:
-            rep.add("second-identities", (f,))
-
-    image_objects = set(first_obj)
-    image_morphisms = set(first_mor)
-    first_full = True
-    for m in gpd1.morphisms():
-        if gpd1.src[m] in image_objects and gpd1.tgt[m] in image_objects:
-            if m not in image_morphisms:
-                first_full = False
-                rep.add("first-full", (m,))
-
     second_image = set(second_mor)
-    second_full = True
-    nonfull: list[tuple[int, int]] = []
-    for m in gpd2.morphisms():
-        if m not in second_image:
-            second_full = False
-            if len(nonfull) < cap:
-                p, f = divmod(m, n_mor)
-                nonfull.append((p, f))
-
+    nonfull = [divmod(m, n_mor) for m in gpd2.morphisms() if m not in second_image]
     return NestedInclusions(
         gpd0, gpd1, gpd2,
         first_obj, first_mor, second_obj, second_mor,
-        rep, first_full, second_full, nonfull,
+        not nonfull, nonfull[:cap], cap,
     )
+
+
+def nested_laws(inc: NestedInclusions) -> list[Law]:
+    """Typing, composition and identity laws of both inclusions, injectivity
+    on objects, and fullness of the first inclusion."""
+    gpd0, gpd1, gpd2 = inc.objects_over_g, inc.morphisms_over_g, inc.morphisms_over_pairs
+    first_obj, first_mor, second_mor = inc.first_obj_map, inc.first_mor_map, inc.second_mor_map
+    image_objects, image_morphisms = set(first_obj), set(first_mor)
+
+    def first_injective(insts, fail) -> None:
+        for _ in insts:
+            if len(image_objects) != len(first_obj):
+                fail(())
+
+    def first_typing(insts, fail) -> None:
+        for (i,) in insts:
+            m = first_mor[i]
+            if (
+                gpd1.src[m] != first_obj[gpd0.src[i]]
+                or gpd1.tgt[m] != first_obj[gpd0.tgt[i]]
+            ):
+                fail((i,))
+
+    def first_composition(insts, fail) -> None:
+        for ((g2, g1),) in insts:
+            if gpd1.comp.get((first_mor[g2], first_mor[g1])) != first_mor[gpd0.comp[(g2, g1)]]:
+                fail((g2, g1))
+
+    def first_identities(insts, fail) -> None:
+        for (x,) in insts:
+            if first_mor[gpd0.identity[x]] != gpd1.identity[first_obj[x]]:
+                fail((x,))
+
+    def second_typing(insts, fail) -> None:
+        for (i,) in insts:
+            m = second_mor[i]
+            if gpd2.src[m] != gpd1.src[i] or gpd2.tgt[m] != gpd1.tgt[i]:
+                fail((i,))
+
+    def second_composition(insts, fail) -> None:
+        for ((g2, g1),) in insts:
+            if gpd2.comp.get((second_mor[g2], second_mor[g1])) != second_mor[gpd1.comp[(g2, g1)]]:
+                fail((g2, g1))
+
+    def second_identities(insts, fail) -> None:
+        for (f,) in insts:
+            if second_mor[gpd1.identity[f]] != gpd2.identity[f]:
+                fail((f,))
+
+    def first_full(insts, fail) -> None:
+        for (m,) in insts:
+            if (
+                gpd1.src[m] in image_objects
+                and gpd1.tgt[m] in image_objects
+                and m not in image_morphisms
+            ):
+                fail((m,))
+
+    return [
+        product_law("first-injective", first_injective),
+        product_law("first-typing", first_typing, gpd0.morphisms()),
+        product_law("first-composition", first_composition, tuple(gpd0.comp)),
+        product_law("first-identities", first_identities, gpd0.objects()),
+        product_law("second-typing", second_typing, gpd1.morphisms()),
+        product_law("second-composition", second_composition, tuple(gpd1.comp)),
+        product_law("second-identities", second_identities, gpd1.objects()),
+        product_law("first-full", first_full, gpd1.morphisms()),
+    ]
 
 
 # --- degenerate-square 2-categories ---------------------------------------

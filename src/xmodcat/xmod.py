@@ -104,12 +104,12 @@ def validate_crossed_module(xm: CrossedModule, cap: int = DEFAULT_CAP) -> Report
     g, h, bnd, act = xm.g, xm.h, xm.boundary.map, xm.action.table
     for a in g.elements():
         for e in h.elements():
-            rep.tick()
+            rep.tick("equivariance")
             if bnd[act[a][e]] != g.conj(a, bnd[e]):
                 rep.add("equivariance", (a, e))
     for e1 in h.elements():
         for e2 in h.elements():
-            rep.tick()
+            rep.tick("peiffer")
             if act[bnd[e1]][e2] != h.conj(e1, e2):
                 rep.add("peiffer", (e1, e2))
     return rep

@@ -11,6 +11,7 @@ from xmodcat import (
     xm_peiffer_broken,
     xm_sym3,
 )
+from xmodcat.transform import build_transformation_double, verify_double_category
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -59,3 +60,14 @@ def s3():
 @pytest.fixture(scope="session")
 def adjoints(all_xms):
     return [(name, adjoint_action(xm)) for name, xm in all_xms]
+
+
+@pytest.fixture(scope="session")
+def double_reports(adjoints):
+    """verify_double_category on every adjoint fixture, computed once."""
+    return {
+        name: verify_double_category(
+            build_transformation_double(act, validate=False), samples=20_000, seed=4
+        )
+        for name, act in adjoints
+    }

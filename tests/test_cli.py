@@ -9,6 +9,7 @@ import pytest
 from xmodcat.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+MUTATED = FIXTURES / "actions" / "mutated.json"
 
 
 def run_cli(capsys, *argv):
@@ -145,13 +146,58 @@ class TestVerify:
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
 
-    def test_thread_env_does_not_change_output(self, capsys, monkeypatch):
+    def test_thread_env_does_not_change_output(self, capsys):
+        # suites run one after another in one thread: the log record names
+        # no thread count, and the whole output, first line included, repeats
         args = ("verify", "--adjoint", "xm3", "--samples", "100", "--seed", "2")
-        monkeypatch.delenv("XMODCAT_THREADS", raising=False)
-        _, single, _ = run_cli(capsys, *args)
-        monkeypatch.setenv("XMODCAT_THREADS", "4")
-        _, multi, _ = run_cli(capsys, *args)
-        assert single.splitlines()[1:] == multi.splitlines()[1:]  # first line logs thread count
+        _, first, _ = run_cli(capsys, *args)
+        _, second, _ = run_cli(capsys, *args)
+        assert first == second
+        assert set(json.loads(first.splitlines()[0])["log"]) == {"exhaustive", "samples", "seed"}
+
+    @pytest.mark.parametrize("flag", ["--samples", "--max-exhaustive"])
+    def test_negative_budget_is_usage_error(self, capsys, flag):
+        code, out, err = run_cli(
+            capsys, "verify", "--adjoint", "xm1", "--suite", "double", flag, "-5"
+        )
+        assert code == 2
+        assert out == ""
+        assert json.loads(err.splitlines()[0])["error"] == "FixtureFormatError"
+
+    def test_no_law_passes_on_zero_instances(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", str(MUTATED), "--suite", "double", "--suite", "adjoint-oracle",
+            "--samples", "0", "--max-exhaustive", "0",
+        )
+        assert code == 0
+        lines = law_objs(out)
+        assert len(lines) == 10
+        assert all(o["status"] == "skip" and o["checked"] == 0 and o["detail"] for o in lines)
+
+    def test_lines_carry_their_own_law_counts(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", str(MUTATED), "--suite", "double")
+        assert code == 1
+        lines = {o["law"]: o for o in law_objs(out)}
+        assert lines["pair-target"]["checked"] == 36
+        assert lines["h-assoc"]["checked"] == 2916
+        assert lines["interchange"]["checked"] == 5832
+        # the true violation count, past the 100-witness cap
+        assert lines["interchange"]["violations"] == 450
+
+    def test_sampled_law_does_not_depend_on_other_laws(self, capsys):
+        def run(budget):
+            _, out, _ = run_cli(
+                capsys, "verify", str(MUTATED), "--suite", "double",
+                "--samples", "300", "--seed", "1", "--max-exhaustive", budget,
+            )
+            return {o["law"]: o for o in law_objs(out)}
+
+        # h-assoc (2916 instances) is enumerated in one run, sampled in the
+        # other; interchange (5832 instances) is sampled in both
+        wide, narrow = run("3000"), run("2000")
+        assert (wide["h-assoc"]["checked"], narrow["h-assoc"]["checked"]) == (2916, 300)
+        assert wide["interchange"]["checked"] == 300
+        assert wide["interchange"] == narrow["interchange"]
 
     def test_exhaustive_flag(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--adjoint", "xm3", "--exhaustive")

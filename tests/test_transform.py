@@ -146,10 +146,8 @@ class TestSquareCalculus:
 
 
 class TestDoubleCategoryLaws:
-    def test_all_adjoint_fixtures_pass(self, adjoints):
-        for name, act in adjoints:
-            d = build_transformation_double(act, validate=False)
-            rep = verify_double_category(d, samples=2000, seed=1)
+    def test_all_adjoint_fixtures_pass(self, double_reports):
+        for name, rep in double_reports.items():
             assert rep.ok, f"{name}: {rep.violations[:3]}"
 
     def test_trivial_action_passes(self, xm1):
