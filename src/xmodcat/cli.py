@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from .action import adjoint_action, trivial_strict_action, validate_strict_action
-from .errors import InvalidAction, XmodcatError
+from .errors import InvalidAction, UsageError, XmodcatError
 from .fincat import terminal_category
 from .gridlang import (
     DslError,
@@ -130,7 +130,7 @@ def _load_verb_action(args):
     if getattr(args, "trivial", None):
         return trivial_strict_action(_resolve_xmod(args.trivial), terminal_category())
     if args.path is None:
-        raise FixtureFormatError("an action file, --adjoint, or --trivial is required")
+        raise UsageError("an action file, --adjoint, or --trivial is required")
     return load_action(args.path)
 
 
@@ -164,7 +164,7 @@ def cmd_validate(args, out: _Out) -> int:
         else:  # pragma: no cover - argparse restricts choices
             raise FixtureFormatError(f"unknown kind {kind}")
     except XmodcatError as exc:
-        if isinstance(exc, (FixtureFormatError, DslError)):
+        if isinstance(exc, (FixtureFormatError, DslError, UsageError)):
             raise
         out.error(exc)
         return 1
@@ -239,7 +239,7 @@ def cmd_eval(args, out: _Out) -> int:
 def cmd_verify(args, out: _Out) -> int:
     for flag, value in (("--samples", args.samples), ("--max-exhaustive", args.max_exhaustive)):
         if value < 0:
-            raise FixtureFormatError(f"{flag} must be at least 0, got {value}")
+            raise UsageError(f"{flag} must be at least 0, got {value}")
     act = _load_verb_action(args)
     max_exhaustive = 10**18 if args.exhaustive else args.max_exhaustive
     only = args.suite or None
@@ -247,7 +247,7 @@ def cmd_verify(args, out: _Out) -> int:
         known = {name for name, _ in SUITES}
         for name in only:
             if name not in known:
-                raise FixtureFormatError(f"unknown suite {name!r}")
+                raise UsageError(f"unknown suite {name!r}")
     out.log(seed=args.seed, samples=args.samples, exhaustive=args.exhaustive)
     for line in run_all(
         act,
@@ -398,7 +398,7 @@ def main(argv=None) -> int:
     out = _Out(args.pretty)
     try:
         return args.fn(args, out)
-    except (FixtureFormatError, DslError) as exc:
+    except (FixtureFormatError, DslError, UsageError) as exc:
         out.error(exc)
         return 2
     except OSError as exc:

@@ -78,3 +78,7 @@ class NotAdjacent(XmodcatError):
 
 class InvalidAction(XmodcatError):
     """An action failed validation where a valid one is required."""
+
+
+class UsageError(XmodcatError):
+    """Command-line arguments that cannot be acted on."""

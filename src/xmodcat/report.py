@@ -117,10 +117,12 @@ def run_laws(
     max_exhaustive: float = math.inf,
 ) -> Report:
     """Enumerate each law whose size is at most max_exhaustive, else check it
-    on `samples` draws seeded by "<seed>/<suite>/<law>"; count per law."""
+    on `samples` draws seeded by "<seed>/<suite>/<law>"; count per law. A
+    law no larger than `samples` is enumerated too: its draws, taken with
+    replacement, would repeat instances and count each repeat."""
     for law in laws:
         fail = partial(rep.add, law.name)
-        if law.size <= max_exhaustive:
+        if law.size <= max(max_exhaustive, samples):
             law.check(law.instances(), fail)
             rep.tick(law.name, law.size)
         else:

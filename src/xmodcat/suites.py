@@ -424,7 +424,7 @@ def h2_laws(d: TransDoubleCat) -> list[Law]:
 
 
 def v2_laws(d: TransDoubleCat) -> list[Law]:
-    h = d.xm.h
+    act, xm, h = d.act, d.xm, d.xm.h
     two = vertical_2category(d)
     labels = {key: dict(cells) for key, cells in two.cells.items()}  # chi -> gamma'
     keys = tuple(two.cells)  # vertical morphisms (gamma, x)
@@ -462,12 +462,24 @@ def v2_laws(d: TransDoubleCat) -> list[Law]:
             if h.inverse[chi] not in labels[(tg, x)]:
                 fail((gamma, x, chi))
 
+    # on an adjoint action chi labels a cell out of (gamma, x) exactly when
+    # the object gamma |> x, an element of G, fixes chi^-1 in H
+    def adjoint_closed_form(insts, fail) -> None:
+        for (key,) in insts:
+            y = act.act_obj[key[0]][key[1]]
+            want = [chi for chi in h.elements() if xm.act(y, h.inverse[chi]) == h.inverse[chi]]
+            got = sorted(labels[key])
+            if got != want:
+                fail(key, f"labels {got}, closed form {want}")
+
     n_cells = sum(len(out) for out in two.cells.values())
     n_stacked = sum(len(two.cells[(tg, x)]) for (_, x), out in two.cells.items() for _, tg in out)
     return [
         product_law("v2-identity-cell", identity_cell, keys),
         Law("v2-stacking", n_stacked, stacked, draw_stacked, stacking),
         Law("v2-inverse", n_cells, cells, draw_cell, inverse),
+        # no instances, hence a skip, unless the action was built as adjoint
+        product_law("v2-adjoint-closed-form", adjoint_closed_form, keys if act.is_adjoint else ()),
     ]
 
 

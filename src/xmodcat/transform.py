@@ -19,12 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 
 from .action import StrictAction, nat_component, validate_strict_action
 from .errors import InvalidAction, MixedStructures, NotAdjacent
 from .fincat import FiniteCategory, category_from_tables
 from .report import DEFAULT_CAP, Law, Report, product_law, run_laws
-from .xmod import CrossedModule, semidirect_group
+from .xmod import CrossedModule, pair_table, semidirect_group
 
 
 class TransDoubleCat:
@@ -184,7 +186,6 @@ def double_laws(d: TransDoubleCat) -> list[Law]:
     act = d.act
     xm, c = d.xm, d.category
     g, h = xm.g, xm.h
-    comp = c.comp
     src, tgt, ident = c.src, c.tgt, c.identity
     n_h = h.order
     npairs = xm.npairs
@@ -193,28 +194,29 @@ def double_laws(d: TransDoubleCat) -> list[Law]:
     hm = h.table
     e_h = h.identity
     pairs, mors, hs = range(npairs), range(n_mor), range(n_h)
+    pt = pair_table(xm)  # pt[p1][p2]: the pair product p1 * p2
     pair_tgt = [g.table[xm.bnd(chi)][gamma] for gamma in g.elements() for chi in hs]
     by_src: list[list[int]] = [[] for _ in c.objects()]
     for f in mors:
         by_src[src[f]].append(f)
     natc = [[act_m[p][ident[x]] for x in c.objects()] for p in pairs]  # components
-
-    def pmul(p1: int, p2: int) -> int:
-        g1, c1 = divmod(p1, n_h)
-        g2, c2 = divmod(p2, n_h)
-        return g.table[g1][g2] * n_h + hm[c1][xm.act(g1, c2)]
+    # ct[a][b]: a after b, or -1 when they do not compose; the last column
+    # (index -1) is all -1, so composing with a miss is again a miss
+    ct = [[-1] * (n_mor + 1) for _ in mors]
+    for (a, b), ab in c.comp.items():
+        ct[a][b] = ab
 
     def hcomp(p1: int, f1: int, p2: int, f2: int):
         """Index-level horizontal pasting; None when the tops don't compose."""
-        ff = comp.get((f2, f1))
-        if ff is None:
+        ff = ct[f2][f1]
+        if ff < 0:
             return None
-        return (p1 // n_h) * n_h + hm[p2 % n_h][p1 % n_h], ff
+        return p1 - p1 % n_h + hm[p2 % n_h][p1 % n_h], ff
 
     def pair_target(insts, fail) -> None:
         # the semidirect product pair lands where the stacked right edges land
         for p1, p2 in insts:
-            if pair_tgt[pmul(p2, p1)] != g.table[pair_tgt[p2]][pair_tgt[p1]]:
+            if pair_tgt[pt[p2][p1]] != g.table[pair_tgt[p2]][pair_tgt[p1]]:
                 fail((*divmod(p1, n_h), *divmod(p2, n_h)))
 
     def h_unit(insts, fail) -> None:
@@ -232,10 +234,10 @@ def double_laws(d: TransDoubleCat) -> list[Law]:
             w = (p // n_h, p % n_h, f)
             # unit above: s pastes under the unit square at f only if the
             # unit pair fixes f, and the pair product must return p
-            if act_m[unit_p][f] != f or pmul(p, unit_p) != p:
+            if act_m[unit_p][f] != f or pt[p][unit_p] != p:
                 fail(w, "unit above")
             # unit below: the unit square at s's bottom edge pastes under s
-            if pmul(unit_p, p) != p:
+            if pt[unit_p][p] != p:
                 fail(w, "unit below")
 
     # a row (p1, f1, p2, f2): square s1 and a square s2 to its right
@@ -255,17 +257,18 @@ def double_laws(d: TransDoubleCat) -> list[Law]:
 
     def h_boundary(insts, fail) -> None:
         for p1, f1, p2, f2 in insts:
-            out = hcomp(p1, f1, p2, f2)
-            if out is None:
+            top = ct[f2][f1]  # hcomp, inlined
+            if top < 0:
                 fail((p1, f1, p2, f2), "tops do not compose")
                 continue
-            bot = comp.get((act_m[p2][f2], act_m[p1][f1]))
-            if bot is None or act_m[out[0]][out[1]] != bot:
+            p = p1 - p1 % n_h + hm[p2 % n_h][p1 % n_h]
+            # bottoms that do not compose give -1, which no morphism equals
+            if act_m[p][top] != ct[act_m[p2][f2]][act_m[p1][f1]]:
                 fail((p1, f1, p2, f2))
 
     def v_boundary(insts, fail) -> None:
         for p2, f2, p1 in insts:
-            pv = pmul(p1, p2)
+            pv = pt[p1][p2]
             if (
                 pair_tgt[pv] != g.table[pair_tgt[p1]][pair_tgt[p2]]
                 or act_m[pv][f2] != act_m[p1][act_m[p2][f2]]
@@ -305,9 +308,8 @@ def double_laws(d: TransDoubleCat) -> list[Law]:
     def v_assoc(insts, fail) -> None:
         for p1, p2, p3, f3 in insts:
             f2 = act_m[p3][f3]
-            lhs = pmul(pmul(p1, p2), p3)
-            rhs = pmul(p1, pmul(p2, p3))
-            if lhs != rhs or act_m[p2][f2] != act_m[pmul(p2, p3)][f3]:
+            p23 = pt[p2][p3]
+            if pt[pt[p1][p2]][p3] != pt[p1][p23] or act_m[p2][f2] != act_m[p23][f3]:
                 fail((p1, p2, p3, f3))
 
     # interchange on 2x2 blocks:  A B   rows-then-columns equals
@@ -332,43 +334,44 @@ def double_laws(d: TransDoubleCat) -> list[Law]:
             if act_m[row_top[0]][row_top[1]] != row_bot[1]:
                 fail(w, "rows not stackable")
                 continue
-            via_rows = (pmul(row_bot[0], row_top[0]), row_top[1])
-            via_cols = hcomp(pmul(pc, pa), fa, pmul(pd, pb), fb)
+            via_rows = (pt[row_bot[0]][row_top[0]], row_top[1])
+            via_cols = hcomp(pt[pc][pa], fa, pt[pd][pb], fb)
             if via_cols is None or via_rows != via_cols:
                 fail(w)
 
-    # six equivalent composites filling a stacked pair of squares
+    # six equivalent composites filling a stacked pair of squares; the
+    # instances come grouped by pair (g1, c1, g2, c2), f varying fastest
     def six_composites(insts, fail) -> None:
-        for g1, c1, g2, c2, f in insts:
-            x, y = src[f], tgt[f]
-            p1 = g1 * n_h + c1
-            p2 = g2 * n_h + c2
-            b1 = pair_tgt[p1]  # bnd(c1) * g1
-            b2 = pair_tgt[p2]
-            g21 = g.table[g2][g1]
-            exp = act_m[pmul(p2, p1)][f]
-            w2y = act_m[g2 * n_h + e_h][natc[p1][y]]  # g2 |> component of p1 at y
-            w2x = act_m[g2 * n_h + e_h][natc[p1][x]]
-            wb2y = act_m[b2 * n_h + e_h][natc[p1][y]]  # bnd(c2)g2 |> component at y
-            wb2x = act_m[b2 * n_h + e_h][natc[p1][x]]
-            f_21 = act_m[g21 * n_h + e_h][f]
-            f_2b1 = act_m[g.table[g2][b1] * n_h + e_h][f]
-            f_b21 = act_m[g.table[b2][g1] * n_h + e_h][f]
-            f_b2b1 = act_m[g.table[b2][b1] * n_h + e_h][f]
-            oy_b1 = act_o[b1][y]
-            ox_b1 = act_o[b1][x]
-            oy_1 = act_o[g1][y]
-            ox_1 = act_o[g1][x]
-            c_list = (
-                comp.get((natc[p2][oy_b1], comp.get((w2y, f_21), -1))),
-                comp.get((wb2y, comp.get((natc[p2][oy_1], f_21), -1))),
-                comp.get((natc[p2][oy_b1], comp.get((f_2b1, w2x), -1))),
-                comp.get((f_b2b1, comp.get((natc[p2][ox_b1], w2x), -1))),
-                comp.get((wb2y, comp.get((f_b21, natc[p2][ox_1]), -1))),
-                comp.get((f_b2b1, comp.get((wb2x, natc[p2][ox_1]), -1))),
-            )
-            if any(v != exp for v in c_list):
-                fail((g2, c2, g1, c1, f), f"composites {c_list} expected {exp}")
+        for (g1, c1, g2, c2), group in groupby(insts, itemgetter(0, 1, 2, 3)):
+            p1, p2 = g1 * n_h + c1, g2 * n_h + c2
+            b1, b2 = pair_tgt[p1], pair_tgt[p2]  # bnd(c1) * g1, bnd(c2) * g2
+            to_exp = act_m[pt[p2][p1]]
+            w2 = act_m[g2 * n_h + e_h]  # g2 |> -
+            wb2 = act_m[b2 * n_h + e_h]  # bnd(c2)g2 |> -
+            to_21 = act_m[g.table[g2][g1] * n_h + e_h]
+            to_2b1 = act_m[g.table[g2][b1] * n_h + e_h]
+            to_b21 = act_m[g.table[b2][g1] * n_h + e_h]
+            to_b2b1 = act_m[g.table[b2][b1] * n_h + e_h]
+            nat1, nat2 = natc[p1], natc[p2]  # components of p1 and of p2
+            o_1, o_b1 = act_o[g1], act_o[b1]
+            for _, _, _, _, f in group:
+                x, y = src[f], tgt[f]
+                exp = to_exp[f]
+                w2y, w2x = w2[nat1[y]], w2[nat1[x]]
+                wb2y, wb2x = wb2[nat1[y]], wb2[nat1[x]]
+                f_21, f_b2b1 = to_21[f], to_b2b1[f]
+                n2_yb1, n2_x1 = nat2[o_b1[y]], nat2[o_1[x]]
+                composites = (
+                    ct[n2_yb1][ct[w2y][f_21]],
+                    ct[wb2y][ct[nat2[o_1[y]]][f_21]],
+                    ct[n2_yb1][ct[to_2b1[f]][w2x]],
+                    ct[f_b2b1][ct[nat2[o_b1[x]]][w2x]],
+                    ct[wb2y][ct[to_b21[f]][n2_x1]],
+                    ct[f_b2b1][ct[wb2x][n2_x1]],
+                )
+                if composites != (exp, exp, exp, exp, exp, exp):
+                    shown = tuple(None if v < 0 else v for v in composites)
+                    fail((g2, c2, g1, c1, f), f"composites {shown} expected {exp}")
 
     return [
         product_law("pair-target", pair_target, pairs, pairs),
@@ -526,6 +529,7 @@ def transpose_laws(d: TransDoubleCat) -> list[Law]:
     mg, mw = views.mor_groupoid, views.mor_witness
     n_mor = c.n_morphisms
     gs, pairs = xm.g.elements(), range(xm.npairs)
+    pt = pair_table(xm)
 
     def obj_bijection(insts, fail) -> None:
         for _ in insts:
@@ -569,8 +573,7 @@ def transpose_laws(d: TransDoubleCat) -> list[Law]:
         for p1, f, p2 in insts:
             fb = act.act_mor[p1][f]
             lhs = mg.comp.get((mw[p2 * n_mor + fb], mw[p1 * n_mor + f]))
-            prod = xm.pair_index(*xm.pair_mul(xm.pair_of(p2), xm.pair_of(p1)))
-            if lhs != mw[prod * n_mor + f]:
+            if lhs != mw[pt[p2][p1] * n_mor + f]:
                 fail((p2, p1, f))
 
     e_pair = xm.pair_index(xm.g.identity, xm.h.identity)
@@ -618,7 +621,6 @@ class NestedInclusions:
     morphisms_over_pairs: FiniteGroupoid # action on morphisms by G x| H
     first_obj_map: tuple[int, ...]
     first_mor_map: tuple[int, ...]
-    second_obj_map: tuple[int, ...]
     second_mor_map: tuple[int, ...]
     second_full: bool
     second_nonfull_witnesses: list[tuple[int, int]]
@@ -652,7 +654,6 @@ def nested_inclusions(d: TransDoubleCat, cap: int = DEFAULT_CAP) -> NestedInclus
         for gamma in xm.g.elements()
         for x in c.objects()
     )
-    second_obj = tuple(range(n_mor))
     second_mor = tuple(
         xm.pair_index(gamma, xm.h.identity) * n_mor + f
         for gamma in xm.g.elements()
@@ -663,7 +664,7 @@ def nested_inclusions(d: TransDoubleCat, cap: int = DEFAULT_CAP) -> NestedInclus
     nonfull = [divmod(m, n_mor) for m in gpd2.morphisms() if m not in second_image]
     return NestedInclusions(
         gpd0, gpd1, gpd2,
-        first_obj, first_mor, second_obj, second_mor,
+        first_obj, first_mor, second_mor,
         not nonfull, nonfull[:cap], cap,
     )
 
@@ -796,20 +797,6 @@ def vertical_2category(d: TransDoubleCat) -> V2Cat:
                 if nat_component(act, gamma, chi, x) == target_id:
                     out.append((chi, xm.g.table[xm.bnd(chi)][gamma]))
             cells[(gamma, x)] = tuple(out)
-    if act.is_adjoint:
-        # cross-check the closed form: chi qualifies iff conj-translate of
-        # x fixes chi^-1 under the crossed-module action
-        for (gamma, x), out in cells.items():
-            got = {chi for chi, _ in out}
-            want = set()
-            for chi in xm.h.elements():
-                ich = xm.h.inverse[chi]
-                if xm.act(act.act_obj[gamma][x], ich) == ich:
-                    want.add(chi)
-            if got != want:
-                raise RuntimeError(
-                    f"adjoint fixed-point reduction disagrees at {(gamma, x)}"
-                )
     return V2Cat(cells)
 
 

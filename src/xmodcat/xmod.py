@@ -132,17 +132,23 @@ def xmod_trivial_boundary(action: GroupAction) -> CrossedModule:
     )
 
 
+def pair_table(xm: CrossedModule) -> list[list[int]]:
+    """Rows of the semidirect product on pair indices: entry [i][j] is the
+    index of pair_mul(pair_of(i), pair_of(j))."""
+    n_h = xm.h.order
+    gs, hs = xm.g.elements(), xm.h.elements()
+    rows = []
+    for g1 in gs:
+        g_row, a_row = xm.g.table[g1], xm.action.table[g1]
+        for h1 in hs:
+            h_row = xm.h.table[h1]
+            tail = [h_row[a_row[h2]] for h2 in hs]  # h1 * (g1 |> h2)
+            rows.append([g_row[g2] * n_h + t for g2 in gs for t in tail])
+    return rows
+
+
 def semidirect_group(xm: CrossedModule) -> FiniteGroup:
     """The pair group G x| H under (g1,h1)*(g2,h2) = (g1 g2, h1 (g1 |> h2))."""
-    n_h = xm.h.order
-    table = []
-    for i in range(xm.npairs):
-        p1 = divmod(i, n_h)
-        row = []
-        for j in range(xm.npairs):
-            g, h = xm.pair_mul(p1, divmod(j, n_h))
-            row.append(g * n_h + h)
-        table.append(row)
     names = None
     if xm.g.names is not None or xm.h.names is not None:
         names = [
@@ -150,7 +156,7 @@ def semidirect_group(xm: CrossedModule) -> FiniteGroup:
             for g in xm.g.elements()
             for h in xm.h.elements()
         ]
-    return group_from_table(table, identity=xm.pair_index(xm.g.identity, xm.h.identity), names=names)
+    return group_from_table(pair_table(xm), identity=xm.pair_index(xm.g.identity, xm.h.identity), names=names)
 
 
 # --- enumeration ----------------------------------------------------------

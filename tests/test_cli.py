@@ -94,7 +94,7 @@ class TestVerify:
         )
         assert code == 0
         lines = law_objs(out)
-        assert len(lines) == 75
+        assert len(lines) == 76
         assert all(o["status"] in ("pass", "skip") for o in lines)
         suites = {o["suite"] for o in lines}
         assert suites == {
@@ -140,6 +140,28 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--adjoint", "xm1", "--suite", "nope")
         assert code == 2
 
+    def test_usage_errors_name_their_class(self, capsys):
+        for argv in (
+            ("verify",),
+            ("validate", "--kind", "action"),
+            ("verify", "--adjoint", "xm1", "--suite", "nope"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert json.loads(err.splitlines()[0])["error"] == "UsageError"
+
+    def test_a_law_within_the_sample_count_is_enumerated(self, capsys):
+        # obj-bijection has one instance: seven draws would check it seven times
+        code, out, _ = run_cli(
+            capsys, "verify", "--adjoint", "xm1", "--suite", "transpose",
+            "--max-exhaustive", "0", "--samples", "7",
+        )
+        assert code == 0
+        lines = {o["law"]: o for o in law_objs(out)}
+        assert lines["obj-bijection"]["checked"] == 1
+        assert lines["obj-endpoints"]["checked"] == 4  # xm1 has 4 vertical morphisms
+        assert lines["mor-endpoints"]["checked"] == 7  # 36 squares: sampled
+
     def test_runs_are_byte_identical(self, capsys):
         args = ("verify", "--adjoint", "xm1", "--samples", "150", "--seed", "7")
         _, out1, _ = run_cli(capsys, *args)
@@ -162,7 +184,7 @@ class TestVerify:
         )
         assert code == 2
         assert out == ""
-        assert json.loads(err.splitlines()[0])["error"] == "FixtureFormatError"
+        assert json.loads(err.splitlines()[0])["error"] == "UsageError"
 
     def test_no_law_passes_on_zero_instances(self, capsys):
         code, out, _ = run_cli(

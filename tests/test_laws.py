@@ -70,6 +70,19 @@ def test_enumerates_within_the_budget_and_samples_past_it():
     assert seen == [(rng.choice(range(3)), rng.choice("ab")) for _ in range(5)]
 
 
+def test_a_law_no_larger_than_the_sample_count_is_enumerated():
+    seen = []
+    law = product_law("law", lambda insts, fail: seen.extend(insts), range(3), "ab")
+    rep = run_laws(Report(), "suite", [law], samples=6, seed=1, max_exhaustive=0)
+    assert seen == list(product(range(3), "ab"))
+    assert rep.instances == {"law": 6}
+
+    one = product_law("one", lambda insts, fail: seen.extend(insts))
+    seen.clear()
+    rep = run_laws(Report(), "suite", [one], samples=7, seed=1, max_exhaustive=0)
+    assert seen == [()] and rep.instances == {"one": 1}
+
+
 def test_violations_are_counted_past_the_cap():
     def every(insts, fail):
         for (i,) in insts:

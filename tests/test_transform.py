@@ -1,12 +1,16 @@
+import hashlib
+import json
+import random
 from pathlib import Path
 
 import pytest
 
-from xmodcat.action import adjoint_action, trivial_strict_action
+from xmodcat.action import adjoint_action, make_strict_action, trivial_strict_action
 from xmodcat.catgroup import underlying_category
 from xmodcat.errors import InvalidAction, MixedStructures, NotAdjacent
 from xmodcat.fincat import terminal_category
 from xmodcat.serialize import load_action
+from xmodcat.suites import run_all
 from xmodcat.transform import (
     TDSquare,
     build_transformation_double,
@@ -26,6 +30,7 @@ from xmodcat.transform import (
     verify_transpose,
     vertical_inverse_square,
 )
+from xmodcat.xmod import pair_table
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -324,6 +329,28 @@ class TestDegenerate2Categories:
                 assert gamma2 == xm2.g.mul(xm2.bnd(chi), gamma)
 
 
+    def test_adjoint_closed_form_mismatch_is_a_failing_law(self, xm1):
+        # the unit pair's component at object 0 is no longer an identity: the
+        # label e drops out of the cells at (0, 0), which the closed form keeps
+        act = adjoint_action(xm1)
+        table = [list(row) for row in act.act_mor]
+        unit = xm1.pair_index(xm1.g.identity, xm1.h.identity)
+        f = act.category.identity[0]
+        table[unit][f] = next(m for m in act.category.morphisms() if m != f)
+        bad = make_strict_action(xm1, act.category, act.act_obj, table, is_adjoint=True)
+        lines = {line.law: line for line in run_all(bad, samples=100, only=["v2cat"])}
+        assert "v2cat-error" not in lines
+        closed = lines["v2-adjoint-closed-form"]
+        assert (closed.status, closed.witness) == ("fail", (0, 0))
+        assert closed.detail == "labels [1, 2], closed form [0, 1, 2]"
+
+    def test_closed_form_law_skips_on_non_adjoint_actions(self, xm1):
+        act = trivial_strict_action(xm1, terminal_category())
+        lines = {line.law: line for line in run_all(act, samples=100, only=["v2cat"])}
+        assert lines.pop("v2-adjoint-closed-form").status == "skip"
+        assert all(line.status == "pass" for line in lines.values())
+
+
 class TestExports:
     def test_double_to_obj_shape(self, xm1):
         d = build_transformation_double(adjoint_action(xm1), validate=False)
@@ -342,3 +369,96 @@ class TestExports:
         assert dot.startswith("digraph objs {")
         assert dot.count("subgraph cluster_") == 3
         assert "->" in dot and dot.rstrip().endswith("}")
+
+
+# --- the integer kernel of the double laws ----------------------------------
+
+DOUBLE_LAWS = (
+    "pair-target", "h-unit", "v-unit", "h-boundary", "v-boundary",
+    "h-assoc", "v-assoc", "interchange", "six-composites",
+)
+
+
+def act_mor_mutant(act, seed: int, entries: int):
+    """The action with `entries` seeded random act_mor entries overwritten."""
+    rng = random.Random(seed)
+    table = [list(row) for row in act.act_mor]
+    n = act.category.n_morphisms
+    for _ in range(entries):
+        table[rng.randrange(len(table))][rng.randrange(n)] = rng.randrange(n)
+    return make_strict_action(act.xm, act.category, act.act_obj, table)
+
+
+# (fixture, seed, entries, budget) and what verify_double_category reported on
+# that mutant when the double laws multiplied pairs through pair_mul and looked
+# composites up in the category's dict: the sha256 of the JSON list of
+# [law, witness, detail], Report.instances, and the violation count per law.
+# xm1 at 35 samples samples every law (the smallest has 36 instances); xm2 at
+# a budget of 50 000 enumerates all but h-assoc, v-assoc and interchange.
+DOUBLE_PINS = [
+    (
+        "xm1", 0, 1, {},
+        "23bd4fcda3067633cf4caee6d12553e2c8d5d3f41b0c53e37422159425bb0f6a",
+        (36, 36, 36, 324, 216, 2916, 1296, 5832, 216),
+        {"h-boundary": 24, "v-boundary": 13, "v-assoc": 78, "interchange": 432, "six-composites": 68},
+    ),
+    (
+        "xm1", 0, 1, {"max_exhaustive": 0, "samples": 35},
+        "43e0325c420432af8507f75bf9cc8b6861c65b99561b33b6c28ba06cd6dc8100",
+        (35,) * 9,
+        {"v-boundary": 2, "v-assoc": 1, "interchange": 2, "six-composites": 10},
+    ),
+    (
+        "xm1", 1, 1, {},
+        "6ae5bb16fef11c7ea4ec876b06cd832d824f51d94fa03ef3b588456420d794b3",
+        (36, 36, 36, 324, 216, 2916, 1296, 5832, 216),
+        {"h-boundary": 22, "v-boundary": 13, "v-assoc": 78, "interchange": 396, "six-composites": 32},
+    ),
+    (
+        "xm1", 1, 1, {"max_exhaustive": 0, "samples": 35},
+        "1519cbd1149feb551e291b1d7621fa1334c13003ac91e27ea3e4ebb927dae279",
+        (35,) * 9,
+        {"h-boundary": 2, "v-boundary": 7, "v-assoc": 1, "six-composites": 2},
+    ),
+    (
+        "xm2", 0, 3, {"max_exhaustive": 50_000, "samples": 300},
+        "2a89a3ad07d286cc7598fc6d69c8ecd93e461c345ea60ca61c5eb34e21465ef2",
+        (1296, 1296, 1296, 46656, 46656, 300, 300, 300, 46656),
+        {"h-boundary": 317, "v-boundary": 311, "interchange": 2, "six-composites": 1102},
+    ),
+    (
+        "xm2", 0, 3, {"max_exhaustive": 0, "samples": 300},
+        "ba6d1372aa53ed3c921916a5832d987d620aa0c83e56fc5938348fea31053d98",
+        (300,) * 9,
+        {"h-boundary": 2, "v-boundary": 1, "interchange": 2, "six-composites": 11},
+    ),
+]
+
+
+class TestDoubleKernel:
+    @pytest.mark.parametrize("name, seed, entries, budget, digest, sizes, counts", DOUBLE_PINS)
+    def test_mutant_reports_are_pinned(
+        self, all_xms, name, seed, entries, budget, digest, sizes, counts
+    ):
+        act = act_mor_mutant(adjoint_action(dict(all_xms)[name]), seed, entries)
+        rep = verify_double_category(build_transformation_double(act, validate=False), **budget)
+        found = [[v.law, list(v.witness), v.detail] for v in rep.violations]
+        assert hashlib.sha256(json.dumps(found).encode()).hexdigest() == digest
+        assert rep.instances == dict(zip(DOUBLE_LAWS, sizes))
+        assert {law: rep.count(law) for law in DOUBLE_LAWS if rep.count(law)} == counts
+
+    def test_an_undefined_composite_prints_none(self, xm2):
+        act = act_mor_mutant(adjoint_action(xm2), 0, 3)
+        rep = verify_double_category(
+            build_transformation_double(act, validate=False), max_exhaustive=50_000, samples=300
+        )
+        details = [v.detail for v in rep.violations if v.law == "six-composites"]
+        assert any("None" in detail for detail in details)
+        assert all(detail.startswith("composites (") for detail in details)
+
+    def test_pair_table_is_the_pair_product(self, all_xms):
+        for _, xm in all_xms:
+            table = pair_table(xm)
+            for i in range(xm.npairs):
+                for j in range(xm.npairs):
+                    assert table[i][j] == xm.pair_index(*xm.pair_mul(xm.pair_of(i), xm.pair_of(j)))
