@@ -15,10 +15,29 @@ pairs on morphisms.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .catgroup import underlying_category
-from .errors import MalformedTable, MixedStructures
-from .fincat import FiniteCategory, Functor, NatTrans, functor_compose, validate_functor, validate_nat_trans
-from .report import DEFAULT_CAP, Report
+from .errors import MalformedTable
+from .fincat import (
+    FiniteCategory,
+    Functor,
+    NatTrans,
+    functor_compose,
+    functor_laws,
+    nat_trans_laws,
+)
+from .groups import is_index
+from .report import (
+    DEFAULT_CAP,
+    Law,
+    Report,
+    holds,
+    indexed_laws,
+    list_law,
+    product_law,
+    run_laws,
+)
 from .xmod import CrossedModule
 
 
@@ -67,16 +86,16 @@ def make_strict_action(xm: CrossedModule, category: FiniteCategory, act_obj, act
         if len(row) != category.n_objects:
             raise MalformedTable(f"act_obj row {g} has length {len(row)}")
         for x, v in enumerate(row):
-            if not 0 <= v < category.n_objects:
-                raise MalformedTable(f"act_obj[{g}][{x}] = {v} out of range")
+            if not is_index(v, category.n_objects):
+                raise MalformedTable(f"act_obj[{g}][{x}] = {v!r} out of range")
     if len(act_mor) != xm.npairs:
         raise MalformedTable(f"act_mor has {len(act_mor)} rows, expected {xm.npairs}")
     for p, row in enumerate(act_mor):
         if len(row) != category.n_morphisms:
             raise MalformedTable(f"act_mor row {p} has length {len(row)}")
         for f, v in enumerate(row):
-            if not 0 <= v < category.n_morphisms:
-                raise MalformedTable(f"act_mor[{p}][{f}] = {v} out of range")
+            if not is_index(v, category.n_morphisms):
+                raise MalformedTable(f"act_mor[{p}][{f}] = {v!r} out of range")
     return StrictAction(xm, category, act_obj, act_mor, is_adjoint)
 
 
@@ -106,6 +125,102 @@ def nat_trans_of(a: StrictAction, gamma: int, chi: int) -> NatTrans:
     )
 
 
+def strict_action_laws(a: StrictAction) -> list[Law]:
+    """Both presentations of the action laws (see validate_strict_action)."""
+    xm, c = a.xm, a.category
+    g, h = xm.g, xm.h
+    gs, hs, objs, mors = g.elements(), h.elements(), c.objects(), c.morphisms()
+    e_g, e_h = g.identity, h.identity
+    comp, src, tgt, ident = c.comp, c.src, c.tgt, c.identity
+    gt, ht, bnd, xa = g.table, h.table, xm.boundary.map, xm.action.table
+    ao, am, nh = a.act_obj, a.act_mor, h.order
+    functors = [functor_of(a, gamma) for gamma in gs]
+
+    # a.on_mor_pair and nat_component without their method calls, which
+    # would dominate the per-instance cost
+    def on(gamma: int, chi: int, f: int) -> int:
+        return am[gamma * nh + chi][f]
+
+    def nat(gamma: int, chi: int, x: int) -> int:
+        return am[gamma * nh + chi][ident[x]]
+
+    # --- presentation 1: endofunctors and natural transformations
+
+    # components stack: (bnd(c1)*g1, c2) after (g1, c1) is (g1, c2*c1)
+    def component_stacking(g1, c1, c2, x) -> bool:
+        g2 = gt[bnd[c1]][g1]
+        return comp.get((nat(g2, c2, x), nat(g1, c1, x))) == nat(g1, ht[c2][c1], x)
+
+    # components multiply horizontally: (g1,c1)'s component at
+    # (bnd(c2)g3 |> x), after the g1-translate of (g3,c2)'s component at x,
+    # is the component of the product pair at x
+    def component_product(g1, c1, g3, c2, x) -> bool:
+        got = comp.get((nat(g1, c1, ao[gt[bnd[c2]][g3]][x]), on(g1, e_h, nat(g3, c2, x))))
+        return got == nat(gt[g1][g3], ht[c1][xa[g1][c2]], x)
+
+    # --- presentation 2: functorial pair action
+
+    def pair_typing(gamma, chi, f) -> bool:
+        ff = on(gamma, chi, f)
+        return src[ff] == ao[gamma][src[f]] and tgt[ff] == ao[gt[bnd[chi]][gamma]][tgt[f]]
+
+    def pair_functoriality(insts, fail) -> None:
+        for g1, c1, c2, (fg, ff) in insts:
+            got = comp.get((on(gt[bnd[c1]][g1], c2, fg), on(g1, c1, ff)))
+            if got != on(g1, ht[c2][c1], comp[(fg, ff)]):
+                fail((g1, c1, c2, fg, ff))
+
+    def morphism_associativity(g1, c1, g3, c2, f) -> bool:
+        return on(gt[g1][g3], ht[c1][xa[g1][c2]], f) == on(g1, c1, on(g3, c2, f))
+
+    # the two presentations agree: a pair acting on f factors either side
+    # of the naturality square
+    def whisker_agreement(gamma, chi, f) -> bool:
+        ff, tg = on(gamma, chi, f), gt[bnd[chi]][gamma]
+        via_tgt = comp.get((nat(gamma, chi, tgt[f]), on(gamma, e_h, f)))
+        via_src = comp.get((on(tg, e_h, f), nat(gamma, chi, src[f])))
+        return ff == via_tgt == via_src
+
+    def transformation_laws(gamma, chi):
+        return nat_trans_laws(nat_trans_of(a, gamma, chi))
+
+    return [
+        *indexed_laws("endofunctor-", product(gs), lambda gamma: functor_laws(functors[gamma])),
+        *indexed_laws("transformation-", product(gs, hs), transformation_laws),
+        product_law("component-stacking", holds(component_stacking), gs, hs, hs, objs),
+        # the unit pair has identity components
+        product_law(
+            "unit-component", holds(lambda gamma, x: nat(gamma, e_h, x) == ident[ao[gamma][x]]),
+            gs, objs,
+        ),
+        # object translations compose strictly
+        product_law(
+            "translation-composition",
+            holds(lambda g1, g3: functor_compose(functors[g1], functors[g3]) == functors[gt[g1][g3]]),
+            gs, gs,
+        ),
+        product_law("component-product", holds(component_product), gs, hs, gs, hs, objs),
+        product_law("pair-typing", holds(pair_typing), gs, hs, mors),
+        product_law(
+            "pair-functoriality", pair_functoriality, gs, hs, hs, list(c.composable_pairs())
+        ),
+        product_law(
+            "pair-identity", holds(lambda gamma, x: on(gamma, e_h, ident[x]) == ident[ao[gamma][x]]),
+            gs, objs,
+        ),
+        product_law(
+            "object-associativity",
+            holds(lambda g1, g3, x: ao[gt[g1][g3]][x] == ao[g1][ao[g3][x]]),
+            gs, gs, objs,
+        ),
+        product_law("morphism-associativity", holds(morphism_associativity), gs, hs, gs, hs, mors),
+        # the explicit unit law of the acting 2-group
+        product_law("unit-object", holds(lambda x: ao[e_g][x] == x), objs),
+        product_law("unit-morphism", holds(lambda f: on(e_g, e_h, f) == f), mors),
+        product_law("whisker-agreement", holds(whisker_agreement), gs, hs, mors),
+    ]
+
+
 def validate_strict_action(a: StrictAction, cap: int = DEFAULT_CAP) -> Report:
     """Check both presentations of the action laws, every instance.
 
@@ -117,163 +232,7 @@ def validate_strict_action(a: StrictAction, cap: int = DEFAULT_CAP) -> Report:
     unit pairs to identities, and is associative on objects and morphisms.
     The unit law of the acting 2-group is enforced explicitly.
     """
-    xm, c = a.xm, a.category
-    g, h = xm.g, xm.h
-    e_g, e_h = g.identity, h.identity
-    rep = Report(cap=cap)
-    comp = c.comp
-
-    # --- presentation 1: endofunctors and natural transformations
-    for gamma in g.elements():
-        frep = validate_functor(functor_of(a, gamma))
-        for law, n in frep.instances.items():
-            rep.tick("endofunctor-" + law, n)
-        for v in frep.violations:
-            rep.add("endofunctor-" + v.law, (gamma,) + v.witness)
-    for gamma in g.elements():
-        for chi in h.elements():
-            nrep = validate_nat_trans(nat_trans_of(a, gamma, chi))
-            for law, n in nrep.instances.items():
-                rep.tick("transformation-" + law, n)
-            for v in nrep.violations:
-                rep.add("transformation-" + v.law, (gamma, chi) + v.witness)
-
-    # components stack: (bnd(c1)*g1, c2) after (g1, c1) is (g1, c2*c1)
-    for g1 in g.elements():
-        for c1 in h.elements():
-            g2 = g.table[xm.bnd(c1)][g1]
-            for c2 in h.elements():
-                c21 = h.table[c2][c1]
-                for x in c.objects():
-                    rep.tick("component-stacking")
-                    got = comp.get(
-                        (nat_component(a, g2, c2, x), nat_component(a, g1, c1, x))
-                    )
-                    if got != nat_component(a, g1, c21, x):
-                        rep.add("component-stacking", (g1, c1, c2, x))
-
-    # unit pair has identity components
-    for gamma in g.elements():
-        for x in c.objects():
-            rep.tick("unit-component")
-            if nat_component(a, gamma, e_h, x) != c.identity[a.act_obj[gamma][x]]:
-                rep.add("unit-component", (gamma, x))
-
-    # object translations compose strictly
-    for g1 in g.elements():
-        f1 = functor_of(a, g1)
-        for g3 in g.elements():
-            rep.tick("translation-composition")
-            if functor_compose(f1, functor_of(a, g3)) != functor_of(a, g.table[g1][g3]):
-                rep.add("translation-composition", (g1, g3))
-
-    # components multiply horizontally:
-    # (g1,c1) component at (bnd(c2)g3 |> x), after g1-translate of (g3,c2)'s
-    # component at x, equals the component of the product pair at x
-    for g1 in g.elements():
-        mor_g1 = a.act_mor[xm.pair_index(g1, e_h)]
-        for c1 in h.elements():
-            for g3 in g.elements():
-                g13 = g.table[g1][g3]
-                for c2 in h.elements():
-                    g4 = g.table[xm.bnd(c2)][g3]
-                    c12 = h.table[c1][xm.act(g1, c2)]
-                    for x in c.objects():
-                        rep.tick("component-product")
-                        got = comp.get(
-                            (
-                                nat_component(a, g1, c1, a.act_obj[g4][x]),
-                                mor_g1[nat_component(a, g3, c2, x)],
-                            )
-                        )
-                        if got != nat_component(a, g13, c12, x):
-                            rep.add("component-product", (g1, c1, g3, c2, x))
-
-    # --- presentation 2: functorial pair action
-    src, tgt = c.src, c.tgt
-    for gamma in g.elements():
-        for chi in h.elements():
-            row = a.act_mor[xm.pair_index(gamma, chi)]
-            tg = g.table[xm.bnd(chi)][gamma]
-            for f in c.morphisms():
-                rep.tick("pair-typing")
-                ff = row[f]
-                if (
-                    src[ff] != a.act_obj[gamma][src[f]]
-                    or tgt[ff] != a.act_obj[tg][tgt[f]]
-                ):
-                    rep.add("pair-typing", (gamma, chi, f))
-
-    for g1 in g.elements():
-        for c1 in h.elements():
-            row1 = a.act_mor[xm.pair_index(g1, c1)]
-            g2 = g.table[xm.bnd(c1)][g1]
-            for c2 in h.elements():
-                row2 = a.act_mor[xm.pair_index(g2, c2)]
-                row21 = a.act_mor[xm.pair_index(g1, h.table[c2][c1])]
-                for fg, ff in c.composable_pairs():
-                    rep.tick("pair-functoriality")
-                    got = comp.get((row2[fg], row1[ff]))
-                    if got != row21[comp[(fg, ff)]]:
-                        rep.add("pair-functoriality", (g1, c1, c2, fg, ff))
-
-    for gamma in g.elements():
-        row = a.act_mor[xm.pair_index(gamma, e_h)]
-        orow = a.act_obj[gamma]
-        for x in c.objects():
-            rep.tick("pair-identity")
-            if row[c.identity[x]] != c.identity[orow[x]]:
-                rep.add("pair-identity", (gamma, x))
-
-    for g1 in g.elements():
-        for g3 in g.elements():
-            row13 = a.act_obj[g.table[g1][g3]]
-            row1, row3 = a.act_obj[g1], a.act_obj[g3]
-            for x in c.objects():
-                rep.tick("object-associativity")
-                if row13[x] != row1[row3[x]]:
-                    rep.add("object-associativity", (g1, g3, x))
-
-    for g1 in g.elements():
-        for c1 in h.elements():
-            row1 = a.act_mor[xm.pair_index(g1, c1)]
-            for g3 in g.elements():
-                g13 = g.table[g1][g3]
-                for c2 in h.elements():
-                    row3 = a.act_mor[xm.pair_index(g3, c2)]
-                    row13 = a.act_mor[xm.pair_index(g13, h.table[c1][xm.act(g1, c2)])]
-                    for f in c.morphisms():
-                        rep.tick("morphism-associativity")
-                        if row13[f] != row1[row3[f]]:
-                            rep.add("morphism-associativity", (g1, c1, g3, c2, f))
-
-    # explicit unit law
-    for x in c.objects():
-        rep.tick("unit-object")
-        if a.act_obj[e_g][x] != x:
-            rep.add("unit-object", (x,))
-    unit_row = a.act_mor[xm.pair_index(e_g, e_h)]
-    for f in c.morphisms():
-        rep.tick("unit-morphism")
-        if unit_row[f] != f:
-            rep.add("unit-morphism", (f,))
-
-    # the two presentations agree: a pair acting on f factors either side
-    # of the naturality square
-    for gamma in g.elements():
-        mor_g = a.act_mor[xm.pair_index(gamma, e_h)]
-        for chi in h.elements():
-            row = a.act_mor[xm.pair_index(gamma, chi)]
-            tg = g.table[xm.bnd(chi)][gamma]
-            mor_tg = a.act_mor[xm.pair_index(tg, e_h)]
-            for f in c.morphisms():
-                rep.tick("whisker-agreement")
-                via_tgt = comp.get((nat_component(a, gamma, chi, tgt[f]), mor_g[f]))
-                via_src = comp.get((mor_tg[f], nat_component(a, gamma, chi, src[f])))
-                if row[f] != via_tgt or row[f] != via_src:
-                    rep.add("whisker-agreement", (gamma, chi, f))
-
-    return rep
+    return run_laws(Report(cap=cap), "action", strict_action_laws(a))
 
 
 def adjoint_action(xm: CrossedModule) -> StrictAction:
@@ -344,6 +303,51 @@ def identity_compositor(a: StrictAction) -> WeakActionData:
     return WeakActionData(a, comp)
 
 
+def coherence_laws(w: WeakActionData) -> list[Law]:
+    """The compositor laws (see check_compositor_coherence); invertibility
+    is asked only of compositors that passed compositor-typing."""
+    a = w.base
+    c, gt, cw, ao = a.category, a.xm.g.table, w.compositor, a.act_obj
+    gs, objs, comp, ident = a.xm.g.elements(), c.objects(), c.comp, c.identity
+    e = a.xm.g.identity
+
+    def typed(g1, g2, x) -> bool:
+        m = cw[g1][g2][x]
+        return c.src[m] == ao[g1][ao[g2][x]] and c.tgt[m] == ao[gt[g1][g2]][x]
+
+    def invertible(g1, g2, x) -> bool:
+        m = cw[g1][g2][x]
+        s, t = c.src[m], c.tgt[m]
+        return any(
+            comp.get((n, m)) == ident[s] and comp.get((m, n)) == ident[t] for n in c.hom(t, s)
+        )
+
+    def natural(g1, g2, f) -> bool:
+        lhs = comp.get((cw[g1][g2][c.tgt[f]], a.on_mor(g1, a.on_mor(g2, f))))
+        return lhs is not None and lhs == comp.get((a.on_mor(gt[g1][g2], f), cw[g1][g2][c.src[f]]))
+
+    # two triangles per (gamma, x): the compositors with the unit on either side
+    def unit_triangle(insts, fail) -> None:
+        for gamma, x, side in insts:
+            g1, g2 = (e, gamma) if side == "left" else (gamma, e)
+            if not c.is_identity(cw[g1][g2][x]):
+                fail((g1, g2, x))
+
+    def pentagon(f1, g1, h1, x) -> bool:
+        lhs = comp.get((cw[gt[f1][g1]][h1][x], cw[f1][g1][ao[h1][x]]))
+        rhs = comp.get((cw[f1][gt[g1][h1]][x], a.on_mor(f1, cw[g1][h1][x])))
+        return lhs is not None and lhs == rhs
+
+    typed_triples = [t for t in product(gs, gs, objs) if typed(*t)]
+    return [
+        product_law("compositor-typing", holds(typed), gs, gs, objs),
+        list_law("compositor-invertible", holds(invertible), typed_triples),
+        product_law("compositor-naturality", holds(natural), gs, gs, c.morphisms()),
+        product_law("unit-triangle", unit_triangle, gs, objs, ("left", "right")),
+        product_law("pentagon", holds(pentagon), gs, gs, gs, objs),
+    ]
+
+
 def check_compositor_coherence(w: WeakActionData, cap: int = DEFAULT_CAP) -> Report:
     """Typing, invertibility, naturality, unit triangles and the pentagon.
 
@@ -355,65 +359,4 @@ def check_compositor_coherence(w: WeakActionData, cap: int = DEFAULT_CAP) -> Rep
 
     Witnesses are (f, g, h, x) quadruples.
     """
-    a = w.base
-    xm, c = a.xm, a.category
-    g = xm.g
-    rep = Report(cap=cap)
-    comp = c.comp
-
-    for g1 in g.elements():
-        for g2 in g.elements():
-            for x in c.objects():
-                rep.tick("compositor-typing")
-                m = w.compositor[g1][g2][x]
-                want_src = a.act_obj[g1][a.act_obj[g2][x]]
-                want_tgt = a.act_obj[g.table[g1][g2]][x]
-                if c.src[m] != want_src or c.tgt[m] != want_tgt:
-                    rep.add("compositor-typing", (g1, g2, x))
-                    continue
-                rep.tick("compositor-invertible")
-                if not any(
-                    comp.get((n, m)) == c.identity[want_src]
-                    and comp.get((m, n)) == c.identity[want_tgt]
-                    for n in c.hom(want_tgt, want_src)
-                ):
-                    rep.add("compositor-invertible", (g1, g2, x))
-
-    for g1 in g.elements():
-        for g2 in g.elements():
-            g12 = g.table[g1][g2]
-            for f in c.morphisms():
-                rep.tick("compositor-naturality")
-                x, y = c.src[f], c.tgt[f]
-                lhs = comp.get(
-                    (w.compositor[g1][g2][y], a.on_mor(g1, a.on_mor(g2, f)))
-                )
-                rhs = comp.get((a.on_mor(g12, f), w.compositor[g1][g2][x]))
-                if lhs is None or lhs != rhs:
-                    rep.add("compositor-naturality", (g1, g2, f))
-
-    e = g.identity
-    for gamma in g.elements():
-        for x in c.objects():
-            rep.tick("unit-triangle", 2)
-            if not c.is_identity(w.compositor[e][gamma][x]):
-                rep.add("unit-triangle", (e, gamma, x))
-            if not c.is_identity(w.compositor[gamma][e][x]):
-                rep.add("unit-triangle", (gamma, e, x))
-
-    for f1 in g.elements():
-        for g1 in g.elements():
-            f1g1 = g.table[f1][g1]
-            for h1 in g.elements():
-                g1h1 = g.table[g1][h1]
-                for x in c.objects():
-                    rep.tick("pentagon")
-                    lhs = comp.get(
-                        (w.compositor[f1g1][h1][x], w.compositor[f1][g1][a.act_obj[h1][x]])
-                    )
-                    rhs = comp.get(
-                        (w.compositor[f1][g1h1][x], a.on_mor(f1, w.compositor[g1][h1][x]))
-                    )
-                    if lhs is None or lhs != rhs:
-                        rep.add("pentagon", (f1, g1, h1, x))
-    return rep
+    return run_laws(Report(cap=cap), "pentagon", coherence_laws(w))

@@ -22,7 +22,12 @@ import json
 import sys
 from pathlib import Path
 
-from .action import adjoint_action, trivial_strict_action, validate_strict_action
+from .action import (
+    adjoint_action,
+    strict_action_laws,
+    trivial_strict_action,
+    validate_strict_action,
+)
 from .errors import InvalidAction, UsageError, XmodcatError
 from .fincat import terminal_category
 from .gridlang import (
@@ -34,7 +39,6 @@ from .gridlang import (
 )
 from .groups import small_group_catalog
 from .quintet import evaluate_grid
-from .report import Report
 from .serialize import (
     FixtureFormatError,
     action_to_obj,
@@ -48,7 +52,7 @@ from .serialize import (
     write_json,
     xmod_to_obj,
 )
-from .suites import ACTION_LAWS, SUITES, law_lines, run_all
+from .suites import SUITES, LawLine, law_lines, run_all
 from .transform import (
     build_transformation_double,
     double_to_obj,
@@ -57,7 +61,7 @@ from .transform import (
     transpose_views,
     vertical_2category,
 )
-from .xmod import fixture_catalog, validate_crossed_module, xm_peiffer_broken
+from .xmod import crossed_module_laws, fixture_catalog, validate_crossed_module, xm_peiffer_broken
 
 BUILTIN_GROUPS = dict(small_group_catalog())
 BUILTIN_XMODS = dict(fixture_catalog())
@@ -137,37 +141,28 @@ def _load_verb_action(args):
 # --- verbs -------------------------------------------------------------------
 
 def cmd_validate(args, out: _Out) -> int:
-    kind = args.kind
     try:
-        if kind == "group":
+        if args.kind == "group":
             _resolve_group(args.path)
-            rep = Report()
-            rep.tick("group-tables")
-            for line in law_lines("validate", rep, ["group-tables"]):
-                out.law(line)
-        elif kind == "xmod":
-            xm = _resolve_xmod(args.path)
-            rep = validate_crossed_module(xm)
-            for line in law_lines("validate", rep, ["equivariance", "peiffer"]):
-                out.law(line)
-        elif kind == "category":
+            lines = [LawLine("validate", "group-tables", "pass", 1)]
+        elif args.kind == "category":
             _resolve_category(args.path)
-            rep = Report()
-            rep.tick("category-tables")
-            for line in law_lines("validate", rep, ["category-tables"]):
-                out.law(line)
-        elif kind == "action":
+            lines = [LawLine("validate", "category-tables", "pass", 1)]
+        elif args.kind == "xmod":
+            xm = _resolve_xmod(args.path)
+            names = [law.name for law in crossed_module_laws(xm)]
+            lines = law_lines("validate", validate_crossed_module(xm), names)
+        else:  # action: argparse restricts the choices
             act = _load_verb_action(args)
-            rep = validate_strict_action(act)
-            for line in law_lines("validate", rep, ACTION_LAWS):
-                out.law(line)
-        else:  # pragma: no cover - argparse restricts choices
-            raise FixtureFormatError(f"unknown kind {kind}")
+            names = [law.name for law in strict_action_laws(act)]
+            lines = law_lines("validate", validate_strict_action(act), names)
     except XmodcatError as exc:
         if isinstance(exc, (FixtureFormatError, DslError, UsageError)):
             raise
         out.error(exc)
         return 1
+    for line in lines:
+        out.law(line)
     return 1 if out.failed else 0
 
 

@@ -18,7 +18,8 @@ from .errors import (
     NotComposable,
     TypeMismatch,
 )
-from .report import DEFAULT_CAP, Report
+from .groups import is_index
+from .report import DEFAULT_CAP, Law, Report, holds, list_law, product_law, run_laws
 
 
 class FiniteCategory:
@@ -84,23 +85,23 @@ def category_from_tables(n_objects, morphisms, identity, comp) -> FiniteCategory
     src = tuple(s for s, _ in morphisms)
     tgt = tuple(t for _, t in morphisms)
     n_mor = len(src)
-    if n_objects < 0:
-        raise MalformedTable("negative object count")
+    if type(n_objects) is not int or n_objects < 0:
+        raise MalformedTable(f"object count {n_objects!r} is not a non-negative int")
     for f in range(n_mor):
-        if not (0 <= src[f] < n_objects and 0 <= tgt[f] < n_objects):
+        if not (is_index(src[f], n_objects) and is_index(tgt[f], n_objects)):
             raise MalformedTable(f"morphism {f} has endpoints out of range")
     identity = tuple(identity)
     if len(identity) != n_objects:
         raise MalformedTable("identity table length must equal object count")
     for x, i in enumerate(identity):
-        if not 0 <= i < n_mor:
+        if not is_index(i, n_mor):
             raise MalformedTable(f"identity[{x}] out of range")
         if src[i] != x or tgt[i] != x:
             raise TypeMismatch(f"identity[{x}] = {i} is not an endomorphism of {x}")
 
     table: dict[tuple[int, int], int] = {}
     for g, f, r in comp:
-        if not (0 <= g < n_mor and 0 <= f < n_mor and 0 <= r < n_mor):
+        if not (is_index(g, n_mor) and is_index(f, n_mor) and is_index(r, n_mor)):
             raise MalformedTable(f"composition entry ({g},{f},{r}) out of range")
         if (g, f) in table and table[(g, f)] != r:
             raise MalformedTable(f"conflicting entries for composite ({g},{f})")
@@ -178,27 +179,29 @@ def functor_compose(g: Functor, f: Functor) -> Functor:
     )
 
 
+def functor_laws(fun: Functor) -> list[Law]:
+    """Typing on every morphism, identities on every object, composition on
+    every composable pair."""
+    c, d, om, mm = fun.source, fun.target, fun.obj_map, fun.mor_map
+
+    def typed(f) -> bool:
+        ff = mm[f]
+        return d.src[ff] == om[c.src[f]] and d.tgt[ff] == om[c.tgt[f]]
+
+    return [
+        product_law("typing", holds(typed), c.morphisms()),
+        product_law("identities", holds(lambda x: mm[c.identity[x]] == d.identity[om[x]]), c.objects()),
+        list_law(
+            "composition", holds(lambda g, f: mm[c.comp[(g, f)]] == d.comp.get((mm[g], mm[f]))),
+            list(c.composable_pairs()),
+        ),
+    ]
+
+
 def validate_functor(fun: Functor, cap: int = DEFAULT_CAP) -> Report:
-    rep = Report(cap=cap)
-    c, d = fun.source, fun.target
-    if len(fun.obj_map) != c.n_objects or len(fun.mor_map) != c.n_morphisms:
+    if len(fun.obj_map) != fun.source.n_objects or len(fun.mor_map) != fun.source.n_morphisms:
         raise MalformedTable("functor tables have the wrong lengths")
-    for f in c.morphisms():
-        rep.tick("typing")
-        ff = fun.mor_map[f]
-        if d.src[ff] != fun.obj_map[c.src[f]] or d.tgt[ff] != fun.obj_map[c.tgt[f]]:
-            rep.add("typing", (f,))
-    for x in c.objects():
-        rep.tick("identities")
-        if fun.mor_map[c.identity[x]] != d.identity[fun.obj_map[x]]:
-            rep.add("identities", (x,))
-    for g, f in c.composable_pairs():
-        rep.tick("composition")
-        lhs = fun.mor_map[c.comp[(g, f)]]
-        rhs = d.comp.get((fun.mor_map[g], fun.mor_map[f]))
-        if lhs != rhs:
-            rep.add("composition", (g, f))
-    return rep
+    return run_laws(Report(cap=cap), "functor", functor_laws(fun))
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,23 +216,28 @@ class NatTrans:
         return self.components[x]
 
 
+def nat_trans_laws(t: NatTrans) -> list[Law]:
+    """Typing of every component, then naturality on every morphism; a
+    transformation with an ill-typed component has no naturality instances."""
+    c, d = t.source.source, t.source.target
+    comps, s, u = t.components, t.source, t.target
+
+    def typed(x) -> bool:
+        a = comps[x]
+        return d.src[a] == s.obj_map[x] and d.tgt[a] == u.obj_map[x]
+
+    def natural(f) -> bool:
+        lhs = d.comp.get((comps[c.tgt[f]], s.mor_map[f]))
+        return lhs is not None and lhs == d.comp.get((u.mor_map[f], comps[c.src[f]]))
+
+    natural_space = c.morphisms() if all(map(typed, c.objects())) else ()
+    return [
+        product_law("component-typing", holds(typed), c.objects()),
+        product_law("naturality", holds(natural), natural_space),
+    ]
+
+
 def validate_nat_trans(t: NatTrans, cap: int = DEFAULT_CAP) -> Report:
     if t.source.source != t.target.source or t.source.target != t.target.target:
         raise MixedStructures("natural transformation needs parallel functors")
-    rep = Report(cap=cap)
-    c, d = t.source.source, t.source.target
-    for x in c.objects():
-        rep.tick("component-typing")
-        a = t.components[x]
-        if d.src[a] != t.source.obj_map[x] or d.tgt[a] != t.target.obj_map[x]:
-            rep.add("component-typing", (x,))
-    if not rep.ok:
-        return rep
-    for f in c.morphisms():
-        rep.tick("naturality")
-        x, y = c.src[f], c.tgt[f]
-        lhs = d.comp.get((t.components[y], t.source.mor_map[f]))
-        rhs = d.comp.get((t.target.mor_map[f], t.components[x]))
-        if lhs is None or lhs != rhs:
-            rep.add("naturality", (f,))
-    return rep
+    return run_laws(Report(cap=cap), "nat-trans", nat_trans_laws(t))

@@ -18,7 +18,12 @@ from .errors import (
     NoIdentity,
     NonAssociative,
 )
-from .report import DEFAULT_CAP, Report
+from .report import DEFAULT_CAP, Law, Report, holds, product_law, run_laws
+
+
+def is_index(v, n: int) -> bool:
+    """v is an int, not a bool, in range(n): a valid entry of an n-row table."""
+    return type(v) is int and 0 <= v < n
 
 
 @dataclass(frozen=True)
@@ -86,7 +91,7 @@ def group_from_table(
         if len(row) != n:
             raise MalformedTable(f"row {i} has length {len(row)}, expected {n}")
         for j, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < n:
+            if not is_index(v, n):
                 raise MalformedTable(f"entry [{i}][{j}] = {v!r} out of range")
 
     if identity is None:
@@ -97,7 +102,7 @@ def group_from_table(
         if identity < 0:
             raise NoIdentity("no two-sided identity present")
     else:
-        if not 0 <= identity < n:
+        if not is_index(identity, n):
             raise NoIdentity(f"identity index {identity} out of range")
         for x in range(n):
             if rows[identity][x] != x or rows[x][identity] != x:
@@ -222,21 +227,21 @@ def make_homomorphism(source: FiniteGroup, target: FiniteGroup, mapping) -> Homo
     if len(m) != source.order:
         raise MalformedTable(f"map has length {len(m)}, expected {source.order}")
     for a, v in enumerate(m):
-        if not 0 <= v < target.order:
-            raise MalformedTable(f"map[{a}] = {v} out of range")
+        if not is_index(v, target.order):
+            raise MalformedTable(f"map[{a}] = {v!r} out of range")
     return Homomorphism(source, target, m)
 
 
-def validate_homomorphism(f: Homomorphism, cap: int = DEFAULT_CAP) -> Report:
-    """Check f(a*b) = f(a)*f(b) on every pair; witnesses are the pairs."""
-    rep = Report(cap=cap)
+def homomorphism_laws(f: Homomorphism) -> list[Law]:
+    """f(a*b) = f(a)*f(b) on every pair; witnesses are the pairs."""
     src, tgt, m = f.source, f.target, f.map
-    for a in src.elements():
-        for b in src.elements():
-            rep.tick("homomorphism")
-            if m[src.table[a][b]] != tgt.table[m[a]][m[b]]:
-                rep.add("homomorphism", (a, b))
-    return rep
+    hom = holds(lambda a, b: m[src.table[a][b]] == tgt.table[m[a]][m[b]])
+    return [product_law("homomorphism", hom, src.elements(), src.elements())]
+
+
+def validate_homomorphism(f: Homomorphism, cap: int = DEFAULT_CAP) -> Report:
+    """Check every law of homomorphism_laws on every instance."""
+    return run_laws(Report(cap=cap), "homomorphism", homomorphism_laws(f))
 
 
 def identity_homomorphism(g: FiniteGroup) -> Homomorphism:
@@ -272,37 +277,39 @@ def make_action(actor: FiniteGroup, space: FiniteGroup, table) -> GroupAction:
         if len(row) != space.order:
             raise MalformedTable(f"action row {g} has length {len(row)}")
         for h, v in enumerate(row):
-            if not 0 <= v < space.order:
-                raise MalformedTable(f"action[{g}][{h}] = {v} out of range")
+            if not is_index(v, space.order):
+                raise MalformedTable(f"action[{g}][{h}] = {v!r} out of range")
     return GroupAction(actor, space, rows)
 
 
-def validate_automorphism_action(a: GroupAction, cap: int = DEFAULT_CAP) -> Report:
+def automorphism_action_laws(a: GroupAction) -> list[Law]:
     """Every row bijective and multiplicative; rows compose like the actor."""
-    rep = Report(cap=cap)
     gt, st, t = a.actor, a.space, a.table
-    for g in gt.elements():
+    gs, hs = gt.elements(), st.elements()
+
+    def bijective(insts, fail) -> None:
+        for (g,) in insts:
+            if len(set(t[g])) != st.order:
+                fail((g,), "row is not a permutation")
+
+    def respects_product(g, h1, h2) -> bool:
         row = t[g]
-        rep.tick("bijective")
-        if len(set(row)) != st.order:
-            rep.add("bijective", (g,), "row is not a permutation")
-        for h1 in st.elements():
-            for h2 in st.elements():
-                rep.tick("respects-product")
-                if row[st.table[h1][h2]] != st.table[row[h1]][row[h2]]:
-                    rep.add("respects-product", (g, h1, h2))
-    for h in st.elements():
-        rep.tick("unit")
-        if t[gt.identity][h] != h:
-            rep.add("unit", (h,))
-    for g1 in gt.elements():
-        for g2 in gt.elements():
-            g12 = gt.table[g1][g2]
-            for h in st.elements():
-                rep.tick("composition")
-                if t[g12][h] != t[g1][t[g2][h]]:
-                    rep.add("composition", (g1, g2, h))
-    return rep
+        return row[st.table[h1][h2]] == st.table[row[h1]][row[h2]]
+
+    return [
+        product_law("bijective", bijective, gs),
+        product_law("respects-product", holds(respects_product), gs, hs, hs),
+        product_law("unit", holds(lambda h: t[gt.identity][h] == h), hs),
+        product_law(
+            "composition", holds(lambda g1, g2, h: t[gt.table[g1][g2]][h] == t[g1][t[g2][h]]),
+            gs, gs, hs,
+        ),
+    ]
+
+
+def validate_automorphism_action(a: GroupAction, cap: int = DEFAULT_CAP) -> Report:
+    """Check every law of automorphism_action_laws on every instance."""
+    return run_laws(Report(cap=cap), "automorphism-action", automorphism_action_laws(a))
 
 
 def conjugation_action(g: FiniteGroup) -> GroupAction:

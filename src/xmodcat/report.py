@@ -16,8 +16,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import product
-from typing import Callable, Iterable
+from itertools import accumulate, groupby, product
+from typing import Callable, Iterable, Sequence
 
 DEFAULT_CAP = 100
 
@@ -69,7 +69,8 @@ class Report:
         self.violations.append(Violation(law, witness, detail))
 
     def tick(self, law: str, n: int = 1) -> None:
-        self.instances[law] = self.instances.get(law, 0) + n
+        if n:  # a law with no instances checked gets no entry
+            self.instances[law] = self.instances.get(law, 0) + n
 
     def __str__(self) -> str:
         if self.ok:
@@ -106,6 +107,57 @@ def product_law(name: str, check, *coords) -> Law:
         lambda rng: tuple(rng.choice(c) for c in coords),
         check,
     )
+
+
+def holds(pred: Callable[..., bool]) -> Callable[[Iterable, Callable], None]:
+    """The check that fails each instance t, its own witness, where pred(*t)
+    is false."""
+
+    def check(insts, fail) -> None:
+        for t in insts:
+            if not pred(*t):
+                fail(t)
+
+    return check
+
+
+def list_law(name: str, check, insts: Sequence[tuple]) -> Law:
+    """A law over the given tuples, in their order."""
+    return Law(name, len(insts), lambda: iter(insts), lambda rng: rng.choice(insts), check)
+
+
+def indexed_laws(prefix: str, keys: Iterable[tuple], laws_of) -> list[Law]:
+    """The laws of a family of structures, one per law of laws_of(*key): law
+    `name` becomes prefix + name over the instances key + i, for each key in
+    turn and i an instance of that key's law, and a witness w becomes key + w.
+    Every laws_of(*key) must declare the same laws in the same order."""
+    members = [(key, laws_of(*key)) for key in keys]
+    if not members:
+        return []
+    width = len(members[0][0])
+
+    def law(k: int) -> Law:
+        family = [(key, laws[k]) for key, laws in members]
+        by_key = dict(family)
+        cum = list(accumulate(m.size for _, m in family))
+
+        def instances():
+            return (key + i for key, m in family for i in m.instances())
+
+        def draw(rng):  # uniform over the union: a key weighted by its size
+            key, m = rng.choices(family, cum_weights=cum)[0]
+            return key + m.draw(rng)
+
+        def check(insts, fail) -> None:
+            for key, group in groupby(insts, lambda i: i[:width]):
+                by_key[key].check(
+                    (i[width:] for i in group),
+                    lambda w, detail="": fail(key + w, detail),
+                )
+
+        return Law(prefix + family[0][1].name, cum[-1], instances, draw, check)
+
+    return [law(k) for k in range(len(members[0][1]))]
 
 
 def run_laws(

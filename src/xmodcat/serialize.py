@@ -22,7 +22,7 @@ from pathlib import Path
 from .action import StrictAction, make_strict_action
 from .errors import XmodcatError
 from .fincat import FiniteCategory, category_from_tables
-from .groups import FiniteGroup, group_from_table, make_action, make_homomorphism
+from .groups import FiniteGroup, group_from_table, is_index, make_action, make_homomorphism
 from .xmod import CrossedModule, make_crossed_module
 
 
@@ -157,10 +157,10 @@ def action_from_obj(obj, base: Path | None = None, where: str = "action") -> Str
             raise FixtureFormatError(
                 f"{where}: actMor entries must be [[gamma, chi], [f], result]"
             ) from exc
-        if not (0 <= gamma < xm.g.order and 0 <= chi < xm.h.order):
+        if not (is_index(gamma, xm.g.order) and is_index(chi, xm.h.order)):
             raise FixtureFormatError(f"{where}: pair {(gamma, chi)} out of range")
-        if not (0 <= f < cat.n_morphisms and 0 <= result < cat.n_morphisms):
-            raise FixtureFormatError(f"{where}: morphism index out of range")
+        if not (is_index(f, cat.n_morphisms) and is_index(result, cat.n_morphisms)):
+            raise FixtureFormatError(f"{where}: morphism index {(f, result)} out of range")
         table[xm.pair_index(gamma, chi)][f] = result
     for p, row in enumerate(table):
         for f, v in enumerate(row):

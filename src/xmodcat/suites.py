@@ -2,9 +2,9 @@
 
 Each suite checks a family of laws and returns one LawLine per law, in a
 fixed order, so two runs with the same inputs and seed produce identical
-output. The laws of this module and of transform.py go through
-report.run_laws, which enumerates a law whose instance space fits in
-`max_exhaustive` and otherwise draws `samples` seeded random instances.
+output. Every law goes through report.run_laws, which enumerates a law
+whose instance space fits in `max_exhaustive` and otherwise draws `samples`
+seeded random instances.
 """
 
 from __future__ import annotations
@@ -14,12 +14,7 @@ from functools import partial
 from itertools import product
 
 from . import catgroup
-from .action import (
-    StrictAction,
-    check_compositor_coherence,
-    identity_compositor,
-    validate_strict_action,
-)
+from .action import StrictAction, coherence_laws, identity_compositor, strict_action_laws
 from .catgroup import Mor2G, mor_of
 from .errors import XmodcatError
 from .quintet import (
@@ -36,7 +31,7 @@ from .quintet import (
     square_from_edges,
     v_identity,
 )
-from .groups import validate_automorphism_action, validate_homomorphism
+from .groups import automorphism_action_laws, homomorphism_laws
 from .report import Law, Report, product_law, run_laws
 from .transform import (
     TransDoubleCat,
@@ -48,7 +43,7 @@ from .transform import (
     transpose_laws,
     vertical_2category,
 )
-from .xmod import validate_crossed_module
+from .xmod import crossed_module_laws
 
 
 @dataclass(frozen=True)
@@ -79,9 +74,9 @@ class LawLine:
 
 def law_lines(suite: str, rep: Report, laws: list[str]) -> list[LawLine]:
     """One line per law with its own instance and violation counts; a law
-    with no instances is a skip. Laws outside the list follow, sorted."""
+    with no instances is a skip."""
     out = []
-    for law in laws + sorted({v.law for v in rep.violations} - set(laws)):
+    for law in laws:
         n = rep.instances.get(law, 0)
         found = rep.count(law)
         if found:
@@ -98,27 +93,31 @@ def skip_lines(suite: str, laws: list[str], why: str) -> list[LawLine]:
     return [LawLine(suite, law, "skip", 0, detail=why) for law in laws]
 
 
+def run_lines(suite, laws, samples, seed, max_exhaustive) -> list[LawLine]:
+    """Run the laws through run_laws, one line per law."""
+    rep = run_laws(Report(), suite, laws, samples, seed, max_exhaustive)
+    return law_lines(suite, rep, [law.name for law in laws])
+
+
 def run_suite(suite, laws_of, act, samples, seed, max_exhaustive) -> list[LawLine]:
     """Run laws_of(d), d the action's double category, through run_laws."""
     laws = laws_of(build_transformation_double(act, validate=False))
-    rep = run_laws(Report(), suite, laws, samples, seed, max_exhaustive)
-    return law_lines(suite, rep, [law.name for law in laws])
+    return run_lines(suite, laws, samples, seed, max_exhaustive)
 
 
 # --- crossed module ---------------------------------------------------------
 
 
 def suite_xmod(act, samples, seed, max_exhaustive) -> list[LawLine]:
+    """The laws of the boundary and the action, then the two axioms unless
+    one of those failed."""
     xm = act.xm
-    rep_h = validate_homomorphism(xm.boundary)
-    rep_a = validate_automorphism_action(xm.action)
-    out = law_lines("xmod", rep_h, ["homomorphism"])
-    out += law_lines("xmod", rep_a, ["bijective", "respects-product", "unit", "composition"])
-    if rep_h.ok and rep_a.ok:
-        out += law_lines("xmod", validate_crossed_module(xm), ["equivariance", "peiffer"])
-    else:
-        out += skip_lines("xmod", ["equivariance", "peiffer"], "components invalid")
-    return out
+    components = homomorphism_laws(xm.boundary) + automorphism_action_laws(xm.action)
+    out = run_lines("xmod", components, samples, seed, max_exhaustive)
+    axioms = crossed_module_laws(xm)
+    if any(line.status == "fail" for line in out):
+        return out + skip_lines("xmod", [law.name for law in axioms], "components invalid")
+    return out + run_lines("xmod", axioms, samples, seed, max_exhaustive)
 
 
 # --- categorical group ------------------------------------------------------
@@ -295,18 +294,8 @@ def quintet_laws(d: TransDoubleCat) -> list[Law]:
 
 # --- strict action, both presentations --------------------------------------
 
-ACTION_LAWS = [
-    "endofunctor-typing", "endofunctor-identities", "endofunctor-composition",
-    "transformation-component-typing", "transformation-naturality",
-    "component-stacking", "unit-component", "translation-composition",
-    "component-product", "pair-typing", "pair-functoriality", "pair-identity",
-    "object-associativity", "morphism-associativity", "unit-object",
-    "unit-morphism", "whisker-agreement",
-]
-
-
-def suite_action(act, samples, seed, max_exhaustive) -> list[LawLine]:
-    return law_lines("action", validate_strict_action(act), ACTION_LAWS)
+def action_laws(d: TransDoubleCat) -> list[Law]:
+    return strict_action_laws(d.act)
 
 
 # --- adjoint oracle: morphism action as a five-square row -------------------
@@ -485,15 +474,8 @@ def v2_laws(d: TransDoubleCat) -> list[Law]:
 
 # --- coherence of the identity compositor ------------------------------------
 
-PENTAGON_LAWS = [
-    "compositor-typing", "compositor-invertible", "compositor-naturality",
-    "unit-triangle", "pentagon",
-]
-
-
-def suite_pentagon(act, samples, seed, max_exhaustive) -> list[LawLine]:
-    rep = check_compositor_coherence(identity_compositor(act))
-    return law_lines("pentagon", rep, PENTAGON_LAWS)
+def pentagon_laws(d: TransDoubleCat) -> list[Law]:
+    return coherence_laws(identity_compositor(d.act))
 
 
 # --- registry ----------------------------------------------------------------
@@ -502,14 +484,14 @@ SUITES: list[tuple[str, object]] = [
     ("xmod", suite_xmod),
     ("catgroup", partial(run_suite, "catgroup", catgroup_laws)),
     ("quintet", partial(run_suite, "quintet", quintet_laws)),
-    ("action", suite_action),
+    ("action", partial(run_suite, "action", action_laws)),
     ("adjoint-oracle", suite_adjoint_oracle),
     ("double", partial(run_suite, "double", double_laws)),
     ("transpose", partial(run_suite, "transpose", transpose_laws)),
     ("nested", partial(run_suite, "nested", nested_suite_laws)),
     ("h2cat", partial(run_suite, "h2cat", h2_laws)),
     ("v2cat", partial(run_suite, "v2cat", v2_laws)),
-    ("pentagon", suite_pentagon),
+    ("pentagon", partial(run_suite, "pentagon", pentagon_laws)),
 ]
 
 

@@ -33,7 +33,7 @@ from .groups import (
     validate_automorphism_action,
     validate_homomorphism,
 )
-from .report import DEFAULT_CAP, Report
+from .report import DEFAULT_CAP, Law, Report, holds, product_law, run_laws
 
 
 @dataclass(frozen=True)
@@ -87,6 +87,21 @@ def make_crossed_module(
     return CrossedModule(g, h, boundary, action)
 
 
+def crossed_module_laws(xm: CrossedModule) -> list[Law]:
+    """Equivariance on every (g, h), peiffer on every (h, h')."""
+    g, h, bnd, act = xm.g, xm.h, xm.boundary.map, xm.action.table
+    return [
+        product_law(
+            "equivariance", holds(lambda a, e: bnd[act[a][e]] == g.conj(a, bnd[e])),
+            g.elements(), h.elements(),
+        ),
+        product_law(
+            "peiffer", holds(lambda e1, e2: act[bnd[e1]][e2] == h.conj(e1, e2)),
+            h.elements(), h.elements(),
+        ),
+    ]
+
+
 def validate_crossed_module(xm: CrossedModule, cap: int = DEFAULT_CAP) -> Report:
     """Report every equivariance/peiffer failure, up to the cap.
 
@@ -99,20 +114,7 @@ def validate_crossed_module(xm: CrossedModule, cap: int = DEFAULT_CAP) -> Report
     arep = validate_automorphism_action(xm.action)
     if not arep.ok:
         raise ComponentInvalid(f"action is not by automorphisms: {arep.violations[0]}")
-
-    rep = Report(cap=cap)
-    g, h, bnd, act = xm.g, xm.h, xm.boundary.map, xm.action.table
-    for a in g.elements():
-        for e in h.elements():
-            rep.tick("equivariance")
-            if bnd[act[a][e]] != g.conj(a, bnd[e]):
-                rep.add("equivariance", (a, e))
-    for e1 in h.elements():
-        for e2 in h.elements():
-            rep.tick("peiffer")
-            if act[bnd[e1]][e2] != h.conj(e1, e2):
-                rep.add("peiffer", (e1, e2))
-    return rep
+    return run_laws(Report(cap=cap), "xmod", crossed_module_laws(xm))
 
 
 def xmod_identity(g: FiniteGroup) -> CrossedModule:

@@ -6,7 +6,12 @@ from pathlib import Path
 
 import pytest
 
+from xmodcat.action import adjoint_action
 from xmodcat.cli import main
+from xmodcat.groups import automorphism_action_laws, homomorphism_laws
+from xmodcat.suites import action_laws, pentagon_laws
+from xmodcat.transform import build_transformation_double
+from xmodcat.xmod import crossed_module_laws, xm_sym3
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 MUTATED = FIXTURES / "actions" / "mutated.json"
@@ -221,11 +226,50 @@ class TestVerify:
         assert wide["interchange"]["checked"] == 300
         assert wide["interchange"] == narrow["interchange"]
 
+    def test_action_pentagon_and_xmod_laws_follow_the_budget(self, capsys):
+        d = build_transformation_double(adjoint_action(xm_sym3()), validate=False)
+        sizes = {("action", law.name): law.size for law in action_laws(d)}
+        sizes.update({("pentagon", law.name): law.size for law in pentagon_laws(d)})
+        xm = d.xm
+        xmod = homomorphism_laws(xm.boundary) + automorphism_action_laws(xm.action)
+        sizes.update({("xmod", law.name): law.size for law in xmod + crossed_module_laws(xm)})
+        code, out, _ = run_cli(
+            capsys, "verify", "--adjoint", "xm2", "--suite", "action", "--suite", "pentagon",
+            "--suite", "xmod", "--max-exhaustive", "0", "--samples", "50",
+        )
+        assert code == 0
+        checked = {(o["suite"], o["law"]): o["checked"] for o in law_objs(out)}
+        assert checked == {key: min(n, 50) for key, n in sizes.items()}
+        assert sizes[("action", "morphism-associativity")] == 46656
+        assert sizes[("pentagon", "unit-triangle")] == 72  # two per (gamma, x)
+
     def test_exhaustive_flag(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--adjoint", "xm3", "--exhaustive")
         assert code == 0
         log = json.loads(out.splitlines()[0])["log"]
         assert log["exhaustive"] is True
+
+
+class TestNonIntegerEntries:
+    """A table entry that is not an int is unusable input, even in range."""
+
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (lambda obj: obj["actMor"][0].__setitem__(2, 1.5), "FixtureFormatError"),
+            (lambda obj: obj["category"]["morphisms"][0].__setitem__("src", "0"), "MalformedTable"),
+            (lambda obj: obj["xmod"]["boundary"].__setitem__(0, 0.0), "MalformedTable"),
+        ],
+        ids=["actMor", "category-src", "xmod-boundary"],
+    )
+    def test_verify_exits_2_with_an_error_record(self, capsys, tmp_path, edit, error):
+        obj = json.loads((FIXTURES / "actions" / "adjoint_xm1.json").read_text())
+        edit(obj)
+        path = tmp_path / "action.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run_cli(capsys, "verify", str(path), "--suite", "double")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == error
 
 
 class TestEval:

@@ -3,16 +3,20 @@
 import random
 from itertools import product
 
-from xmodcat.report import Report, product_law, run_laws
+from xmodcat.groups import automorphism_action_laws, homomorphism_laws
+from xmodcat.report import Report, indexed_laws, product_law, run_laws
 from xmodcat.suites import (
+    action_laws,
     adjoint_laws,
     catgroup_laws,
     h2_laws,
     nested_suite_laws,
+    pentagon_laws,
     quintet_laws,
     v2_laws,
 )
 from xmodcat.transform import build_transformation_double, double_laws, transpose_laws
+from xmodcat.xmod import crossed_module_laws
 
 ENUMERABLE = 300_000  # largest space walked to count its instances
 DRAWN = 5_000  # largest space searched for each random draw
@@ -21,7 +25,13 @@ DRAWN = 5_000  # largest space searched for each random draw
 def declared_laws(act):
     """(builder, law) for every law the suites hand to run_laws."""
     d = build_transformation_double(act, validate=False)
+    xm = d.xm
     builders = {
+        "xmod": lambda d: (
+            homomorphism_laws(xm.boundary)
+            + automorphism_action_laws(xm.action)
+            + crossed_module_laws(xm)
+        ),
         "catgroup": catgroup_laws,
         "quintet": quintet_laws,
         "adjoint-oracle": adjoint_laws,
@@ -30,6 +40,8 @@ def declared_laws(act):
         "nested": nested_suite_laws,
         "h2cat": h2_laws,
         "v2cat": v2_laws,
+        "action": action_laws,
+        "pentagon": pentagon_laws,
     }
     return [(name, law) for name, laws_of in builders.items() for law in laws_of(d)]
 
@@ -92,3 +104,27 @@ def test_violations_are_counted_past_the_cap():
     assert rep.count("law") == 10
     assert [v.witness for v in rep.violations] == [(0,), (1,), (2,)]
     assert rep.capped and rep.checked == 10
+
+
+def test_indexed_laws_put_the_key_in_front_of_instances_and_witnesses():
+    def laws_of(k):
+        def odd(insts, fail):
+            for (i,) in insts:
+                if (k + i) % 2:
+                    fail((i,), "odd")
+
+        return [product_law("odd", odd, range(k))]
+
+    # key 0 has no instances, so it is never drawn either
+    (law,) = indexed_laws("sum-", product(range(4)), laws_of)
+    assert (law.name, law.size) == ("sum-odd", 6)
+    assert list(law.instances()) == [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
+    rep = run_laws(Report(), "suite", [law])
+    assert [v.witness for v in rep.violations] == [(1, 0), (2, 1), (3, 0), (3, 2)]
+    assert {v.detail for v in rep.violations} == {"odd"}
+
+    rng = random.Random(0)
+    assert {law.draw(rng) for _ in range(300)} == set(law.instances())
+    rep = run_laws(Report(), "suite", [law], samples=5, seed=2, max_exhaustive=0)
+    assert rep.instances == {"sum-odd": 5}
+    assert {v.witness for v in rep.violations} <= {(1, 0), (2, 1), (3, 0), (3, 2)}
