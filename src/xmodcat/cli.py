@@ -28,7 +28,7 @@ from .action import (
     trivial_strict_action,
     validate_strict_action,
 )
-from .errors import InvalidAction, UsageError, XmodcatError
+from .errors import InvalidAction, MalformedTable, UsageError, XmodcatError
 from .fincat import terminal_category
 from .gridlang import (
     DslError,
@@ -157,7 +157,9 @@ def cmd_validate(args, out: _Out) -> int:
             names = [law.name for law in strict_action_laws(act)]
             lines = law_lines("validate", validate_strict_action(act), names)
     except XmodcatError as exc:
-        if isinstance(exc, (FixtureFormatError, DslError, UsageError)):
+        # unusable input exits 2 through main; a law failure of the loaded
+        # structure is a validation failure and exits 1
+        if isinstance(exc, (FixtureFormatError, DslError, UsageError, MalformedTable)):
             raise
         out.error(exc)
         return 1

@@ -13,16 +13,36 @@ squares paste with compose_v(upper, lower) when upper.bottom == lower.top.
 Both directions have strict inverses and satisfy the interchange law, so a
 rectangular grid of adjacent squares has one well-defined value; see
 evaluate_grid.
+
+The arithmetic lives in one integer kernel, SquareKernel(xm), which reads
+the crossed module's g, h, action and boundary tables and works on plain
+(left, top, right, bottom, face) tuples. It holds the only copy of the forced
+bottom edge, the two pastings and the two inverses. Every square it pastes or
+inverts is re-checked against the boundary law by table lookups; on a
+mismatch it calls make_square, which raises the BoundaryViolation the checked
+layer would. It does not check adjacency: its callers do, wherever adjacency
+is not true by construction. Making one costs a few attribute reads, so a
+law loop makes one per crossed module and a checked call one per call.
+
+Quintet, make_square, square_from_edges, compose_h, compose_v, invert and
+evaluate_grid are the checked layer on top: they reject squares over
+different crossed modules and non-adjacent pastes, and return Quintets. The
+verification suite's law loops run on the kernel; its embed-compose law and
+the five-square-strip oracle go through the checked layer.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
+from itertools import product
 
 from .catgroup import Mor2G
 from .errors import BoundaryViolation, MixedStructures, NotAdjacent
 from .xmod import CrossedModule
+
+Square = tuple  # (left, top, right, bottom, face)
 
 
 @dataclass(frozen=True)
@@ -36,6 +56,9 @@ class Quintet:
 
     def edges(self) -> tuple[int, int, int, int]:
         return self.left, self.top, self.right, self.bottom
+
+    def as_tuple(self) -> Square:
+        return self.left, self.top, self.right, self.bottom, self.face
 
 
 def make_square(
@@ -57,6 +80,73 @@ def make_square(
     return Quintet(xm, left, top, right, bottom, face)
 
 
+# --- the integer kernel -----------------------------------------------------
+
+
+class SquareKernel:
+    """Square arithmetic on plain (left, top, right, bottom, face) tuples over
+    one crossed module, read straight from its g, h, action and boundary
+    tables. hcomp(a, b) needs a.right == b.left and vcomp(upper, lower)
+    needs upper.bottom == lower.top; neither checks it."""
+
+    __slots__ = ("xm", "gt", "gi", "ht", "hi", "act", "bnd")
+
+    def __init__(self, xm: CrossedModule):
+        self.xm = xm
+        self.gt, self.gi, self.ht, self.hi = xm.g.table, xm.g.inverse, xm.h.table, xm.h.inverse
+        self.act, self.bnd = xm.action.table, xm.boundary.map
+
+    def checked(self, sq: Square) -> Square:
+        """sq, once it satisfies the boundary law; else make_square raises."""
+        gt, gi = self.gt, self.gi
+        left, top, right, bottom, face = sq
+        if self.bnd[face] != gt[gt[gt[bottom][right]][gi[top]]][gi[left]]:
+            make_square(self.xm, *sq)  # raises the checked layer's BoundaryViolation
+        return sq
+
+    def square(self, left: int, top: int, right: int, face: int) -> Square:
+        """The square with these edges and face: bottom = bnd(face) * left * top * right^-1."""
+        gt = self.gt
+        return left, top, right, gt[gt[gt[self.bnd[face]][left]][top]][self.gi[right]], face
+
+    def hcomp(self, a: Square, b: Square) -> Square:
+        """b pasted right of a; face a.face * ((a.left * a.top * a.right^-1) |> b.face)."""
+        gt = self.gt
+        left, top, right, bottom, face = a
+        w = gt[gt[left][top]][self.gi[right]]
+        return self.checked(
+            (left, gt[top][b[1]], b[2], gt[bottom][b[3]], self.ht[face][self.act[w][b[4]]])
+        )
+
+    def vcomp(self, upper: Square, lower: Square) -> Square:
+        """lower pasted under upper; face lower.face * (lower.left |> upper.face)."""
+        gt = self.gt
+        left, top, right, bottom, face = lower
+        return self.checked((
+            gt[left][upper[0]], upper[1], gt[right][upper[2]], bottom,
+            self.ht[face][self.act[left][upper[4]]],
+        ))
+
+    def hinv(self, sq: Square) -> Square:
+        """The inverse of sq under hcomp."""
+        left, top, right, bottom, face = sq
+        w = self.gi[bottom]
+        return self.checked((right, self.gi[top], left, w, self.act[w][self.hi[face]]))
+
+    def vinv(self, sq: Square) -> Square:
+        """The inverse of sq under vcomp."""
+        left, top, right, bottom, face = sq
+        w = self.gi[left]
+        return self.checked((w, bottom, self.gi[right], top, self.act[w][self.hi[face]]))
+
+    def hface_alt(self, a: Square, b: Square) -> int:
+        """The face of hcomp(a, b) by the other formula, (a.bottom |> b.face) * a.face."""
+        return self.ht[self.act[a[3]][b[4]]][a[4]]
+
+
+# --- the checked layer ------------------------------------------------------
+
+
 def square_from_edges(
     xm: CrossedModule, left: int, top: int, right: int, face: int
 ) -> Quintet:
@@ -64,9 +154,7 @@ def square_from_edges(
 
     The bottom edge is forced: bottom = bnd(face) * left * top * right^-1.
     """
-    g = xm.g
-    bottom = g.prod(xm.bnd(face), left, top, g.inverse[right])
-    return Quintet(xm, left, top, right, bottom, face)
+    return Quintet(xm, *SquareKernel(xm).square(left, top, right, face))
 
 
 def h_identity(xm: CrossedModule, edge: int) -> Quintet:
@@ -81,71 +169,49 @@ def v_identity(xm: CrossedModule, edge: int) -> Quintet:
     return Quintet(xm, e, edge, e, edge, xm.h.identity)
 
 
-def _same_xm(a: Quintet, b: Quintet) -> CrossedModule:
-    if a.xm != b.xm:
+def _same_xm(xa: CrossedModule, xb: CrossedModule) -> CrossedModule:
+    if xa is not xb and xa != xb:
         raise MixedStructures("squares over different crossed modules")
-    return a.xm
+    return xa
+
+
+def _paste_h(k: SquareKernel, a: Square, b: Square) -> Square:
+    if a[2] != b[0]:
+        raise NotAdjacent(f"a.right={a[2]} but b.left={b[0]}")
+    return k.hcomp(a, b)
+
+
+def _paste_v(k: SquareKernel, upper: Square, lower: Square) -> Square:
+    if upper[3] != lower[1]:
+        raise NotAdjacent(f"upper.bottom={upper[3]} but lower.top={lower[1]}")
+    return k.vcomp(upper, lower)
 
 
 def compose_h(a: Quintet, b: Quintet) -> Quintet:
-    """Paste b to the right of a; requires a.right == b.left.
-
-    The face is a.face * ((a.left * a.top * a.right^-1) |> b.face).
-    """
-    xm = _same_xm(a, b)
-    if a.right != b.left:
-        raise NotAdjacent(f"a.right={a.right} but b.left={b.left}")
-    g, h = xm.g, xm.h
-    w = g.prod(a.left, a.top, g.inverse[a.right])
-    return make_square(
-        xm,
-        a.left,
-        g.table[a.top][b.top],
-        b.right,
-        g.table[a.bottom][b.bottom],
-        h.table[a.face][xm.act(w, b.face)],
-    )
+    """Paste b to the right of a; requires a.right == b.left."""
+    xm = _same_xm(a.xm, b.xm)
+    return Quintet(xm, *_paste_h(SquareKernel(xm), a.as_tuple(), b.as_tuple()))
 
 
 def compose_h_face_alt(a: Quintet, b: Quintet) -> int:
     """Equivalent face formula (a.bottom |> b.face) * a.face, for cross-checks."""
-    xm = _same_xm(a, b)
-    return xm.h.table[xm.act(a.bottom, b.face)][a.face]
+    xm = _same_xm(a.xm, b.xm)
+    return SquareKernel(xm).hface_alt(a.as_tuple(), b.as_tuple())
 
 
 def compose_v(upper: Quintet, lower: Quintet) -> Quintet:
-    """Paste lower underneath upper; requires upper.bottom == lower.top.
-
-    The face is lower.face * (lower.left |> upper.face).
-    """
-    xm = _same_xm(upper, lower)
-    if upper.bottom != lower.top:
-        raise NotAdjacent(f"upper.bottom={upper.bottom} but lower.top={lower.top}")
-    g, h = xm.g, xm.h
-    return make_square(
-        xm,
-        g.table[lower.left][upper.left],
-        upper.top,
-        g.table[lower.right][upper.right],
-        lower.bottom,
-        h.table[lower.face][xm.act(lower.left, upper.face)],
-    )
+    """Paste lower underneath upper; requires upper.bottom == lower.top."""
+    xm = _same_xm(upper.xm, lower.xm)
+    return Quintet(xm, *_paste_v(SquareKernel(xm), upper.as_tuple(), lower.as_tuple()))
 
 
 def invert(sq: Quintet, axis: str) -> Quintet:
     """Inverse square along "horizontal" or "vertical" (aliases "h"/"v")."""
-    xm = sq.xm
-    g, h = xm.g, xm.h
+    k = SquareKernel(sq.xm)
     if axis in ("h", "horizontal"):
-        w = g.inverse[sq.bottom]
-        return make_square(
-            xm, sq.right, g.inverse[sq.top], sq.left, w, xm.act(w, h.inverse[sq.face])
-        )
+        return Quintet(sq.xm, *k.hinv(sq.as_tuple()))
     if axis in ("v", "vertical"):
-        w = g.inverse[sq.left]
-        return make_square(
-            xm, w, sq.bottom, g.inverse[sq.right], sq.top, xm.act(w, h.inverse[sq.face])
-        )
+        return Quintet(sq.xm, *k.vinv(sq.as_tuple()))
     raise ValueError(f"unknown axis {axis!r}")
 
 
@@ -218,42 +284,33 @@ def evaluate_grid(grid: QuintetGrid, order: str = "rows") -> Quintet:
 
     order="rows" folds each row left-to-right, then the row results top to
     bottom; order="columns" folds each column first. The interchange law
-    makes both orders agree, which the verification suite exercises.
+    makes both orders agree, which the verification suite exercises. Each
+    paste makes compose_h's or compose_v's checks, so a grid built without
+    make_grid still raises MixedStructures or NotAdjacent.
     """
+    k = SquareKernel(grid.xm)
+
+    def h(a, b):  # on (crossed module, square) pairs, as compose_h
+        return _same_xm(a[0], b[0]), _paste_h(k, a[1], b[1])
+
+    def v(upper, lower):  # as compose_v
+        return _same_xm(upper[0], lower[0]), _paste_v(k, upper[1], lower[1])
+
+    cells = [tuple((sq.xm, sq.as_tuple()) for sq in row) for row in grid.cells]
     if order == "rows":
-        strips = []
-        for row in grid.cells:
-            acc = row[0]
-            for sq in row[1:]:
-                acc = compose_h(acc, sq)
-            strips.append(acc)
-        out = strips[0]
-        for nxt in strips[1:]:
-            out = compose_v(out, nxt)
-        return out
-    if order == "columns":
-        strips = []
-        for j in range(grid.n_cols):
-            acc = grid.cells[0][j]
-            for i in range(1, grid.n_rows):
-                acc = compose_v(acc, grid.cells[i][j])
-            strips.append(acc)
-        out = strips[0]
-        for nxt in strips[1:]:
-            out = compose_h(out, nxt)
-        return out
-    raise ValueError(f"unknown evaluation order {order!r}")
+        xm, out = reduce(v, [reduce(h, row) for row in cells])
+    elif order == "columns":
+        xm, out = reduce(h, [reduce(v, [row[j] for row in cells]) for j in range(grid.n_cols)])
+    else:
+        raise ValueError(f"unknown evaluation order {order!r}")
+    return Quintet(xm, *out)
 
 
 def enumerate_squares(xm: CrossedModule) -> list[Quintet]:
     """All squares: left/top/right edges and face are free, bottom is forced."""
-    out = []
-    for left in xm.g.elements():
-        for top in xm.g.elements():
-            for right in xm.g.elements():
-                for face in xm.h.elements():
-                    out.append(square_from_edges(xm, left, top, right, face))
-    return out
+    square = SquareKernel(xm).square
+    gs = xm.g.elements()
+    return [Quintet(xm, *square(*free)) for free in product(gs, gs, gs, xm.h.elements())]
 
 
 def random_square(xm: CrossedModule, rng: random.Random) -> Quintet:
@@ -270,14 +327,14 @@ def random_grid(
     xm: CrossedModule, n_rows: int, n_cols: int, rng: random.Random
 ) -> QuintetGrid:
     """A uniformly random adjacency-valid grid (free edges drawn uniformly)."""
-    cells: list[list[Quintet]] = []
+    square = SquareKernel(xm).square
+    n_g, n_h = xm.g.order, xm.h.order
+    cells: list[list[Square]] = []
     for i in range(n_rows):
-        row: list[Quintet] = []
+        row: list[Square] = []
         for j in range(n_cols):
-            left = row[j - 1].right if j > 0 else rng.randrange(xm.g.order)
-            top = cells[i - 1][j].bottom if i > 0 else rng.randrange(xm.g.order)
-            right = rng.randrange(xm.g.order)
-            face = rng.randrange(xm.h.order)
-            row.append(square_from_edges(xm, left, top, right, face))
+            left = row[j - 1][2] if j > 0 else rng.randrange(n_g)
+            top = cells[i - 1][j][3] if i > 0 else rng.randrange(n_g)
+            row.append(square(left, top, rng.randrange(n_g), rng.randrange(n_h)))
         cells.append(row)
-    return make_grid(cells)
+    return make_grid([[Quintet(xm, *sq) for sq in row] for row in cells])

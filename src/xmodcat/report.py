@@ -47,7 +47,8 @@ class Report:
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        """No violation found, whether or not the cap kept its witness."""
+        return not self._found
 
     @property
     def checked(self) -> int:
@@ -104,7 +105,7 @@ def product_law(name: str, check, *coords) -> Law:
         name,
         math.prod(len(c) for c in coords),
         lambda: product(*coords),
-        lambda rng: tuple(rng.choice(c) for c in coords),
+        lambda rng: tuple(map(rng.choice, coords)),
         check,
     )
 

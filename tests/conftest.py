@@ -4,7 +4,11 @@ import pytest
 
 from xmodcat import (
     adjoint_action,
+    cyclic,
+    make_crossed_module,
+    make_homomorphism,
     symmetric,
+    trivial_action,
     xm_cyc4,
     xm_flip,
     xm_inversion,
@@ -45,6 +49,16 @@ def xm4():
 @pytest.fixture(scope="session")
 def bad_xm():
     return xm_peiffer_broken()
+
+
+@pytest.fixture(scope="session")
+def broken_xm():
+    """Not a crossed module: S3 over Z2 with the trivial action and the
+    boundary onto the transposition (23), so equivariance fails and pastings
+    and 2-group composites break the boundary law."""
+    s3, z2 = symmetric(3), cyclic(2)
+    assert s3.names[1] == "(23)"
+    return make_crossed_module(s3, z2, make_homomorphism(z2, s3, [0, 1]), trivial_action(s3, z2))
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +18,12 @@ from xmodcat.catgroup import (
     tensor,
     underlying_category,
 )
-from xmodcat.errors import MixedStructures, NotComposable
+from xmodcat.action import adjoint_action
+from xmodcat.errors import MixedStructures, NotComposable, XmodcatError
 from xmodcat.fincat import category_from_tables
+from xmodcat.report import Report, run_laws
+from xmodcat.suites import catgroup_laws
+from xmodcat.transform import build_transformation_double
 from xmodcat.xmod import xmod_identity
 
 
@@ -188,3 +195,96 @@ class TestUnderlyingCategory:
     def test_trivial_boundary_makes_all_endomorphisms(self, xm1):
         c = underlying_category(xm1)
         assert all(c.src[i] == c.tgt[i] for i in c.morphisms())
+
+
+# --- the pair-index laws against the Mor2G layer --------------------------------
+
+def mor2g_interchange(xm, m1, c2, n1, d2):
+    """The law's witness if interchange fails at these pair indices, on Mor2G."""
+    m1, n1 = mor_of(xm, m1), mor_of(xm, n1)
+    m2 = Mor2G(xm, boundary(m1)[1], c2)
+    n2 = Mor2G(xm, boundary(n1)[1], d2)
+    if tensor(compose(m2, m1), compose(n2, n1)) != compose(tensor(m2, n2), tensor(m1, n1)):
+        return m1.g, m1.eta, c2, n1.g, n1.eta, d2
+    return None
+
+
+def mor2g_tensor_typing(xm, p1, p2):
+    a, b = mor_of(xm, p1), mor_of(xm, p2)
+    (s1, t1), (s2, t2), (s, t) = boundary(a), boundary(b), boundary(tensor(a, b))
+    if s != xm.g.mul(s1, s2) or t != xm.g.mul(t1, t2):
+        return a.g, a.eta, b.g, b.eta
+    return None
+
+
+REFERENCES = {"interchange": mor2g_interchange, "tensor-typing": mor2g_tensor_typing}
+
+
+def failures(check, insts):
+    """The witnesses check fails, or the type and message of what it raised."""
+    found = []
+    try:
+        check(insts, lambda witness, detail="": found.append(witness))
+    except XmodcatError as exc:
+        return type(exc), str(exc)
+    return found
+
+
+def reference_check(xm, law):
+    def check(insts, fail) -> None:
+        for inst in insts:
+            witness = REFERENCES[law](xm, *inst)
+            if witness is not None:
+                fail(witness)
+
+    return check
+
+
+class TestPairIndexLaws:
+    @pytest.mark.parametrize("law", sorted(REFERENCES))
+    def test_the_kernel_laws_match_the_mor2g_layer(self, xm1, xm2, xm4, bad_xm, broken_xm, law):
+        rng = random.Random(law)
+        for xm in (xm1, xm2, xm4, bad_xm, broken_xm):
+            d = build_transformation_double(adjoint_action(xm), validate=False)
+            (kernel_law,) = [lw for lw in catgroup_laws(d) if lw.name == law]
+            insts = list(kernel_law.instances()) if kernel_law.size <= 5000 else [
+                kernel_law.draw(rng) for _ in range(3000)
+            ]
+            want = failures(reference_check(xm, law), insts)
+            assert failures(kernel_law.check, insts) == want
+            if xm is broken_xm and law == "interchange":
+                assert want == (NotComposable, "tgt 4 != src 3")
+            if xm is bad_xm and law == "interchange":
+                assert len(want) == 648
+
+
+# the catgroup report on the adjoint action of bad-peiffer, pinned to the
+# sha256 of the [law, witness, detail] list the Mor2G laws produced;
+# interchange (1296 instances) is enumerated in the first and sampled in the
+# other two
+CATGROUP_PINS = [
+    (
+        {"samples": 1000, "max_exhaustive": 10_000},
+        "f9b004cd36225ea766da22ee21c261927f0c1b942407718e4aae3d69fadaed6f",
+        {"interchange": 648, "eckmann-hilton": 18},
+    ),
+    (
+        {"samples": 1000, "max_exhaustive": 0},
+        "ddbbcec9a56538d5cd0c458adb8c1633ca8560b6c9542c0637d8074a10776f62",
+        {"interchange": 494, "eckmann-hilton": 18},
+    ),
+    (
+        {"samples": 50, "max_exhaustive": 0},
+        "7c42d74d53444e98caedd1812e34f19a7ef1301d9a99e59ddb77473c09bf8773",
+        {"interchange": 23, "eckmann-hilton": 18},
+    ),
+]
+
+
+@pytest.mark.parametrize("budget, digest, counts", CATGROUP_PINS)
+def test_bad_peiffer_catgroup_witnesses_are_pinned(bad_xm, budget, digest, counts):
+    d = build_transformation_double(adjoint_action(bad_xm), validate=False)
+    rep = run_laws(Report(), "catgroup", catgroup_laws(d), seed=0, **budget)
+    found = [[v.law, list(v.witness), v.detail] for v in rep.violations]
+    assert hashlib.sha256(json.dumps(found).encode()).hexdigest() == digest
+    assert {law: rep.count(law) for law in rep.instances if rep.count(law)} == counts

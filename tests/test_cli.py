@@ -9,6 +9,7 @@ import pytest
 from xmodcat.action import adjoint_action
 from xmodcat.cli import main
 from xmodcat.groups import automorphism_action_laws, homomorphism_laws
+from xmodcat import suites
 from xmodcat.suites import action_laws, pentagon_laws
 from xmodcat.transform import build_transformation_double
 from xmodcat.xmod import crossed_module_laws, xm_sym3
@@ -243,6 +244,20 @@ class TestVerify:
         assert sizes[("action", "morphism-associativity")] == 46656
         assert sizes[("pentagon", "unit-triangle")] == 72  # two per (gamma, x)
 
+    @pytest.mark.parametrize("exc", [TypeError, ValueError])
+    def test_a_suite_raising_gives_an_error_line(self, capsys, monkeypatch, exc):
+        def broken(act, samples, seed, max_exhaustive):
+            raise exc("unexpected")
+
+        patched = [(name, broken if name == "quintet" else fn) for name, fn in suites.SUITES]
+        monkeypatch.setattr(suites, "SUITES", patched)
+        code, out, err = run_cli(capsys, "verify", "--adjoint", "xm3", "--suite", "quintet")
+        assert (code, err) == (1, "")
+        assert law_objs(out) == [{
+            "suite": "quintet", "law": "quintet-error", "status": "fail", "checked": 0,
+            "violations": 1, "detail": f"{exc.__name__}: unexpected",
+        }]
+
     def test_exhaustive_flag(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--adjoint", "xm3", "--exhaustive")
         assert code == 0
@@ -253,7 +268,7 @@ class TestVerify:
 class TestNonIntegerEntries:
     """A table entry that is not an int is unusable input, even in range."""
 
-    @pytest.mark.parametrize(
+    EDITS = pytest.mark.parametrize(
         "edit, error",
         [
             (lambda obj: obj["actMor"][0].__setitem__(2, 1.5), "FixtureFormatError"),
@@ -262,12 +277,26 @@ class TestNonIntegerEntries:
         ],
         ids=["actMor", "category-src", "xmod-boundary"],
     )
-    def test_verify_exits_2_with_an_error_record(self, capsys, tmp_path, edit, error):
+
+    @staticmethod
+    def edited_copy(tmp_path, edit):
         obj = json.loads((FIXTURES / "actions" / "adjoint_xm1.json").read_text())
         edit(obj)
         path = tmp_path / "action.json"
         path.write_text(json.dumps(obj))
+        return path
+
+    @EDITS
+    def test_verify_exits_2_with_an_error_record(self, capsys, tmp_path, edit, error):
+        path = self.edited_copy(tmp_path, edit)
         code, out, err = run_cli(capsys, "verify", str(path), "--suite", "double")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == error
+
+    @EDITS
+    def test_validate_exits_2_with_an_error_record(self, capsys, tmp_path, edit, error):
+        path = self.edited_copy(tmp_path, edit)
+        code, out, err = run_cli(capsys, "validate", "--kind", "action", str(path))
         assert (code, out) == (2, "")
         assert json.loads(err)["error"] == error
 

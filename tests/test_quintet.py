@@ -1,14 +1,20 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xmodcat.action import adjoint_action
 from xmodcat.catgroup import Mor2G, boundary, compose, mor_of, tensor
-from xmodcat.errors import BoundaryViolation, MixedStructures, NotAdjacent
+from xmodcat.cli import main
+from xmodcat.errors import BoundaryViolation, MixedStructures, NotAdjacent, XmodcatError
 from xmodcat.quintet import (
     Quintet,
+    QuintetGrid,
+    SquareKernel,
     compose_h,
     compose_h_face_alt,
     compose_v,
@@ -25,6 +31,10 @@ from xmodcat.quintet import (
     square_from_edges,
     v_identity,
 )
+from xmodcat.report import Report, run_laws
+from xmodcat.serialize import write_json, xmod_to_obj
+from xmodcat.suites import quintet_laws
+from xmodcat.transform import build_transformation_double
 
 
 class TestConstruction:
@@ -190,6 +200,18 @@ class TestInterchange:
         with pytest.raises(NotAdjacent):
             make_grid([])
 
+    def test_a_grid_built_without_make_grid_is_still_checked(self, xm1, xm3, xm4):
+        a = square_from_edges(xm4, 0, 0, 1, 0)
+        b = square_from_edges(xm4, 2, 0, 0, 0)
+        for order in ("rows", "columns"):
+            with pytest.raises(NotAdjacent):
+                evaluate_grid(QuintetGrid(((a, b),)), order)
+            with pytest.raises(NotAdjacent):
+                evaluate_grid(QuintetGrid(((a,), (a,))), order)
+            mixed = QuintetGrid(((h_identity(xm1, 0), h_identity(xm3, 0)),))
+            with pytest.raises(MixedStructures):
+                evaluate_grid(mixed, order)
+
     def test_unknown_evaluation_order(self, xm1):
         grid = make_grid([[h_identity(xm1, 0)]])
         with pytest.raises(ValueError):
@@ -271,3 +293,178 @@ class TestMorphismEmbedding:
                         v = compose_v(a, b)
                         mc = compose(m2, m1)
                         assert (v.top, v.face) == (mc.g, mc.eta)
+
+
+# --- the square kernel against the checked layer ------------------------------
+
+def ref_hcomp(a, b):
+    """compose_h from its formula, through make_square."""
+    xm = a.xm
+    g, h = xm.g, xm.h
+    w = g.prod(a.left, a.top, g.inverse[a.right])
+    top, bottom = g.table[a.top][b.top], g.table[a.bottom][b.bottom]
+    return make_square(xm, a.left, top, b.right, bottom, h.table[a.face][xm.act(w, b.face)])
+
+
+def ref_vcomp(upper, lower):
+    xm = upper.xm
+    g, h = xm.g, xm.h
+    face = h.table[lower.face][xm.act(lower.left, upper.face)]
+    left, right = g.table[lower.left][upper.left], g.table[lower.right][upper.right]
+    return make_square(xm, left, upper.top, right, lower.bottom, face)
+
+
+def ref_hinv(sq):
+    xm = sq.xm
+    g, h = xm.g, xm.h
+    w = g.inverse[sq.bottom]
+    return make_square(xm, sq.right, g.inverse[sq.top], sq.left, w, xm.act(w, h.inverse[sq.face]))
+
+
+def ref_vinv(sq):
+    xm = sq.xm
+    g, h = xm.g, xm.h
+    w = g.inverse[sq.left]
+    return make_square(xm, w, sq.bottom, g.inverse[sq.right], sq.top, xm.act(w, h.inverse[sq.face]))
+
+
+def outcome(fn, *args):
+    """fn(*args) as a tuple, or the type and message of the error it raised."""
+    try:
+        out = fn(*args)
+    except XmodcatError as exc:
+        return type(exc), str(exc)
+    return out.as_tuple() if isinstance(out, Quintet) else out
+
+
+def kernel_matches_the_formulas(xm, h_pairs, v_pairs, squares) -> int:
+    """Assert the kernel agrees with the reference on every operand; returns
+    how many of them raised."""
+    k = SquareKernel(xm)
+    cases = (
+        [(k.hcomp, ref_hcomp, pair) for pair in h_pairs]
+        + [(k.vcomp, ref_vcomp, pair) for pair in v_pairs]
+        + [(k.hinv, ref_hinv, (sq,)) for sq in squares]
+        + [(k.vinv, ref_vinv, (sq,)) for sq in squares]
+    )
+    raised = 0
+    for op, ref, args in cases:
+        want = outcome(ref, *args)
+        assert outcome(op, *(sq.as_tuple() for sq in args)) == want
+        raised += isinstance(want[0], type)
+    return raised
+
+
+class TestSquareKernel:
+    def test_every_adjacent_pair_on_xm1(self, xm1):
+        sqs = enumerate_squares(xm1)
+        h_pairs = [(a, b) for a in sqs for b in sqs if a.right == b.left]
+        v_pairs = [(a, b) for a in sqs for b in sqs if a.bottom == b.top]
+        assert len(h_pairs) == len(v_pairs) == 24 * 12
+        assert kernel_matches_the_formulas(xm1, h_pairs, v_pairs, sqs) == 0
+
+    def test_a_seeded_sample_on_xm2(self, xm2):
+        rng = random.Random(20261018)
+        sqs = enumerate_squares(xm2)
+        by_left, by_top = {}, {}
+        for sq in sqs:
+            by_left.setdefault(sq.left, []).append(sq)
+            by_top.setdefault(sq.top, []).append(sq)
+        h_pairs = [(a, rng.choice(by_left[a.right])) for a in rng.choices(sqs, k=2000)]
+        v_pairs = [(a, rng.choice(by_top[a.bottom])) for a in rng.choices(sqs, k=2000)]
+        assert kernel_matches_the_formulas(xm2, h_pairs, v_pairs, sqs) == 0
+
+    def test_the_same_boundary_violation_as_make_square(self, broken_xm):
+        sqs = enumerate_squares(broken_xm)
+        h_pairs = [(a, b) for a in sqs for b in sqs if a.right == b.left]
+        v_pairs = [(a, b) for a in sqs for b in sqs if a.bottom == b.top]
+        assert kernel_matches_the_formulas(broken_xm, h_pairs, v_pairs, sqs) > 0
+
+    def test_the_public_layer_returns_the_kernel_values(self, xm2):
+        k = SquareKernel(xm2)
+        a = square_from_edges(xm2, 1, 2, 3, 4)
+        b = square_from_edges(xm2, 3, 5, 0, 1)
+        c = square_from_edges(xm2, 4, a.bottom, 2, 5)
+        assert a.as_tuple() == k.square(1, 2, 3, 4)
+        assert compose_h(a, b).as_tuple() == k.hcomp(a.as_tuple(), b.as_tuple())
+        assert compose_v(a, c).as_tuple() == k.vcomp(a.as_tuple(), c.as_tuple())
+        assert compose_h_face_alt(a, b) == k.hface_alt(a.as_tuple(), b.as_tuple())
+        assert invert_square(a, "h").as_tuple() == k.hinv(a.as_tuple())
+        assert invert_square(a, "v").as_tuple() == k.vinv(a.as_tuple())
+
+
+# verify's quintet and catgroup lines on the equivariance-broken module, as
+# printed before the laws moved onto the kernel: each suite stops at its first
+# BoundaryViolation or NotComposable, so these pin where and with what message
+BROKEN_DETAILS = {
+    (): (
+        "NotComposable: tgt 4 != src 3",
+        "BoundaryViolation: bnd(face)=1 but bottom*right*top^-1*left^-1=5",
+    ),
+    ("--samples", "1000", "--max-exhaustive", "10000"): (
+        "NotComposable: tgt 4 != src 3",
+        "BoundaryViolation: bnd(face)=0 but bottom*right*top^-1*left^-1=3",
+    ),
+}
+
+
+@pytest.mark.parametrize("budget", list(BROKEN_DETAILS), ids=["defaults", "sweep"])
+def test_error_lines_on_the_broken_module_are_pinned(capsys, tmp_path, broken_xm, budget):
+    path = tmp_path / "broken.json"
+    write_json(xmod_to_obj(broken_xm), path)
+    argv = ["verify", "--adjoint", str(path), "--suite", "quintet", "--suite", "catgroup"]
+    code = main(argv + list(budget))
+    out = capsys.readouterr().out.splitlines()
+    want = [
+        {"checked": 0, "detail": detail, "law": f"{suite}-error", "status": "fail",
+         "suite": suite, "violations": 1}
+        for suite, detail in zip(("catgroup", "quintet"), BROKEN_DETAILS[budget])
+    ]
+    assert code == 1
+    assert out[1:] == [json.dumps(line, sort_keys=True) for line in want]
+
+
+# the quintet report on the adjoint action of bad-peiffer, pinned to the
+# sha256 of the [law, witness, detail] list the Quintet-object laws produced;
+# grid-interchange (1296 grids) is enumerated in the first and sampled in the
+# other two
+QUINTET_PINS = [
+    (
+        {"samples": 1000, "max_exhaustive": 10_000},
+        1296,
+        "2e953d3b5cb14f36063064e4ff2423481b03d92021f75a9ba5316174e4279ff9",
+        {"face-formulas-agree": 18, "grid-interchange": 648, "embed-compose": 18},
+    ),
+    (
+        {"samples": 1000, "max_exhaustive": 0},
+        1000,
+        "0147b4aab974d943d9f340073a51e30b9f71efcc7d99190c2e0ce88204a8ca47",
+        {"face-formulas-agree": 18, "grid-interchange": 493, "embed-compose": 18},
+    ),
+    (
+        {"samples": 50, "max_exhaustive": 0},
+        50,
+        "a42e1a64971230c178c2936be5cf8745339ddf5a21d60559beb038c38c2d16aa",
+        {"face-formulas-agree": 18, "grid-interchange": 19, "embed-compose": 18},
+    ),
+]
+
+
+@pytest.mark.parametrize("budget, grids, digest, counts", QUINTET_PINS)
+def test_bad_peiffer_quintet_witnesses_are_pinned(bad_xm, budget, grids, digest, counts):
+    d = build_transformation_double(adjoint_action(bad_xm), validate=False)
+    rep = run_laws(Report(), "quintet", quintet_laws(d), seed=0, **budget)
+    found = [[v.law, list(v.witness), v.detail] for v in rep.violations]
+    assert hashlib.sha256(json.dumps(found).encode()).hexdigest() == digest
+    assert {law: rep.count(law) for law in rep.instances if rep.count(law)} == counts
+    assert rep.instances["grid-interchange"] == grids
+
+
+def test_bad_peiffer_cli_lines_are_pinned(capsys):
+    argv = ["verify", "--adjoint", "bad-peiffer", "--suite", "quintet", "--suite", "catgroup",
+            "--samples", "1000", "--max-exhaustive", "10000"]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3e746518f39fdf3f0c5804c4c76f526bcc5ce12812a50875d971a62fc85dc3f6"
+    )

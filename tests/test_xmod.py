@@ -46,6 +46,13 @@ class TestAxioms:
         first = [v for v in rep.violations if v.law == "peiffer"][0]
         assert first.witness == (1, 2)
 
+    def test_a_report_with_no_witness_kept_is_not_ok(self, bad_xm):
+        rep = validate_crossed_module(bad_xm, cap=0)
+        assert rep.violations == [] and rep.capped
+        assert rep.count() == 18
+        assert not rep.ok
+        assert str(rep) == "18 violation(s) in 42 checks (capped)"
+
     def test_broken_fixture_witness_is_a_real_counterexample(self, bad_xm):
         e1, e2 = 1, 2
         h = bad_xm.h
