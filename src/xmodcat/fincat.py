@@ -28,7 +28,7 @@ class FiniteCategory:
         self.src = tuple(src)
         self.tgt = tuple(tgt)
         self.identity = tuple(identity)
-        self.comp = dict(comp)
+        self.comp = comp  # any Mapping (g, f) -> g after f, kept as given
 
     @property
     def n_morphisms(self) -> int:

@@ -286,8 +286,13 @@ def evaluate_grid(grid: QuintetGrid, order: str = "rows") -> Quintet:
     bottom; order="columns" folds each column first. The interchange law
     makes both orders agree, which the verification suite exercises. Each
     paste makes compose_h's or compose_v's checks, so a grid built without
-    make_grid still raises MixedStructures or NotAdjacent.
+    make_grid still raises MixedStructures or NotAdjacent; so does a ragged
+    one, before any paste.
     """
+    rows = grid.cells
+    for i, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            raise NotAdjacent(f"row {i} has {len(row)} cells, expected {len(rows[0])}")
     k = SquareKernel(grid.xm)
 
     def h(a, b):  # on (crossed module, square) pairs, as compose_h

@@ -86,19 +86,18 @@ def run_lines(suite, laws, samples, seed, max_exhaustive) -> list[LawLine]:
     return law_lines(suite, rep, [law.name for law in laws])
 
 
-def run_suite(suite, laws_of, act, samples, seed, max_exhaustive) -> list[LawLine]:
+def run_suite(suite, laws_of, d, samples, seed, max_exhaustive) -> list[LawLine]:
     """Run laws_of(d), d the action's double category, through run_laws."""
-    laws = laws_of(build_transformation_double(act, validate=False))
-    return run_lines(suite, laws, samples, seed, max_exhaustive)
+    return run_lines(suite, laws_of(d), samples, seed, max_exhaustive)
 
 
 # --- crossed module ---------------------------------------------------------
 
 
-def suite_xmod(act, samples, seed, max_exhaustive) -> list[LawLine]:
+def suite_xmod(d, samples, seed, max_exhaustive) -> list[LawLine]:
     """The laws of the boundary and the action, then the two axioms unless
     one of those failed."""
-    xm = act.xm
+    xm = d.xm
     components = homomorphism_laws(xm.boundary) + automorphism_action_laws(xm.action)
     out = run_lines("xmod", components, samples, seed, max_exhaustive)
     axioms = crossed_module_laws(xm)
@@ -345,11 +344,11 @@ def adjoint_laws(d: TransDoubleCat) -> list[Law]:
     return [product_law("five-square-strip", strip, g.elements(), xm.h.elements(), mors)]
 
 
-def suite_adjoint_oracle(act, samples, seed, max_exhaustive) -> list[LawLine]:
-    if not act.is_adjoint:
+def suite_adjoint_oracle(d, samples, seed, max_exhaustive) -> list[LawLine]:
+    if not d.act.is_adjoint:
         why = "action was not built as adjoint"
         return skip_lines("adjoint-oracle", ["five-square-strip"], why)
-    return run_suite("adjoint-oracle", adjoint_laws, act, samples, seed, max_exhaustive)
+    return run_suite("adjoint-oracle", adjoint_laws, d, samples, seed, max_exhaustive)
 
 
 # --- nested sub-double-categories --------------------------------------------
@@ -493,9 +492,9 @@ SUITES: list[tuple[str, object]] = [
 ]
 
 
-def _guarded(name, fn, act, samples, seed, max_exhaustive) -> list[LawLine]:
+def _guarded(name, fn, d, samples, seed, max_exhaustive) -> list[LawLine]:
     try:
-        return fn(act, samples, seed, max_exhaustive)
+        return fn(d, samples, seed, max_exhaustive)
     except (XmodcatError, RuntimeError, KeyError, IndexError, TypeError, ValueError) as exc:
         return [
             LawLine(name, f"{name}-error", "fail", 0, 1, None, f"{type(exc).__name__}: {exc}")
@@ -509,10 +508,12 @@ def run_all(
     max_exhaustive: int = 10_000_000,
     only: list[str] | None = None,
 ) -> list[LawLine]:
-    """Run every suite (or the named subset) in the registry order."""
+    """Run every suite (or the named subset) in the registry order, all on
+    one double category of the action, so they share its groupoids."""
+    d = build_transformation_double(act, validate=False)
     return [
         line
         for name, fn in SUITES
         if only is None or name in only
-        for line in _guarded(name, fn, act, samples, seed, max_exhaustive)
+        for line in _guarded(name, fn, d, samples, seed, max_exhaustive)
     ]

@@ -17,6 +17,7 @@ top edges, vertical pasting multiplies the pairs in the semidirect product.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
@@ -25,7 +26,7 @@ from operator import itemgetter
 from .action import StrictAction, nat_component, validate_strict_action
 from .errors import InvalidAction, MixedStructures, NotAdjacent
 from .fincat import FiniteCategory, category_from_tables
-from .report import DEFAULT_CAP, Law, Report, product_law, run_laws
+from .report import DEFAULT_CAP, Law, Report, holds, product_law, run_laws
 from .xmod import CrossedModule, pair_table, semidirect_group
 
 
@@ -36,12 +37,29 @@ class TransDoubleCat:
     horizontal: morphisms of C
     vertical:   pairs (gamma, x), index gamma * n_objects + x
     squares:    triples (gamma, chi, f), index pair_index(gamma,chi) * n_mor + f
+
+    Its two action groupoids, C0//G and C1//(G x| H), are built once, on
+    first use, and shared by the transpose views and the nested inclusions.
     """
 
     def __init__(self, act: StrictAction):
         self.act = act
         self.xm = act.xm
         self.category = act.category
+
+    @cached_property
+    def obj_groupoid(self) -> FiniteGroupoid:
+        """C0//G: the objects of C under the 1-morphism translations."""
+        return transformation_groupoid(self.xm.g, self.n_objects, self.act.act_obj)
+
+    @cached_property
+    def mor_groupoid(self) -> FiniteGroupoid:
+        """C1//(G x| H): the morphisms of C under the semidirect pair group.
+        semidirect_group checks the pair table, so an action that is not by
+        automorphisms raises here instead of giving a groupoid."""
+        return transformation_groupoid(
+            semidirect_group(self.xm), self.n_horizontal, self.act.act_mor
+        )
 
     @property
     def n_objects(self) -> int:
@@ -407,6 +425,10 @@ def verify_double_category(
 # --- transformation groupoids and the transpose ---------------------------
 
 class FiniteGroupoid(FiniteCategory):
+    """A finite category with a chosen inverse for every morphism. An action
+    groupoid's comp is an ActionComposition, computed from the group and
+    action tables on each lookup."""
+
     def __init__(self, n_objects, src, tgt, identity, comp, inverse):
         super().__init__(n_objects, src, tgt, identity, comp)
         self.inverse = tuple(inverse)
@@ -415,58 +437,92 @@ class FiniteGroupoid(FiniteCategory):
         return self.inverse[f]
 
 
+class ActionComposition(Mapping):
+    """The composition of an action groupoid, computed from the group table
+    and the action table instead of stored: (g2*n + q) after (g1*n + p) is
+    (g2 g1)*n + p when g1 moves p to q, and undefined otherwise. Keys run
+    over g1, then p, then g2, the last fastest."""
+
+    def __init__(self, group, n_points: int, table):
+        self.group_table = group.table
+        self.n = n_points
+        self.table = table
+        self.n_morphisms = group.order * n_points
+
+    def get(self, key, default=None):
+        m2, m1 = key
+        size = self.n_morphisms
+        if 0 <= m1 < size and 0 <= m2 < size:
+            n = self.n
+            g1, p = divmod(m1, n)
+            g2, q = divmod(m2, n)
+            if self.table[g1][p] == q:
+                return self.group_table[g2][g1] * n + p
+        return default
+
+    def __getitem__(self, key) -> int:
+        r = self.get(key)
+        if r is None:
+            raise KeyError(key)
+        return r
+
+    def __iter__(self):
+        n, gs = self.n, range(len(self.group_table))
+        for g1 in gs:
+            row = self.table[g1]
+            for p in range(n):
+                for g2 in gs:
+                    yield g2 * n + row[p], g1 * n + p
+
+    def __len__(self) -> int:
+        return len(self.group_table) * self.n_morphisms
+
+
 def transformation_groupoid(group, n_points: int, table) -> FiniteGroupoid:
     """The action groupoid of a group acting on points by a lookup table.
 
     Morphism g*n_points + p runs from p to table[g][p]; composition
-    multiplies the group labels.
+    multiplies the group labels and is computed from the two tables on each
+    lookup (see ActionComposition), so nothing of size |G|^2 * n is stored.
     """
     n = n_points
-    src = []
-    tgt = []
-    for gm in group.elements():
-        for p in range(n):
-            src.append(p)
-            tgt.append(table[gm][p])
+    gs = group.elements()
+    src = [p for _ in gs for p in range(n)]
+    tgt = [table[gm][p] for gm in gs for p in range(n)]
     identity = [group.identity * n + p for p in range(n)]
-    comp = {}
-    for g1 in group.elements():
-        row1 = table[g1]
-        for p in range(n):
-            m1 = g1 * n + p
-            q = row1[p]
-            for g2 in group.elements():
-                comp[(g2 * n + q, m1)] = group.table[g2][g1] * n + p
-    inverse = [
-        group.inverse[gm] * n + table[gm][p]
-        for gm in group.elements()
-        for p in range(n)
-    ]
+    inverse = [group.inverse[gm] * n + table[gm][p] for gm in gs for p in range(n)]
+    comp = ActionComposition(group, n, table)
     return FiniteGroupoid(n, src, tgt, identity, comp, inverse)
+
+
+def groupoid_laws(gpd: FiniteGroupoid) -> list[Law]:
+    """The category laws, decided by the checked constructor
+    category_from_tables, then both inverse laws on every morphism."""
+    comp, inv, src, tgt, ident = gpd.comp, gpd.inverse, gpd.src, gpd.tgt, gpd.identity
+
+    def category_laws(insts, fail) -> None:
+        for _ in insts:
+            try:
+                category_from_tables(
+                    gpd.n_objects,
+                    list(zip(src, tgt)),
+                    ident,
+                    [(g, f, r) for (g, f), r in comp.items()],
+                )
+            except Exception as exc:  # witness carried in the message
+                fail((), str(exc))
+
+    mors = gpd.morphisms()
+    return [
+        product_law("category-laws", category_laws),
+        product_law("inverse-left", holds(lambda f: comp.get((inv[f], f)) == ident[src[f]]), mors),
+        product_law("inverse-right", holds(lambda f: comp.get((f, inv[f])) == ident[tgt[f]]), mors),
+    ]
 
 
 def validate_groupoid(gpd: FiniteGroupoid, cap: int = DEFAULT_CAP) -> Report:
     """Re-run the category laws and check both inverse laws."""
-    rep = Report(cap=cap)
-    rep.tick("category-laws")
-    try:
-        category_from_tables(
-            gpd.n_objects,
-            list(zip(gpd.src, gpd.tgt)),
-            gpd.identity,
-            [(g, f, r) for (g, f), r in gpd.comp.items()],
-        )
-    except Exception as exc:  # witness carried in the message
-        rep.add("category-laws", (), str(exc))
-    rep.tick("inverse-left", gpd.n_morphisms)
-    rep.tick("inverse-right", gpd.n_morphisms)
-    for f in gpd.morphisms():
-        fi = gpd.inverse[f]
-        if gpd.comp.get((fi, f)) != gpd.identity[gpd.src[f]]:
-            rep.add("inverse-left", (f,))
-        if gpd.comp.get((f, fi)) != gpd.identity[gpd.tgt[f]]:
-            rep.add("inverse-right", (f,))
-    return rep
+    return run_laws(Report(cap=cap), "groupoid", groupoid_laws(gpd))
 
 
 def connected_components(gpd: FiniteCategory) -> list[list[int]]:
@@ -506,17 +562,11 @@ class TransposeViews:
 
 
 def transpose_views(d: TransDoubleCat) -> TransposeViews:
-    act = d.act
-    xm = d.xm
-    obj_gpd = transformation_groupoid(xm.g, d.n_objects, act.act_obj)
-    mor_gpd = transformation_groupoid(
-        semidirect_group(xm), d.n_horizontal, act.act_mor
-    )
     # both index schemes coincide by construction; the witnesses make that
     # explicit so it can be verified entry by entry
     obj_witness = tuple(range(d.n_vertical))
     mor_witness = tuple(range(d.n_squares))
-    return TransposeViews(obj_gpd, mor_gpd, obj_witness, mor_witness)
+    return TransposeViews(d.obj_groupoid, d.mor_groupoid, obj_witness, mor_witness)
 
 
 def transpose_laws(d: TransDoubleCat) -> list[Law]:
@@ -639,14 +689,13 @@ class NestedInclusions:
 def nested_inclusions(d: TransDoubleCat, cap: int = DEFAULT_CAP) -> NestedInclusions:
     act = d.act
     xm, c = d.xm, d.category
-    n_obj, n_mor = c.n_objects, c.n_morphisms
+    n_mor = c.n_morphisms
 
-    gpd0 = transformation_groupoid(xm.g, n_obj, act.act_obj)
+    gpd0, gpd2 = d.obj_groupoid, d.mor_groupoid
     mor_g_table = tuple(
         act.act_mor[xm.pair_index(gamma, xm.h.identity)] for gamma in xm.g.elements()
     )
     gpd1 = transformation_groupoid(xm.g, n_mor, mor_g_table)
-    gpd2 = transformation_groupoid(semidirect_group(xm), n_mor, act.act_mor)
 
     first_obj = tuple(c.identity[x] for x in c.objects())
     first_mor = tuple(

@@ -211,6 +211,10 @@ class TestInterchange:
             mixed = QuintetGrid(((h_identity(xm1, 0), h_identity(xm3, 0)),))
             with pytest.raises(MixedStructures):
                 evaluate_grid(mixed, order)
+            # a unit square: every paste the ragged rows allow would succeed
+            u = h_identity(xm4, 0)
+            with pytest.raises(NotAdjacent, match="row 1 has 1 cells, expected 2"):
+                evaluate_grid(QuintetGrid(((u, u), (u,))), order)
 
     def test_unknown_evaluation_order(self, xm1):
         grid = make_grid([[h_identity(xm1, 0)]])

@@ -1,9 +1,16 @@
-"""The fixture generator reproduces the committed fixtures byte for byte."""
+"""The fixture generator reproduces the committed fixtures byte for byte,
+and every demo runs to completion."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def tree(root: Path) -> dict[str, bytes]:
@@ -19,3 +26,19 @@ def test_make_fixtures_reproduces_the_fixture_tree(tmp_path, capsys):
     # mutated.json is the first corruption that verify_double_category catches
     assert "mutated.json: act_mor[" in capsys.readouterr().out
     assert tree(tmp_path) == tree(ROOT / "fixtures")
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    if demo.name == "conjugation_double_category.py":
+        assert "transpose views verify: True" in done.stdout.splitlines()
+
+
+def test_the_demos_are_found():
+    assert ROOT / "demos" / "conjugation_double_category.py" in DEMOS

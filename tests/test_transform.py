@@ -7,8 +7,10 @@ import pytest
 
 from xmodcat.action import adjoint_action, make_strict_action, trivial_strict_action
 from xmodcat.catgroup import underlying_category
-from xmodcat.errors import InvalidAction, MixedStructures, NotAdjacent
-from xmodcat.fincat import terminal_category
+from xmodcat import transform
+from xmodcat.errors import InvalidAction, MixedStructures, NotAdjacent, NotComposable
+from xmodcat.fincat import category_from_tables, terminal_category
+from xmodcat.groups import cyclic, make_action, make_homomorphism
 from xmodcat.serialize import load_action
 from xmodcat.suites import run_all
 from xmodcat.transform import (
@@ -30,7 +32,7 @@ from xmodcat.transform import (
     verify_transpose,
     vertical_inverse_square,
 )
-from xmodcat.xmod import pair_table
+from xmodcat.xmod import make_crossed_module, pair_table, semidirect_group
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -257,6 +259,113 @@ class TestNestedInclusions:
         incl = nested_inclusions(build_transformation_double(adjoint_action(xm1), validate=False))
         assert len(set(incl.first_mor_map)) == len(incl.first_mor_map)
         assert len(set(incl.second_mor_map)) == len(incl.second_mor_map)
+
+
+def stored_composition(group, n, table) -> dict:
+    """The composition dict an action groupoid once stored, in its order."""
+    comp = {}
+    for g1 in group.elements():
+        for p in range(n):
+            for g2 in group.elements():
+                comp[(g2 * n + table[g1][p], g1 * n + p)] = group.table[g2][g1] * n + p
+    return comp
+
+
+class TestActionComposition:
+    """transformation_groupoid computes its composition from the tables."""
+
+    def tables(self, act):
+        """(group, points, table) of C0//G, C1//G and C1//(G x| H)."""
+        xm, c = act.xm, act.category
+        over_g = tuple(act.act_mor[xm.pair_index(g, xm.h.identity)] for g in xm.g.elements())
+        return [
+            (xm.g, c.n_objects, act.act_obj),
+            (xm.g, c.n_morphisms, over_g),
+            (semidirect_group(xm), c.n_morphisms, act.act_mor),
+        ]
+
+    def test_it_equals_the_stored_dict(self, adjoints):
+        for name, act in adjoints:
+            for group, n, table in self.tables(act):
+                gpd = transformation_groupoid(group, n, table)
+                old = stored_composition(group, n, table)
+                assert dict(gpd.comp.items()) == old, name
+                assert tuple(gpd.comp) == tuple(old), name
+                assert len(gpd.comp) == group.order ** 2 * n == len(old)
+                assert all(gpd.comp.get(k) == gpd.comp[k] == v for k, v in old.items())
+
+    def test_the_checked_constructor_accepts_it(self, adjoints):
+        for name, act in adjoints:
+            for group, n, table in self.tables(act):
+                gpd = transformation_groupoid(group, n, table)
+                cat = category_from_tables(
+                    n,
+                    list(zip(gpd.src, gpd.tgt)),
+                    gpd.identity,
+                    [(g, f, r) for (g, f), r in gpd.comp.items()],
+                )
+                assert cat == gpd, name
+
+    def test_a_pair_that_does_not_compose_misses(self, adjoints):
+        checked = 0
+        for _, act in adjoints:
+            for group, n, table in self.tables(act):
+                if n < 2:  # one point: every pair composes
+                    continue
+                checked += 1
+                gpd = transformation_groupoid(group, n, table)
+                f = 0
+                g = next(g for g in gpd.morphisms() if gpd.src[g] != gpd.tgt[f])
+                assert gpd.comp.get((g, f)) is None
+                assert gpd.comp.get((g, f), -1) == -1
+                with pytest.raises(KeyError):
+                    gpd.comp[(g, f)]
+                with pytest.raises(NotComposable) as exc:
+                    gpd.compose(g, f)
+                assert str(exc.value) == (
+                    f"tgt of morphism {f} is {gpd.tgt[f]}, src of {g} is {gpd.src[g]}"
+                )
+                for key in ((-1, 0), (0, -1), (gpd.n_morphisms, 0), (0, gpd.n_morphisms)):
+                    assert gpd.comp.get(key) is None
+        assert checked == 11  # xm3's C0//G has one object
+
+    def test_the_double_category_builds_its_groupoids_once(self, adjoints):
+        for _, act in adjoints:
+            d = build_transformation_double(act, validate=False)
+            views, incl = transpose_views(d), nested_inclusions(d)
+            assert views.obj_groupoid is incl.objects_over_g is d.obj_groupoid
+            assert views.mor_groupoid is incl.morphisms_over_pairs is d.mor_groupoid
+            over_g = self.tables(act)[1]
+            assert dict(incl.morphisms_over_g.comp.items()) == stored_composition(*over_g)
+
+
+class TestPairGroupCheck:
+    """semidirect_group checks the pair table, once per verify."""
+
+    def test_an_action_not_by_automorphisms_gives_error_lines(self):
+        z2, z3 = cyclic(2), cyclic(3)
+        xm = make_crossed_module(
+            z2, z3, make_homomorphism(z3, z2, [0, 0, 0]), make_action(z2, z3, [[0, 1, 2], [1, 0, 2]])
+        )
+        lines = run_all(trivial_strict_action(xm, terminal_category()), only=["transpose", "nested"])
+        detail = "NoIdentity: index 0 is not a unit at 3"
+        assert [line.to_obj() for line in lines] == [
+            {"suite": suite, "law": f"{suite}-error", "status": "fail", "checked": 0,
+             "violations": 1, "detail": detail}
+            for suite in ("transpose", "nested")
+        ]
+
+    def test_one_run_all_builds_the_pair_group_once(self, monkeypatch, xm2):
+        calls = []
+
+        def counted(xm):
+            calls.append(xm)
+            return semidirect_group(xm)
+
+        monkeypatch.setattr(transform, "semidirect_group", counted)
+        lines = run_all(adjoint_action(xm2), samples=100, max_exhaustive=1000)
+        assert {line.status for line in lines} == {"pass"}
+        assert calls == [xm2]
 
 
 def brute_horizontal_cells(d):
