@@ -360,7 +360,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("path", nargs="?", help="action fixture path")
     sp.add_argument("--adjoint", metavar="XMOD", help="verify the adjoint action")
     sp.add_argument("--trivial", metavar="XMOD", help="verify the trivial action")
-    sp.add_argument("--samples", type=int, default=100_000, help="random draws per oversized law")
+    sp.add_argument("--samples", type=int, default=100_000, help="distinct instances checked per oversized law")
     sp.add_argument("--seed", type=int, default=0, help="seed for sampled laws")
     sp.add_argument("--exhaustive", action="store_true", help="never sample, enumerate everything")
     sp.add_argument(

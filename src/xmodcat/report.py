@@ -7,17 +7,19 @@ at the first, so a broken fixture shows its full damage in one run and a
 flood of failures in one law can never hide another law's witnesses.
 
 `run_laws` alone decides whether a law is enumerated or sampled; a sampled
-law draws from its own stream, so its draws never depend on another law.
+law checks distinct instances in enumeration order, picked by its own
+stream, so they never depend on another law.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate, groupby, product
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 DEFAULT_CAP = 100
 
@@ -87,26 +89,31 @@ class Report:
 
 @dataclass(frozen=True)
 class Law:
-    """One law: `instances()` walks its space in a fixed order and yields
-    exactly `size` instances, `draw(rng)` returns one at random, and
+    """One law: `at(i)` is its i-th instance, 0 <= i < `size`, in a fixed
+    order; `walk()`, if given, yields them all in that order faster; and
     `check(instances, fail)` loops over what it is handed, calling
     `fail(witness, detail="")` once per violation."""
 
     name: str
     size: int
-    instances: Callable[[], Iterable]
-    draw: Callable[[random.Random], object]
+    at: Callable[[int], tuple]
     check: Callable[[Iterable, Callable], None]
+    walk: Callable[[], Iterable] | None = None
+
+    def instances(self) -> Iterable:
+        return self.walk() if self.walk else map(self.at, range(self.size))
 
 
-def product_law(name: str, check, *coords) -> Law:
-    """A law over the tuples of product(*coords); no coords: the one tuple ()."""
+def product_law(name: str, check, *coords: Sequence) -> Law:
+    """A law over the tuples of product(*coords), the last coordinate
+    fastest; no coords: the one tuple ()."""
+    digits = [(c, math.prod(map(len, coords[k + 1:])), len(c)) for k, c in enumerate(coords)]
     return Law(
         name,
-        math.prod(len(c) for c in coords),
-        lambda: product(*coords),
-        lambda rng: tuple(map(rng.choice, coords)),
+        math.prod(map(len, coords)),
+        lambda i: tuple([c[i // stride % radix] for c, stride, radix in digits]),
         check,
+        lambda: product(*coords),
     )
 
 
@@ -124,7 +131,19 @@ def holds(pred: Callable[..., bool]) -> Callable[[Iterable, Callable], None]:
 
 def list_law(name: str, check, insts: Sequence[tuple]) -> Law:
     """A law over the given tuples, in their order."""
-    return Law(name, len(insts), lambda: iter(insts), lambda rng: rng.choice(insts), check)
+    return Law(name, len(insts), insts.__getitem__, check)
+
+
+def ragged(sizes: Iterable[int]):
+    """(total, locate) for parts of the given sizes laid end to end:
+    locate(i) is (j, r) when i is the r-th index of part j, never empty."""
+    starts = list(accumulate(sizes, initial=0))
+
+    def locate(i: int) -> tuple[int, int]:
+        j = bisect_right(starts, i) - 1
+        return j, i - starts[j]
+
+    return starts[-1], locate
 
 
 def indexed_laws(prefix: str, keys: Iterable[tuple], laws_of) -> list[Law]:
@@ -140,14 +159,12 @@ def indexed_laws(prefix: str, keys: Iterable[tuple], laws_of) -> list[Law]:
     def law(k: int) -> Law:
         family = [(key, laws[k]) for key, laws in members]
         by_key = dict(family)
-        cum = list(accumulate(m.size for _, m in family))
+        size, locate = ragged(m.size for _, m in family)
 
-        def instances():
-            return (key + i for key, m in family for i in m.instances())
-
-        def draw(rng):  # uniform over the union: a key weighted by its size
-            key, m = rng.choices(family, cum_weights=cum)[0]
-            return key + m.draw(rng)
+        def at(i: int) -> tuple:
+            j, r = locate(i)
+            key, m = family[j]
+            return key + m.at(r)
 
         def check(insts, fail) -> None:
             for key, group in groupby(insts, lambda i: i[:width]):
@@ -156,9 +173,17 @@ def indexed_laws(prefix: str, keys: Iterable[tuple], laws_of) -> list[Law]:
                     lambda w, detail="": fail(key + w, detail),
                 )
 
-        return Law(prefix + family[0][1].name, cum[-1], instances, draw, check)
+        return Law(prefix + family[0][1].name, size, at, check)
 
     return [law(k) for k in range(len(members[0][1]))]
+
+
+def spread(rng: random.Random, size: int, samples: int) -> Iterator[int]:
+    """One index drawn from each of `samples` consecutive, nearly equal
+    blocks of range(size): distinct, increasing, and never stored."""
+    for j in range(samples):
+        lo = size * j // samples
+        yield lo + rng.randrange(size * (j + 1) // samples - lo)
 
 
 def run_laws(
@@ -169,17 +194,16 @@ def run_laws(
     seed: int = 0,
     max_exhaustive: float = math.inf,
 ) -> Report:
-    """Enumerate each law whose size is at most max_exhaustive, else check it
-    on `samples` draws seeded by "<seed>/<suite>/<law>"; count per law. A
-    law no larger than `samples` is enumerated too: its draws, taken with
-    replacement, would repeat instances and count each repeat."""
+    """Enumerate each law whose size is at most max(max_exhaustive, samples),
+    else check it on the `samples` distinct instances that spread picks with
+    the stream seeded "<seed>/<suite>/<law>", in enumeration order; count
+    per law."""
     for law in laws:
-        fail = partial(rep.add, law.name)
-        if law.size <= max(max_exhaustive, samples):
-            law.check(law.instances(), fail)
-            rep.tick(law.name, law.size)
+        n = law.size if law.size <= max_exhaustive else min(law.size, samples)
+        if n == law.size:
+            insts = law.instances()
         else:
-            rng = random.Random(f"{seed}/{suite}/{law.name}")
-            law.check((law.draw(rng) for _ in range(samples)), fail)
-            rep.tick(law.name, samples)
+            insts = map(law.at, spread(random.Random(f"{seed}/{suite}/{law.name}"), law.size, n))
+        law.check(insts, partial(rep.add, law.name))
+        rep.tick(law.name, n)
     return rep

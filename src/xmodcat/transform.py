@@ -24,9 +24,9 @@ from itertools import groupby
 from operator import itemgetter
 
 from .action import StrictAction, nat_component, validate_strict_action
-from .errors import InvalidAction, MixedStructures, NotAdjacent
+from .errors import InvalidAction, MixedStructures, NotAdjacent, XmodcatError
 from .fincat import FiniteCategory, category_from_tables
-from .report import DEFAULT_CAP, Law, Report, holds, product_law, run_laws
+from .report import DEFAULT_CAP, Law, Report, holds, product_law, ragged, run_laws
 from .xmod import CrossedModule, pair_table, semidirect_group
 
 
@@ -52,14 +52,21 @@ class TransDoubleCat:
         """C0//G: the objects of C under the 1-morphism translations."""
         return transformation_groupoid(self.xm.g, self.n_objects, self.act.act_obj)
 
-    @cached_property
+    @property
     def mor_groupoid(self) -> FiniteGroupoid:
         """C1//(G x| H): the morphisms of C under the semidirect pair group.
         semidirect_group checks the pair table, so an action that is not by
-        automorphisms raises here instead of giving a groupoid."""
-        return transformation_groupoid(
-            semidirect_group(self.xm), self.n_horizontal, self.act.act_mor
-        )
+        automorphisms raises here, on every use, the error of its one check."""
+        if isinstance(self._mor_groupoid, XmodcatError):
+            raise self._mor_groupoid
+        return self._mor_groupoid
+
+    @cached_property
+    def _mor_groupoid(self) -> FiniteGroupoid | XmodcatError:
+        try:
+            return transformation_groupoid(semidirect_group(self.xm), self.n_horizontal, self.act.act_mor)
+        except XmodcatError as exc:
+            return exc
 
     @property
     def n_objects(self) -> int:
@@ -207,20 +214,17 @@ def double_laws(d: TransDoubleCat) -> list[Law]:
     src, tgt, ident = c.src, c.tgt, c.identity
     n_h = h.order
     npairs = xm.npairs
-    n_mor = c.n_morphisms
     act_m, act_o = act.act_mor, act.act_obj
     hm = h.table
     e_h = h.identity
-    pairs, mors, hs = range(npairs), range(n_mor), range(n_h)
+    pairs, mors, hs = range(npairs), c.morphisms(), range(n_h)
     pt = pair_table(xm)  # pt[p1][p2]: the pair product p1 * p2
     pair_tgt = [g.table[xm.bnd(chi)][gamma] for gamma in g.elements() for chi in hs]
-    by_src: list[list[int]] = [[] for _ in c.objects()]
-    for f in mors:
-        by_src[src[f]].append(f)
+    after = [[f2 for f2 in mors if src[f2] == tgt[f]] for f in mors]  # tops composing after f
     natc = [[act_m[p][ident[x]] for x in c.objects()] for p in pairs]  # components
     # ct[a][b]: a after b, or -1 when they do not compose; the last column
     # (index -1) is all -1, so composing with a miss is again a miss
-    ct = [[-1] * (n_mor + 1) for _ in mors]
+    ct = [[-1] * (len(mors) + 1) for _ in mors]
     for (a, b), ab in c.comp.items():
         ct[a][b] = ab
 
@@ -258,20 +262,23 @@ def double_laws(d: TransDoubleCat) -> list[Law]:
             if pt[unit_p][p] != p:
                 fail(w, "unit below")
 
-    # a row (p1, f1, p2, f2): square s1 and a square s2 to its right
+    # a row (p1, f1, p2, f2): square s1 and a square s2 to its right, p1
+    # slowest, then f1, then the label of p2, then f2 out of f1's target
     def rows():
         for p1 in pairs:
             for f1 in mors:
                 for c2 in hs:
                     p2 = pair_tgt[p1] * n_h + c2
-                    for f2 in by_src[tgt[f1]]:
+                    for f2 in after[f1]:
                         yield p1, f1, p2, f2
 
-    def draw_row(rng):
-        p1, f1 = rng.randrange(npairs), rng.randrange(n_mor)
-        return p1, f1, pair_tgt[p1] * n_h + rng.randrange(n_h), rng.choice(by_src[tgt[f1]])
+    row_block, row_locate = ragged(n_h * len(after[f1]) for f1 in mors)  # rows of one p1
 
-    n_rows = npairs * n_h * sum(len(by_src[tgt[f1]]) for f1 in mors)
+    def row_at(i):
+        p1, i = divmod(i, row_block)
+        f1, i = row_locate(i)
+        c2, k = divmod(i, len(after[f1]))
+        return p1, f1, pair_tgt[p1] * n_h + c2, after[f1][k]
 
     def h_boundary(insts, fail) -> None:
         for p1, f1, p2, f2 in insts:
@@ -293,22 +300,29 @@ def double_laws(d: TransDoubleCat) -> list[Law]:
             ):
                 fail((p1, p2, f2))
 
-    # associativity, horizontal: s1 | s2 | s3 in a row
+    # associativity, horizontal: s1 | s2 | s3 in a row, each row (p1, f1,
+    # p2, f2) followed by the label of p3 and then f3 out of f2's target
     def triples():
         for p1, f1, p2, f2 in rows():
             for c3 in hs:
                 p3 = pair_tgt[p2] * n_h + c3
-                for f3 in by_src[tgt[f2]]:
+                for f3 in after[f2]:
                     yield p1, f1, p2, f2, p3, f3
 
-    def draw_triple(rng):
-        p1, f1, p2, f2 = draw_row(rng)
-        p3 = pair_tgt[p2] * n_h + rng.randrange(n_h)
-        return p1, f1, p2, f2, p3, rng.choice(by_src[tgt[f2]])
+    # for one label of p2, the triples from f1 take up `block` places
+    seconds = [ragged(n_h * len(after[f2]) for f2 in after[f1]) for f1 in mors]
+    triple_block, triple_locate = ragged(n_h * block for block, _ in seconds)
 
-    n_triples = npairs * n_h * n_h * sum(
-        len(by_src[tgt[f2]]) for f1 in mors for f2 in by_src[tgt[f1]]
-    )
+    def triple_at(i):
+        p1, i = divmod(i, triple_block)
+        f1, i = triple_locate(i)
+        block, locate = seconds[f1]
+        c2, i = divmod(i, block)
+        k, i = locate(i)
+        f2 = after[f1][k]
+        c3, k = divmod(i, len(after[f2]))
+        p2 = pair_tgt[p1] * n_h + c2
+        return p1, f1, p2, f2, pair_tgt[p2] * n_h + c3, after[f2][k]
 
     def h_assoc(insts, fail) -> None:
         for p1, f1, p2, f2, p3, f3 in insts:
@@ -332,11 +346,13 @@ def double_laws(d: TransDoubleCat) -> list[Law]:
 
     # interchange on 2x2 blocks:  A B   rows-then-columns equals
     #                             C D   columns-then-rows
+    # each row (pa, fa, pb, fb) followed by every pair pc and label of pd
     def blocks():
-        for pa, fa, pb, fb in rows():
-            for pc in pairs:
-                for cd in hs:
-                    yield pa, fa, pb, fb, pc, cd
+        return ((*row, pc, cd) for row in rows() for pc in pairs for cd in hs)
+
+    def block_at(i):
+        row, i = divmod(i, npairs * n_h)
+        return (*row_at(row), *divmod(i, n_h))
 
     def interchange(insts, fail) -> None:
         for pa, fa, pb, fb, pc, cd in insts:
@@ -395,17 +411,11 @@ def double_laws(d: TransDoubleCat) -> list[Law]:
         product_law("pair-target", pair_target, pairs, pairs),
         product_law("h-unit", h_unit, pairs, mors),
         product_law("v-unit", v_unit, pairs, mors),
-        Law("h-boundary", n_rows, rows, draw_row, h_boundary),
+        Law("h-boundary", npairs * row_block, row_at, h_boundary, rows),
         product_law("v-boundary", v_boundary, pairs, mors, pairs),
-        Law("h-assoc", n_triples, triples, draw_triple, h_assoc),
+        Law("h-assoc", npairs * triple_block, triple_at, h_assoc, triples),
         product_law("v-assoc", v_assoc, pairs, pairs, pairs, mors),
-        Law(
-            "interchange",
-            n_rows * npairs * n_h,
-            blocks,
-            lambda rng: (*draw_row(rng), rng.randrange(npairs), rng.randrange(n_h)),
-            interchange,
-        ),
+        Law("interchange", npairs * row_block * npairs * n_h, block_at, interchange, blocks),
         product_law("six-composites", six_composites, g.elements(), hs, g.elements(), hs, mors),
     ]
 
@@ -418,7 +428,7 @@ def verify_double_category(
     cap: int = DEFAULT_CAP,
 ) -> Report:
     """Check every law of double_laws(d), each enumerated when its size is at
-    most max_exhaustive and otherwise sampled `samples` times."""
+    most max_exhaustive and otherwise on `samples` distinct instances."""
     return run_laws(Report(cap=cap), "double", double_laws(d), samples, seed, max_exhaustive)
 
 

@@ -15,10 +15,14 @@ from xmodcat import (
     xm_peiffer_broken,
     xm_sym3,
 )
+from xmodcat.report import Report, run_laws
 from xmodcat.transform import build_transformation_double, verify_double_category
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
+# the largest law whose exhaustive report sampled_witnesses_are_real computes:
+# xm2's double interchange (10 077 696 instances) would take half a minute
+RERUN_LIMIT = 2_000_000
 
 
 @pytest.fixture(scope="session")
@@ -85,3 +89,21 @@ def double_reports(adjoints):
         )
         for name, act in adjoints
     }
+
+
+@pytest.fixture(scope="session")
+def sampled_witnesses_are_real():
+    """A check that every (law, witness, detail) a sampled law of `rep`
+    reported appears, in the same relative order, in the exhaustive report of
+    that law with the cap at its size. A law that reported no witness, or
+    has more than RERUN_LIMIT instances, is not rerun."""
+
+    def check(rep: Report, suite: str, laws) -> None:
+        for law in laws:
+            sampled = [v for v in rep.violations if v.law == law.name]
+            if rep.instances[law.name] == law.size or not sampled or law.size > RERUN_LIMIT:
+                continue
+            full = iter(run_laws(Report(cap=law.size), suite, [law]).violations)
+            assert all(v in full for v in sampled), law.name  # a subsequence
+
+    return check

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -9,6 +11,7 @@ import pytest
 from xmodcat.action import adjoint_action
 from xmodcat.cli import main
 from xmodcat.groups import automorphism_action_laws, homomorphism_laws
+from xmodcat.report import run_laws
 from xmodcat import suites
 from xmodcat.suites import action_laws, pentagon_laws
 from xmodcat.transform import build_transformation_double
@@ -157,7 +160,7 @@ class TestVerify:
             assert json.loads(err.splitlines()[0])["error"] == "UsageError"
 
     def test_a_law_within_the_sample_count_is_enumerated(self, capsys):
-        # obj-bijection has one instance: seven draws would check it seven times
+        # obj-bijection has one instance, fewer than the seven distinct samples
         code, out, _ = run_cli(
             capsys, "verify", "--adjoint", "xm1", "--suite", "transpose",
             "--max-exhaustive", "0", "--samples", "7",
@@ -167,6 +170,31 @@ class TestVerify:
         assert lines["obj-bijection"]["checked"] == 1
         assert lines["obj-endpoints"]["checked"] == 4  # xm1 has 4 vertical morphisms
         assert lines["mor-endpoints"]["checked"] == 7  # 36 squares: sampled
+
+    def test_a_sampled_law_is_handed_distinct_instances_in_order(self, capsys, monkeypatch):
+        handed, laws = {}, {}
+
+        def recording(rep, suite, laws_in, *budget):
+            def record(law):
+                def check(insts, fail):
+                    handed[law.name] = list(insts)
+                    law.check(handed[law.name], fail)
+
+                laws[law.name] = law
+                return dataclasses.replace(law, check=check)
+
+            return run_laws(rep, suite, [record(law) for law in laws_in], *budget)
+
+        monkeypatch.setattr(suites, "run_laws", recording)
+        code, out, _ = run_cli(
+            capsys, "verify", "--adjoint", "xm1", "--suite", "double",
+            "--max-exhaustive", "0", "--samples", "300",
+        )
+        assert code == 0
+        seen = handed["h-boundary"]
+        assert len(set(seen)) == 300 == {o["law"]: o for o in law_objs(out)}["h-boundary"]["checked"]
+        # the 300 instances come in the order of the 324 the law enumerates
+        assert seen == [i for i in laws["h-boundary"].instances() if i in set(seen)]
 
     def test_runs_are_byte_identical(self, capsys):
         args = ("verify", "--adjoint", "xm1", "--samples", "150", "--seed", "7")
@@ -257,6 +285,22 @@ class TestVerify:
             "suite": "quintet", "law": "quintet-error", "status": "fail", "checked": 0,
             "violations": 1, "detail": f"{exc.__name__}: unexpected",
         }]
+
+    # the sha256 of default `verify` stdout and the exit code; at the defaults
+    # every law of these inputs is enumerated
+    GOLDEN = [
+        ((str(MUTATED),), 1, "c60f652c9859eacc7744c0cc8292ed04a7295d6cdf307167511e95c353414e1c"),
+        (("--adjoint", "xm1"), 0, "36e8d94393111f3f588c6ba23901a7982af6751b72823300f4818f66e10788a2"),
+        (("--adjoint", "bad-peiffer"), 1, "8e9241d12dece6d01b0774f8325e929495bcc13c4a4f18bf8645a0f7885aee6f"),
+        (("--trivial", "bad-peiffer"), 1, "4d5cd13f3f6cb4cf20ec7db002095ef6b839d11c3f8cc5a25cb2459019b80b32"),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, code, digest", GOLDEN, ids=["mutated", "adjoint-xm1", "adjoint-bad", "trivial-bad"]
+    )
+    def test_default_output_is_pinned(self, capsys, argv, code, digest):
+        got, out, _ = run_cli(capsys, "verify", *argv)
+        assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
     def test_exhaustive_flag(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--adjoint", "xm3", "--exhaustive")

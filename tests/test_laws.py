@@ -1,10 +1,11 @@
-"""The law driver: declared sizes, enumerate-or-sample, per-law counts."""
+"""The law driver: declared sizes, index-addressed instances,
+enumerate-or-sample, per-law counts."""
 
 import random
 from itertools import product
 
 from xmodcat.groups import automorphism_action_laws, homomorphism_laws
-from xmodcat.report import Report, indexed_laws, product_law, run_laws
+from xmodcat.report import Report, indexed_laws, product_law, ragged, run_laws, spread
 from xmodcat.suites import (
     action_laws,
     adjoint_laws,
@@ -15,11 +16,16 @@ from xmodcat.suites import (
     quintet_laws,
     v2_laws,
 )
-from xmodcat.transform import build_transformation_double, double_laws, transpose_laws
+from xmodcat.transform import (
+    build_transformation_double,
+    double_laws,
+    horizontal_2category,
+    transpose_laws,
+    vertical_2category,
+)
 from xmodcat.xmod import crossed_module_laws
 
 ENUMERABLE = 300_000  # largest space walked to count its instances
-DRAWN = 5_000  # largest space searched for each random draw
 
 
 def declared_laws(act):
@@ -58,14 +64,31 @@ def test_every_law_enumerates_exactly_its_declared_size(adjoints):
     assert counted == {(b, law.name) for b, law in declared_laws(adjoints[0][1])}
 
 
-def test_every_draw_is_an_instance(adjoints):
-    rng = random.Random(5)
+def test_at_addresses_the_instances_in_enumeration_order(adjoints):
     for fixture, act in adjoints:
         for builder, law in declared_laws(act):
-            if law.size <= DRAWN:
-                space = list(law.instances())
-                for _ in range(20):
-                    assert law.draw(rng) in space, (fixture, builder, law.name)
+            if law.size <= ENUMERABLE:
+                assert list(map(law.at, range(law.size))) == list(law.instances()), (
+                    fixture, builder, law.name
+                )
+
+
+def test_stacked_cells_follow_their_nested_loops(adjoints):
+    """The stacking laws of both 2-categories, against the nested loops over
+    their cells."""
+    for fixture, act in adjoints:
+        d = build_transformation_double(act, validate=False)
+        laws = {law.name: law for law in h2_laws(d) + v2_laws(d)}
+        h2, v2 = horizontal_2category(d).cells, vertical_2category(d).cells
+        assert list(laws["h2-stacking"].instances()) == [
+            (f, c1, c2) for f, cells in h2.items() for c1, f1 in cells for c2, _ in h2[f1]
+        ], fixture
+        assert list(laws["v2-stacking"].instances()) == [
+            (gamma, x, chi, chi2)
+            for (gamma, x), out in v2.items()
+            for chi, tg in out
+            for chi2, _ in v2[(tg, x)]
+        ], fixture
 
 
 def test_enumerates_within_the_budget_and_samples_past_it():
@@ -78,8 +101,36 @@ def test_enumerates_within_the_budget_and_samples_past_it():
     seen.clear()
     rep = run_laws(Report(), "suite", [law], samples=5, seed=1, max_exhaustive=5)
     assert len(seen) == 5 and rep.instances == {"law": 5}
-    rng = random.Random("1/suite/law")
-    assert seen == [(rng.choice(range(3)), rng.choice("ab")) for _ in range(5)]
+    space = list(product(range(3), "ab"))
+    assert seen == [space[i] for i in spread(random.Random("1/suite/law"), 6, 5)]
+
+
+def test_a_sampled_law_checks_distinct_instances_in_enumeration_order():
+    seen = []
+    law = product_law("law", lambda insts, fail: seen.extend(insts), range(7), range(5), "abc")
+    assert [law.at(i) for i in (0, 1, 3, 16, 104)] == [
+        (0, 0, "a"), (0, 0, "b"), (0, 1, "a"), (1, 0, "b"), (6, 4, "c")
+    ]
+    rep = run_laws(Report(), "suite", [law], samples=100, seed=3, max_exhaustive=0)
+    space = list(law.instances())
+    assert len(set(seen)) == 100 == rep.instances["law"]
+    assert seen == sorted(seen, key=space.index)
+
+
+def test_spread_draws_one_index_from_each_block():
+    for size, samples in ((7, 3), (10, 10), (1000, 7), (10**13, 4)):
+        picks = list(spread(random.Random(size), size, samples))
+        bounds = [size * j // samples for j in range(samples + 1)]
+        assert all(lo <= i < hi for i, lo, hi in zip(picks, bounds, bounds[1:])), picks
+    # every index of a block is drawn
+    assert {next(spread(random.Random(s), 12, 4)) for s in range(200)} == {0, 1, 2}
+
+
+def test_ragged_locates_past_empty_parts():
+    size, locate = ragged([0, 2, 0, 0, 1])
+    assert size == 3
+    assert [locate(i) for i in range(size)] == [(1, 0), (1, 1), (4, 0)]
+    assert ragged([])[0] == 0
 
 
 def test_a_law_no_larger_than_the_sample_count_is_enumerated():
@@ -115,7 +166,7 @@ def test_indexed_laws_put_the_key_in_front_of_instances_and_witnesses():
 
         return [product_law("odd", odd, range(k))]
 
-    # key 0 has no instances, so it is never drawn either
+    # key 0 has no instances, so no index lands on it
     (law,) = indexed_laws("sum-", product(range(4)), laws_of)
     assert (law.name, law.size) == ("sum-odd", 6)
     assert list(law.instances()) == [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
@@ -123,8 +174,7 @@ def test_indexed_laws_put_the_key_in_front_of_instances_and_witnesses():
     assert [v.witness for v in rep.violations] == [(1, 0), (2, 1), (3, 0), (3, 2)]
     assert {v.detail for v in rep.violations} == {"odd"}
 
-    rng = random.Random(0)
-    assert {law.draw(rng) for _ in range(300)} == set(law.instances())
     rep = run_laws(Report(), "suite", [law], samples=5, seed=2, max_exhaustive=0)
     assert rep.instances == {"sum-odd": 5}
-    assert {v.witness for v in rep.violations} <= {(1, 0), (2, 1), (3, 0), (3, 2)}
+    witnesses = iter([(1, 0), (2, 1), (3, 0), (3, 2)])
+    assert all(v.witness in witnesses for v in rep.violations)  # in their order
