@@ -13,9 +13,7 @@ from xmodcat.transform import (
     build_transformation_double,
     connected_components,
     nested_inclusions,
-    transpose_views,
     verify_double_category,
-    verify_transpose,
 )
 from xmodcat.xmod import xm_sym3
 
@@ -34,11 +32,9 @@ def main():
     print(f"double category laws: {'all pass' if rep.ok else rep.violations[:3]}"
           f" ({rep.checked} instances)")
 
-    # swapping the two directions gives two ordinary groupoids
-    rep = verify_transpose(d)
-    print(f"transpose views verify: {rep.ok}")
-    views = transpose_views(d)
-    comps = connected_components(views.obj_groupoid)
+    # swapping the two directions gives two ordinary groupoids; the one on
+    # the objects is G acting on C0
+    comps = connected_components(d.obj_groupoid)
     names = xm.g.names
     classes = sorted(sorted(names[x] for x in c) for c in comps)
     print(f"object-view components (= conjugacy classes of S3): {classes}")

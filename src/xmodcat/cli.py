@@ -58,7 +58,6 @@ from .transform import (
     double_to_obj,
     groupoid_to_dot,
     horizontal_2category,
-    transpose_views,
     vertical_2category,
 )
 from .xmod import crossed_module_laws, fixture_catalog, validate_crossed_module, xm_peiffer_broken
@@ -202,13 +201,8 @@ def cmd_build(args, out: _Out) -> int:
         )
         out.log(wrote=str(outdir / "v2cat.json"))
     if args.dot:
-        views = transpose_views(d)
-        (outdir / "obj_groupoid.dot").write_text(
-            groupoid_to_dot(views.obj_groupoid, "objects")
-        )
-        (outdir / "mor_groupoid.dot").write_text(
-            groupoid_to_dot(views.mor_groupoid, "morphisms")
-        )
+        (outdir / "obj_groupoid.dot").write_text(groupoid_to_dot(d.obj_groupoid, "objects"))
+        (outdir / "mor_groupoid.dot").write_text(groupoid_to_dot(d.mor_groupoid, "morphisms"))
         out.log(wrote=str(outdir / "obj_groupoid.dot"))
         out.log(wrote=str(outdir / "mor_groupoid.dot"))
     return 0

@@ -16,7 +16,14 @@ from xmodcat import (
     xm_sym3,
 )
 from xmodcat.report import Report, run_laws
-from xmodcat.transform import build_transformation_double, verify_double_category
+from xmodcat.transform import (
+    TDSquare,
+    build_transformation_double,
+    compose_squares,
+    v_identity_square,
+    verify_double_category,
+    vertical_inverse_square,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -105,5 +112,55 @@ def sampled_witnesses_are_real():
                 continue
             full = iter(run_laws(Report(cap=law.size), suite, [law]).violations)
             assert all(v in full for v in sampled), law.name  # a subsequence
+
+    return check
+
+
+@pytest.fixture(scope="session")
+def transpose_mismatches():
+    """A check of the transpose of a double category d: square i is morphism
+    i of d.mor_groupoid and vertical morphism j is morphism j of
+    d.obj_groupoid, so vertical pasting (pair_mul), vertical inverses
+    (pair_inv) and vertical units must be composition, inverse and identity
+    there, and the square edges their sources and targets. Returns every
+    (what, square or cell index) that does not land."""
+
+    def check(d) -> list[tuple[str, int]]:
+        act, xm, c = d.act, d.xm, d.category
+        og, mg = d.obj_groupoid, d.mor_groupoid
+
+        def sq(s):
+            return d.square_index(s.gamma, s.chi, s.f)
+
+        def vert(edge):
+            return d.vertical_index(*edge)
+
+        out = []
+        for i, s in enumerate(d.squares()):
+            left, right = vert(s.left()), vert(s.right())
+            if (mg.src[i], mg.tgt[i]) != (s.top(), s.bottom()):
+                out.append(("square endpoints", i))
+            edges = og.src[left], og.tgt[left], og.src[right], og.tgt[right]
+            if edges != (c.src[s.top()], c.src[s.bottom()], c.tgt[s.top()], c.tgt[s.bottom()]):
+                out.append(("vertical edges", i))
+            inv = vertical_inverse_square(s)
+            if mg.inverse[i] != sq(inv) or og.inverse[left] != vert(inv.left()):
+                out.append(("inverse", i))
+            for p in range(xm.npairs):
+                below = TDSquare(act, *xm.pair_of(p), s.bottom())
+                pasted = compose_squares(below, s, "v")
+                if (
+                    mg.comp.get((sq(below), i)) != sq(pasted)
+                    or og.comp.get((vert(below.left()), left)) != vert(pasted.left())
+                    or og.comp.get((vert(below.right()), right)) != vert(pasted.right())
+                ):
+                    out.append(("vertical pasting", i))
+        for f in c.morphisms():
+            if mg.identity[f] != sq(v_identity_square(act, f)):
+                out.append(("square identity", f))
+        for x in c.objects():
+            if og.identity[x] != vert((xm.g.identity, x)):
+                out.append(("vertical identity", x))
+        return out
 
     return check

@@ -8,10 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from xmodcat.action import adjoint_action
+from xmodcat.action import adjoint_action, trivial_strict_action
 from xmodcat.cli import main
+from xmodcat.fincat import category_from_tables
 from xmodcat.groups import automorphism_action_laws, homomorphism_laws
 from xmodcat.report import run_laws
+from xmodcat.serialize import action_to_obj, write_json
 from xmodcat import suites
 from xmodcat.suites import action_laws, pentagon_laws
 from xmodcat.transform import build_transformation_double
@@ -97,19 +99,61 @@ class TestValidate:
 
 
 class TestVerify:
+    # every (suite, law) line of a default verify, in the order printed
+    LAW_NAMES = [
+        ("xmod", law) for law in (
+            "homomorphism", "bijective", "respects-product", "unit", "composition",
+            "equivariance", "peiffer",
+        )
+    ] + [
+        ("catgroup", law) for law in (
+            "tensor-typing", "interchange", "tensor-inverse", "compose-inverse", "eckmann-hilton",
+        )
+    ] + [
+        ("quintet", law) for law in (
+            "face-formulas-agree", "h-inverse", "v-inverse", "h-identity", "v-identity",
+            "grid-interchange", "embed-compose",
+        )
+    ] + [
+        ("action", law) for law in (
+            "endofunctor-typing", "endofunctor-identities", "endofunctor-composition",
+            "transformation-component-typing", "transformation-naturality", "component-stacking",
+            "unit-component", "translation-composition", "component-product", "pair-typing",
+            "pair-functoriality", "pair-identity", "object-associativity",
+            "morphism-associativity", "unit-object", "unit-morphism", "whisker-agreement",
+        )
+    ] + [
+        ("adjoint-oracle", "five-square-strip"),
+    ] + [
+        ("double", law) for law in (
+            "v-unit", "h-boundary", "v-boundary", "v-assoc", "interchange", "six-composites",
+        )
+    ] + [
+        ("nested", law) for law in (
+            "first-injective", "first-typing", "first-composition", "first-identities",
+            "second-typing", "second-composition", "second-identities", "first-full",
+        )
+    ] + [
+        ("h2cat", law) for law in ("kernel-central", "h2-identity", "h2-stacking")
+    ] + [
+        ("v2cat", law) for law in (
+            "v2-identity-cell", "v2-stacking", "v2-inverse", "v2-adjoint-closed-form",
+        )
+    ] + [
+        ("pentagon", law) for law in (
+            "compositor-typing", "compositor-invertible", "compositor-naturality",
+            "unit-triangle", "pentagon",
+        )
+    ]
+
     def test_adjoint_fixture_all_green(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--adjoint", "xm1", "--samples", "200", "--seed", "3"
         )
         assert code == 0
         lines = law_objs(out)
-        assert len(lines) == 76
+        assert [(o["suite"], o["law"]) for o in lines] == self.LAW_NAMES
         assert all(o["status"] in ("pass", "skip") for o in lines)
-        suites = {o["suite"] for o in lines}
-        assert suites == {
-            "xmod", "catgroup", "quintet", "action", "adjoint-oracle", "double",
-            "transpose", "nested", "h2cat", "v2cat", "pentagon",
-        }
 
     def test_trivial_action_skips_the_adjoint_oracle(self, capsys):
         code, out, _ = run_cli(
@@ -160,16 +204,16 @@ class TestVerify:
             assert json.loads(err.splitlines()[0])["error"] == "UsageError"
 
     def test_a_law_within_the_sample_count_is_enumerated(self, capsys):
-        # obj-bijection has one instance, fewer than the seven distinct samples
+        # first-injective has one instance, fewer than the seven distinct samples
         code, out, _ = run_cli(
-            capsys, "verify", "--adjoint", "xm1", "--suite", "transpose",
+            capsys, "verify", "--adjoint", "xm1", "--suite", "nested",
             "--max-exhaustive", "0", "--samples", "7",
         )
         assert code == 0
         lines = {o["law"]: o for o in law_objs(out)}
-        assert lines["obj-bijection"]["checked"] == 1
-        assert lines["obj-endpoints"]["checked"] == 4  # xm1 has 4 vertical morphisms
-        assert lines["mor-endpoints"]["checked"] == 7  # 36 squares: sampled
+        assert lines["first-injective"]["checked"] == 1
+        assert lines["first-typing"]["checked"] == 4  # xm1 has 4 vertical morphisms
+        assert lines["second-typing"]["checked"] == 7  # 12 morphisms in C1//G: sampled
 
     def test_a_sampled_law_is_handed_distinct_instances_in_order(self, capsys, monkeypatch):
         handed, laws = {}, {}
@@ -227,15 +271,15 @@ class TestVerify:
         )
         assert code == 0
         lines = law_objs(out)
-        assert len(lines) == 10
+        assert len(lines) == 7
         assert all(o["status"] == "skip" and o["checked"] == 0 and o["detail"] for o in lines)
 
     def test_lines_carry_their_own_law_counts(self, capsys):
         code, out, _ = run_cli(capsys, "verify", str(MUTATED), "--suite", "double")
         assert code == 1
         lines = {o["law"]: o for o in law_objs(out)}
-        assert lines["pair-target"]["checked"] == 36
-        assert lines["h-assoc"]["checked"] == 2916
+        assert lines["v-unit"]["checked"] == 36
+        assert lines["v-assoc"]["checked"] == 1296
         assert lines["interchange"]["checked"] == 5832
         # the true violation count, past the 100-witness cap
         assert lines["interchange"]["violations"] == 450
@@ -248,10 +292,10 @@ class TestVerify:
             )
             return {o["law"]: o for o in law_objs(out)}
 
-        # h-assoc (2916 instances) is enumerated in one run, sampled in the
+        # v-assoc (1296 instances) is enumerated in one run, sampled in the
         # other; interchange (5832 instances) is sampled in both
-        wide, narrow = run("3000"), run("2000")
-        assert (wide["h-assoc"]["checked"], narrow["h-assoc"]["checked"]) == (2916, 300)
+        wide, narrow = run("1500"), run("1000")
+        assert (wide["v-assoc"]["checked"], narrow["v-assoc"]["checked"]) == (1296, 300)
         assert wide["interchange"]["checked"] == 300
         assert wide["interchange"] == narrow["interchange"]
 
@@ -289,10 +333,10 @@ class TestVerify:
     # the sha256 of default `verify` stdout and the exit code; at the defaults
     # every law of these inputs is enumerated
     GOLDEN = [
-        ((str(MUTATED),), 1, "c60f652c9859eacc7744c0cc8292ed04a7295d6cdf307167511e95c353414e1c"),
-        (("--adjoint", "xm1"), 0, "36e8d94393111f3f588c6ba23901a7982af6751b72823300f4818f66e10788a2"),
-        (("--adjoint", "bad-peiffer"), 1, "8e9241d12dece6d01b0774f8325e929495bcc13c4a4f18bf8645a0f7885aee6f"),
-        (("--trivial", "bad-peiffer"), 1, "4d5cd13f3f6cb4cf20ec7db002095ef6b839d11c3f8cc5a25cb2459019b80b32"),
+        ((str(MUTATED),), 1, "e92734a721b830cf897b0d881494c612821e5a752138ee9ab4fc942ef583ceb4"),
+        (("--adjoint", "xm1"), 0, "d89f40fd3fd9a93f05a134a42329d82fd4eabbd3e6919ca13ea4d863a5d4aa52"),
+        (("--adjoint", "bad-peiffer"), 1, "3904b48bc0f62abc527b64681449932fbacae65adee0cee8c30576395edaddb0"),
+        (("--trivial", "bad-peiffer"), 1, "57ea4079afa2b5c9add78e796821c00651ee5e51ca12935f8e2af6b86c6e9a6b"),
     ]
 
     @pytest.mark.parametrize(
@@ -301,6 +345,13 @@ class TestVerify:
     def test_default_output_is_pinned(self, capsys, argv, code, digest):
         got, out, _ = run_cli(capsys, "verify", *argv)
         assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+    def test_a_lawful_action_on_the_empty_category_passes(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        write_json(action_to_obj(trivial_strict_action(xm_sym3(), category_from_tables(0, [], [], []))), path)
+        code, out, _ = run_cli(capsys, "verify", str(path))
+        assert [o for o in law_objs(out) if o["status"] == "fail"] == []
+        assert code == 0
 
     def test_exhaustive_flag(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--adjoint", "xm3", "--exhaustive")

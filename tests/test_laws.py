@@ -20,7 +20,6 @@ from xmodcat.transform import (
     build_transformation_double,
     double_laws,
     horizontal_2category,
-    transpose_laws,
     vertical_2category,
 )
 from xmodcat.xmod import crossed_module_laws
@@ -42,7 +41,6 @@ def declared_laws(act):
         "quintet": quintet_laws,
         "adjoint-oracle": adjoint_laws,
         "double": double_laws,
-        "transpose": transpose_laws,
         "nested": nested_suite_laws,
         "h2cat": h2_laws,
         "v2cat": v2_laws,

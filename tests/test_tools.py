@@ -37,7 +37,8 @@ def test_demo_runs(demo):
     )
     assert done.returncode == 0, done.stderr
     if demo.name == "conjugation_double_category.py":
-        assert "transpose views verify: True" in done.stdout.splitlines()
+        classes = "[['(12)', '(13)', '(23)'], ['(123)', '(132)'], ['e']]"
+        assert f"object-view components (= conjugacy classes of S3): {classes}" in done.stdout.splitlines()
 
 
 def test_the_demos_are_found():

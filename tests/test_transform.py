@@ -25,12 +25,10 @@ from xmodcat.transform import (
     horizontal_2category,
     nested_inclusions,
     transformation_groupoid,
-    transpose_views,
     v_identity_square,
     validate_groupoid,
     verify_double_category,
     vertical_2category,
-    verify_transpose,
     vertical_inverse_square,
 )
 from xmodcat.xmod import make_crossed_module, pair_table, semidirect_group
@@ -202,22 +200,20 @@ class TestTranspose:
         gpd = transformation_groupoid(s3, 6, conjugation_action(s3).table)
         assert validate_groupoid(gpd).ok
 
-    def test_transpose_verification_passes(self, adjoints):
+    def test_vertical_pasting_is_composition_in_the_groupoids(self, adjoints, transpose_mismatches):
         for name, act in adjoints:
             d = build_transformation_double(act, validate=False)
-            rep = verify_transpose(d)
-            assert rep.ok, f"{name}: {rep.violations[:3]}"
+            assert transpose_mismatches(d) == [], name
 
     def test_both_views_are_lawful_groupoids(self, adjoints):
         for _, act in adjoints:
-            views = transpose_views(build_transformation_double(act, validate=False))
-            assert validate_groupoid(views.obj_groupoid).ok
-            assert validate_groupoid(views.mor_groupoid).ok
+            d = build_transformation_double(act, validate=False)
+            assert validate_groupoid(d.obj_groupoid).ok
+            assert validate_groupoid(d.mor_groupoid).ok
 
     def test_object_view_components_are_conjugacy_classes(self, xm2):
         d = build_transformation_double(adjoint_action(xm2), validate=False)
-        views = transpose_views(d)
-        comps = connected_components(views.obj_groupoid)
+        comps = connected_components(d.obj_groupoid)
         assert sorted(len(c) for c in comps) == [1, 2, 3]
         # {e}, the transpositions, the 3-cycles
         names = xm2.g.names
@@ -228,8 +224,7 @@ class TestTranspose:
 
     def test_object_view_is_trivial_for_trivial_conjugation(self, xm4):
         d = build_transformation_double(adjoint_action(xm4), validate=False)
-        views = transpose_views(d)
-        comps = connected_components(views.obj_groupoid)
+        comps = connected_components(d.obj_groupoid)
         assert [len(c) for c in comps] == [1, 1, 1, 1]
 
 
@@ -333,9 +328,9 @@ class TestActionComposition:
     def test_the_double_category_builds_its_groupoids_once(self, adjoints):
         for _, act in adjoints:
             d = build_transformation_double(act, validate=False)
-            views, incl = transpose_views(d), nested_inclusions(d)
-            assert views.obj_groupoid is incl.objects_over_g is d.obj_groupoid
-            assert views.mor_groupoid is incl.morphisms_over_pairs is d.mor_groupoid
+            incl = nested_inclusions(d)
+            assert incl.objects_over_g is d.obj_groupoid
+            assert incl.morphisms_over_pairs is d.mor_groupoid
             over_g = self.tables(act)[1]
             assert dict(incl.morphisms_over_g.comp.items()) == stored_composition(*over_g)
 
@@ -348,12 +343,10 @@ class TestPairGroupCheck:
         xm = make_crossed_module(
             z2, z3, make_homomorphism(z3, z2, [0, 0, 0]), make_action(z2, z3, [[0, 1, 2], [1, 0, 2]])
         )
-        lines = run_all(trivial_strict_action(xm, terminal_category()), only=["transpose", "nested"])
-        detail = "NoIdentity: index 0 is not a unit at 3"
+        lines = run_all(trivial_strict_action(xm, terminal_category()), only=["nested"])
         assert [line.to_obj() for line in lines] == [
-            {"suite": suite, "law": f"{suite}-error", "status": "fail", "checked": 0,
-             "violations": 1, "detail": detail}
-            for suite in ("transpose", "nested")
+            {"suite": "nested", "law": "nested-error", "status": "fail", "checked": 0,
+             "violations": 1, "detail": "NoIdentity: index 0 is not a unit at 3"}
         ]
 
     def test_a_failing_pair_group_check_runs_once(self, monkeypatch):
@@ -485,8 +478,7 @@ class TestExports:
 
     def test_groupoid_dot_output(self, xm2):
         d = build_transformation_double(adjoint_action(xm2), validate=False)
-        views = transpose_views(d)
-        dot = groupoid_to_dot(views.obj_groupoid, "objs")
+        dot = groupoid_to_dot(d.obj_groupoid, "objs")
         assert dot.startswith("digraph objs {")
         assert dot.count("subgraph cluster_") == 3
         assert "->" in dot and dot.rstrip().endswith("}")
@@ -494,10 +486,7 @@ class TestExports:
 
 # --- the integer kernel of the double laws ----------------------------------
 
-DOUBLE_LAWS = (
-    "pair-target", "h-unit", "v-unit", "h-boundary", "v-boundary",
-    "h-assoc", "v-assoc", "interchange", "six-composites",
-)
+DOUBLE_LAWS = ("v-unit", "h-boundary", "v-boundary", "v-assoc", "interchange", "six-composites")
 
 
 def act_mor_mutant(act, seed: int, entries: int):
@@ -517,42 +506,42 @@ def act_mor_mutant(act, seed: int, entries: int):
 # The rows with sampled laws were pinned again when a sampled law came to
 # check distinct instances in enumeration order.
 # xm1 at 35 samples samples every law (the smallest has 36 instances); xm2 at
-# a budget of 50 000 enumerates all but h-assoc, v-assoc and interchange.
+# a budget of 50 000 enumerates all but v-assoc and interchange.
 DOUBLE_PINS = [
     (
         "xm1", 0, 1, {},
         "23bd4fcda3067633cf4caee6d12553e2c8d5d3f41b0c53e37422159425bb0f6a",
-        (36, 36, 36, 324, 216, 2916, 1296, 5832, 216),
+        (36, 324, 216, 1296, 5832, 216),
         {"h-boundary": 24, "v-boundary": 13, "v-assoc": 78, "interchange": 432, "six-composites": 68},
     ),
     (
         "xm1", 0, 1, {"max_exhaustive": 0, "samples": 35},
         "b892c287f94b14f47df214ebd8826515d63fba66d53634ba9ba4ef4cbfcab645",
-        (35,) * 9,
+        (35,) * 6,
         {"h-boundary": 3, "v-boundary": 2, "v-assoc": 4, "interchange": 3, "six-composites": 19},
     ),
     (
         "xm1", 1, 1, {},
         "6ae5bb16fef11c7ea4ec876b06cd832d824f51d94fa03ef3b588456420d794b3",
-        (36, 36, 36, 324, 216, 2916, 1296, 5832, 216),
+        (36, 324, 216, 1296, 5832, 216),
         {"h-boundary": 22, "v-boundary": 13, "v-assoc": 78, "interchange": 396, "six-composites": 32},
     ),
     (
         "xm1", 1, 1, {"max_exhaustive": 0, "samples": 35},
         "9a0d868851a952731f2d2a5d7057a39febaafbe39376e8a2871bd2e3736da5d0",
-        (35,) * 9,
+        (35,) * 6,
         {"h-boundary": 3, "v-boundary": 1, "v-assoc": 1, "interchange": 3, "six-composites": 8},
     ),
     (
         "xm2", 0, 3, {"max_exhaustive": 50_000, "samples": 300},
         "d0e44e0bf8d1da6418c1fc0ff3039cc7061ff85bdc424c333322f7b284a73891",
-        (1296, 1296, 1296, 46656, 46656, 300, 300, 300, 46656),
+        (1296, 46656, 46656, 300, 300, 46656),
         {"h-boundary": 317, "v-boundary": 311, "v-assoc": 1, "six-composites": 1102},
     ),
     (
         "xm2", 0, 3, {"max_exhaustive": 0, "samples": 300},
         "a03d78113369526a7722b21d198b8857c1d00b93b7c15f7cbf37da18d403eaa5",
-        (300,) * 9,
+        (300,) * 6,
         {"v-boundary": 1, "v-assoc": 1, "six-composites": 4},
     ),
 ]
