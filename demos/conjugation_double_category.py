@@ -40,8 +40,7 @@ def main():
     print(f"object-view components (= conjugacy classes of S3): {classes}")
 
     incl = nested_inclusions(d)
-    print(f"nested sub-double-categories: first inclusion full={incl.first_full}, "
-          f"second full={incl.second_full}")
+    print(f"nested sub-double-categories: second inclusion full={incl.second_full}")
 
 
 if __name__ == "__main__":

@@ -108,30 +108,29 @@ class _Out:
             print(json.dumps(obj, sort_keys=True), file=sys.stderr)
 
 
-def _resolve_xmod(token: str):
-    if not Path(token).exists() and token in BUILTIN_XMODS:
-        return BUILTIN_XMODS[token]
-    return load_xmod(token)
+_SOURCES = {  # kind -> (built-ins by name, file loader)
+    "group": (BUILTIN_GROUPS, load_group),
+    "xmod": (BUILTIN_XMODS, load_xmod),
+    "category": ({"terminal": terminal_category()}, load_category),
+}
 
 
-def _resolve_group(token: str):
-    if not Path(token).exists() and token in BUILTIN_GROUPS:
-        return BUILTIN_GROUPS[token]
-    return load_group(token)
-
-
-def _resolve_category(token: str):
-    if not Path(token).exists() and token == "terminal":
-        return terminal_category()
-    return load_category(token)
+def _resolve(kind: str, token: str | None):
+    """The group, xmod or category at a path, or else the built-in so named."""
+    if token is None:
+        raise UsageError(f"--kind {kind} needs a path or a built-in name")
+    builtins, load = _SOURCES[kind]
+    if not Path(token).exists() and token in builtins:
+        return builtins[token]
+    return load(token)
 
 
 def _load_verb_action(args):
     """An action from a file, or built from a crossed module on demand."""
     if getattr(args, "adjoint", None):
-        return adjoint_action(_resolve_xmod(args.adjoint))
+        return adjoint_action(_resolve("xmod", args.adjoint))
     if getattr(args, "trivial", None):
-        return trivial_strict_action(_resolve_xmod(args.trivial), terminal_category())
+        return trivial_strict_action(_resolve("xmod", args.trivial), terminal_category())
     if args.path is None:
         raise UsageError("an action file, --adjoint, or --trivial is required")
     return load_action(args.path)
@@ -142,13 +141,13 @@ def _load_verb_action(args):
 def cmd_validate(args, out: _Out) -> int:
     try:
         if args.kind == "group":
-            _resolve_group(args.path)
+            _resolve("group", args.path)
             lines = [LawLine("validate", "group-tables", "pass", 1)]
         elif args.kind == "category":
-            _resolve_category(args.path)
+            _resolve("category", args.path)
             lines = [LawLine("validate", "category-tables", "pass", 1)]
         elif args.kind == "xmod":
-            xm = _resolve_xmod(args.path)
+            xm = _resolve("xmod", args.path)
             names = [law.name for law in crossed_module_laws(xm)]
             lines = law_lines("validate", validate_crossed_module(xm), names)
         else:  # action: argparse restricts the choices
@@ -254,14 +253,16 @@ def cmd_verify(args, out: _Out) -> int:
 def cmd_export(args, out: _Out) -> int:
     kind = args.kind
     if kind == "group":
-        obj = group_to_obj(_resolve_group(args.path))
+        obj = group_to_obj(_resolve("group", args.path))
     elif kind == "xmod":
-        obj = xmod_to_obj(_resolve_xmod(args.path))
+        obj = xmod_to_obj(_resolve("xmod", args.path))
     elif kind == "category":
-        obj = category_to_obj(_resolve_category(args.path))
+        obj = category_to_obj(_resolve("category", args.path))
     elif kind == "action":
         obj = action_to_obj(_load_verb_action(args))
     elif kind == "grid":
+        if args.path is None:
+            raise UsageError("--kind grid needs a path")
         path = Path(args.path)
         if path.suffix == ".json":
             from .gridlang import grid_from_obj

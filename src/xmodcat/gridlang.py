@@ -104,7 +104,8 @@ class _LineParser:
         t = self.peek()
         if t is None:
             last = self.toks[-1] if self.toks else None
-            col = (last.col + len(last.text)) if last else 1
+            # one past the last token; a string's text leaves out its two quotes
+            col = (last.col + len(last.text) + 2 * (last.kind == "string")) if last else 1
             raise DslSyntaxError(f"expected {what}", self.lineno, col)
         if kind is not None and t.kind != kind:
             raise DslSyntaxError(f"expected {what}, found {t.text!r}", t.line, t.col)
@@ -135,7 +136,7 @@ def _resolve_elem(
     """
     text = tok.text
     if tok.kind == "atom":
-        if text.lstrip("-").isdigit():
+        if text.removeprefix("-").isdecimal():  # digits after at most one "-": int() reads it
             v = int(text)
             if not 0 <= v < group.order:
                 raise UnknownNameError(

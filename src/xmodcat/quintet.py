@@ -24,11 +24,13 @@ layer would. It does not check adjacency: its callers do, wherever adjacency
 is not true by construction. Making one costs a few attribute reads, so a
 law loop makes one per crossed module and a checked call one per call.
 
-Quintet, make_square, square_from_edges, compose_h, compose_v, invert and
-evaluate_grid are the checked layer on top: they reject squares over
-different crossed modules and non-adjacent pastes, and return Quintets. The
-verification suite's law loops run on the kernel; its embed-compose law and
-the five-square-strip oracle go through the checked layer.
+Quintet, make_square, square_from_edges, compose_h, compose_v and invert are
+the checked layer on top: they reject squares over different crossed modules
+and non-adjacent pastes, and return Quintets. A QuintetGrid checks its shape,
+crossed module and adjacency once, when it is built, so evaluate_grid folds
+its cells on the kernel with no check of its own. The verification suite's
+law loops run on the kernel; its embed-compose law and the five-square-strip
+oracle go through the checked layer.
 """
 
 from __future__ import annotations
@@ -175,22 +177,12 @@ def _same_xm(xa: CrossedModule, xb: CrossedModule) -> CrossedModule:
     return xa
 
 
-def _paste_h(k: SquareKernel, a: Square, b: Square) -> Square:
-    if a[2] != b[0]:
-        raise NotAdjacent(f"a.right={a[2]} but b.left={b[0]}")
-    return k.hcomp(a, b)
-
-
-def _paste_v(k: SquareKernel, upper: Square, lower: Square) -> Square:
-    if upper[3] != lower[1]:
-        raise NotAdjacent(f"upper.bottom={upper[3]} but lower.top={lower[1]}")
-    return k.vcomp(upper, lower)
-
-
 def compose_h(a: Quintet, b: Quintet) -> Quintet:
     """Paste b to the right of a; requires a.right == b.left."""
     xm = _same_xm(a.xm, b.xm)
-    return Quintet(xm, *_paste_h(SquareKernel(xm), a.as_tuple(), b.as_tuple()))
+    if a.right != b.left:
+        raise NotAdjacent(f"a.right={a.right} but b.left={b.left}")
+    return Quintet(xm, *SquareKernel(xm).hcomp(a.as_tuple(), b.as_tuple()))
 
 
 def compose_h_face_alt(a: Quintet, b: Quintet) -> int:
@@ -202,7 +194,9 @@ def compose_h_face_alt(a: Quintet, b: Quintet) -> int:
 def compose_v(upper: Quintet, lower: Quintet) -> Quintet:
     """Paste lower underneath upper; requires upper.bottom == lower.top."""
     xm = _same_xm(upper.xm, lower.xm)
-    return Quintet(xm, *_paste_v(SquareKernel(xm), upper.as_tuple(), lower.as_tuple()))
+    if upper.bottom != lower.top:
+        raise NotAdjacent(f"upper.bottom={upper.bottom} but lower.top={lower.top}")
+    return Quintet(xm, *SquareKernel(xm).vcomp(upper.as_tuple(), lower.as_tuple()))
 
 
 def invert(sq: Quintet, axis: str) -> Quintet:
@@ -239,7 +233,37 @@ def extract_morphism(sq: Quintet) -> Mor2G:
 
 @dataclass(frozen=True)
 class QuintetGrid:
+    """A rectangular grid of squares over one crossed module, whose
+    neighbours agree on their shared edges. It checks that when it is built:
+    an empty or ragged grid, or a shared edge that differs, raises
+    NotAdjacent, and a square over another crossed module raises
+    MixedStructures. Rows may be given as any iterables; they are kept as
+    tuples."""
+
     cells: tuple[tuple[Quintet, ...], ...]
+
+    def __post_init__(self) -> None:
+        rows = tuple(tuple(r) for r in self.cells)
+        object.__setattr__(self, "cells", rows)
+        if not rows or not rows[0]:
+            raise NotAdjacent("grid must have at least one row and column")
+        xm = rows[0][0].xm
+        for i, row in enumerate(rows):
+            if len(row) != len(rows[0]):
+                raise NotAdjacent(f"row {i} has {len(row)} cells, expected {len(rows[0])}")
+            for j, sq in enumerate(row):
+                if sq.xm != xm:
+                    raise MixedStructures(f"cell ({i},{j}) uses a different crossed module")
+                if j > 0 and row[j - 1].right != sq.left:
+                    raise NotAdjacent(
+                        f"cells ({i},{j - 1})|({i},{j}): right edge "
+                        f"{row[j - 1].right} != left edge {sq.left}"
+                    )
+                if i > 0 and rows[i - 1][j].bottom != sq.top:
+                    raise NotAdjacent(
+                        f"cells ({i - 1},{j})/({i},{j}): bottom edge "
+                        f"{rows[i - 1][j].bottom} != top edge {sq.top}"
+                    )
 
     @property
     def n_rows(self) -> int:
@@ -255,28 +279,8 @@ class QuintetGrid:
 
 
 def make_grid(cells) -> QuintetGrid:
-    """Checked grid constructor: rectangular, one crossed module, edges agree."""
-    rows = tuple(tuple(r) for r in cells)
-    if not rows or not rows[0]:
-        raise NotAdjacent("grid must have at least one row and column")
-    xm = rows[0][0].xm
-    for i, row in enumerate(rows):
-        if len(row) != len(rows[0]):
-            raise NotAdjacent(f"row {i} has {len(row)} cells, expected {len(rows[0])}")
-        for j, sq in enumerate(row):
-            if sq.xm != xm:
-                raise MixedStructures(f"cell ({i},{j}) uses a different crossed module")
-            if j > 0 and row[j - 1].right != sq.left:
-                raise NotAdjacent(
-                    f"cells ({i},{j - 1})|({i},{j}): right edge "
-                    f"{row[j - 1].right} != left edge {sq.left}"
-                )
-            if i > 0 and rows[i - 1][j].bottom != sq.top:
-                raise NotAdjacent(
-                    f"cells ({i - 1},{j})/({i},{j}): bottom edge "
-                    f"{rows[i - 1][j].bottom} != top edge {sq.top}"
-                )
-    return QuintetGrid(rows)
+    """The grid of these rows of squares; QuintetGrid checks it."""
+    return QuintetGrid(cells)
 
 
 def evaluate_grid(grid: QuintetGrid, order: str = "rows") -> Quintet:
@@ -284,31 +288,20 @@ def evaluate_grid(grid: QuintetGrid, order: str = "rows") -> Quintet:
 
     order="rows" folds each row left-to-right, then the row results top to
     bottom; order="columns" folds each column first. The interchange law
-    makes both orders agree, which the verification suite exercises. Each
-    paste makes compose_h's or compose_v's checks, so a grid built without
-    make_grid still raises MixedStructures or NotAdjacent; so does a ragged
-    one, before any paste.
+    makes both orders agree, which the verification suite exercises. The
+    grid checked its shape, crossed module and adjacency when it was built,
+    so the fold pastes kernel tuples with no check of its own; the kernel
+    still re-checks every paste against the boundary law.
     """
-    rows = grid.cells
-    for i, row in enumerate(rows):
-        if len(row) != len(rows[0]):
-            raise NotAdjacent(f"row {i} has {len(row)} cells, expected {len(rows[0])}")
     k = SquareKernel(grid.xm)
-
-    def h(a, b):  # on (crossed module, square) pairs, as compose_h
-        return _same_xm(a[0], b[0]), _paste_h(k, a[1], b[1])
-
-    def v(upper, lower):  # as compose_v
-        return _same_xm(upper[0], lower[0]), _paste_v(k, upper[1], lower[1])
-
-    cells = [tuple((sq.xm, sq.as_tuple()) for sq in row) for row in grid.cells]
+    cells = [[sq.as_tuple() for sq in row] for row in grid.cells]
     if order == "rows":
-        xm, out = reduce(v, [reduce(h, row) for row in cells])
+        out = reduce(k.vcomp, [reduce(k.hcomp, row) for row in cells])
     elif order == "columns":
-        xm, out = reduce(h, [reduce(v, [row[j] for row in cells]) for j in range(grid.n_cols)])
+        out = reduce(k.hcomp, [reduce(k.vcomp, col) for col in zip(*cells)])
     else:
         raise ValueError(f"unknown evaluation order {order!r}")
-    return Quintet(xm, *out)
+    return Quintet(grid.xm, *out)
 
 
 def enumerate_squares(xm: CrossedModule) -> list[Quintet]:

@@ -145,16 +145,6 @@ def catgroup_laws(d: TransDoubleCat) -> list[Law]:
             if catgroup.tensor(m, mi) != e_mor or catgroup.tensor(mi, m) != e_mor:
                 fail((m.g, m.eta))
 
-    def compose_inverse(insts, fail) -> None:
-        for (m,) in insts:
-            mc = catgroup.invert(m, "compose")
-            s, t = catgroup.boundary(m)
-            if (
-                catgroup.compose(mc, m) != catgroup.identity_morphism(xm, s)
-                or catgroup.compose(m, mc) != catgroup.identity_morphism(xm, t)
-            ):
-                fail((m.g, m.eta))
-
     def eckmann_hilton(insts, fail) -> None:
         for a, b in insts:
             ma, mb = Mor2G(xm, g.identity, a), Mor2G(xm, g.identity, b)
@@ -170,7 +160,6 @@ def catgroup_laws(d: TransDoubleCat) -> list[Law]:
         product_law("tensor-typing", tensor_typing, pairs, pairs),
         product_law("interchange", interchange, pairs, h.elements(), pairs, h.elements()),
         product_law("tensor-inverse", tensor_inverse, mors),
-        product_law("compose-inverse", compose_inverse, mors),
         product_law("eckmann-hilton", eckmann_hilton, kernel, kernel),
     ]
 

@@ -508,7 +508,14 @@ def connected_components(gpd: FiniteCategory) -> list[list[int]]:
 
 @dataclass
 class NestedInclusions:
-    """C0//G inside C1//G inside C1//(G x| H), with fullness bookkeeping."""
+    """C0//G inside C1//G inside C1//(G x| H), with fullness bookkeeping.
+
+    The first inclusion sends (gamma, x) to (gamma, id_x), the second sends
+    (gamma, f) to ((gamma, 1), f). Only the first one's typing and
+    composition depend on the action; the rest of both, and fullness of the
+    first, hold by construction. The second is full exactly when H is
+    trivial or C has no morphism.
+    """
 
     objects_over_g: FiniteGroupoid       # action on objects by G
     morphisms_over_g: FiniteGroupoid     # action on morphisms by G alone
@@ -524,10 +531,6 @@ class NestedInclusions:
     def report(self) -> Report:
         """Every law of nested_laws, checked exhaustively."""
         return run_laws(Report(cap=self.cap), "nested", nested_laws(self))
-
-    @property
-    def first_full(self) -> bool:
-        return not self.report.count("first-full")
 
 
 def nested_inclusions(d: TransDoubleCat, cap: int = DEFAULT_CAP) -> NestedInclusions:
@@ -563,16 +566,10 @@ def nested_inclusions(d: TransDoubleCat, cap: int = DEFAULT_CAP) -> NestedInclus
 
 
 def nested_laws(inc: NestedInclusions) -> list[Law]:
-    """Typing, composition and identity laws of both inclusions, injectivity
-    on objects, and fullness of the first inclusion."""
-    gpd0, gpd1, gpd2 = inc.objects_over_g, inc.morphisms_over_g, inc.morphisms_over_pairs
-    first_obj, first_mor, second_mor = inc.first_obj_map, inc.first_mor_map, inc.second_mor_map
-    image_objects, image_morphisms = set(first_obj), set(first_mor)
-
-    def first_injective(insts, fail) -> None:
-        for _ in insts:
-            if len(image_objects) != len(first_obj):
-                fail(())
+    """Typing and composition of the first inclusion, the two laws of the
+    nested inclusions that an action can break (see NestedInclusions)."""
+    gpd0, gpd1 = inc.objects_over_g, inc.morphisms_over_g
+    first_obj, first_mor = inc.first_obj_map, inc.first_mor_map
 
     def first_typing(insts, fail) -> None:
         for (i,) in insts:
@@ -588,45 +585,9 @@ def nested_laws(inc: NestedInclusions) -> list[Law]:
             if gpd1.comp.get((first_mor[g2], first_mor[g1])) != first_mor[gpd0.comp[(g2, g1)]]:
                 fail((g2, g1))
 
-    def first_identities(insts, fail) -> None:
-        for (x,) in insts:
-            if first_mor[gpd0.identity[x]] != gpd1.identity[first_obj[x]]:
-                fail((x,))
-
-    def second_typing(insts, fail) -> None:
-        for (i,) in insts:
-            m = second_mor[i]
-            if gpd2.src[m] != gpd1.src[i] or gpd2.tgt[m] != gpd1.tgt[i]:
-                fail((i,))
-
-    def second_composition(insts, fail) -> None:
-        for ((g2, g1),) in insts:
-            if gpd2.comp.get((second_mor[g2], second_mor[g1])) != second_mor[gpd1.comp[(g2, g1)]]:
-                fail((g2, g1))
-
-    def second_identities(insts, fail) -> None:
-        for (f,) in insts:
-            if second_mor[gpd1.identity[f]] != gpd2.identity[f]:
-                fail((f,))
-
-    def first_full(insts, fail) -> None:
-        for (m,) in insts:
-            if (
-                gpd1.src[m] in image_objects
-                and gpd1.tgt[m] in image_objects
-                and m not in image_morphisms
-            ):
-                fail((m,))
-
     return [
-        product_law("first-injective", first_injective),
         product_law("first-typing", first_typing, gpd0.morphisms()),
         product_law("first-composition", first_composition, tuple(gpd0.comp)),
-        product_law("first-identities", first_identities, gpd0.objects()),
-        product_law("second-typing", second_typing, gpd1.morphisms()),
-        product_law("second-composition", second_composition, tuple(gpd1.comp)),
-        product_law("second-identities", second_identities, gpd1.objects()),
-        product_law("first-full", first_full, gpd1.morphisms()),
     ]
 
 

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from xmodcat.cli import main
 from xmodcat.gridlang import (
     DslSyntaxError,
     GridAdjacencyViolation,
@@ -111,6 +112,27 @@ class TestDiagnostics:
         with pytest.raises(DslSyntaxError) as exc:
             parse_grid(text, base_dir=GRIDS)
         assert exc.value.line == 3
+
+    @pytest.mark.parametrize("atom", ["--1", "\u00b2"])
+    def test_a_numeric_looking_atom_is_an_unknown_name(self, capsys, tmp_path, atom):
+        path = tmp_path / "grid.xmg"
+        path.write_text(f'use "{GRIDS.parent / "xm1.json"}"\nsq A = ({atom}, 0, 0, 0 ; 0)\ngrid:\nA\n')
+        with pytest.raises(UnknownNameError) as exc:
+            parse_grid_file(path)
+        assert (exc.value.line, exc.value.col) == (2, 9)
+        assert main(["eval", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["line"], err["col"]) == ("UnknownNameError", 2, 9)
+        assert err["message"] == f"line 2, col 9: unknown G element {atom!r}"
+
+    @pytest.mark.parametrize("face, col", [("e", 23), ('"e"', 25)])
+    def test_a_missing_token_is_reported_past_the_last_one(self, face, col):
+        # a quoted name ends at its closing quote, two columns past its text
+        text = f'use "../xm2.json"\nsq A = (0, 0, 0, 0 ; {face}\ngrid:\nA\n'
+        with pytest.raises(DslSyntaxError) as exc:
+            parse_grid(text, base_dir=GRIDS)
+        assert (exc.value.line, exc.value.col) == (2, col)
+        assert str(exc.value) == f"line 2, col {col}: expected ')'"
 
     def test_unknown_square_in_grid(self):
         text = 'use "../xm1.json"\nsq A = (0,0,0,0;0)\ngrid:\nA B\n'

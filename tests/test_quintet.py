@@ -201,20 +201,23 @@ class TestInterchange:
             make_grid([])
 
     def test_a_grid_built_without_make_grid_is_still_checked(self, xm1, xm3, xm4):
+        # QuintetGrid checks itself when built, with make_grid's classes and messages
         a = square_from_edges(xm4, 0, 0, 1, 0)
         b = square_from_edges(xm4, 2, 0, 0, 0)
-        for order in ("rows", "columns"):
-            with pytest.raises(NotAdjacent):
-                evaluate_grid(QuintetGrid(((a, b),)), order)
-            with pytest.raises(NotAdjacent):
-                evaluate_grid(QuintetGrid(((a,), (a,))), order)
-            mixed = QuintetGrid(((h_identity(xm1, 0), h_identity(xm3, 0)),))
-            with pytest.raises(MixedStructures):
-                evaluate_grid(mixed, order)
-            # a unit square: every paste the ragged rows allow would succeed
-            u = h_identity(xm4, 0)
-            with pytest.raises(NotAdjacent, match="row 1 has 1 cells, expected 2"):
-                evaluate_grid(QuintetGrid(((u, u), (u,))), order)
+        with pytest.raises(NotAdjacent, match=r"^cells \(0,0\)\|\(0,1\): right edge 1 != left edge 2$"):
+            QuintetGrid(((a, b),))
+        with pytest.raises(NotAdjacent, match=r"^cells \(0,0\)/\(1,0\): bottom edge"):
+            QuintetGrid(((a,), (a,)))
+        with pytest.raises(MixedStructures, match=r"^cell \(0,1\) uses a different crossed module$"):
+            QuintetGrid(((h_identity(xm1, 0), h_identity(xm3, 0)),))
+        # a unit square: every paste the ragged rows allow would succeed
+        u = h_identity(xm4, 0)
+        with pytest.raises(NotAdjacent, match="^row 1 has 1 cells, expected 2$"):
+            QuintetGrid(((u, u), (u,)))
+        with pytest.raises(NotAdjacent, match="^grid must have at least one row and column$"):
+            QuintetGrid(((),))
+        grid = QuintetGrid([[u, u], [u, u]])  # rows kept as tuples, as make_grid keeps them
+        assert grid == make_grid([[u, u], [u, u]]) and grid.cells == ((u, u), (u, u))
 
     def test_unknown_evaluation_order(self, xm1):
         grid = make_grid([[h_identity(xm1, 0)]])
@@ -476,5 +479,5 @@ def test_bad_peiffer_cli_lines_are_pinned(capsys):
     assert main(argv) == 1
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "3e746518f39fdf3f0c5804c4c76f526bcc5ce12812a50875d971a62fc85dc3f6"
+        "eecdb5be2d5603c2e8e87aa035e95135390797a7c4df0d1b86301d30cebd4c35"
     )

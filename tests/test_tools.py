@@ -1,8 +1,10 @@
 """The fixture generator reproduces the committed fixtures byte for byte,
-and every demo runs to completion."""
+every demo runs to completion, and the README's law-line count is current."""
 
 import importlib.util
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -43,3 +45,13 @@ def test_demo_runs(demo):
 
 def test_the_demos_are_found():
     assert ROOT / "demos" / "conjugation_double_category.py" in DEMOS
+
+
+def test_the_readme_states_the_law_line_count(capsys):
+    from xmodcat.cli import main
+
+    found = re.findall(r"\((\d+) law lines over (\d+) suites\)", (ROOT / "README.md").read_text())
+    assert len(found) == 1
+    assert main(["verify", "--adjoint", "xm1"]) == 0
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()[1:]]
+    assert (len(lines), len({o["suite"] for o in lines})) == tuple(map(int, found[0]))

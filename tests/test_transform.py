@@ -233,11 +233,6 @@ class TestNestedInclusions:
         for name, incl in ((n, nested_inclusions(build_transformation_double(a, validate=False))) for n, a in adjoints):
             assert incl.report.ok, f"{name}: {incl.report.violations[:3]}"
 
-    def test_first_inclusion_always_full(self, adjoints):
-        for _, act in adjoints:
-            incl = nested_inclusions(build_transformation_double(act, validate=False))
-            assert incl.first_full
-
     def test_second_inclusion_full_only_without_labels(self, adjoints):
         for _, act in adjoints:
             incl = nested_inclusions(build_transformation_double(act, validate=False))
@@ -250,6 +245,20 @@ class TestNestedInclusions:
             assert incl.second_nonfull_witnesses
             for p, f in incl.second_nonfull_witnesses:
                 assert p % n_h != act.xm.h.identity
+
+    def test_the_surviving_laws_fail_where_a_translation_moves_an_identity(self, xm1):
+        # one entry of the adjoint action: (gamma, 1) sends id_x to another morphism
+        act = adjoint_action(xm1)
+        xm, c = act.xm, act.category
+        gamma = next(g for g in xm.g.elements() if g != xm.g.identity)
+        p, x = xm.pair_index(gamma, xm.h.identity), 0
+        act_mor = [list(row) for row in act.act_mor]
+        act_mor[p][c.identity[x]] = (act_mor[p][c.identity[x]] + 1) % c.n_morphisms
+        mutant = make_strict_action(xm, c, act.act_obj, act_mor)
+        lines = {(o.suite, o.law): o for o in run_all(mutant, only=["action", "nested"])}
+        assert lines[("action", "pair-identity")].witness == (gamma, x)
+        assert lines[("nested", "first-typing")].witness == (gamma * c.n_objects + x,)
+        assert lines[("nested", "first-composition")].status == "fail"
 
     def test_inclusion_maps_are_injective(self, xm1):
         incl = nested_inclusions(build_transformation_double(adjoint_action(xm1), validate=False))
