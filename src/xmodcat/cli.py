@@ -33,8 +33,8 @@ from .fincat import terminal_category
 from .gridlang import (
     DslError,
     grid_to_obj,
+    load_document,
     load_grid,
-    parse_document,
     serialize_grid,
 )
 from .groups import small_group_catalog
@@ -48,7 +48,6 @@ from .serialize import (
     load_category,
     load_group,
     load_xmod,
-    read_json,
     write_json,
     xmod_to_obj,
 )
@@ -263,16 +262,8 @@ def cmd_export(args, out: _Out) -> int:
     elif kind == "grid":
         if args.path is None:
             raise UsageError("--kind grid needs a path")
-        path = Path(args.path)
-        if path.suffix == ".json":
-            from .gridlang import grid_from_obj
-
-            raw = read_json(path)
-            grid = grid_from_obj(raw, base=path.parent, where=str(path))
-            ref = raw.get("xmod") if isinstance(raw.get("xmod"), str) else ""
-        else:
-            doc = parse_document(path.read_text(), base_dir=path.parent)
-            grid, ref = doc.grid, doc.xmod_ref
+        doc = load_document(args.path)
+        grid, ref = doc.grid, doc.xmod_ref
         if args.dsl:
             text = serialize_grid(grid, ref)
             if args.output:

@@ -3,7 +3,7 @@
     # comment            -- anywhere; blank lines ignored
     use "xm1.json"       -- crossed module, path relative to the file
     elem a = G 1         -- optional aliases, scoped to G or H
-    elem w = H (12)      -- group element names from the JSON work too
+    elem w = H "(12)"    -- quoted group element names from the JSON work too
     sq A = (a, 0, a, 0 ; 1)      -- (left, top, right, bottom ; face)
     grid:                -- rectangular block of declared square names
     A B
@@ -17,13 +17,14 @@ GridAdjacencyViolation when neighbouring cells disagree on a shared edge.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import BoundaryViolation, XmodcatError
 from .groups import FiniteGroup
 from .quintet import Quintet, QuintetGrid, make_grid, make_square
-from .serialize import FixtureFormatError, read_json, xmod_from_obj
+from .serialize import FixtureFormatError, load_xmod, read_json, xmod_from_obj
 from .xmod import CrossedModule
 
 
@@ -50,72 +51,55 @@ class GridAdjacencyViolation(DslError):
     pass
 
 
-_PUNCT = "()=,;:"
+# one token per match: a quoted name, a punctuation mark or an atom; a
+# comment or an unmatched quote stops the scan. Spaces and tabs are the only
+# characters no alternative matches, so finditer steps over them.
+_TOKEN = re.compile(
+    r'"(?P<string>[^"]*)"|(?P<punct>[()=,;:])|(?P<atom>[^ \t"#()=,;:]+)|(?P<stop>[#"])'
+)
+
+_Token = tuple  # (kind, text, col, end)
 
 
-@dataclass(frozen=True)
-class _Tok:
-    text: str
-    kind: str  # "atom" | "string" | one of _PUNCT
-    line: int
-    col: int
-
-
-def _tokenize(line: str, lineno: int) -> list[_Tok]:
-    out: list[_Tok] = []
-    i, n = 0, len(line)
-    while i < n:
-        ch = line[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        if ch == "#":
-            break
-        col = i + 1
-        if ch == '"':
-            j = line.find('"', i + 1)
-            if j < 0:
-                raise DslSyntaxError("unterminated string", lineno, col)
-            out.append(_Tok(line[i + 1 : j], "string", lineno, col))
-            i = j + 1
-            continue
-        if ch in _PUNCT:
-            out.append(_Tok(ch, ch, lineno, col))
-            i += 1
-            continue
-        j = i
-        while j < n and line[j] not in ' \t\r\n#"' + _PUNCT:
-            j += 1
-        out.append(_Tok(line[i:j], "atom", lineno, col))
-        i = j
-    return out
+def _tokenize(line: str, lineno: int) -> list[_Token]:
+    """The tokens of one line. kind is "atom", "string" or the punctuation
+    mark itself; a string's text leaves out its quotes. col and end are the
+    1-based columns of the token's first and last characters."""
+    toks = []
+    for m in _TOKEN.finditer(line):
+        kind = m.lastgroup
+        text = m[kind]
+        if kind == "stop":
+            if text == "#":
+                break
+            raise DslSyntaxError("unterminated string", lineno, m.start() + 1)
+        toks.append((text if kind == "punct" else kind, text, m.start() + 1, m.end()))
+    return toks
 
 
 class _LineParser:
-    def __init__(self, toks: list[_Tok], lineno: int):
+    def __init__(self, toks: list[_Token], lineno: int):
         self.toks = toks
         self.pos = 0
         self.lineno = lineno
 
-    def peek(self) -> _Tok | None:
+    def peek(self) -> _Token | None:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
 
-    def take(self, kind: str | None = None, what: str = "token") -> _Tok:
-        t = self.peek()
-        if t is None:
-            last = self.toks[-1] if self.toks else None
-            # one past the last token; a string's text leaves out its two quotes
-            col = (last.col + len(last.text) + 2 * (last.kind == "string")) if last else 1
-            raise DslSyntaxError(f"expected {what}", self.lineno, col)
-        if kind is not None and t.kind != kind:
-            raise DslSyntaxError(f"expected {what}, found {t.text!r}", t.line, t.col)
+    def take(self, kind: str, what: str) -> _Token:
+        if self.pos == len(self.toks):
+            # one past the last token; blank lines never reach a parser
+            raise DslSyntaxError(f"expected {what}", self.lineno, self.toks[-1][3] + 1)
+        t = self.toks[self.pos]
+        if t[0] != kind:
+            raise DslSyntaxError(f"expected {what}, found {t[1]!r}", self.lineno, t[2])
         self.pos += 1
         return t
 
-    def take_ref(self, what: str) -> _Tok:
+    def take_ref(self, what: str) -> _Token:
         """An element reference: a bare atom or a quoted name."""
         t = self.peek()
-        if t is not None and t.kind == "string":
+        if t is not None and t[0] == "string":
             self.pos += 1
             return t
         return self.take("atom", what)
@@ -123,40 +107,36 @@ class _LineParser:
     def done(self) -> None:
         t = self.peek()
         if t is not None:
-            raise DslSyntaxError(f"trailing input {t.text!r}", t.line, t.col)
+            raise DslSyntaxError(f"trailing input {t[1]!r}", self.lineno, t[2])
 
 
 def _resolve_elem(
-    tok: _Tok, group: FiniteGroup, aliases: dict[str, tuple[str, int]], scope: str
+    tok: _Token, lineno: int, group: FiniteGroup, aliases: dict[str, tuple[str, int]], scope: str
 ) -> int:
     """An element reference: bare index, alias, or (possibly quoted) name.
 
     Quoting is the only way to reference names containing punctuation, such
     as the cycle names of symmetric groups.
     """
-    text = tok.text
-    if tok.kind == "atom":
+    kind, text, col, _ = tok
+    if kind == "atom":
         if text.removeprefix("-").isdecimal():  # digits after at most one "-": int() reads it
             v = int(text)
             if not 0 <= v < group.order:
                 raise UnknownNameError(
-                    f"index {v} out of range for a group of order {group.order}",
-                    tok.line,
-                    tok.col,
+                    f"index {v} out of range for a group of order {group.order}", lineno, col
                 )
             return v
         if text in aliases:
             sc, v = aliases[text]
             if sc != scope:
                 raise UnknownNameError(
-                    f"alias {text!r} names a {sc} element, {scope} expected",
-                    tok.line,
-                    tok.col,
+                    f"alias {text!r} names a {sc} element, {scope} expected", lineno, col
                 )
             return v
     if group.names is not None and text in group.names:
         return group.names.index(text)
-    raise UnknownNameError(f"unknown {scope} element {text!r}", tok.line, tok.col)
+    raise UnknownNameError(f"unknown {scope} element {text!r}", lineno, col)
 
 
 @dataclass
@@ -172,7 +152,7 @@ def parse_document(text: str, base_dir=".") -> GridDocument:
     xmod_ref: str | None = None
     aliases: dict[str, tuple[str, int]] = {}
     squares: dict[str, Quintet] = {}
-    rows: list[list[tuple[Quintet, _Tok]]] = []
+    rows: list[list[tuple[Quintet, int]]] = []  # each cell with its column
     in_grid = False
     lines = text.splitlines()
 
@@ -183,92 +163,88 @@ def parse_document(text: str, base_dir=".") -> GridDocument:
         lp = _LineParser(toks, lineno)
 
         if in_grid:
-            row: list[tuple[Quintet, _Tok]] = []
+            row: list[tuple[Quintet, int]] = []
             while lp.peek() is not None:
-                t = lp.take("atom", "square name")
-                if t.text not in squares:
-                    raise UnknownNameError(f"unknown square {t.text!r}", t.line, t.col)
-                row.append((squares[t.text], t))
+                _, name, col, _ = lp.take("atom", "square name")
+                if name not in squares:
+                    raise UnknownNameError(f"unknown square {name!r}", lineno, col)
+                row.append((squares[name], col))
             if rows and len(row) != len(rows[0]):
                 raise DslSyntaxError(
-                    f"row has {len(row)} cells, expected {len(rows[0])}",
-                    lineno,
-                    toks[0].col,
+                    f"row has {len(row)} cells, expected {len(rows[0])}", lineno, toks[0][2]
                 )
-            for j, (sq, t) in enumerate(row):
+            for j, (sq, col) in enumerate(row):
                 if j > 0 and row[j - 1][0].right != sq.left:
                     raise GridAdjacencyViolation(
                         f"left edge {sq.left} does not match neighbour's right "
                         f"edge {row[j - 1][0].right}",
-                        t.line,
-                        t.col,
+                        lineno,
+                        col,
                     )
                 if rows and rows[-1][j][0].bottom != sq.top:
                     raise GridAdjacencyViolation(
                         f"top edge {sq.top} does not match the edge above "
                         f"{rows[-1][j][0].bottom}",
-                        t.line,
-                        t.col,
+                        lineno,
+                        col,
                     )
             rows.append(row)
             continue
 
-        head = lp.take("atom", "directive")
-        if head.text == "use":
+        _, head, head_col, _ = lp.take("atom", "directive")
+        if head == "use":
             if xm is not None:
-                raise DslSyntaxError("duplicate use directive", head.line, head.col)
-            ref = lp.take("string", "quoted path")
+                raise DslSyntaxError("duplicate use directive", lineno, head_col)
+            _, ref, ref_col, _ = lp.take("string", "quoted path")
             lp.done()
             try:
-                xm = xmod_from_obj(read_json(base / ref.text), base=(base / ref.text).parent)
+                xm = load_xmod(base / ref)
             except FixtureFormatError as exc:
-                raise DslSyntaxError(str(exc), ref.line, ref.col) from exc
-            xmod_ref = ref.text
+                raise DslSyntaxError(str(exc), lineno, ref_col) from exc
+            xmod_ref = ref
             continue
         if xm is None:
-            raise DslSyntaxError(
-                f"{head.text!r} before the use directive", head.line, head.col
-            )
-        if head.text == "elem":
-            name = lp.take("atom", "alias name")
+            raise DslSyntaxError(f"{head!r} before the use directive", lineno, head_col)
+        if head == "elem":
+            _, name, name_col, _ = lp.take("atom", "alias name")
             lp.take("=", "'='")
-            scope = lp.take("atom", "G or H")
-            if scope.text not in ("G", "H"):
-                raise DslSyntaxError("scope must be G or H", scope.line, scope.col)
-            group = xm.g if scope.text == "G" else xm.h
-            val = _resolve_elem(lp.take_ref("element"), group, {}, scope.text)
+            _, scope, scope_col, _ = lp.take("atom", "G or H")
+            if scope not in ("G", "H"):
+                raise DslSyntaxError("scope must be G or H", lineno, scope_col)
+            group = xm.g if scope == "G" else xm.h
+            val = _resolve_elem(lp.take_ref("element"), lineno, group, {}, scope)
             lp.done()
-            if name.text in aliases:
-                raise DslSyntaxError(f"duplicate alias {name.text!r}", name.line, name.col)
-            aliases[name.text] = (scope.text, val)
+            if name in aliases:
+                raise DslSyntaxError(f"duplicate alias {name!r}", lineno, name_col)
+            aliases[name] = (scope, val)
             continue
-        if head.text == "sq":
-            name = lp.take("atom", "square name")
-            if name.text in squares:
-                raise DslSyntaxError(f"duplicate square {name.text!r}", name.line, name.col)
+        if head == "sq":
+            _, name, name_col, _ = lp.take("atom", "square name")
+            if name in squares:
+                raise DslSyntaxError(f"duplicate square {name!r}", lineno, name_col)
             lp.take("=", "'='")
             lp.take("(", "'('")
             edges = []
             for k in range(4):
-                edges.append(_resolve_elem(lp.take_ref("edge"), xm.g, aliases, "G"))
+                edges.append(_resolve_elem(lp.take_ref("edge"), lineno, xm.g, aliases, "G"))
                 lp.take("," if k < 3 else ";", "',' or ';'")
             face_tok = lp.take_ref("face")
-            face = _resolve_elem(face_tok, xm.h, aliases, "H")
+            face = _resolve_elem(face_tok, lineno, xm.h, aliases, "H")
             lp.take(")", "')'")
             lp.done()
             try:
-                squares[name.text] = make_square(xm, *edges, face)
+                squares[name] = make_square(xm, *edges, face)
             except BoundaryViolation as exc:
                 raise GridBoundaryViolation(
-                    f"square {name.text!r}: {exc}", name.line, face_tok.col
+                    f"square {name!r}: {exc}", lineno, face_tok[2]
                 ) from exc
             continue
-        if head.text == "grid":
+        if head == "grid":
             lp.take(":", "':'")
             lp.done()
             in_grid = True
             continue
-        raise DslSyntaxError(f"unknown directive {head.text!r}", head.line, head.col)
+        raise DslSyntaxError(f"unknown directive {head!r}", lineno, head_col)
 
     if not in_grid or not rows:
         raise DslSyntaxError("missing grid section", len(lines) + 1, 1)
@@ -311,8 +287,7 @@ def grid_from_obj(obj, base: Path | None = None, where: str = "grid") -> Quintet
     if xm_val is None:
         raise FixtureFormatError(f"{where}: missing key 'xmod'")
     if isinstance(xm_val, str):
-        path = Path(xm_val) if base is None else base / xm_val
-        xm = xmod_from_obj(read_json(path), base=path.parent)
+        xm = load_xmod(xm_val if base is None else base / xm_val)
     else:
         xm = xmod_from_obj(xm_val, base=base)
     cells = obj.get("cells")
@@ -320,6 +295,8 @@ def grid_from_obj(obj, base: Path | None = None, where: str = "grid") -> Quintet
         raise FixtureFormatError(f"{where}: missing or empty 'cells'")
     built = []
     for i, row in enumerate(cells):
+        if not isinstance(row, list):
+            raise FixtureFormatError(f"{where}: row {i} is not a list of cells")
         out = []
         for j, cell in enumerate(row):
             try:
@@ -349,9 +326,18 @@ def grid_to_obj(grid: QuintetGrid, xmod_ref: str) -> dict:
     }
 
 
-def load_grid(path) -> QuintetGrid:
-    """Dispatch on extension: .json for the JSON twin, anything else is DSL."""
+def load_document(path) -> GridDocument:
+    """The grid in a file and its module reference. A .json path holds the
+    JSON twin, whose reference is its "xmod" string ("" for an inline
+    module); any other path holds grid text."""
     path = Path(path)
-    if path.suffix == ".json":
-        return grid_from_obj(read_json(path), base=path.parent, where=str(path))
-    return parse_grid_file(path)
+    if path.suffix != ".json":
+        return parse_document(path.read_text(), base_dir=path.parent)
+    obj = read_json(path)
+    grid = grid_from_obj(obj, base=path.parent, where=str(path))
+    ref = obj["xmod"]
+    return GridDocument(grid, ref if isinstance(ref, str) else "", ())
+
+
+def load_grid(path) -> QuintetGrid:
+    return load_document(path).grid

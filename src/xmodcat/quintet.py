@@ -42,6 +42,7 @@ from itertools import product
 
 from .catgroup import Mor2G
 from .errors import BoundaryViolation, MixedStructures, NotAdjacent
+from .groups import is_index
 from .xmod import CrossedModule
 
 Square = tuple  # (left, top, right, bottom, face)
@@ -68,9 +69,9 @@ def make_square(
 ) -> Quintet:
     """Checked constructor enforcing the boundary law."""
     for e in (left, top, right, bottom):
-        if not 0 <= e < xm.g.order:
+        if not is_index(e, xm.g.order):
             raise BoundaryViolation(f"edge {e} out of range", (left, top, right, bottom, face))
-    if not 0 <= face < xm.h.order:
+    if not is_index(face, xm.h.order):
         raise BoundaryViolation(f"face {face} out of range", (left, top, right, bottom, face))
     g = xm.g
     word = g.prod(bottom, right, g.inverse[top], g.inverse[left])

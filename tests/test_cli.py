@@ -429,6 +429,26 @@ class TestEval:
             obj = json.loads(err.splitlines()[0])
             assert "line" in obj and "col" in obj, path.name
 
+    def eval_json_grid(self, capsys, tmp_path, cells):
+        path = tmp_path / "grid.json"
+        write_json({"xmod": str(FIXTURES / "xm1.json"), "cells": cells}, path)
+        code, out, err = run_cli(capsys, "eval", str(path))
+        assert out == ""
+        return code, json.loads(err), path
+
+    def test_json_grid_row_that_is_not_a_list(self, capsys, tmp_path):
+        code, err, path = self.eval_json_grid(capsys, tmp_path, [5])
+        assert code == 2
+        assert err == {"error": "FixtureFormatError", "message": f"{path}: row 0 is not a list of cells"}
+
+    @pytest.mark.parametrize("key, value, slot", [("l", True, "edge"), ("e", 1.0, "face")])
+    def test_json_grid_entry_that_is_not_an_int(self, capsys, tmp_path, key, value, slot):
+        # a cell of fixtures/grids/xm1_2x2.json with one entry replaced
+        cell = {"l": 1, "t": 0, "r": 1, "b": 0, "e": 1, key: value}
+        code, err, _ = self.eval_json_grid(capsys, tmp_path, [[cell]])
+        assert code == 2
+        assert err == {"error": "BoundaryViolation", "message": f"{slot} {value} out of range"}
+
 
 class TestBuild:
     def test_build_writes_requested_files(self, capsys, tmp_path):
@@ -522,6 +542,13 @@ class TestExport:
 
         grid = parse_grid(text, base_dir=FIXTURES / "grids")
         assert serialize_grid(grid, "../xm2.json") == text
+
+    def test_json_grid_dsl_export_matches_its_text_twin(self, capsys):
+        grids = FIXTURES / "grids"
+        from_json = run_cli(capsys, "export", "--kind", "grid", str(grids / "xm1_2x2.json"), "--dsl")
+        from_text = run_cli(capsys, "export", "--kind", "grid", str(grids / "xm1_2x2.xmg"), "--dsl")
+        assert from_json == from_text
+        assert from_json[0] == 0 and from_json[1].startswith('use "../xm1.json"\n')
 
     def test_grid_dsl_export_to_stdout(self, capsys):
         code, out, _ = run_cli(

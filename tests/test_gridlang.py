@@ -5,6 +5,7 @@ import pytest
 
 from xmodcat.cli import main
 from xmodcat.gridlang import (
+    DslError,
     DslSyntaxError,
     GridAdjacencyViolation,
     GridBoundaryViolation,
@@ -154,8 +155,64 @@ class TestDiagnostics:
 
     def test_missing_file_in_use_line(self, tmp_path):
         text = 'use "nope.json"\nsq A = (0,0,0,0;0)\ngrid:\nA\n'
-        with pytest.raises(DslSyntaxError):
+        with pytest.raises(DslSyntaxError) as exc:
             parse_grid(text, base_dir=tmp_path)
+        assert (exc.value.line, exc.value.col) == (1, 5)
+
+
+class TestScannerEdgeCases:
+    """Where a token starts and ends: separators, comments, quotes."""
+
+    def parse_error(self, sq_line):
+        text = f'use "../xm2.json"\n{sq_line}\ngrid:\nA\n'
+        with pytest.raises(DslError) as exc:
+            parse_grid(text, base_dir=GRIDS)
+        return type(exc.value), exc.value.line, exc.value.col, str(exc.value)
+
+    def test_tabs_separate_tokens_and_count_one_column(self):
+        text = 'use\t"../xm1.json"\nsq\tA\t=\t(0,\t0,\t0,\t0\t;\t0)\ngrid:\nA\tA\n'
+        assert parse_grid(text, base_dir=GRIDS).n_cols == 2
+        assert self.parse_error("sq\tA\t=\t(0,\t0,\t0,\t0\t;\tz)") == (
+            UnknownNameError, 2, 22, "line 2, col 22: unknown H element 'z'"
+        )
+
+    def test_crlf_line_endings(self):
+        text = (GRIDS / "xm1_2x2.xmg").read_text()
+        crlf = text.replace("\n", "\r\n")
+        assert parse_grid(crlf, base_dir=GRIDS) == parse_grid(text, base_dir=GRIDS)
+        bad = 'use "../xm1.json"\r\nsq A = (0, 0, 0, 0 ; 0\r\ngrid:\r\nA\r\n'
+        with pytest.raises(DslSyntaxError) as exc:
+            parse_grid(bad, base_dir=GRIDS)
+        assert (exc.value.line, exc.value.col) == (2, 23)
+
+    def test_hash_inside_a_quoted_name_is_part_of_the_name(self):
+        assert self.parse_error('sq A = ("#", 0, 0, 0 ; 0)') == (
+            UnknownNameError, 2, 9, "line 2, col 9: unknown G element '#'"
+        )
+
+    def test_hash_right_after_an_atom_starts_a_comment(self):
+        text = 'use "../xm1.json"#m\nelem t = G 1#a\nsq A = (t,0,t,0;1)#s\ngrid:#g\nA#r\n'
+        sq = parse_grid(text, base_dir=GRIDS).cells[0][0]
+        assert (sq.left, sq.top, sq.right, sq.bottom, sq.face) == (1, 0, 1, 0, 1)
+
+    def test_no_break_space_is_an_atom_character(self):
+        assert self.parse_error("sq A = (0 0, 0, 0, 0 ; 0)") == (
+            UnknownNameError, 2, 9, "line 2, col 9: unknown G element '0\\xa00'"
+        )
+
+    @pytest.mark.parametrize(
+        "text, line, col",
+        [
+            ('use "../xm1.json\n', 1, 5),
+            ('use "../xm2.json"\nsq A = (0, 0, 0, 0 ; "e)\ngrid:\nA\n', 2, 22),
+            ('use "../xm2.json"\nsq "A = (0, 0, 0, 0 ; 0)\ngrid:\nA\n', 2, 4),
+        ],
+    )
+    def test_unterminated_string_points_at_its_quote(self, text, line, col):
+        with pytest.raises(DslSyntaxError) as exc:
+            parse_grid(text, base_dir=GRIDS)
+        assert (exc.value.line, exc.value.col) == (line, col)
+        assert str(exc.value) == f"line {line}, col {col}: unterminated string"
 
 
 class TestNamesAndAliases:

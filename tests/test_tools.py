@@ -1,5 +1,6 @@
 """The fixture generator reproduces the committed fixtures byte for byte,
-every demo runs to completion, and the README's law-line count is current."""
+every demo runs to completion, and the README's law-line count and grid
+example are current."""
 
 import importlib.util
 import json
@@ -55,3 +56,11 @@ def test_the_readme_states_the_law_line_count(capsys):
     assert main(["verify", "--adjoint", "xm1"]) == 0
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()[1:]]
     assert (len(lines), len({o["suite"] for o in lines})) == tuple(map(int, found[0]))
+
+
+def test_the_readme_grid_example_is_the_shipped_checkerboard():
+    from xmodcat.gridlang import parse_grid, parse_grid_file
+
+    example = (ROOT / "README.md").read_text().split("## Grid text format", 1)[1].split("```")[1]
+    grids = ROOT / "fixtures" / "grids"
+    assert parse_grid(example, base_dir=grids) == parse_grid_file(grids / "xm1_2x2.xmg")
