@@ -70,9 +70,9 @@ def make_square(
     """Checked constructor enforcing the boundary law."""
     for e in (left, top, right, bottom):
         if not is_index(e, xm.g.order):
-            raise BoundaryViolation(f"edge {e} out of range", (left, top, right, bottom, face))
+            raise BoundaryViolation(f"edge {e!r} out of range", (left, top, right, bottom, face))
     if not is_index(face, xm.h.order):
-        raise BoundaryViolation(f"face {face} out of range", (left, top, right, bottom, face))
+        raise BoundaryViolation(f"face {face!r} out of range", (left, top, right, bottom, face))
     g = xm.g
     word = g.prod(bottom, right, g.inverse[top], g.inverse[left])
     if xm.bnd(face) != word:

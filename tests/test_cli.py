@@ -441,13 +441,15 @@ class TestEval:
         assert code == 2
         assert err == {"error": "FixtureFormatError", "message": f"{path}: row 0 is not a list of cells"}
 
-    @pytest.mark.parametrize("key, value, slot", [("l", True, "edge"), ("e", 1.0, "face")])
+    @pytest.mark.parametrize(
+        "key, value, slot", [("l", True, "edge"), ("t", "0", "edge"), ("e", 1.0, "face")]
+    )
     def test_json_grid_entry_that_is_not_an_int(self, capsys, tmp_path, key, value, slot):
         # a cell of fixtures/grids/xm1_2x2.json with one entry replaced
         cell = {"l": 1, "t": 0, "r": 1, "b": 0, "e": 1, key: value}
         code, err, _ = self.eval_json_grid(capsys, tmp_path, [[cell]])
         assert code == 2
-        assert err == {"error": "BoundaryViolation", "message": f"{slot} {value} out of range"}
+        assert err == {"error": "BoundaryViolation", "message": f"{slot} {value!r} out of range"}
 
 
 class TestBuild:

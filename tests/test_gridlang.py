@@ -196,7 +196,7 @@ class TestScannerEdgeCases:
         assert (sq.left, sq.top, sq.right, sq.bottom, sq.face) == (1, 0, 1, 0, 1)
 
     def test_no_break_space_is_an_atom_character(self):
-        assert self.parse_error("sq A = (0 0, 0, 0, 0 ; 0)") == (
+        assert self.parse_error("sq A = (0\u00a00, 0, 0, 0 ; 0)") == (
             UnknownNameError, 2, 9, "line 2, col 9: unknown G element '0\\xa00'"
         )
 
