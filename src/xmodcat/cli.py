@@ -265,6 +265,11 @@ def cmd_export(args, out: _Out) -> int:
         doc = load_document(args.path)
         grid, ref = doc.grid, doc.xmod_ref
         if args.dsl:
+            if not isinstance(ref, str):
+                raise UsageError(
+                    f"{args.path} holds its crossed module inline, and grid text names its"
+                    ' module by a path: write the module to a file and name that file in "xmod"'
+                )
             text = serialize_grid(grid, ref)
             if args.output:
                 Path(args.output).write_text(text)

@@ -24,7 +24,7 @@ from pathlib import Path
 from .errors import BoundaryViolation, XmodcatError
 from .groups import FiniteGroup
 from .quintet import Quintet, QuintetGrid, make_grid, make_square
-from .serialize import FixtureFormatError, load_xmod, read_json, xmod_from_obj
+from .serialize import FixtureFormatError, load_xmod, read_json, xmod_from_obj, xmod_to_obj
 from .xmod import CrossedModule
 
 
@@ -142,7 +142,7 @@ def _resolve_elem(
 @dataclass
 class GridDocument:
     grid: QuintetGrid
-    xmod_ref: str
+    xmod_ref: str | dict  # a module path, or an inline module's JSON object
     square_names: tuple[str, ...]
 
 
@@ -313,7 +313,7 @@ def grid_from_obj(obj, base: Path | None = None, where: str = "grid") -> Quintet
     return make_grid(built)
 
 
-def grid_to_obj(grid: QuintetGrid, xmod_ref: str) -> dict:
+def grid_to_obj(grid: QuintetGrid, xmod_ref: str | dict) -> dict:
     return {
         "xmod": xmod_ref,
         "cells": [
@@ -328,15 +328,16 @@ def grid_to_obj(grid: QuintetGrid, xmod_ref: str) -> dict:
 
 def load_document(path) -> GridDocument:
     """The grid in a file and its module reference. A .json path holds the
-    JSON twin, whose reference is its "xmod" string ("" for an inline
-    module); any other path holds grid text."""
+    JSON twin, whose reference is its "xmod" string, or for an inline module
+    that module's JSON object, written out in full so that it loads from any
+    directory; any other path holds grid text."""
     path = Path(path)
     if path.suffix != ".json":
         return parse_document(path.read_text(), base_dir=path.parent)
     obj = read_json(path)
     grid = grid_from_obj(obj, base=path.parent, where=str(path))
     ref = obj["xmod"]
-    return GridDocument(grid, ref if isinstance(ref, str) else "", ())
+    return GridDocument(grid, ref if isinstance(ref, str) else xmod_to_obj(grid.cells[0][0].xm), ())
 
 
 def load_grid(path) -> QuintetGrid:

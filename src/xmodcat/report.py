@@ -8,7 +8,11 @@ flood of failures in one law can never hide another law's witnesses.
 
 `run_laws` alone decides whether a law is enumerated or sampled; a sampled
 law checks distinct instances in enumeration order, picked by its own
-stream, so they never depend on another law.
+stream, so they never depend on another law. A law may also carry a block
+check, which decides `width` consecutive instances per step; an enumerated
+law with one walks again, one instance at a time through `check`, only the
+blocks it rejects, so its violations, witnesses and counts are those of the
+walk without it.
 """
 
 from __future__ import annotations
@@ -92,13 +96,20 @@ class Law:
     """One law: `at(i)` is its i-th instance, 0 <= i < `size`, in a fixed
     order; `walk()`, if given, yields them all in that order faster; and
     `check(instances, fail)` loops over what it is handed, calling
-    `fail(witness, detail="")` once per violation."""
+    `fail(witness, detail="")` once per violation.
+
+    `blocks()`, if given, yields one verdict per run of `width` consecutive
+    instances, in order: true only when `check` finds no violation in that
+    run. An enumerated law hands `check` just the runs whose verdict is
+    false, so `check` stays the only place where witnesses are made."""
 
     name: str
     size: int
     at: Callable[[int], tuple]
     check: Callable[[Iterable, Callable], None]
     walk: Callable[[], Iterable] | None = None
+    blocks: Callable[[], Iterable[bool]] | None = None
+    width: int = 0
 
     def instances(self) -> Iterable:
         return self.walk() if self.walk else map(self.at, range(self.size))
@@ -197,13 +208,19 @@ def run_laws(
     """Enumerate each law whose size is at most max(max_exhaustive, samples),
     else check it on the `samples` distinct instances that spread picks with
     the stream seeded "<seed>/<suite>/<law>", in enumeration order; count
-    per law."""
+    per law. An enumerated law with a block check walks only the blocks
+    that fail it."""
     for law in laws:
         n = law.size if law.size <= max_exhaustive else min(law.size, samples)
-        if n == law.size:
-            insts = law.instances()
-        else:
-            insts = map(law.at, spread(random.Random(f"{seed}/{suite}/{law.name}"), law.size, n))
-        law.check(insts, partial(rep.add, law.name))
+        fail = partial(rep.add, law.name)
+        if n < law.size:
+            law.check(map(law.at, spread(random.Random(f"{seed}/{suite}/{law.name}"), law.size, n)), fail)
+        elif law.blocks is None:
+            law.check(law.instances(), fail)
+        elif n:
+            w = law.width
+            for k, ok in enumerate(law.blocks()):
+                if not ok:
+                    law.check(map(law.at, range(k * w, k * w + w)), fail)
         rep.tick(law.name, n)
     return rep

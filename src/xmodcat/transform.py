@@ -23,10 +23,10 @@ reading holds by construction and no law re-checks it.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import groupby
-from operator import itemgetter
+from operator import getitem, itemgetter
 
 from .action import StrictAction, nat_component, validate_strict_action
 from .errors import InvalidAction, MixedStructures, NotAdjacent
@@ -202,6 +202,14 @@ def vertical_inverse_square(s: TDSquare) -> TDSquare:
 
 # --- verification ----------------------------------------------------------
 
+def picker(idx):
+    """row -> (row[i] for i in idx) as a tuple: one itemgetter call when idx
+    has two entries or more (itemgetter() raises, itemgetter(i) gives row[i])."""
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    return lambda row: tuple(row[i] for i in idx)
+
+
 def double_laws(d: TransDoubleCat) -> list[Law]:
     """The vertical pasting unit and associativity, boundary bookkeeping of
     both pastings, the 2x2 interchange law, and equality of the six
@@ -279,6 +287,24 @@ def double_laws(d: TransDoubleCat) -> list[Law]:
             if act_m[p][top] != ct[act_m[p2][f2]][act_m[p1][f1]]:
                 fail((p1, f1, p2, f2))
 
+    # one block per p1: every row of p1 at once, the rows of one label c2
+    # as one tuple comparison over the composable (f1, f2)
+    def h_boundary_blocks():
+        f1s = [f1 for f1 in mors for _ in after[f1]]
+        f2s = [f2 for f1 in mors for f2 in after[f1]]
+        tops = [ct[f2][f1] for f1, f2 in zip(f1s, f2s)]
+        composable = -1 not in tops
+        col = list(zip(*ct))  # col[b][a] = ct[a][b]
+        at_f1, at_f2, at_top = picker(f1s), picker(f2s), picker(tops)
+        for p1 in pairs:
+            c1, first_p2 = p1 % n_h, pair_tgt[p1] * n_h
+            cols = at_f1([col[a] for a in act_m[p1]])  # col[act_m[p1][f1]] per (f1, f2)
+            yield composable and all(
+                at_top(act_m[p1 - c1 + hm[c2][c1]])
+                == tuple(map(getitem, cols, at_f2(act_m[first_p2 + c2])))
+                for c2 in hs
+            )
+
     def v_boundary(insts, fail) -> None:
         for p2, f2, p1 in insts:
             pv = pt[p1][p2]
@@ -287,6 +313,17 @@ def double_laws(d: TransDoubleCat) -> list[Law]:
                 or act_m[pv][f2] != act_m[p1][act_m[p2][f2]]
             ):
                 fail((p1, p2, f2))
+
+    # one block per p2: for each p1, clause 1 once and clause 2 as one row
+    def v_boundary_blocks():
+        for p2 in pairs:
+            then_p2 = picker(act_m[p2])  # row -> row[act_m[p2][f]] for each f
+            b2 = pair_tgt[p2]
+            yield all(
+                pair_tgt[pt[p1][p2]] == g.table[pair_tgt[p1]][b2]
+                and act_m[pt[p1][p2]] == then_p2(act_m[p1])
+                for p1 in pairs
+            )
 
     # associativity, vertical: s3 on top, then s2, then s1
     def v_assoc(insts, fail) -> None:
@@ -299,10 +336,10 @@ def double_laws(d: TransDoubleCat) -> list[Law]:
     # interchange on 2x2 blocks:  A B   rows-then-columns equals
     #                             C D   columns-then-rows
     # each row (pa, fa, pb, fb) followed by every pair pc and label of pd
-    def blocks():
+    def grids():
         return ((*row, pc, cd) for row in rows() for pc in pairs for cd in hs)
 
-    def block_at(i):
+    def grid_at(i):
         row, i = divmod(i, npairs * n_h)
         return (*row_at(row), *divmod(i, n_h))
 
@@ -359,13 +396,60 @@ def double_laws(d: TransDoubleCat) -> list[Law]:
                     shown = tuple(None if v < 0 else v for v in composites)
                     fail((g2, c2, g1, c1, f), f"composites {shown} expected {exp}")
 
+    # one block per pair (g1, c1, g2, c2), as six_composites groups them:
+    # what does not depend on f is taken once per p1, (p1, g2) or object,
+    # and one loop over f compares the six composites with exp
+    def six_composites_blocks():
+        objects = c.objects()
+        by_g = [act_m[gm * n_h + e_h] for gm in g.elements()]  # gm |> -
+        for p1 in pairs:
+            g1, b1, nat1 = p1 // n_h, pair_tgt[p1], natc[p1]
+            o_1, o_b1 = act_o[g1], act_o[b1]
+            for g2 in g.elements():
+                w2 = by_g[g2]
+                to_21 = by_g[g.table[g2][g1]]
+                w2n = [w2[nat1[x]] for x in objects]  # w2x, w2y by object
+                inner1 = [ct[w2n[y]][a] for y, a in zip(tgt, to_21)]
+                inner3 = [ct[a][w2n[x]] for x, a in zip(src, by_g[g.table[g2][b1]])]
+                for p2 in range(g2 * n_h, g2 * n_h + n_h):
+                    b2, nat2 = pair_tgt[p2], natc[p2]
+                    n2_1 = [nat2[o_1[x]] for x in objects]
+                    after_n2_b1 = [ct[nat2[o_b1[x]]] for x in objects]  # rows of ct
+                    after_wb2 = [ct[by_g[b2][nat1[x]]] for x in objects]
+                    inner4 = [after_n2_b1[x][w2n[x]] for x in objects]
+                    inner6 = [after_wb2[x][n2_1[x]] for x in objects]
+                    ok = True
+                    for x, y, e, a21, i1, i3, ab21, ab2b1 in zip(
+                        src, tgt, act_m[pt[p2][p1]], to_21, inner1, inner3,
+                        by_g[g.table[b2][g1]], by_g[g.table[b2][b1]],
+                    ):
+                        r, s, t = after_n2_b1[y], after_wb2[y], ct[ab2b1]
+                        if not (
+                            e == r[i1] == s[ct[n2_1[y]][a21]] == r[i3]
+                            == t[inner4[x]] == s[ct[ab21][n2_1[x]]] == t[inner6[x]]
+                        ):
+                            ok = False
+                            break
+                    yield ok
+
     return [
         product_law("v-unit", v_unit, pairs, mors),
-        Law("h-boundary", npairs * row_block, row_at, h_boundary, rows),
-        product_law("v-boundary", v_boundary, pairs, mors, pairs),
+        Law(
+            "h-boundary", npairs * row_block, row_at, h_boundary,
+            blocks=h_boundary_blocks, width=row_block,
+        ),
+        replace(
+            product_law("v-boundary", v_boundary, pairs, mors, pairs),
+            blocks=v_boundary_blocks,
+            width=len(mors) * npairs,
+        ),
         product_law("v-assoc", v_assoc, pairs, pairs, pairs, mors),
-        Law("interchange", npairs * row_block * npairs * n_h, block_at, interchange, blocks),
-        product_law("six-composites", six_composites, g.elements(), hs, g.elements(), hs, mors),
+        Law("interchange", npairs * row_block * npairs * n_h, grid_at, interchange, grids),
+        replace(
+            product_law("six-composites", six_composites, g.elements(), hs, g.elements(), hs, mors),
+            blocks=six_composites_blocks,
+            width=len(mors),
+        ),
     ]
 
 

@@ -13,11 +13,11 @@ from xmodcat.cli import main
 from xmodcat.fincat import category_from_tables
 from xmodcat.groups import automorphism_action_laws, homomorphism_laws
 from xmodcat.report import run_laws
-from xmodcat.serialize import action_to_obj, write_json
+from xmodcat.serialize import action_to_obj, write_json, xmod_to_obj
 from xmodcat import suites
 from xmodcat.suites import action_laws, pentagon_laws
 from xmodcat.transform import build_transformation_double
-from xmodcat.xmod import crossed_module_laws, xm_sym3
+from xmodcat.xmod import crossed_module_laws, xm_inversion, xm_sym3
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 MUTATED = FIXTURES / "actions" / "mutated.json"
@@ -551,6 +551,24 @@ class TestExport:
         from_text = run_cli(capsys, "export", "--kind", "grid", str(grids / "xm1_2x2.xmg"), "--dsl")
         assert from_json == from_text
         assert from_json[0] == 0 and from_json[1].startswith('use "../xm1.json"\n')
+
+    def test_a_json_grid_with_an_inline_module_exports_and_loads_again(self, capsys, tmp_path):
+        grid = json.loads((FIXTURES / "grids" / "xm1_2x2.json").read_text())
+        grid["xmod"] = xmod_to_obj(xm_inversion())
+        src = tmp_path / "inline.json"
+        src.write_text(json.dumps(grid))
+        _, want, _ = run_cli(capsys, "eval", str(src))
+
+        (tmp_path / "out").mkdir()
+        dest = tmp_path / "out" / "copy.json"
+        assert run_cli(capsys, "export", "--kind", "grid", str(src), "-o", str(dest))[0] == 0
+        assert json.loads(dest.read_text()) == grid  # the module stays inline
+        assert run_cli(capsys, "eval", str(dest)) == (0, want, "")
+
+        code, out, err = run_cli(capsys, "export", "--kind", "grid", str(src), "--dsl")
+        assert (code, out) == (2, "")
+        error = json.loads(err.splitlines()[0])
+        assert error["error"] == "UsageError" and "inline" in error["message"]
 
     def test_grid_dsl_export_to_stdout(self, capsys):
         code, out, _ = run_cli(

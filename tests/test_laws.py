@@ -5,7 +5,7 @@ import random
 from itertools import product
 
 from xmodcat.groups import automorphism_action_laws, homomorphism_laws
-from xmodcat.report import Report, indexed_laws, product_law, ragged, run_laws, spread
+from xmodcat.report import Law, Report, indexed_laws, product_law, ragged, run_laws, spread
 from xmodcat.suites import (
     action_laws,
     adjoint_laws,
@@ -176,3 +176,36 @@ def test_indexed_laws_put_the_key_in_front_of_instances_and_witnesses():
     assert rep.instances == {"sum-odd": 5}
     witnesses = iter([(1, 0), (2, 1), (3, 0), (3, 2)])
     assert all(v.witness in witnesses for v in rep.violations)  # in their order
+
+
+def test_only_the_blocks_that_fail_are_walked_again():
+    seen = []
+
+    def every_seventh(insts, fail):
+        for (i,) in insts:
+            seen.append(i)
+            if i % 7 == 3:
+                fail((i,), "seventh")
+
+    def blocks():  # runs of 5; 3, 10 and 17 fail
+        return (not any(i % 7 == 3 for i in range(k, k + 5)) for k in range(0, 20, 5))
+
+    walked = product_law("law", every_seventh, range(20))
+    law = Law(walked.name, walked.size, walked.at, walked.check, blocks=blocks, width=5)
+    rep = run_laws(Report(cap=2), "suite", [law])
+    assert seen == [*range(5), *range(10, 20)]
+    assert [v.witness for v in rep.violations] == [(3,), (10,)]
+    assert (rep.count("law"), rep.capped, rep.instances) == (3, True, {"law": 20})
+
+    seen.clear()
+    sampled = run_laws(Report(), "suite", [law], samples=4, seed=1, max_exhaustive=0)
+    assert seen == [i for (i,) in map(law.at, spread(random.Random("1/suite/law"), 20, 4))]
+    assert sampled.instances == {"law": 4}
+
+
+def test_a_law_with_no_instances_asks_for_no_block():
+    def no_blocks():
+        raise AssertionError("blocks() called on an empty law")
+
+    law = Law("empty", 0, lambda i: (i,), lambda insts, fail: None, blocks=no_blocks, width=3)
+    assert run_laws(Report(), "suite", [law]).instances == {}

@@ -1,6 +1,6 @@
 """The fixture generator reproduces the committed fixtures byte for byte,
-every demo runs to completion, and the README's law-line count and grid
-example are current."""
+the bench recorder assembles its record, every demo runs to completion, and
+the README's law-line count and grid example are current."""
 
 import importlib.util
 import json
@@ -20,10 +20,15 @@ def tree(root: Path) -> dict[str, bytes]:
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def load_tool(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_make_fixtures_reproduces_the_fixture_tree(tmp_path, capsys):
-    spec = importlib.util.spec_from_file_location("make_fixtures", ROOT / "tools" / "make_fixtures.py")
-    make_fixtures = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(make_fixtures)
+    make_fixtures = load_tool("make_fixtures")
     make_fixtures.FIX = tmp_path
     make_fixtures.main()
     # mutated.json is the first corruption that verify_double_category catches
@@ -64,3 +69,35 @@ def test_the_readme_grid_example_is_the_shipped_checkerboard():
     example = (ROOT / "README.md").read_text().split("## Grid text format", 1)[1].split("```")[1]
     grids = ROOT / "fixtures" / "grids"
     assert parse_grid(example, base_dir=grids) == parse_grid_file(grids / "xm1_2x2.xmg")
+
+
+def bench_stdout(workload: str, nproc: int = 2) -> str:
+    env = {"python": "3.11.7", "nproc": nproc, "workload": workload, "seed": 1, "seconds": 60.0, "trace": 0}
+    result = {"correct": True, "attempted": 3, "failed": 0, "metrics": {"wall_s": 1.5}}
+    return "\n".join([json.dumps({"env": env}), "wall_s 1.5 s", json.dumps(result)]) + "\n"
+
+
+def test_the_bench_record_holds_the_revision_machine_results_and_tier1_time():
+    bench_record = load_tool("bench_record")
+    runs = {"o12-double": bench_stdout("o12-double"), "sweep": bench_stdout("sweep")}
+    record = bench_record.assemble("f61b9d4", False, runs, 23.456, "342 passed in 22.9s")
+    assert record == {
+        "revision": "f61b9d4",
+        "dirty": False,
+        "machine": {"python": "3.11.7", "nproc": 2},
+        "benchmark": {"seed": 1, "seconds": 60.0, "trace": 0},
+        "workloads": {
+            name: {"correct": True, "attempted": 3, "failed": 0, "metrics": {"wall_s": 1.5}}
+            for name in runs
+        },
+        "tier1": {"wall_s": 23.46, "summary": "342 passed in 22.9s"},
+    }
+    json.dumps(record)  # it is written as JSON
+
+
+def test_the_bench_record_refuses_mixed_machines_and_missing_results():
+    bench_record = load_tool("bench_record")
+    with pytest.raises(ValueError, match="different settings"):
+        bench_record.assemble("r", False, {"a": bench_stdout("a"), "b": bench_stdout("b", nproc=4)}, 1.0, "")
+    with pytest.raises(ValueError, match="'correct'"):
+        bench_record.assemble("r", False, {"a": bench_stdout("a").rsplit("\n", 2)[0]}, 1.0, "")

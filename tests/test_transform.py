@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from xmodcat import transform
 from xmodcat.errors import InvalidAction, MixedStructures, NotAdjacent, NotComposable
 from xmodcat.fincat import category_from_tables, terminal_category
 from xmodcat.groups import cyclic, make_action, make_homomorphism
+from xmodcat.report import DEFAULT_CAP, Report, run_laws
 from xmodcat.serialize import load_action
 from xmodcat.suites import run_all
 from xmodcat.transform import (
@@ -586,3 +588,78 @@ class TestDoubleKernel:
             for i in range(xm.npairs):
                 for j in range(xm.npairs):
                     assert table[i][j] == xm.pair_index(*xm.pair_mul(xm.pair_of(i), xm.pair_of(j)))
+
+
+# --- block checks of the enumerated double laws ------------------------------
+
+def without_blocks(laws):
+    return [replace(law, blocks=None) for law in laws]
+
+
+def report_facts(rep: Report):
+    """Everything a report says: witnesses and details in order, instances,
+    violations per law (past the cap too), and whether the cap cut."""
+    return rep.violations, rep.instances, {law: rep.count(law) for law in rep.instances}, rep.capped
+
+
+# DOUBLE_PINS' mutants, more xm2, xm3 and xm4 mutants, and one xm2 mutant
+# whose h-boundary, v-boundary and six-composites pass the 100-witness cap
+BLOCK_CASES = [(name, seed, entries, budget) for name, seed, entries, budget, *_ in DOUBLE_PINS] + [
+    ("xm2", 1, 3, {"max_exhaustive": 50_000, "samples": 300}),
+    ("xm2", 2, 1, {"max_exhaustive": 50_000, "samples": 300}),
+    ("xm3", 0, 1, {}),
+    ("xm4", 5, 4, {}),
+]
+
+
+class TestBlockChecks:
+    @pytest.mark.parametrize("name, seed, entries, budget", BLOCK_CASES)
+    def test_the_report_is_that_of_the_walk_without_blocks(self, all_xms, name, seed, entries, budget):
+        act = act_mor_mutant(adjoint_action(dict(all_xms)[name]), seed, entries)
+        # replace(law, blocks=None) is the law itself for the other laws
+        laws = [law for law in double_laws(build_transformation_double(act, validate=False)) if law.blocks]
+        assert [law.name for law in laws] == ["h-boundary", "v-boundary", "six-composites"]
+        args = {"samples": 100_000, "max_exhaustive": 10_000_000, **budget}
+        blocked = run_laws(Report(), "double", laws, **args)
+        walked = run_laws(Report(), "double", without_blocks(laws), **args)
+        assert report_facts(blocked) == report_facts(walked)
+
+    def test_the_cap_keeps_the_same_first_witnesses(self, xm2):
+        act = act_mor_mutant(adjoint_action(xm2), 0, 3)
+        laws = double_laws(build_transformation_double(act, validate=False))
+        for law in laws:
+            if law.blocks:
+                blocked = run_laws(Report(), "double", [law])
+                assert blocked.count(law.name) > DEFAULT_CAP and blocked.capped
+                assert report_facts(blocked) == report_facts(run_laws(Report(), "double", without_blocks([law])))
+
+    @pytest.mark.parametrize("name, seed, entries", [("xm1", 0, 1), ("xm2", 1, 3), ("xm3", 0, 1), ("xm4", 5, 4)])
+    def test_a_block_passes_exactly_when_its_walk_finds_nothing(self, all_xms, name, seed, entries):
+        act = act_mor_mutant(adjoint_action(dict(all_xms)[name]), seed, entries)
+        for law in double_laws(build_transformation_double(act, validate=False)):
+            if not law.blocks:
+                continue
+            verdicts = list(law.blocks())
+            assert len(verdicts) * law.width == law.size, law.name
+            walked = []
+            for k in range(len(verdicts)):
+                found = []
+                law.check(map(law.at, range(k * law.width, (k + 1) * law.width)), lambda w, d="": found.append(w))
+                walked.append(not found)
+            assert verdicts == walked, law.name
+            assert not all(verdicts), law.name  # the mutant breaks some block
+
+    @pytest.mark.parametrize(
+        "category",
+        [category_from_tables(0, [], [], []), terminal_category()],
+        ids=["no-morphism", "one-morphism"],
+    )
+    def test_categories_with_fewer_than_two_morphisms(self, all_xms, category):
+        for _, xm in all_xms:
+            laws = double_laws(build_transformation_double(trivial_strict_action(xm, category), validate=False))
+            blocked = run_laws(Report(), "double", laws)
+            assert report_facts(blocked) == report_facts(run_laws(Report(), "double", without_blocks(laws)))
+            assert blocked.ok
+            for law in laws:
+                if law.blocks and law.size:
+                    assert list(law.blocks()) == [True] * (law.size // law.width), law.name
