@@ -2,6 +2,7 @@
 enumerate-or-sample, per-law counts."""
 
 import random
+from dataclasses import replace
 from itertools import product
 
 from xmodcat.groups import automorphism_action_laws, homomorphism_laws
@@ -190,8 +191,7 @@ def test_only_the_blocks_that_fail_are_walked_again():
     def blocks():  # runs of 5; 3, 10 and 17 fail
         return (not any(i % 7 == 3 for i in range(k, k + 5)) for k in range(0, 20, 5))
 
-    walked = product_law("law", every_seventh, range(20))
-    law = Law(walked.name, walked.size, walked.at, walked.check, blocks=blocks, width=5)
+    law = replace(product_law("law", every_seventh, range(20)), blocks=blocks, width=5)
     rep = run_laws(Report(cap=2), "suite", [law])
     assert seen == [*range(5), *range(10, 20)]
     assert [v.witness for v in rep.violations] == [(3,), (10,)]
