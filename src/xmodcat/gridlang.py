@@ -337,7 +337,7 @@ def load_document(path) -> GridDocument:
     obj = read_json(path)
     grid = grid_from_obj(obj, base=path.parent, where=str(path))
     ref = obj["xmod"]
-    return GridDocument(grid, ref if isinstance(ref, str) else xmod_to_obj(grid.cells[0][0].xm), ())
+    return GridDocument(grid, ref if isinstance(ref, str) else xmod_to_obj(grid.xm), ())
 
 
 def load_grid(path) -> QuintetGrid:

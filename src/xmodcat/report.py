@@ -10,9 +10,8 @@ flood of failures in one law can never hide another law's witnesses.
 law checks distinct instances in enumeration order, picked by its own
 stream, so they never depend on another law. A law may also carry a block
 check, which decides `width` consecutive instances per step; an enumerated
-law with one walks again, one instance at a time through `check`, only the
-blocks it rejects, so its violations, witnesses and counts are those of the
-walk without it.
+law with one hands `check` only the instances of the blocks it rejects, so
+its violations, witnesses and counts are those of the walk without it.
 """
 
 from __future__ import annotations
@@ -98,17 +97,18 @@ class Law:
     `check(instances, fail)` loops over what it is handed, calling
     `fail(witness, detail="")` once per violation.
 
-    `blocks()`, if given, yields one verdict per run of `width` consecutive
-    instances, in order: true only when `check` finds no violation in that
-    run. An enumerated law hands `check` just the runs whose verdict is
-    false, so `check` stays the only place where witnesses are made."""
+    `blocks()`, if given, yields one entry per run of `width` consecutive
+    instances, in order: None when `check` finds no violation in that run,
+    else the run's instances, those of `at` in the same order. An enumerated
+    law hands `check` just those runs, so `check` stays the only place where
+    witnesses are made."""
 
     name: str
     size: int
     at: Callable[[int], tuple]
     check: Callable[[Iterable, Callable], None]
     walk: Callable[[], Iterable] | None = None
-    blocks: Callable[[], Iterable[bool]] | None = None
+    blocks: Callable[[], Iterable[Iterable | None]] | None = None
     width: int = 0
 
     def instances(self) -> Iterable:
@@ -209,7 +209,7 @@ def run_laws(
     else check it on the `samples` distinct instances that spread picks with
     the stream seeded "<seed>/<suite>/<law>", in enumeration order; count
     per law. An enumerated law with a block check walks only the blocks
-    that fail it."""
+    that fail it, and must have exactly size / width of them."""
     for law in laws:
         n = law.size if law.size <= max_exhaustive else min(law.size, samples)
         fail = partial(rep.add, law.name)
@@ -218,9 +218,12 @@ def run_laws(
         elif law.blocks is None:
             law.check(law.instances(), fail)
         elif n:
-            w = law.width
-            for k, ok in enumerate(law.blocks()):
-                if not ok:
-                    law.check(map(law.at, range(k * w, k * w + w)), fail)
+            runs = 0
+            for failing in law.blocks():
+                runs += 1
+                if failing is not None:
+                    law.check(failing, fail)
+            if runs * law.width != law.size:
+                raise ValueError(f"{law.name}: {runs} blocks of {law.width} do not tile its {law.size} instances")
         rep.tick(law.name, n)
     return rep

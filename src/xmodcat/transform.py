@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import groupby
+from itertools import chain, groupby, product
 from operator import getitem, itemgetter
 
 from .action import StrictAction, nat_component, validate_strict_action
@@ -204,7 +204,10 @@ def vertical_inverse_square(s: TDSquare) -> TDSquare:
 
 def picker(idx):
     """row -> (row[i] for i in idx) as a tuple: one itemgetter call when idx
-    has two entries or more (itemgetter() raises, itemgetter(i) gives row[i])."""
+    has two entries or more (itemgetter() raises, itemgetter(i) gives row[i]).
+    On the order-12 module that call takes h-boundary's block check from
+    0.6 to 0.3 s and v-boundary's from 0.3 to 0.1 s, against the one form
+    tuple(map(row.__getitem__, idx))."""
     if len(idx) > 1:
         return itemgetter(*idx)
     return lambda row: tuple(row[i] for i in idx)
@@ -260,13 +263,16 @@ def double_laws(d: TransDoubleCat) -> list[Law]:
 
     # a row (p1, f1, p2, f2): square s1 and a square s2 to its right, p1
     # slowest, then f1, then the label of p2, then f2 out of f1's target
+    def rows_of(p1):
+        first_p2 = pair_tgt[p1] * n_h
+        for f1 in mors:
+            for c2 in hs:
+                p2 = first_p2 + c2
+                for f2 in after[f1]:
+                    yield p1, f1, p2, f2
+
     def rows():
-        for p1 in pairs:
-            for f1 in mors:
-                for c2 in hs:
-                    p2 = pair_tgt[p1] * n_h + c2
-                    for f2 in after[f1]:
-                        yield p1, f1, p2, f2
+        return chain.from_iterable(map(rows_of, pairs))
 
     row_block, row_locate = ragged(n_h * len(after[f1]) for f1 in mors)  # rows of one p1
 
@@ -299,11 +305,12 @@ def double_laws(d: TransDoubleCat) -> list[Law]:
         for p1 in pairs:
             c1, first_p2 = p1 % n_h, pair_tgt[p1] * n_h
             cols = at_f1([col[a] for a in act_m[p1]])  # col[act_m[p1][f1]] per (f1, f2)
-            yield composable and all(
+            ok = composable and all(
                 at_top(act_m[p1 - c1 + hm[c2][c1]])
                 == tuple(map(getitem, cols, at_f2(act_m[first_p2 + c2])))
                 for c2 in hs
             )
+            yield None if ok else rows_of(p1)
 
     def v_boundary(insts, fail) -> None:
         for p2, f2, p1 in insts:
@@ -319,11 +326,12 @@ def double_laws(d: TransDoubleCat) -> list[Law]:
         for p2 in pairs:
             then_p2 = picker(act_m[p2])  # row -> row[act_m[p2][f]] for each f
             b2 = pair_tgt[p2]
-            yield all(
+            ok = all(
                 pair_tgt[pt[p1][p2]] == g.table[pair_tgt[p1]][b2]
                 and act_m[pt[p1][p2]] == then_p2(act_m[p1])
                 for p1 in pairs
             )
+            yield None if ok else product((p2,), mors, pairs)
 
     # associativity, vertical: s3 on top, then s2, then s1
     def v_assoc(insts, fail) -> None:
@@ -418,7 +426,6 @@ def double_laws(d: TransDoubleCat) -> list[Law]:
                     after_wb2 = [ct[by_g[b2][nat1[x]]] for x in objects]
                     inner4 = [after_n2_b1[x][w2n[x]] for x in objects]
                     inner6 = [after_wb2[x][n2_1[x]] for x in objects]
-                    ok = True
                     for x, y, e, a21, i1, i3, ab21, ab2b1 in zip(
                         src, tgt, act_m[pt[p2][p1]], to_21, inner1, inner3,
                         by_g[g.table[b2][g1]], by_g[g.table[b2][b1]],
@@ -428,14 +435,15 @@ def double_laws(d: TransDoubleCat) -> list[Law]:
                             e == r[i1] == s[ct[n2_1[y]][a21]] == r[i3]
                             == t[inner4[x]] == s[ct[ab21][n2_1[x]]] == t[inner6[x]]
                         ):
-                            ok = False
+                            yield product((g1,), (p1 % n_h,), (g2,), (p2 % n_h,), mors)
                             break
-                    yield ok
+                    else:
+                        yield None
 
     return [
         product_law("v-unit", v_unit, pairs, mors),
         Law(
-            "h-boundary", npairs * row_block, row_at, h_boundary,
+            "h-boundary", npairs * row_block, row_at, h_boundary, rows,
             blocks=h_boundary_blocks, width=row_block,
         ),
         replace(

@@ -5,6 +5,8 @@ import random
 from dataclasses import replace
 from itertools import product
 
+import pytest
+
 from xmodcat.groups import automorphism_action_laws, homomorphism_laws
 from xmodcat.report import Law, Report, indexed_laws, product_law, ragged, run_laws, spread
 from xmodcat.suites import (
@@ -189,7 +191,9 @@ def test_only_the_blocks_that_fail_are_walked_again():
                 fail((i,), "seventh")
 
     def blocks():  # runs of 5; 3, 10 and 17 fail
-        return (not any(i % 7 == 3 for i in range(k, k + 5)) for k in range(0, 20, 5))
+        for k in range(0, 20, 5):
+            run = [(i,) for i in range(k, k + 5)]
+            yield run if any(i % 7 == 3 for (i,) in run) else None
 
     law = replace(product_law("law", every_seventh, range(20)), blocks=blocks, width=5)
     rep = run_laws(Report(cap=2), "suite", [law])
@@ -209,3 +213,13 @@ def test_a_law_with_no_instances_asks_for_no_block():
 
     law = Law("empty", 0, lambda i: (i,), lambda insts, fail: None, blocks=no_blocks, width=3)
     assert run_laws(Report(), "suite", [law]).instances == {}
+
+
+@pytest.mark.parametrize("runs, width", [(4, 0), (3, 5), (5, 5)], ids=["no-width", "too-few", "too-many"])
+def test_blocks_that_do_not_tile_the_law_are_refused(runs, width):
+    law = replace(
+        product_law("law", lambda insts, fail: None, range(20)),
+        blocks=lambda: iter([None] * runs), width=width,
+    )
+    with pytest.raises(ValueError, match="do not tile its 20 instances"):
+        run_laws(Report(), "suite", [law])

@@ -592,6 +592,10 @@ class TestDoubleKernel:
 
 # --- block checks of the enumerated double laws ------------------------------
 
+# two objects and one arrow between them
+ARROW = category_from_tables(2, [(0, 0), (1, 1), (0, 1)], [0, 1], [(0, 0, 0), (1, 1, 1), (2, 0, 2), (1, 2, 2)])
+
+
 def without_blocks(laws):
     return [replace(law, blocks=None) for law in laws]
 
@@ -633,21 +637,33 @@ class TestBlockChecks:
                 assert blocked.count(law.name) > DEFAULT_CAP and blocked.capped
                 assert report_facts(blocked) == report_facts(run_laws(Report(), "double", without_blocks([law])))
 
-    @pytest.mark.parametrize("name, seed, entries", [("xm1", 0, 1), ("xm2", 1, 3), ("xm3", 0, 1), ("xm4", 5, 4)])
-    def test_a_block_passes_exactly_when_its_walk_finds_nothing(self, all_xms, name, seed, entries):
-        act = act_mor_mutant(adjoint_action(dict(all_xms)[name]), seed, entries)
-        for law in double_laws(build_transformation_double(act, validate=False)):
-            if not law.blocks:
-                continue
-            verdicts = list(law.blocks())
-            assert len(verdicts) * law.width == law.size, law.name
-            walked = []
-            for k in range(len(verdicts)):
+    # the arrow category's 3 morphisms differ in number from every fixture's
+    # pairs, which the adjoint action's morphisms are
+    @pytest.mark.parametrize(
+        "base, name, seed, entries",
+        [
+            ("adjoint", "xm1", 0, 1), ("adjoint", "xm2", 1, 3), ("adjoint", "xm3", 0, 1), ("adjoint", "xm4", 5, 4),
+            ("arrow", "xm1", 3, 2), ("arrow", "xm2", 1, 3), ("arrow", "xm4", 0, 1),
+        ],
+    )
+    def test_a_block_fails_exactly_when_its_walk_finds_something(self, all_xms, base, name, seed, entries):
+        xm = dict(all_xms)[name]
+        act = adjoint_action(xm) if base == "adjoint" else trivial_strict_action(xm, ARROW)
+        act = act_mor_mutant(act, seed, entries)
+        laws = [law for law in double_laws(build_transformation_double(act, validate=False)) if law.blocks]
+        blocked = run_laws(Report(), "double", laws)
+        assert report_facts(blocked) == report_facts(run_laws(Report(), "double", without_blocks(laws)))
+        for law in laws:
+            entries = list(law.blocks())
+            assert len(entries) * law.width == law.size, law.name
+            for k, failing in enumerate(entries):
+                run = list(map(law.at, range(k * law.width, (k + 1) * law.width)))
                 found = []
-                law.check(map(law.at, range(k * law.width, (k + 1) * law.width)), lambda w, d="": found.append(w))
-                walked.append(not found)
-            assert verdicts == walked, law.name
-            assert not all(verdicts), law.name  # the mutant breaks some block
+                law.check(run, lambda w, d="": found.append(w))
+                # a block holds exactly when its walk finds nothing, and a
+                # failing block hands over the instances of its run
+                assert failing is None if not found else list(failing) == run, (law.name, k)
+            assert any(entries), law.name  # the mutant breaks some block
 
     @pytest.mark.parametrize(
         "category",
@@ -662,4 +678,4 @@ class TestBlockChecks:
             assert blocked.ok
             for law in laws:
                 if law.blocks and law.size:
-                    assert list(law.blocks()) == [True] * (law.size // law.width), law.name
+                    assert list(law.blocks()) == [None] * (law.size // law.width), law.name

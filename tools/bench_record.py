@@ -3,16 +3,16 @@
 
 Run from the repository root:
 
-    python3 tools/bench_record.py 11 --seed 1 --seconds 60
+    python3 tools/bench_record.py 11
 
-It runs the benchmark declared in BENCHMARK.json once per workload
-(``--trace 0``) and the tier-1 tests once, all in the checkout named by
-``--root`` (default: the one holding this file), one after the other. The
-record holds the checkout's git revision, the machine line (Python version
-and nproc, as the benchmark prints them), each workload's result line and
-the tier-1 wall time. It is written to ``--out``, by default BENCH_<pr>.json
-in the current directory. Measure the commits a speed claim compares on the
-same machine, one after the other.
+It runs the benchmark declared in BENCHMARK.json once per workload, at
+seed 1, for its declared ``run_seconds`` and with ``--trace 0``, and then
+the tier-1 tests once, all in the checkout named by ``--root`` (default: the
+one holding this file), one after the other. The record holds the
+checkout's git revision, the machine line (Python version and nproc, as the
+benchmark prints them), each workload's result line and the tier-1 wall
+time. It is written to BENCH_<pr>.json in the current directory. Measure
+the commits a speed claim compares on the same machine, one after the other.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import sys
 import time
 from pathlib import Path
 
+SEED = 1
 TIER1 = (
     "-W", "error::DeprecationWarning", "-W", "error::SyntaxWarning",
     "-m", "pytest", "-q", "--continue-on-collection-errors",
@@ -70,17 +71,14 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("pr", type=int, help="the number in BENCH_<pr>.json")
     p.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--seconds", type=float, default=60)
-    p.add_argument("--out", type=Path)
     args = p.parse_args(argv)
     root = args.root.resolve()
     declared = json.loads((root / "BENCHMARK.json").read_text())
     runs = {}
     for workload in declared["workloads"]:
         name = workload["name"]
-        cmd = [*declared["command"], "--workload", name, "--seed", str(args.seed),
-               "--seconds", str(args.seconds), "--trace", "0"]
+        cmd = [*declared["command"], "--workload", name, "--seed", str(SEED),
+               "--seconds", str(declared["run_seconds"]), "--trace", "0"]
         print(f"{name}: {' '.join(cmd)}", file=sys.stderr)
         runs[name] = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True).stdout
     env = dict(os.environ)
@@ -95,7 +93,7 @@ def main(argv=None) -> int:
         bool(git(root, "status", "--porcelain", "--untracked-files=no")),
         runs, tier1_s, summary,
     )
-    out = args.out or Path(f"BENCH_{args.pr}.json")
+    out = Path(f"BENCH_{args.pr}.json")
     out.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {out}", file=sys.stderr)
     return 0 if done.returncode == 0 else 1
