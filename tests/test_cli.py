@@ -344,6 +344,26 @@ class TestVerify:
         got, out, _ = run_cli(capsys, "verify", *argv)
         assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
+    # the same, at --samples 1000 --max-exhaustive 10000, where the catgroup,
+    # quintet, action and double laws of these inputs are sampled
+    SAMPLED = [
+        ((str(MUTATED),), 1, "fabec218c6460367b61647e8998d0d706ee686462c3c611fe4a04467ffa8ab37"),
+        (("--adjoint", "xm1"), 0, "6bf4dc16bc982d3a64150eb28b535eaaae517cefd068e143d159a8d58aadd2bb"),
+        (("--adjoint", "bad-peiffer"), 1, "5bab95d0ab371ea9c9f322963e36f0ab96315df55e93a286342e606f8778fca4"),
+        (("--trivial", "bad-peiffer"), 1, "eb545269a6683a5db75d4400292cc75c40add42c28522ff4cbd7c022aaca8139"),
+        (("--adjoint", "xm2"), 0, "d7200f281eba7ba6ca7ec7c5d63373e85c99492afea504188bba2cf6e77aa7ea"),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, code, digest", SAMPLED,
+        ids=["mutated", "adjoint-xm1", "adjoint-bad", "trivial-bad", "adjoint-xm2"],
+    )
+    def test_sampled_output_is_pinned(self, capsys, argv, code, digest):
+        got, out, _ = run_cli(
+            capsys, "verify", *argv, "--samples", "1000", "--max-exhaustive", "10000"
+        )
+        assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
     def test_a_lawful_action_on_the_empty_category_passes(self, capsys, tmp_path):
         path = tmp_path / "empty.json"
         write_json(action_to_obj(trivial_strict_action(xm_sym3(), category_from_tables(0, [], [], []))), path)
