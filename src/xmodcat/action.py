@@ -116,11 +116,9 @@ def nat_component(a: StrictAction, gamma: int, chi: int, x: int) -> int:
 
 
 def nat_trans_of(a: StrictAction, gamma: int, chi: int) -> NatTrans:
-    xm = a.xm
-    tgt_gamma = xm.g.table[xm.bnd(chi)][gamma]
     return NatTrans(
         functor_of(a, gamma),
-        functor_of(a, tgt_gamma),
+        functor_of(a, a.xm.pair_target((gamma, chi))),
         tuple(nat_component(a, gamma, chi, x) for x in a.category.objects()),
     )
 
@@ -132,53 +130,59 @@ def strict_action_laws(a: StrictAction) -> list[Law]:
     gs, hs, objs, mors = g.elements(), h.elements(), c.objects(), c.morphisms()
     e_g, e_h = g.identity, h.identity
     comp, src, tgt, ident = c.comp, c.src, c.tgt, c.identity
-    gt, ht, bnd, xa = g.table, h.table, xm.boundary.map, xm.action.table
-    ao, am, nh = a.act_obj, a.act_mor, h.order
+    gt, ao, am, nh = g.table, a.act_obj, a.act_mor, h.order
+    # the pair arithmetic, on pair indices gamma*|H| + chi
+    pt, pair_tgt, stacks = xm.pair_products, xm.pair_targets, xm.pair_stacks
     functors = [functor_of(a, gamma) for gamma in gs]
 
     # a.on_mor_pair and nat_component without their method calls, which
-    # would dominate the per-instance cost
+    # would dominate the per-instance cost; p is a pair index
     def on(gamma: int, chi: int, f: int) -> int:
         return am[gamma * nh + chi][f]
 
-    def nat(gamma: int, chi: int, x: int) -> int:
-        return am[gamma * nh + chi][ident[x]]
+    def nat(p: int, x: int) -> int:
+        return am[p][ident[x]]
 
     # --- presentation 1: endofunctors and natural transformations
 
     # components stack: (bnd(c1)*g1, c2) after (g1, c1) is (g1, c2*c1)
     def component_stacking(g1, c1, c2, x) -> bool:
-        g2 = gt[bnd[c1]][g1]
-        return comp.get((nat(g2, c2, x), nat(g1, c1, x))) == nat(g1, ht[c2][c1], x)
+        p1 = g1 * nh + c1
+        return comp.get((nat(pair_tgt[p1] * nh + c2, x), nat(p1, x))) == nat(stacks[p1][c2], x)
 
     # components multiply horizontally: (g1,c1)'s component at
     # (bnd(c2)g3 |> x), after the g1-translate of (g3,c2)'s component at x,
     # is the component of the product pair at x
     def component_product(g1, c1, g3, c2, x) -> bool:
-        got = comp.get((nat(g1, c1, ao[gt[bnd[c2]][g3]][x]), on(g1, e_h, nat(g3, c2, x))))
-        return got == nat(gt[g1][g3], ht[c1][xa[g1][c2]], x)
+        p1, p3 = g1 * nh + c1, g3 * nh + c2
+        got = comp.get((nat(p1, ao[pair_tgt[p3]][x]), on(g1, e_h, nat(p3, x))))
+        return got == nat(pt[p1][p3], x)
 
     # --- presentation 2: functorial pair action
 
     def pair_typing(gamma, chi, f) -> bool:
-        ff = on(gamma, chi, f)
-        return src[ff] == ao[gamma][src[f]] and tgt[ff] == ao[gt[bnd[chi]][gamma]][tgt[f]]
+        p = gamma * nh + chi
+        ff = am[p][f]
+        return src[ff] == ao[gamma][src[f]] and tgt[ff] == ao[pair_tgt[p]][tgt[f]]
 
     def pair_functoriality(insts, fail) -> None:
         for g1, c1, c2, (fg, ff) in insts:
-            got = comp.get((on(gt[bnd[c1]][g1], c2, fg), on(g1, c1, ff)))
-            if got != on(g1, ht[c2][c1], comp[(fg, ff)]):
+            p1 = g1 * nh + c1
+            got = comp.get((on(pair_tgt[p1], c2, fg), am[p1][ff]))
+            if got != am[stacks[p1][c2]][comp[(fg, ff)]]:
                 fail((g1, c1, c2, fg, ff))
 
     def morphism_associativity(g1, c1, g3, c2, f) -> bool:
-        return on(gt[g1][g3], ht[c1][xa[g1][c2]], f) == on(g1, c1, on(g3, c2, f))
+        p1, p3 = g1 * nh + c1, g3 * nh + c2
+        return am[pt[p1][p3]][f] == am[p1][am[p3][f]]
 
     # the two presentations agree: a pair acting on f factors either side
     # of the naturality square
     def whisker_agreement(gamma, chi, f) -> bool:
-        ff, tg = on(gamma, chi, f), gt[bnd[chi]][gamma]
-        via_tgt = comp.get((nat(gamma, chi, tgt[f]), on(gamma, e_h, f)))
-        via_src = comp.get((on(tg, e_h, f), nat(gamma, chi, src[f])))
+        p = gamma * nh + chi
+        ff = am[p][f]
+        via_tgt = comp.get((nat(p, tgt[f]), on(gamma, e_h, f)))
+        via_src = comp.get((on(pair_tgt[p], e_h, f), nat(p, src[f])))
         return ff == via_tgt == via_src
 
     def transformation_laws(gamma, chi):
@@ -190,7 +194,8 @@ def strict_action_laws(a: StrictAction) -> list[Law]:
         product_law("component-stacking", holds(component_stacking), gs, hs, hs, objs),
         # the unit pair has identity components
         product_law(
-            "unit-component", holds(lambda gamma, x: nat(gamma, e_h, x) == ident[ao[gamma][x]]),
+            "unit-component",
+            holds(lambda gamma, x: on(gamma, e_h, ident[x]) == ident[ao[gamma][x]]),
             gs, objs,
         ),
         # object translations compose strictly
@@ -245,16 +250,14 @@ def adjoint_action(xm: CrossedModule) -> StrictAction:
     g, h = xm.g, xm.h
     act_obj = [[g.conj(gamma, x) for x in g.elements()] for gamma in g.elements()]
     act_mor = []
-    for gamma in g.elements():
-        for chi in h.elements():
-            ichi = h.inverse[chi]
-            row = []
-            for i in range(xm.npairs):
-                gg, eta = xm.pair_of(i)
-                cg = g.conj(gamma, gg)
-                new_eta = h.table[h.table[chi][xm.act(gamma, eta)]][xm.act(cg, ichi)]
-                row.append(xm.pair_index(cg, new_eta))
-            act_mor.append(row)
+    for gamma, chi in xm.pairs():
+        ichi = h.inverse[chi]
+        row = []
+        for gg, eta in xm.pairs():
+            cg = g.conj(gamma, gg)
+            new_eta = h.table[h.table[chi][xm.act(gamma, eta)]][xm.act(cg, ichi)]
+            row.append(xm.pair_index(cg, new_eta))
+        act_mor.append(row)
     return make_strict_action(xm, c, act_obj, act_mor, is_adjoint=True)
 
 

@@ -3,6 +3,7 @@
 Objects are the elements of G. A morphism is a pair (g, eta) with source g
 and target boundary(eta)*g. Pairs compose vertically (stacking 2-cells) and
 multiply horizontally (the tensor); both directions have strict inverses.
+All four are the crossed module's pair arithmetic, which lives in xmod.
 """
 
 from __future__ import annotations
@@ -27,14 +28,12 @@ def mor_index(m: Mor2G) -> int:
 
 
 def mor_of(xm: CrossedModule, i: int) -> Mor2G:
-    g, eta = xm.pair_of(i)
-    return Mor2G(xm, g, eta)
+    return Mor2G(xm, *xm.pair_of(i))
 
 
 def boundary(m: Mor2G) -> tuple[int, int]:
     """(source, target) = (g, boundary(eta)*g)."""
-    xm = m.xm
-    return m.g, xm.g.table[xm.bnd(m.eta)][m.g]
+    return m.g, m.xm.pair_target((m.g, m.eta))
 
 
 def identity_morphism(xm: CrossedModule, g: int) -> Mor2G:
@@ -48,27 +47,21 @@ def compose(m2: Mor2G, m1: Mor2G) -> Mor2G:
     xm = m1.xm
     if m2.g != boundary(m1)[1]:
         raise NotComposable(f"tgt {boundary(m1)[1]} != src {m2.g}")
-    return Mor2G(xm, m1.g, xm.h.table[m2.eta][m1.eta])
+    return Mor2G(xm, *xm.pair_stack((m1.g, m1.eta), m2.eta))
 
 
 def tensor(m1: Mor2G, m2: Mor2G) -> Mor2G:
     """(g1, eta1) (x) (g2, eta2) = (g1 g2, eta1 * (g1 |> eta2))."""
     if m2.xm != m1.xm:
         raise MixedStructures("morphisms from different crossed modules")
-    xm = m1.xm
-    return Mor2G(
-        xm,
-        xm.g.table[m1.g][m2.g],
-        xm.h.table[m1.eta][xm.act(m1.g, m2.eta)],
-    )
+    return Mor2G(m1.xm, *m1.xm.pair_mul((m1.g, m1.eta), (m2.g, m2.eta)))
 
 
 def invert(m: Mor2G, kind: str) -> Mor2G:
     """Inverse for the chosen direction: kind is "tensor" or "compose"."""
     xm = m.xm
     if kind == "tensor":
-        gi = xm.g.inverse[m.g]
-        return Mor2G(xm, gi, xm.act(gi, xm.h.inverse[m.eta]))
+        return Mor2G(xm, *xm.pair_inv((m.g, m.eta)))
     if kind == "compose":
         return Mor2G(xm, boundary(m)[1], xm.h.inverse[m.eta])
     raise ValueError(f"unknown inversion kind {kind!r}")
@@ -81,17 +74,13 @@ def underlying_category(xm: CrossedModule) -> FiniteCategory:
     CrossedModule.pair_index so category morphisms and 2-group pairs share
     one index space.
     """
-    n_h = xm.h.order
-    mors = []
-    for i in range(xm.npairs):
-        g, eta = divmod(i, n_h)
-        mors.append((g, xm.g.table[xm.bnd(eta)][g]))
+    n_h, stacks = xm.h.order, xm.pair_stacks
+    mors = [(i // n_h, t) for i, t in enumerate(xm.pair_targets)]
     identity = [xm.pair_index(x, xm.h.identity) for x in xm.g.elements()]
-    comp = []
-    for j, (s2, _) in enumerate(mors):
-        for i, (s1, t1) in enumerate(mors):
-            if s2 == t1:
-                g2, e2 = divmod(j, n_h)
-                g1, e1 = divmod(i, n_h)
-                comp.append((j, i, xm.pair_index(g1, xm.h.table[e2][e1])))
+    comp = [
+        (j, i, stacks[i][j % n_h])  # (g1, e2*e1) for j = (g2, e2) after i = (g1, e1)
+        for j, (s2, _) in enumerate(mors)
+        for i, (_, t1) in enumerate(mors)
+        if s2 == t1
+    ]
     return category_from_tables(xm.g.order, mors, identity, comp)

@@ -386,15 +386,8 @@ def main(argv=None) -> int:
     out = _Out(args.pretty)
     try:
         return args.fn(args, out)
-    except (FixtureFormatError, DslError, UsageError) as exc:
-        out.error(exc)
-        return 2
-    except OSError as exc:
-        out.error(exc)
-        return 2
-    except XmodcatError as exc:
-        # semantic failure while loading data for a non-validate verb: the
-        # input file encodes an object that does not satisfy its own laws
+    except (XmodcatError, OSError) as exc:
+        # unusable input, or data that does not satisfy its own laws
         out.error(exc)
         return 2
 

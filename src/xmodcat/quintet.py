@@ -221,8 +221,7 @@ def embed_morphism(m: Mor2G) -> Quintet:
     """
     xm = m.xm
     e = xm.g.identity
-    right = xm.g.table[xm.bnd(m.eta)][m.g]
-    return make_square(xm, m.g, e, right, e, m.eta)
+    return make_square(xm, m.g, e, xm.pair_target((m.g, m.eta)), e, m.eta)
 
 
 def extract_morphism(sq: Quintet) -> Mor2G:

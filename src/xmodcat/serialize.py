@@ -52,6 +52,14 @@ def _need(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _need_list(obj: dict, key: str, where: str, rows: bool = False) -> list:
+    """obj[key], when it is a list (of lists, when rows is true)."""
+    value = _need(obj, key, where)
+    if not isinstance(value, list) or rows and not all(isinstance(r, list) for r in value):
+        raise FixtureFormatError(f"{where}: {key} must be a list{' of lists' if rows else ''}")
+    return value
+
+
 def _resolve(value, base: Path | None, loader, where: str):
     if isinstance(value, str):
         path = Path(value)
@@ -64,12 +72,13 @@ def _resolve(value, base: Path | None, loader, where: str):
 # --- groups -----------------------------------------------------------------
 
 def group_from_obj(obj, base: Path | None = None, where: str = "group") -> FiniteGroup:
-    table = _need(obj, "table", where)
+    table = _need_list(obj, "table", where, rows=True)
     order = _need(obj, "order", where)
     identity = _need(obj, "identity", where)
-    if not isinstance(table, list) or len(table) != order:
+    if len(table) != order:
         raise FixtureFormatError(f"{where}: table size disagrees with order")
-    return group_from_table(table, identity=identity, names=obj.get("names"))
+    names = None if obj.get("names") is None else _need_list(obj, "names", where)
+    return group_from_table(table, identity=identity, names=names)
 
 
 def load_group(path) -> FiniteGroup:
@@ -92,8 +101,8 @@ def group_to_obj(g: FiniteGroup) -> dict:
 def xmod_from_obj(obj, base: Path | None = None, where: str = "xmod") -> CrossedModule:
     g = _resolve(_need(obj, "G", where), base, group_from_obj, f"{where}.G")
     h = _resolve(_need(obj, "H", where), base, group_from_obj, f"{where}.H")
-    boundary = make_homomorphism(h, g, _need(obj, "boundary", where))
-    action = make_action(g, h, _need(obj, "action", where))
+    boundary = make_homomorphism(h, g, _need_list(obj, "boundary", where))
+    action = make_action(g, h, _need_list(obj, "action", where, rows=True))
     return make_crossed_module(g, h, boundary, action)
 
 
@@ -116,10 +125,10 @@ def category_from_obj(obj, base: Path | None = None, where: str = "category") ->
     n = _need(obj, "objects", where)
     mors = [
         (_need(m, "src", f"{where}.morphisms[{i}]"), _need(m, "tgt", f"{where}.morphisms[{i}]"))
-        for i, m in enumerate(_need(obj, "morphisms", where))
+        for i, m in enumerate(_need_list(obj, "morphisms", where))
     ]
-    identity = _need(obj, "identity", where)
-    comp = _need(obj, "comp", where)
+    identity = _need_list(obj, "identity", where)
+    comp = _need_list(obj, "comp", where)
     for entry in comp:
         if not isinstance(entry, list) or len(entry) != 3:
             raise FixtureFormatError(f"{where}: comp entries must be [g, f, result]")
@@ -144,8 +153,8 @@ def category_to_obj(c: FiniteCategory) -> dict:
 def action_from_obj(obj, base: Path | None = None, where: str = "action") -> StrictAction:
     xm = _resolve(_need(obj, "xmod", where), base, xmod_from_obj, f"{where}.xmod")
     cat = _resolve(_need(obj, "category", where), base, category_from_obj, f"{where}.category")
-    act_obj = _need(obj, "actObj", where)
-    triples = _need(obj, "actMor", where)
+    act_obj = _need_list(obj, "actObj", where, rows=True)
+    triples = _need_list(obj, "actMor", where)
     table: list[list[int]] = [[-1] * cat.n_morphisms for _ in range(xm.npairs)]
     for entry in triples:
         try:
@@ -175,13 +184,11 @@ def load_action(path) -> StrictAction:
     return action_from_obj(read_json(path), base=Path(path).parent, where=str(path))
 
 
-def action_to_obj(
-    a: StrictAction, xmod_ref: str | None = None, category_ref: str | None = None
-) -> dict:
+def action_to_obj(a: StrictAction) -> dict:
     xm = a.xm
     return {
-        "xmod": xmod_ref if xmod_ref is not None else xmod_to_obj(xm),
-        "category": category_ref if category_ref is not None else category_to_obj(a.category),
+        "xmod": xmod_to_obj(xm),
+        "category": category_to_obj(a.category),
         "actObj": [list(row) for row in a.act_obj],
         "actMor": [
             [list(xm.pair_of(p)), [f], a.act_mor[p][f]]

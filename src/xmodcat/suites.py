@@ -29,7 +29,7 @@ from .transform import (
     nested_laws,
     vertical_2category,
 )
-from .xmod import crossed_module_laws, pair_table
+from .xmod import crossed_module_laws
 
 
 @dataclass(frozen=True)
@@ -110,17 +110,13 @@ def suite_xmod(d, samples, seed, max_exhaustive) -> list[LawLine]:
 def catgroup_laws(d: TransDoubleCat) -> list[Law]:
     xm = d.xm
     g, h = xm.g, xm.h
-    mors = [Mor2G(xm, gg, eta) for gg in g.elements() for eta in h.elements()]
     kernel = [chi for chi in h.elements() if xm.bnd(chi) == g.identity]
-    e_mor = catgroup.identity_morphism(xm, g.identity)
-    # the typing and interchange laws run on pair indices g*|H| + eta: the
-    # tensor is a pair_table lookup, and m2 after m1 is (g1, eta2*eta1)
+    # every law runs on pair indices g*|H| + eta and the crossed module's pair tables
     n_h, gt, ht = h.order, g.table, h.table
-    pt = pair_table(xm)
+    pt, tgt, stack = xm.pair_products, xm.pair_targets, xm.pair_stacks
+    inv, unit = xm.pair_inverses, xm.pair_unit
     pairs = range(xm.npairs)
-    src = [p // n_h for p in pairs]
-    label = [p % n_h for p in pairs]
-    tgt = [gt[xm.bnd(label[p])][src[p]] for p in pairs]
+    src, label = zip(*xm.pairs())
 
     def tensor_typing(insts, fail) -> None:
         for p1, p2 in insts:
@@ -132,34 +128,33 @@ def catgroup_laws(d: TransDoubleCat) -> list[Law]:
     def interchange(insts, fail) -> None:
         for m1, c2, n1, d2 in insts:
             m2, n2 = tgt[m1] * n_h + c2, tgt[n1] * n_h + d2
-            lhs = pt[m1 - label[m1] + ht[c2][label[m1]]][n1 - label[n1] + ht[d2][label[n1]]]
+            lhs = pt[stack[m1][c2]][stack[n1][d2]]
             upper, lower = pt[m2][n2], pt[m1][n1]
             if src[upper] != tgt[lower]:
                 catgroup.compose(mor_of(xm, upper), mor_of(xm, lower))  # raises NotComposable
-            if lhs != lower - label[lower] + ht[label[upper]][label[lower]]:
+            if lhs != stack[lower][label[upper]]:
                 fail((src[m1], label[m1], c2, src[n1], label[n1], d2))
 
     def tensor_inverse(insts, fail) -> None:
-        for (m,) in insts:
-            mi = catgroup.invert(m, "tensor")
-            if catgroup.tensor(m, mi) != e_mor or catgroup.tensor(mi, m) != e_mor:
-                fail((m.g, m.eta))
+        for (p,) in insts:
+            if pt[p][inv[p]] != unit or pt[inv[p]][p] != unit:
+                fail((src[p], label[p]))
 
     def eckmann_hilton(insts, fail) -> None:
+        e_row = g.identity * n_h  # (1, a) is e_row + a
         for a, b in insts:
-            ma, mb = Mor2G(xm, g.identity, a), Mor2G(xm, g.identity, b)
-            tab = catgroup.tensor(ma, mb)
+            tab = pt[e_row + a][e_row + b]
             if (
-                tab != catgroup.tensor(mb, ma)
-                or tab.eta != h.table[a][b]
-                or h.table[a][b] != h.table[b][a]
+                tab != pt[e_row + b][e_row + a]
+                or label[tab] != ht[a][b]
+                or ht[a][b] != ht[b][a]
             ):
                 fail((a, b))
 
     return [
         product_law("tensor-typing", tensor_typing, pairs, pairs),
         product_law("interchange", interchange, pairs, h.elements(), pairs, h.elements()),
-        product_law("tensor-inverse", tensor_inverse, mors),
+        product_law("tensor-inverse", tensor_inverse, pairs),
         product_law("eckmann-hilton", eckmann_hilton, kernel, kernel),
     ]
 

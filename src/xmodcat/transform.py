@@ -32,7 +32,7 @@ from .action import StrictAction, nat_component, validate_strict_action
 from .errors import InvalidAction, MixedStructures, NotAdjacent
 from .fincat import FiniteCategory, category_from_tables
 from .report import DEFAULT_CAP, Law, Report, holds, product_law, ragged, run_laws
-from .xmod import CrossedModule, pair_table, semidirect_group
+from .xmod import semidirect_group
 
 
 class TransDoubleCat:
@@ -94,13 +94,11 @@ class TransDoubleCat:
 
     def square_of(self, i: int) -> tuple[int, int, int]:
         p, f = divmod(i, self.category.n_morphisms)
-        gamma, chi = self.xm.pair_of(p)
-        return gamma, chi, f
+        return (*self.xm.pair_of(p), f)
 
     def squares(self):
         for i in range(self.n_squares):
-            gamma, chi, f = self.square_of(i)
-            yield TDSquare(self.act, gamma, chi, f)
+            yield TDSquare(self.act, *self.square_of(i))
 
     def __repr__(self) -> str:
         return (
@@ -134,11 +132,7 @@ class TDSquare:
         return self.gamma, self.act.category.src[self.f]
 
     def right(self) -> tuple[int, int]:
-        xm = self.act.xm
-        return (
-            xm.g.table[xm.bnd(self.chi)][self.gamma],
-            self.act.category.tgt[self.f],
-        )
+        return self.act.xm.pair_target((self.gamma, self.chi)), self.act.category.tgt[self.f]
 
     def __eq__(self, other) -> bool:
         return (
@@ -181,23 +175,19 @@ def compose_squares(s1: TDSquare, s2: TDSquare, axis: str) -> TDSquare:
     if axis in ("h", "horizontal"):
         if s1.right() != s2.left():
             raise NotAdjacent(f"right edge {s1.right()} != left edge {s2.left()}")
-        return TDSquare(
-            act, s1.gamma, xm.h.table[s2.chi][s1.chi], c.comp[(s2.f, s1.f)]
-        )
+        return TDSquare(act, *xm.pair_stack((s1.gamma, s1.chi), s2.chi), c.comp[(s2.f, s1.f)])
     if axis in ("v", "vertical"):
         if s1.f != s2.bottom():
             raise NotAdjacent(
                 f"top edge {s1.f} != acted bottom edge {s2.bottom()}"
             )
-        gamma, chi = xm.pair_mul((s1.gamma, s1.chi), (s2.gamma, s2.chi))
-        return TDSquare(act, gamma, chi, s2.f)
+        return TDSquare(act, *xm.pair_mul((s1.gamma, s1.chi), (s2.gamma, s2.chi)), s2.f)
     raise ValueError(f"unknown axis {axis!r}")
 
 
 def vertical_inverse_square(s: TDSquare) -> TDSquare:
     """Inverse for vertical pasting: the pair inverse over the acted edge."""
-    gamma, chi = s.act.xm.pair_inv((s.gamma, s.chi))
-    return TDSquare(s.act, gamma, chi, s.bottom())
+    return TDSquare(s.act, *s.act.xm.pair_inv((s.gamma, s.chi)), s.bottom())
 
 
 # --- verification ----------------------------------------------------------
@@ -225,30 +215,23 @@ def double_laws(d: TransDoubleCat) -> list[Law]:
     xm, c = d.xm, d.category
     g, h = xm.g, xm.h
     src, tgt, ident = c.src, c.tgt, c.identity
-    n_h = h.order
-    npairs = xm.npairs
+    n_h, npairs = h.order, xm.npairs
     act_m, act_o = act.act_mor, act.act_obj
-    hm = h.table
     e_h = h.identity
     pairs, mors, hs = range(npairs), c.morphisms(), range(n_h)
-    pt = pair_table(xm)  # pt[p1][p2]: the pair product p1 * p2
-    pair_tgt = [g.table[xm.bnd(chi)][gamma] for gamma in g.elements() for chi in hs]
+    # the pair arithmetic on pair indices: pt[p1][p2] is the product p1 * p2,
+    # stacks[p][c] is the label c stacked on p, pair_tgt[p] is p's target in G
+    pt, stacks, pair_tgt = xm.pair_products, xm.pair_stacks, xm.pair_targets
     after = [[f2 for f2 in mors if src[f2] == tgt[f]] for f in mors]  # tops composing after f
     natc = [[act_m[p][ident[x]] for x in c.objects()] for p in pairs]  # components
+    by_g = [act_m[gm * n_h + e_h] for gm in g.elements()]  # gm |> -
     # ct[a][b]: a after b, or -1 when they do not compose; the last column
     # (index -1) is all -1, so composing with a miss is again a miss
     ct = [[-1] * (len(mors) + 1) for _ in mors]
     for (a, b), ab in c.comp.items():
         ct[a][b] = ab
 
-    def hcomp(p1: int, f1: int, p2: int, f2: int):
-        """Index-level horizontal pasting; None when the tops don't compose."""
-        ff = ct[f2][f1]
-        if ff < 0:
-            return None
-        return p1 - p1 % n_h + hm[p2 % n_h][p1 % n_h], ff
-
-    unit_p = g.identity * n_h + e_h
+    unit_p = xm.pair_unit
 
     def v_unit(insts, fail) -> None:
         for p, f in insts:
@@ -288,7 +271,7 @@ def double_laws(d: TransDoubleCat) -> list[Law]:
             if top < 0:
                 fail((p1, f1, p2, f2), "tops do not compose")
                 continue
-            p = p1 - p1 % n_h + hm[p2 % n_h][p1 % n_h]
+            p = stacks[p1][p2 % n_h]
             # bottoms that do not compose give -1, which no morphism equals
             if act_m[p][top] != ct[act_m[p2][f2]][act_m[p1][f1]]:
                 fail((p1, f1, p2, f2))
@@ -303,10 +286,10 @@ def double_laws(d: TransDoubleCat) -> list[Law]:
         col = list(zip(*ct))  # col[b][a] = ct[a][b]
         at_f1, at_f2, at_top = picker(f1s), picker(f2s), picker(tops)
         for p1 in pairs:
-            c1, first_p2 = p1 % n_h, pair_tgt[p1] * n_h
+            stack, first_p2 = stacks[p1], pair_tgt[p1] * n_h
             cols = at_f1([col[a] for a in act_m[p1]])  # col[act_m[p1][f1]] per (f1, f2)
             ok = composable and all(
-                at_top(act_m[p1 - c1 + hm[c2][c1]])
+                at_top(act_m[stack[c2]])
                 == tuple(map(getitem, cols, at_f2(act_m[first_p2 + c2])))
                 for c2 in hs
             )
@@ -351,23 +334,21 @@ def double_laws(d: TransDoubleCat) -> list[Law]:
         row, i = divmod(i, npairs * n_h)
         return (*row_at(row), *divmod(i, n_h))
 
+    # a row pastes by stacking the right label on the left pair; both
+    # composites have the top row's top edge, so only their pairs can differ
     def interchange(insts, fail) -> None:
         for pa, fa, pb, fb, pc, cd in insts:
-            fc = act_m[pa][fa]
-            fd = act_m[pb][fb]
-            pd = pair_tgt[pc] * n_h + cd
-            row_top = hcomp(pa, fa, pb, fb)
-            row_bot = hcomp(pc, fc, pd, fd)
             w = (pa, fa, pb % n_h, fb, pc, cd)
-            if row_top is None or row_bot is None:
+            top, bottom = ct[fb][fa], ct[act_m[pb][fb]][act_m[pa][fa]]  # the rows' tops
+            if top < 0 or bottom < 0:
                 fail(w, "rows not composable")
                 continue
-            if act_m[row_top[0]][row_top[1]] != row_bot[1]:
+            p_top = stacks[pa][pb % n_h]
+            if act_m[p_top][top] != bottom:
                 fail(w, "rows not stackable")
                 continue
-            via_rows = (pt[row_bot[0]][row_top[0]], row_top[1])
-            via_cols = hcomp(pt[pc][pa], fa, pt[pd][pb], fb)
-            if via_cols is None or via_rows != via_cols:
+            pd = pair_tgt[pc] * n_h + cd
+            if pt[stacks[pc][cd]][p_top] != stacks[pt[pc][pa]][pt[pd][pb] % n_h]:
                 fail(w)
 
     # six equivalent composites filling a stacked pair of squares; the
@@ -377,12 +358,9 @@ def double_laws(d: TransDoubleCat) -> list[Law]:
             p1, p2 = g1 * n_h + c1, g2 * n_h + c2
             b1, b2 = pair_tgt[p1], pair_tgt[p2]  # bnd(c1) * g1, bnd(c2) * g2
             to_exp = act_m[pt[p2][p1]]
-            w2 = act_m[g2 * n_h + e_h]  # g2 |> -
-            wb2 = act_m[b2 * n_h + e_h]  # bnd(c2)g2 |> -
-            to_21 = act_m[g.table[g2][g1] * n_h + e_h]
-            to_2b1 = act_m[g.table[g2][b1] * n_h + e_h]
-            to_b21 = act_m[g.table[b2][g1] * n_h + e_h]
-            to_b2b1 = act_m[g.table[b2][b1] * n_h + e_h]
+            w2, wb2 = by_g[g2], by_g[b2]  # g2 |> -, bnd(c2)g2 |> -
+            to_21, to_2b1 = by_g[g.table[g2][g1]], by_g[g.table[g2][b1]]
+            to_b21, to_b2b1 = by_g[g.table[b2][g1]], by_g[g.table[b2][b1]]
             nat1, nat2 = natc[p1], natc[p2]  # components of p1 and of p2
             o_1, o_b1 = act_o[g1], act_o[b1]
             for _, _, _, _, f in group:
@@ -409,7 +387,6 @@ def double_laws(d: TransDoubleCat) -> list[Law]:
     # and one loop over f compares the six composites with exp
     def six_composites_blocks():
         objects = c.objects()
-        by_g = [act_m[gm * n_h + e_h] for gm in g.elements()]  # gm |> -
         for p1 in pairs:
             g1, b1, nat1 = p1 // n_h, pair_tgt[p1], natc[p1]
             o_1, o_b1 = act_o[g1], act_o[b1]
@@ -705,9 +682,7 @@ class H2Cat:
 def horizontal_2category(d: TransDoubleCat) -> H2Cat:
     act = d.act
     xm, c = d.xm, d.category
-    kernel = tuple(
-        chi for chi in xm.h.elements() if xm.bnd(chi) == xm.g.identity
-    )
+    kernel = tuple(chi for chi in xm.h.elements() if xm.bnd(chi) == xm.g.identity)
     cells: dict[int, tuple[tuple[int, int], ...]] = {}
     e_g = xm.g.identity
     for f in c.morphisms():
@@ -741,7 +716,7 @@ def vertical_2category(d: TransDoubleCat) -> V2Cat:
             target_id = c.identity[act.act_obj[gamma][x]]
             for chi in xm.h.elements():
                 if nat_component(act, gamma, chi, x) == target_id:
-                    out.append((chi, xm.g.table[xm.bnd(chi)][gamma]))
+                    out.append((chi, xm.pair_target((gamma, chi))))
             cells[(gamma, x)] = tuple(out)
     return V2Cat(cells)
 
@@ -772,8 +747,7 @@ def double_to_obj(d: TransDoubleCat) -> dict:
                 "left": list(TDSquare(act, gamma, chi, f).left()),
                 "right": list(TDSquare(act, gamma, chi, f).right()),
             }
-            for gamma in xm.g.elements()
-            for chi in xm.h.elements()
+            for gamma, chi in xm.pairs()
             for f in c.morphisms()
         ],
     }

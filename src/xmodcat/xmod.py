@@ -8,12 +8,17 @@ boundary : H -> G is a homomorphism, G acts on H by automorphisms, and
 hold for all elements. A crossed module presents a strict 2-group whose
 1-morphisms are G and whose 2-morphism pairs live in the semidirect
 product G x| H; the pair index (g, h) -> g*|H| + h is fixed here and reused
-by every other module.
+by every other module. So is the pair arithmetic: pair_mul, pair_inv,
+pair_target and pair_stack give one value each, and the pair tables on pair
+indices, built on first use, give all of them; only law construction and
+semidirect_group ask for the |G x| H|^2 product table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import product
 
 from .errors import BudgetExceeded, ComponentInvalid, MixedStructures, SpaceNotAbelian
 from .groups import (
@@ -59,16 +64,59 @@ class CrossedModule:
     def pair_of(self, i: int) -> tuple[int, int]:
         return divmod(i, self.h.order)
 
+    def pairs(self):
+        """Every pair (g, h), in pair-index order."""
+        return product(self.g.elements(), self.h.elements())
+
     def pair_mul(self, p1: tuple[int, int], p2: tuple[int, int]) -> tuple[int, int]:
         """Semidirect product: (g1,h1)*(g2,h2) = (g1 g2, h1 * (g1 |> h2))."""
-        g1, h1 = p1
-        g2, h2 = p2
+        (g1, h1), (g2, h2) = p1, p2
         return self.g.table[g1][g2], self.h.table[h1][self.action.table[g1][h2]]
 
     def pair_inv(self, p: tuple[int, int]) -> tuple[int, int]:
-        g, h = p
-        gi = self.g.inverse[g]
-        return gi, self.action.table[gi][self.h.inverse[h]]
+        gi = self.g.inverse[p[0]]
+        return gi, self.action.table[gi][self.h.inverse[p[1]]]
+
+    def pair_target(self, p: tuple[int, int]) -> int:
+        """boundary(h)*g, the target of the 2-cell (g, h) out of g."""
+        return self.g.table[self.boundary.map[p[1]]][p[0]]
+
+    def pair_stack(self, p: tuple[int, int], c: int) -> tuple[int, int]:
+        """The 2-cell c stacked on (g, h), out of its target: (g, c*h)."""
+        return p[0], self.h.table[c][p[1]]
+
+    # the same arithmetic on pair indices, as tables built on first use
+
+    @property
+    def pair_unit(self) -> int:
+        return self.pair_index(self.g.identity, self.h.identity)
+
+    @cached_property
+    def pair_products(self) -> tuple[tuple[int, ...], ...]:
+        """[i][j] is the index of pair_mul(pair_of(i), pair_of(j)); the row of
+        (g1, h1) is built from the tail h1 * (g1 |> h2) over h2."""
+        n_h, gs = self.h.order, self.g.elements()
+        return tuple(
+            tuple(g_row[g2] * n_h + t for g2 in gs for t in tail)
+            for g_row, a_row in zip(self.g.table, self.action.table)
+            for tail in ([h_row[a] for a in a_row] for h_row in self.h.table)
+        )
+
+    @cached_property
+    def pair_inverses(self) -> tuple[int, ...]:
+        """[i] is the index of pair_inv(pair_of(i))."""
+        return tuple(self.pair_index(*self.pair_inv(p)) for p in self.pairs())
+
+    @cached_property
+    def pair_targets(self) -> tuple[int, ...]:
+        """[i] is pair_target(pair_of(i)), an element of G."""
+        return tuple(map(self.pair_target, self.pairs()))
+
+    @cached_property
+    def pair_stacks(self) -> tuple[tuple[int, ...], ...]:
+        """[i][c] is the index of pair_stack(pair_of(i), c)."""
+        index, stack, hs = self.pair_index, self.pair_stack, self.h.elements()
+        return tuple(tuple(index(*stack(p, c)) for c in hs) for p in self.pairs())
 
     def __repr__(self) -> str:
         return f"CrossedModule(|G|={self.g.order}, |H|={self.h.order})"
@@ -134,31 +182,17 @@ def xmod_trivial_boundary(action: GroupAction) -> CrossedModule:
     )
 
 
-def pair_table(xm: CrossedModule) -> list[list[int]]:
-    """Rows of the semidirect product on pair indices: entry [i][j] is the
-    index of pair_mul(pair_of(i), pair_of(j))."""
-    n_h = xm.h.order
-    gs, hs = xm.g.elements(), xm.h.elements()
-    rows = []
-    for g1 in gs:
-        g_row, a_row = xm.g.table[g1], xm.action.table[g1]
-        for h1 in hs:
-            h_row = xm.h.table[h1]
-            tail = [h_row[a_row[h2]] for h2 in hs]  # h1 * (g1 |> h2)
-            rows.append([g_row[g2] * n_h + t for g2 in gs for t in tail])
-    return rows
+def pair_table(xm: CrossedModule) -> tuple[tuple[int, ...], ...]:
+    """The semidirect product on pair indices, xm.pair_products."""
+    return xm.pair_products
 
 
 def semidirect_group(xm: CrossedModule) -> FiniteGroup:
     """The pair group G x| H under (g1,h1)*(g2,h2) = (g1 g2, h1 (g1 |> h2))."""
     names = None
     if xm.g.names is not None or xm.h.names is not None:
-        names = [
-            f"({xm.g.name_of(g)}|{xm.h.name_of(h)})"
-            for g in xm.g.elements()
-            for h in xm.h.elements()
-        ]
-    return group_from_table(pair_table(xm), identity=xm.pair_index(xm.g.identity, xm.h.identity), names=names)
+        names = [f"({xm.g.name_of(g)}|{xm.h.name_of(h)})" for g, h in xm.pairs()]
+    return group_from_table(xm.pair_products, identity=xm.pair_unit, names=names)
 
 
 # --- enumeration ----------------------------------------------------------

@@ -379,7 +379,8 @@ class TestVerify:
 
 
 class TestNonIntegerEntries:
-    """A table entry that is not an int is unusable input, even in range."""
+    """A table entry that is not an int is unusable input, even in range, and
+    so is a bare number where a list is expected."""
 
     EDITS = pytest.mark.parametrize(
         "edit, error",
@@ -387,8 +388,23 @@ class TestNonIntegerEntries:
             (lambda obj: obj["actMor"][0].__setitem__(2, 1.5), "FixtureFormatError"),
             (lambda obj: obj["category"]["morphisms"][0].__setitem__("src", "0"), "MalformedTable"),
             (lambda obj: obj["xmod"]["boundary"].__setitem__(0, 0.0), "MalformedTable"),
+            (lambda obj: obj["xmod"]["G"]["table"].__setitem__(1, 5), "FixtureFormatError"),
+            (lambda obj: obj["xmod"]["G"].__setitem__("names", 5), "FixtureFormatError"),
+            (lambda obj: obj["category"].__setitem__("morphisms", 5), "FixtureFormatError"),
+            (lambda obj: obj["category"].__setitem__("identity", 0), "FixtureFormatError"),
+            (lambda obj: obj["category"].__setitem__("comp", 7), "FixtureFormatError"),
+            (lambda obj: obj["xmod"].__setitem__("boundary", 5), "FixtureFormatError"),
+            (lambda obj: obj["xmod"]["action"].__setitem__(1, 5), "FixtureFormatError"),
+            (lambda obj: obj.__setitem__("actObj", 5), "FixtureFormatError"),
+            (lambda obj: obj["actObj"].__setitem__(0, 5), "FixtureFormatError"),
+            (lambda obj: obj.__setitem__("actMor", 5), "FixtureFormatError"),
         ],
-        ids=["actMor", "category-src", "xmod-boundary"],
+        ids=[
+            "actMor", "category-src", "xmod-boundary",
+            "group-table-row", "group-names", "category-morphisms", "category-identity",
+            "category-comp", "xmod-boundary-number", "xmod-action-row", "actObj",
+            "actObj-row", "actMor-number",
+        ],
     )
 
     @staticmethod

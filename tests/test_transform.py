@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from xmodcat.action import adjoint_action, make_strict_action, trivial_strict_action
-from xmodcat.catgroup import underlying_category
+from xmodcat import catgroup
+from xmodcat.catgroup import Mor2G, mor_of, underlying_category
 from xmodcat import transform
 from xmodcat.errors import InvalidAction, MixedStructures, NotAdjacent, NotComposable
 from xmodcat.fincat import category_from_tables, terminal_category
@@ -33,7 +34,7 @@ from xmodcat.transform import (
     vertical_2category,
     vertical_inverse_square,
 )
-from xmodcat.xmod import make_crossed_module, pair_table, semidirect_group
+from xmodcat.xmod import CrossedModule, make_crossed_module, pair_table, semidirect_group, xm_sym3
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -383,6 +384,37 @@ class TestPairGroupCheck:
         assert {line.status for line in lines} == {"pass"}
         assert calls == [xm2]
 
+    def test_one_run_all_builds_the_product_table_once(self, monkeypatch):
+        calls = []
+        build = CrossedModule.pair_products.func
+
+        def counted(xm):
+            calls.append(xm)
+            return build(xm)
+
+        monkeypatch.setattr(CrossedModule.pair_products, "func", counted)
+        xm = xm_sym3()  # a new module, with no table built yet
+        lines = run_all(adjoint_action(xm), samples=100, max_exhaustive=1000)
+        assert {line.status for line in lines} == {"pass"}
+        assert calls == [xm]
+
+    def test_object_level_calls_build_no_pair_table(self):
+        xm = xm_sym3()
+        act = trivial_strict_action(xm, terminal_category())
+        m, n = Mor2G(xm, 1, 2), Mor2G(xm, 3, 4)
+        xm.pair_mul((1, 2), (3, 4))
+        xm.pair_inv((1, 2))
+        catgroup.tensor(m, n)
+        catgroup.invert(m, "tensor")
+        catgroup.invert(m, "compose")
+        catgroup.compose(Mor2G(xm, catgroup.boundary(m)[1], 5), m)
+        s = TDSquare(act, 1, 2, 0)
+        compose_squares(s, TDSquare(act, s.right()[0], 3, 0), "h")
+        compose_squares(TDSquare(act, 4, 5, s.bottom()), s, "v")
+        vertical_inverse_square(s)
+        tables = {"pair_products", "pair_inverses", "pair_targets", "pair_stacks"}
+        assert not tables & vars(xm).keys()
+
 
 def brute_horizontal_cells(d):
     """Filter the squares with identity vertical edges, by boundary data."""
@@ -582,12 +614,23 @@ class TestDoubleKernel:
         assert any("None" in detail for detail in details)
         assert all(detail.startswith("composites (") for detail in details)
 
-    def test_pair_table_is_the_pair_product(self, all_xms):
-        for _, xm in all_xms:
+    # every entry of the pair tables against the one-value forms, on the
+    # fixtures and on two modules that break the crossed-module axioms
+    def test_pair_table_is_the_pair_product(self, all_xms, bad_xm, broken_xm):
+        for xm in [xm for _, xm in all_xms] + [bad_xm, broken_xm]:
             table = pair_table(xm)
+            assert table is xm.pair_products
+            assert xm.pair_of(xm.pair_unit) == (xm.g.identity, xm.h.identity)
             for i in range(xm.npairs):
+                m = mor_of(xm, i)
                 for j in range(xm.npairs):
                     assert table[i][j] == xm.pair_index(*xm.pair_mul(xm.pair_of(i), xm.pair_of(j)))
+                assert xm.pair_of(xm.pair_inverses[i]) == xm.pair_inv(xm.pair_of(i))
+                assert catgroup.boundary(m) == (m.g, xm.pair_targets[i])
+                for c in xm.h.elements():
+                    # the 2-cell c out of m's target composes after m
+                    upper = Mor2G(xm, xm.pair_targets[i], c)
+                    assert mor_of(xm, xm.pair_stacks[i][c]) == catgroup.compose(upper, m)
 
 
 # --- block checks of the enumerated double laws ------------------------------
