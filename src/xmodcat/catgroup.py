@@ -3,7 +3,8 @@
 Objects are the elements of G. A morphism is a pair (g, eta) with source g
 and target boundary(eta)*g. Pairs compose vertically (stacking 2-cells) and
 multiply horizontally (the tensor); both directions have strict inverses.
-All four are the crossed module's pair arithmetic, which lives in xmod.
+Targets, both products and both inverses are the crossed module's pair
+arithmetic (see xmod).
 """
 
 from __future__ import annotations

@@ -267,7 +267,7 @@ def double_laws(d: TransDoubleCat) -> list[Law]:
 
     def h_boundary(insts, fail) -> None:
         for p1, f1, p2, f2 in insts:
-            top = ct[f2][f1]  # hcomp, inlined
+            top = ct[f2][f1]  # the composite of the tops
             if top < 0:
                 fail((p1, f1, p2, f2), "tops do not compose")
                 continue
