@@ -83,6 +83,25 @@ class TestValidate:
         failed = [o for o in law_objs(out) if o["status"] == "fail"]
         assert failed and all(o["witness"] is not None for o in failed)
 
+    # the sha256 of `validate --kind action` stdout and the exit code
+    ACTION_GOLDEN = [
+        ((str(MUTATED),), 1, "28297d911a56d3ecbe8b318aac62356b036a1ab82ce5d9954a0e7714ccd9db9a"),
+        (("--adjoint", "xm2"), 0, "87ce71f1b9e1e8fb92655b2b5a9885e1ab09b44c621a86f5afe0cfd92bb3bf7b"),
+        (("--trivial", "xm3"), 0, "4ee9c856bf326ba2db4ecaf1e13febe79f70cc3e227ce5fc1128b7601b7366df"),
+        (
+            (str(FIXTURES / "actions" / "adjoint_xm1.json"),), 0,
+            "9888b27305e3b0eaf3c65c05d95dffc5f0add343ec14cb2bb42d11bb423c6d97",
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, code, digest", ACTION_GOLDEN,
+        ids=["mutated", "adjoint-xm2", "trivial-xm3", "adjoint-xm1-file"],
+    )
+    def test_action_output_is_pinned(self, capsys, argv, code, digest):
+        got, out, _ = run_cli(capsys, "validate", "--kind", "action", *argv)
+        assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
     def test_missing_file_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "validate", "--kind", "xmod", "no_such_file.json")
         assert code == 2
