@@ -21,7 +21,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import accumulate, groupby, product
+from itertools import accumulate, product
 from typing import Callable, Iterable, Iterator, Sequence
 
 DEFAULT_CAP = 100
@@ -155,38 +155,6 @@ def ragged(sizes: Iterable[int]):
         return j, i - starts[j]
 
     return starts[-1], locate
-
-
-def indexed_laws(prefix: str, keys: Iterable[tuple], laws_of) -> list[Law]:
-    """The laws of a family of structures, one per law of laws_of(*key): law
-    `name` becomes prefix + name over the instances key + i, for each key in
-    turn and i an instance of that key's law, and a witness w becomes key + w.
-    Every laws_of(*key) must declare the same laws in the same order."""
-    members = [(key, laws_of(*key)) for key in keys]
-    if not members:
-        return []
-    width = len(members[0][0])
-
-    def law(k: int) -> Law:
-        family = [(key, laws[k]) for key, laws in members]
-        by_key = dict(family)
-        size, locate = ragged(m.size for _, m in family)
-
-        def at(i: int) -> tuple:
-            j, r = locate(i)
-            key, m = family[j]
-            return key + m.at(r)
-
-        def check(insts, fail) -> None:
-            for key, group in groupby(insts, lambda i: i[:width]):
-                by_key[key].check(
-                    (i[width:] for i in group),
-                    lambda w, detail="": fail(key + w, detail),
-                )
-
-        return Law(prefix + family[0][1].name, size, at, check)
-
-    return [law(k) for k in range(len(members[0][1]))]
 
 
 def spread(rng: random.Random, size: int, samples: int) -> Iterator[int]:

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -9,7 +10,6 @@ from xmodcat.action import (
     functor_of,
     identity_compositor,
     make_strict_action,
-    nat_component,
     nat_trans_of,
     trivial_strict_action,
     validate_strict_action,
@@ -18,11 +18,11 @@ from xmodcat.catgroup import mor_of, underlying_category
 from xmodcat.errors import MalformedTable
 from xmodcat.fincat import (
     category_from_tables,
+    functor_compose,
     terminal_category,
     validate_functor,
     validate_nat_trans,
 )
-from xmodcat.groups import symmetric
 from xmodcat.suites import five_square_strip
 
 
@@ -147,6 +147,86 @@ class TestLawDiagnostics:
         assert not rep.ok
         for v in rep.violations:
             assert isinstance(v.witness, tuple) and v.witness
+
+
+def one_entry_mutants(act, n, seed):
+    """n copies of act, each with one act_obj or act_mor entry changed."""
+    rng = random.Random(seed)
+    c = act.category
+    for _ in range(n):
+        obj, mor = [list(r) for r in act.act_obj], [list(r) for r in act.act_mor]
+        table, size = (obj, c.n_objects) if rng.random() < 0.25 else (mor, c.n_morphisms)
+        row = rng.choice(table)
+        i = rng.randrange(len(row))
+        row[i] = (row[i] + rng.randrange(1, size)) % size
+        yield make_strict_action(act.xm, c, obj, mor)
+
+
+def fincat_reference(act):
+    """(checked, violations, witnesses) of each presentation-1 action law,
+    from the fincat validators of each endofunctor and transformation, the
+    key in front of each witness; translation-composition from functor
+    equality."""
+    g = act.xm.g
+    out = {}
+
+    def add(name, key, rep, law):
+        checked, found, seen = out.get(name, (0, 0, []))
+        seen = seen + [key + v.witness for v in rep.violations if v.law == law]
+        out[name] = (checked + rep.instances.get(law, 0), found + rep.count(law), seen)
+
+    for gamma in g.elements():
+        rep = validate_functor(functor_of(act, gamma))
+        for law in ("typing", "identities", "composition"):
+            add("endofunctor-" + law, (gamma,), rep, law)
+    for gamma, chi in act.xm.pairs():
+        rep = validate_nat_trans(nat_trans_of(act, gamma, chi))
+        for law in ("component-typing", "naturality"):
+            add("transformation-" + law, (gamma, chi), rep, law)
+    functors = [functor_of(act, gamma) for gamma in g.elements()]
+    apart = [
+        (g1, g3) for g1, g3 in itertools.product(g.elements(), repeat=2)
+        if functor_compose(functors[g1], functors[g3]) != functors[g.table[g1][g3]]
+    ]
+    out["translation-composition"] = (g.order ** 2, len(apart), apart)
+    return out
+
+
+class TestPresentationOneAgainstFincat:
+    """The presentation-1 lines, read off the tables, agree with the fincat
+    functor and natural-transformation validators run on each key."""
+
+    def agree(self, act):
+        rep = validate_strict_action(act)
+        want = fincat_reference(act)
+        for name, (checked, found, seen) in want.items():
+            got = [v.witness for v in rep.violations if v.law == name]
+            assert (rep.instances.get(name, 0), rep.count(name)) == (checked, found), name
+            assert got[:1] == seen[:1], name
+            if name == "translation-composition":
+                assert got == seen[:rep.cap]
+        return rep
+
+    def test_lawful_adjoints(self, adjoints):
+        for _, act in adjoints:
+            assert self.agree(act).ok
+
+    @pytest.mark.parametrize("name", ["xm1", "xm2", "xm4"])
+    def test_one_entry_mutants(self, request, name):
+        act = adjoint_action(request.getfixturevalue(name))
+        failing = 0
+        for bad in one_entry_mutants(act, 12, f"presentation-1/{name}"):
+            failing += not self.agree(bad).ok
+        assert failing > 0
+
+    def test_an_ill_typed_component_drops_its_naturality_instances(self, xm1):
+        act = adjoint_action(xm1)
+        c, p = act.category, xm1.pair_index(1, 1)
+        x = 0
+        wrong = next(f for f in c.morphisms() if c.src[f] != act.act_obj[1][x])
+        rep = self.agree(mutate_mor(act, p, c.identity[x], wrong))
+        assert rep.count("transformation-component-typing") == 1
+        assert rep.instances["transformation-naturality"] == (xm1.npairs - 1) * c.n_morphisms
 
 
 class TestFiveSquareOracle:

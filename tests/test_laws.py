@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 
 from xmodcat.groups import automorphism_action_laws, homomorphism_laws
-from xmodcat.report import Law, Report, indexed_laws, product_law, ragged, run_laws, spread
+from xmodcat.report import Law, Report, product_law, ragged, run_laws, spread
 from xmodcat.suites import (
     action_laws,
     adjoint_laws,
@@ -156,29 +156,6 @@ def test_violations_are_counted_past_the_cap():
     assert rep.count("law") == 10
     assert [v.witness for v in rep.violations] == [(0,), (1,), (2,)]
     assert rep.capped and rep.checked == 10
-
-
-def test_indexed_laws_put_the_key_in_front_of_instances_and_witnesses():
-    def laws_of(k):
-        def odd(insts, fail):
-            for (i,) in insts:
-                if (k + i) % 2:
-                    fail((i,), "odd")
-
-        return [product_law("odd", odd, range(k))]
-
-    # key 0 has no instances, so no index lands on it
-    (law,) = indexed_laws("sum-", product(range(4)), laws_of)
-    assert (law.name, law.size) == ("sum-odd", 6)
-    assert list(law.instances()) == [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
-    rep = run_laws(Report(), "suite", [law])
-    assert [v.witness for v in rep.violations] == [(1, 0), (2, 1), (3, 0), (3, 2)]
-    assert {v.detail for v in rep.violations} == {"odd"}
-
-    rep = run_laws(Report(), "suite", [law], samples=5, seed=2, max_exhaustive=0)
-    assert rep.instances == {"sum-odd": 5}
-    witnesses = iter([(1, 0), (2, 1), (3, 0), (3, 2)])
-    assert all(v.witness in witnesses for v in rep.violations)  # in their order
 
 
 def test_only_the_blocks_that_fail_are_walked_again():
