@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import MixedStructures, NotComposable
+from .errors import ComponentInvalid, MixedStructures, NotComposable
 from .fincat import FiniteCategory, category_from_tables
+from .groups import validate_homomorphism
 from .xmod import CrossedModule
 
 
@@ -73,8 +74,13 @@ def underlying_category(xm: CrossedModule) -> FiniteCategory:
 
     Morphism i encodes the pair divmod(i, |H|); this matches
     CrossedModule.pair_index so category morphisms and 2-group pairs share
-    one index space.
+    one index space. A boundary that is not a homomorphism raises
+    ComponentInvalid naming its first violation, since no such category
+    exists.
     """
+    brep = validate_homomorphism(xm.boundary)
+    if not brep.ok:
+        raise ComponentInvalid(f"boundary is not a homomorphism: {brep.violations[0]}")
     n_h, stacks = xm.h.order, xm.pair_stacks
     mors = [(i // n_h, t) for i, t in enumerate(xm.pair_targets)]
     identity = [xm.pair_index(x, xm.h.identity) for x in xm.g.elements()]

@@ -11,13 +11,19 @@ import pytest
 from xmodcat.action import adjoint_action, trivial_strict_action
 from xmodcat.cli import main
 from xmodcat.fincat import category_from_tables
-from xmodcat.groups import automorphism_action_laws, homomorphism_laws
+from xmodcat.groups import (
+    automorphism_action_laws,
+    cyclic,
+    homomorphism_laws,
+    make_homomorphism,
+    trivial_action,
+)
 from xmodcat.report import run_laws
 from xmodcat.serialize import action_to_obj, write_json, xmod_to_obj
 from xmodcat import suites
 from xmodcat.suites import action_laws, pentagon_laws
 from xmodcat.transform import build_transformation_double
-from xmodcat.xmod import crossed_module_laws, xm_inversion, xm_sym3
+from xmodcat.xmod import crossed_module_laws, make_crossed_module, xm_inversion, xm_sym3
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 MUTATED = FIXTURES / "actions" / "mutated.json"
@@ -447,6 +453,31 @@ class TestNonIntegerEntries:
         code, out, err = run_cli(capsys, "validate", "--kind", "action", str(path))
         assert (code, out) == (2, "")
         assert json.loads(err)["error"] == error
+
+
+class TestBoundaryNotAHomomorphism:
+    """--adjoint on a module whose boundary is not a homomorphism names the
+    boundary's first violation, whatever the verb."""
+
+    @pytest.mark.parametrize(
+        "bnd, witness", [([1, 0, 0], (0, 0)), ([0, 1, 1], (1, 1))], ids=["unit-moved", "product-broken"]
+    )
+    @pytest.mark.parametrize(
+        "verb, code",
+        [(("verify",), 2), (("validate", "--kind", "action"), 1), (("export", "--kind", "action"), 2)],
+        ids=["verify", "validate", "export"],
+    )
+    def test_the_error_names_the_boundary(self, capsys, tmp_path, bnd, witness, verb, code):
+        z2, z3 = cyclic(2), cyclic(3)
+        xm = make_crossed_module(z2, z3, make_homomorphism(z3, z2, bnd), trivial_action(z2, z3))
+        path = tmp_path / "xm.json"
+        write_json(xmod_to_obj(xm), path)
+        got, out, err = run_cli(capsys, *verb, "--adjoint", str(path))
+        assert (got, out) == (code, "")
+        assert json.loads(err) == {
+            "error": "ComponentInvalid",
+            "message": f"boundary is not a homomorphism: homomorphism at {witness}",
+        }
 
 
 class TestEval:
