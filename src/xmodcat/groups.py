@@ -10,7 +10,7 @@ Conventions used everywhere in this package:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     MalformedTable,
@@ -195,11 +195,9 @@ def symmetric(n: int) -> FiniteGroup:
     return group_from_table(table, identity=0, names=names)
 
 
-def small_group_catalog(max_order: int = 6) -> list[tuple[str, FiniteGroup]]:
-    """One group per isomorphism class up to the given order (max 6 here)."""
-    if max_order > 6:
-        raise ValueError("catalog only covers orders up to 6")
-    catalog = [
+def small_group_catalog() -> list[tuple[str, FiniteGroup]]:
+    """One group per isomorphism class of order at most 6."""
+    return [
         ("Z1", cyclic(1)),
         ("Z2", cyclic(2)),
         ("Z3", cyclic(3)),
@@ -209,7 +207,6 @@ def small_group_catalog(max_order: int = 6) -> list[tuple[str, FiniteGroup]]:
         ("Z6", cyclic(6)),
         ("S3", symmetric(3)),
     ]
-    return [(name, g) for name, g in catalog if g.order <= max_order]
 
 
 @dataclass(frozen=True)

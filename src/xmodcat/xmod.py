@@ -30,7 +30,6 @@ from .groups import (
     group_from_table,
     identity_homomorphism,
     make_action,
-    make_homomorphism,
     symmetric,
     trivial_action,
     trivial_group,

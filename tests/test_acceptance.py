@@ -6,12 +6,9 @@ and runs inside a stated wall-clock budget.
 """
 
 import itertools
-import json
 import random
 import time
 from pathlib import Path
-
-import pytest
 
 from xmodcat.action import (
     WeakActionData,
@@ -21,7 +18,6 @@ from xmodcat.action import (
     trivial_strict_action,
 )
 from xmodcat.catgroup import mor_of
-from xmodcat.errors import ComponentInvalid
 from xmodcat.fincat import category_from_tables, terminal_category
 from xmodcat.gridlang import (
     DslSyntaxError,

@@ -20,11 +20,9 @@ from xmodcat.catgroup import (
 )
 from xmodcat.action import adjoint_action
 from xmodcat.errors import MixedStructures, NotComposable, XmodcatError
-from xmodcat.fincat import category_from_tables
 from xmodcat.report import Report, run_laws
 from xmodcat.suites import catgroup_laws
 from xmodcat.transform import build_transformation_double
-from xmodcat.xmod import xmod_identity
 
 
 def all_morphisms(xm):

@@ -20,7 +20,6 @@ from xmodcat.groups import (
     make_action,
     make_homomorphism,
     small_group_catalog,
-    symmetric,
     trivial_action,
     trivial_group,
     trivial_homomorphism,

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xmodcat.action import adjoint_action
-from xmodcat.catgroup import Mor2G, boundary, compose, mor_of, tensor
+from xmodcat.catgroup import boundary, compose, mor_of, tensor
 from xmodcat.cli import main
 from xmodcat.errors import BoundaryViolation, MixedStructures, NotAdjacent, XmodcatError
 from xmodcat.quintet import (

@@ -1,7 +1,9 @@
 """The fixture generator reproduces the committed fixtures byte for byte,
-the bench recorder assembles its record, every demo runs to completion, and
-the README's law-line count and grid example are current."""
+the bench recorder assembles its record, every demo runs to completion, the
+README's law-line count and grid example are current, and no module imports
+a name it does not use."""
 
+import ast
 import importlib.util
 import json
 import os
@@ -101,3 +103,36 @@ def test_the_bench_record_refuses_mixed_machines_and_missing_results():
         bench_record.assemble("r", False, {"a": bench_stdout("a"), "b": bench_stdout("b", nproc=4)}, 1.0, "")
     with pytest.raises(ValueError, match="'correct'"):
         bench_record.assemble("r", False, {"a": bench_stdout("a").rsplit("\n", 2)[0]}, 1.0, "")
+
+
+
+# every module but the package's __init__, which imports names to re-export them
+SCANNED = [p for p in sorted((ROOT / "src" / "xmodcat").glob("*.py")) if p.name != "__init__.py"] + [
+    p for d in ("tests", "tools", "demos") for p in sorted((ROOT / d).glob("*.py"))
+]
+
+
+def unused_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) for each name an import binds and no expression reads."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for name, line in bound.items() if name not in read]
+
+
+def test_an_unused_import_is_found():
+    source = "from __future__ import annotations\nimport json, os.path\nfrom sys import argv as a, path\n\nos.path.join(*path)\n"
+    assert unused_imports(source) == [(2, "json"), (3, "a")]
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    assert ROOT / "tests" / "test_tools.py" in SCANNED
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in SCANNED for line, name in unused_imports(path.read_text())
+    ]
+    assert found == []

@@ -8,7 +8,7 @@ import pytest
 
 from xmodcat.action import adjoint_action, make_strict_action, trivial_strict_action
 from xmodcat import catgroup
-from xmodcat.catgroup import Mor2G, mor_of, underlying_category
+from xmodcat.catgroup import Mor2G, mor_of
 from xmodcat import transform
 from xmodcat.errors import InvalidAction, MixedStructures, NotAdjacent, NotComposable
 from xmodcat.fincat import category_from_tables, terminal_category
