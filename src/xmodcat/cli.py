@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -26,7 +27,6 @@ from .action import (
     adjoint_action,
     strict_action_laws,
     trivial_strict_action,
-    validate_strict_action,
 )
 from .errors import InvalidAction, MalformedTable, UsageError, XmodcatError
 from .fincat import terminal_category
@@ -51,7 +51,7 @@ from .serialize import (
     write_json,
     xmod_to_obj,
 )
-from .suites import SUITES, LawLine, law_lines, run_all
+from .suites import SUITES, LawLine, run_all, run_lines
 from .transform import (
     build_transformation_double,
     double_to_obj,
@@ -59,7 +59,7 @@ from .transform import (
     horizontal_2category,
     vertical_2category,
 )
-from .xmod import crossed_module_laws, fixture_catalog, validate_crossed_module, xm_peiffer_broken
+from .xmod import check_components, crossed_module_laws, fixture_catalog, xm_peiffer_broken
 
 BUILTIN_GROUPS = dict(small_group_catalog())
 BUILTIN_XMODS = dict(fixture_catalog())
@@ -147,12 +147,10 @@ def cmd_validate(args, out: _Out) -> int:
             lines = [LawLine("validate", "category-tables", "pass", 1)]
         elif args.kind == "xmod":
             xm = _resolve("xmod", args.path)
-            names = [law.name for law in crossed_module_laws(xm)]
-            lines = law_lines("validate", validate_crossed_module(xm), names)
+            check_components(xm)
+            lines = run_lines("validate", crossed_module_laws(xm), 0, 0, math.inf)
         else:  # action: argparse restricts the choices
-            act = _load_verb_action(args)
-            names = [law.name for law in strict_action_laws(act)]
-            lines = law_lines("validate", validate_strict_action(act), names)
+            lines = run_lines("validate", strict_action_laws(_load_verb_action(args)), 0, 0, math.inf)
     except XmodcatError as exc:
         # unusable input exits 2 through main; a law failure of the loaded
         # structure is a validation failure and exits 1

@@ -214,22 +214,15 @@ def double_laws(d: TransDoubleCat) -> list[Law]:
     act = d.act
     xm, c = d.xm, d.category
     g, h = xm.g, xm.h
-    src, tgt, ident = c.src, c.tgt, c.identity
+    src, tgt = c.src, c.tgt
     n_h, npairs = h.order, xm.npairs
     act_m, act_o = act.act_mor, act.act_obj
-    e_h = h.identity
     pairs, mors, hs = range(npairs), c.morphisms(), range(n_h)
     # the pair arithmetic on pair indices: pt[p1][p2] is the product p1 * p2,
     # stacks[p][c] is the label c stacked on p, pair_tgt[p] is p's target in G
     pt, stacks, pair_tgt = xm.pair_products, xm.pair_stacks, xm.pair_targets
     after = [[f2 for f2 in mors if src[f2] == tgt[f]] for f in mors]  # tops composing after f
-    natc = [[act_m[p][ident[x]] for x in c.objects()] for p in pairs]  # components
-    by_g = [act_m[gm * n_h + e_h] for gm in g.elements()]  # gm |> -
-    # ct[a][b]: a after b, or -1 when they do not compose; the last column
-    # (index -1) is all -1, so composing with a miss is again a miss
-    ct = [[-1] * (len(mors) + 1) for _ in mors]
-    for (a, b), ab in c.comp.items():
-        ct[a][b] = ab
+    natc, by_g, ct = _double_tables(d)
 
     unit_p = xm.pair_unit
 
@@ -382,41 +375,6 @@ def double_laws(d: TransDoubleCat) -> list[Law]:
                     shown = tuple(None if v < 0 else v for v in composites)
                     fail((g2, c2, g1, c1, f), f"composites {shown} expected {exp}")
 
-    # one block per pair (g1, c1, g2, c2), as six_composites groups them:
-    # what does not depend on f is taken once per p1, (p1, g2) or object,
-    # and one loop over f compares the six composites with exp
-    def six_composites_blocks():
-        objects = c.objects()
-        for p1 in pairs:
-            g1, b1, nat1 = p1 // n_h, pair_tgt[p1], natc[p1]
-            o_1, o_b1 = act_o[g1], act_o[b1]
-            for g2 in g.elements():
-                w2 = by_g[g2]
-                to_21 = by_g[g.table[g2][g1]]
-                w2n = [w2[nat1[x]] for x in objects]  # w2x, w2y by object
-                inner1 = [ct[w2n[y]][a] for y, a in zip(tgt, to_21)]
-                inner3 = [ct[a][w2n[x]] for x, a in zip(src, by_g[g.table[g2][b1]])]
-                for p2 in range(g2 * n_h, g2 * n_h + n_h):
-                    b2, nat2 = pair_tgt[p2], natc[p2]
-                    n2_1 = [nat2[o_1[x]] for x in objects]
-                    after_n2_b1 = [ct[nat2[o_b1[x]]] for x in objects]  # rows of ct
-                    after_wb2 = [ct[by_g[b2][nat1[x]]] for x in objects]
-                    inner4 = [after_n2_b1[x][w2n[x]] for x in objects]
-                    inner6 = [after_wb2[x][n2_1[x]] for x in objects]
-                    for x, y, e, a21, i1, i3, ab21, ab2b1 in zip(
-                        src, tgt, act_m[pt[p2][p1]], to_21, inner1, inner3,
-                        by_g[g.table[b2][g1]], by_g[g.table[b2][b1]],
-                    ):
-                        r, s, t = after_n2_b1[y], after_wb2[y], ct[ab2b1]
-                        if not (
-                            e == r[i1] == s[ct[n2_1[y]][a21]] == r[i3]
-                            == t[inner4[x]] == s[ct[ab21][n2_1[x]]] == t[inner6[x]]
-                        ):
-                            yield product((g1,), (p1 % n_h,), (g2,), (p2 % n_h,), mors)
-                            break
-                    else:
-                        yield None
-
     return [
         product_law("v-unit", v_unit, pairs, mors),
         Law(
@@ -432,10 +390,112 @@ def double_laws(d: TransDoubleCat) -> list[Law]:
         Law("interchange", npairs * row_block * npairs * n_h, grid_at, interchange, grids),
         replace(
             product_law("six-composites", six_composites, g.elements(), hs, g.elements(), hs, mors),
-            blocks=six_composites_blocks,
+            blocks=lambda: (entry for _, entry in _six_composites_blocks(d)),
             width=len(mors),
         ),
     ]
+
+
+def _double_tables(d: TransDoubleCat):
+    """(natc, by_g, ct) for the double laws: natc[p][x] is the component at
+    x of pair p, by_g[g] is the row of g |> - on morphisms, and ct[a][b] is
+    a after b, or -1 when they do not compose; ct's last column (index -1)
+    is all -1, so composing with a miss is again a miss."""
+    act, c, h = d.act, d.category, d.xm.h
+    natc = [[row[i] for i in c.identity] for row in act.act_mor]
+    by_g = [act.act_mor[gm * h.order + h.identity] for gm in d.xm.g.elements()]
+    ct = [[-1] * (c.n_morphisms + 1) for _ in c.morphisms()]
+    for (a, b), ab in c.comp.items():
+        ct[a][b] = ab
+    return natc, by_g, ct
+
+
+def _six_composites_blocks(d: TransDoubleCat):
+    """Per block (p1, p2) of six-composites, in its order: whether the block
+    is decided by object, and its entry for the block check, None or the
+    block's instances when the per-f loop finds a violation in them.
+
+    Write W(g) = by_g[g], n_p(x) = natc[p][x], u.v = ct[u][v], and take f
+    from x to y. For p = p2 p1, whose G part is g2 g1 by the pair product,
+    with b1, b2, b the targets of p1, p2, p, the six composites are
+
+      c1 = n_p2(b1|>y).(W(g2)(n_p1(y)).W(g2 g1)(f))     r[i1]
+      c2 = W(b2)(n_p1(y)).(n_p2(g1|>y).W(g2 g1)(f))     s[ct[n2_1[y]][a21]]
+      c3 = n_p2(b1|>y).(W(g2 b1)(f).W(g2)(n_p1(x)))     r[i3]
+      c4 = W(b2 b1)(f).(n_p2(b1|>x).W(g2)(n_p1(x)))     t[inner4[x]]
+      c5 = W(b2)(n_p1(y)).(W(b2 g1)(f).n_p2(g1|>x))     s[ct[ab21][n2_1[x]]]
+      c6 = W(b2 b1)(f).(W(b2)(n_p1(x)).n_p2(g1|>x))     t[inner6[x]]
+
+    and each must be exp = p|>f. The block holds without its per-f loop when
+      (a) split[p]: p|>f = W(b)(f).n_p(x) = n_p(y).W(g2 g1)(f) for every f;
+      (b) nat_ok[g] at g = g2 and at g = b2: inner1 = inner3, that is
+          W(g)(n_p1(y)).W(g g1)(f) = W(g b1)(f).W(g)(n_p1(x)) for every f;
+      (c) inner4 = inner6 = natc[p]: n_p2(b1|>x).W(g2)(n_p1(x)) =
+          W(b2)(n_p1(x)).n_p2(g1|>x) = n_p(x) for every object x;
+      (d) b = b2 b1.
+    C's table is typed and associative (category_from_tables checks both),
+    so u.(v.w) = (u.v).w, either side a miss exactly when u and v or v and
+    w do not compose. Substituting, then:
+      c1 = (n_p2(b1|>y).W(g2)(n_p1(y))).W(g2 g1)(f) = n_p(y).W(g2 g1)(f)
+         = exp by (c) and (a), and c3 = c1 by (b) at g2;
+      c2 = (W(b2)(n_p1(y)).n_p2(g1|>y)).W(g2 g1)(f) = exp the same way;
+      c6 = W(b)(f).n_p(x) = exp by (c), (d) and (a), and c4 = c6 by (c);
+      c5 = (W(b2)(n_p1(y)).W(b2 g1)(f)).n_p2(g1|>x)
+         = (W(b2 b1)(f).W(b2)(n_p1(x))).n_p2(g1|>x) = c6 by (b) at b2.
+    (a) needs both of its equations: with the first only, c1, c2 and c3
+    can agree with each other and differ from exp. When a condition fails,
+    the per-f loop decides the block."""
+    act, xm, c = d.act, d.xm, d.category
+    g, n_h = xm.g, xm.h.order
+    src, tgt, mors, objects = c.src, c.tgt, c.morphisms(), c.objects()
+    act_m, act_o = act.act_mor, act.act_obj
+    pt, pair_tgt = xm.pair_products, xm.pair_targets
+    natc, by_g, ct = _double_tables(d)
+    split = [
+        act_m[p]
+        == tuple([ct[a][nat[x]] for a, x in zip(by_g[pair_tgt[p]], src)])
+        == tuple([ct[nat[y]][a] for y, a in zip(tgt, by_g[p // n_h])])
+        for p, nat in enumerate(natc)
+    ]
+    for p1 in range(xm.npairs):
+        g1, b1, nat1 = p1 // n_h, pair_tgt[p1], natc[p1]
+        o_1, o_b1 = act_o[g1], act_o[b1]
+        per_g = []  # (W(g)(n_p1(x)) by object, inner1, inner3, nat_ok) per g
+        for gm in g.elements():
+            wn = [by_g[gm][nat1[x]] for x in objects]
+            inner1 = [ct[wn[y]][a] for y, a in zip(tgt, by_g[g.table[gm][g1]])]
+            inner3 = [ct[a][wn[x]] for x, a in zip(src, by_g[g.table[gm][b1]])]
+            per_g.append((wn, inner1, inner3, inner1 == inner3))
+        for g2 in g.elements():
+            w2n, inner1, inner3, nat_ok = per_g[g2]
+            to_21 = by_g[g.table[g2][g1]]
+            for p2 in range(g2 * n_h, g2 * n_h + n_h):
+                b2, nat2, p = pair_tgt[p2], natc[p2], pt[p2][p1]
+                wb2n, _, _, nat_ok_b2 = per_g[b2]
+                inner4 = [ct[nat2[ob]][w] for ob, w in zip(o_b1, w2n)]
+                inner6 = [ct[w][nat2[o]] for w, o in zip(wb2n, o_1)]
+                if (
+                    split[p] and nat_ok and nat_ok_b2
+                    and inner4 == inner6 == natc[p] and pair_tgt[p] == g.table[b2][b1]
+                ):
+                    yield True, None
+                    continue
+                n2_1 = [nat2[o] for o in o_1]
+                after_n2_b1 = [ct[nat2[o]] for o in o_b1]  # rows of ct
+                after_wb2 = [ct[w] for w in wb2n]
+                for x, y, e, a21, i1, i3, ab21, ab2b1 in zip(
+                    src, tgt, act_m[p], to_21, inner1, inner3,
+                    by_g[g.table[b2][g1]], by_g[g.table[b2][b1]],
+                ):
+                    r, s, t = after_n2_b1[y], after_wb2[y], ct[ab2b1]
+                    if not (
+                        e == r[i1] == s[ct[n2_1[y]][a21]] == r[i3]
+                        == t[inner4[x]] == s[ct[ab21][n2_1[x]]] == t[inner6[x]]
+                    ):
+                        yield False, product((g1,), (p1 % n_h,), (g2,), (p2 % n_h,), mors)
+                        break
+                else:
+                    yield False, None
 
 
 def verify_double_category(

@@ -149,18 +149,24 @@ def crossed_module_laws(xm: CrossedModule) -> list[Law]:
     ]
 
 
-def validate_crossed_module(xm: CrossedModule, cap: int = DEFAULT_CAP) -> Report:
-    """Report every equivariance/peiffer failure, up to the cap.
-
-    The constituent homomorphism and action must already be lawful;
-    otherwise ComponentInvalid is raised instead of blaming the axioms.
-    """
+def check_components(xm: CrossedModule) -> None:
+    """Raise ComponentInvalid, naming the first violation, when the boundary
+    is not a homomorphism or the action is not by automorphisms."""
     brep = validate_homomorphism(xm.boundary)
     if not brep.ok:
         raise ComponentInvalid(f"boundary is not a homomorphism: {brep.violations[0]}")
     arep = validate_automorphism_action(xm.action)
     if not arep.ok:
         raise ComponentInvalid(f"action is not by automorphisms: {arep.violations[0]}")
+
+
+def validate_crossed_module(xm: CrossedModule, cap: int = DEFAULT_CAP) -> Report:
+    """Report every equivariance/peiffer failure, up to the cap.
+
+    The constituent homomorphism and action must already be lawful;
+    otherwise ComponentInvalid is raised instead of blaming the axioms.
+    """
+    check_components(xm)
     return run_laws(Report(cap=cap), "xmod", crossed_module_laws(xm))
 
 

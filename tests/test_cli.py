@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from xmodcat import action, cli, xmod
 from xmodcat.action import adjoint_action, trivial_strict_action
 from xmodcat.cli import main
 from xmodcat.fincat import category_from_tables
@@ -107,6 +108,29 @@ class TestValidate:
     def test_action_output_is_pinned(self, capsys, argv, code, digest):
         got, out, _ = run_cli(capsys, "validate", "--kind", "action", *argv)
         assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+    # the builder is counted under every name it is reachable by: its own
+    # module (the validators') and the command line's
+    @pytest.mark.parametrize(
+        "kind, argv, module, builder",
+        [
+            ("xmod", ("xm2",), xmod, "crossed_module_laws"),
+            ("action", ("--adjoint", "xm2"), action, "strict_action_laws"),
+        ],
+    )
+    def test_the_law_list_is_built_once(self, capsys, monkeypatch, kind, argv, module, builder):
+        calls = []
+        build = getattr(module, builder)
+
+        def counted(arg):
+            calls.append(arg)
+            return build(arg)
+
+        monkeypatch.setattr(module, builder, counted)
+        monkeypatch.setattr(cli, builder, counted)
+        code, out, _ = run_cli(capsys, "validate", "--kind", kind, *argv)
+        assert code == 0 and law_objs(out)
+        assert len(calls) == 1
 
     def test_missing_file_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "validate", "--kind", "xmod", "no_such_file.json")

@@ -12,7 +12,7 @@ from xmodcat.catgroup import Mor2G, mor_of
 from xmodcat import transform
 from xmodcat.errors import InvalidAction, MixedStructures, NotAdjacent, NotComposable
 from xmodcat.fincat import category_from_tables, terminal_category
-from xmodcat.groups import cyclic, make_action, make_homomorphism
+from xmodcat.groups import cyclic, direct_product, make_action, make_homomorphism, symmetric, trivial_group
 from xmodcat.report import DEFAULT_CAP, Report, run_laws
 from xmodcat.serialize import load_action
 from xmodcat.suites import run_all
@@ -34,7 +34,14 @@ from xmodcat.transform import (
     vertical_2category,
     vertical_inverse_square,
 )
-from xmodcat.xmod import CrossedModule, make_crossed_module, pair_table, semidirect_group, xm_sym3
+from xmodcat.xmod import (
+    CrossedModule,
+    make_crossed_module,
+    pair_table,
+    semidirect_group,
+    xm_sym3,
+    xmod_identity,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -542,6 +549,45 @@ def act_mor_mutant(act, seed: int, entries: int):
     return make_strict_action(act.xm, act.category, act.act_obj, table)
 
 
+def act_obj_mutant(act, seed: int, entries: int):
+    """The action with `entries` seeded random act_obj entries overwritten."""
+    rng = random.Random(seed)
+    table = [list(row) for row in act.act_obj]
+    n = act.category.n_objects
+    for _ in range(entries):
+        table[rng.randrange(len(table))][rng.randrange(n)] = rng.randrange(n)
+    return make_strict_action(act.xm, act.category, table, act.act_mor)
+
+
+def aimed_mutant(act, aim: str):
+    """The action with one act_mor entry moved to the next morphism, aimed
+    at a condition of six-composites' decision by object: "a" a
+    non-identity entry of a row whose pair has a label, "b" an entry of the
+    row W(g) of a g other than the unit, "c" a component."""
+    xm, c = act.xm, act.category
+    g, label = next(x for x in xm.g.elements() if x != xm.g.identity), next(
+        x for x in xm.h.elements() if x != xm.h.identity
+    )
+    arrow = next(f for f in c.morphisms() if f not in c.identity)
+    row, f = {
+        "a": (xm.pair_index(xm.g.identity, label), arrow),
+        "b": (xm.pair_index(g, xm.h.identity), arrow),
+        "c": (xm.pair_index(g, label), c.identity[0]),
+    }[aim]
+    table = [list(r) for r in act.act_mor]
+    table[row][f] = (table[row][f] + 1) % c.n_morphisms
+    return make_strict_action(xm, c, act.act_obj, table)
+
+
+def mutant(act, seed: int, entries):
+    """act_mor_mutant for an int `entries`; ("act_obj", k) overwrites k
+    seeded act_obj entries, and ("aim", a) is aimed_mutant(act, a)."""
+    if isinstance(entries, int):
+        return act_mor_mutant(act, seed, entries)
+    kind, arg = entries
+    return act_obj_mutant(act, seed, arg) if kind == "act_obj" else aimed_mutant(act, arg)
+
+
 # (fixture, seed, entries, budget) and what verify_double_category reported on
 # that mutant when the double laws multiplied pairs through pair_mul and looked
 # composites up in the category's dict: the sha256 of the JSON list of
@@ -650,19 +696,25 @@ def report_facts(rep: Report):
 
 
 # DOUBLE_PINS' mutants, more xm2, xm3 and xm4 mutants, and one xm2 mutant
-# whose h-boundary, v-boundary and six-composites pass the 100-witness cap
+# whose h-boundary, v-boundary and six-composites pass the 100-witness cap;
+# then act_obj mutants and the mutants aimed at six-composites' conditions
+XM2_BUDGET = {"max_exhaustive": 50_000, "samples": 300}
 BLOCK_CASES = [(name, seed, entries, budget) for name, seed, entries, budget, *_ in DOUBLE_PINS] + [
-    ("xm2", 1, 3, {"max_exhaustive": 50_000, "samples": 300}),
-    ("xm2", 2, 1, {"max_exhaustive": 50_000, "samples": 300}),
+    ("xm2", 1, 3, XM2_BUDGET),
+    ("xm2", 2, 1, XM2_BUDGET),
     ("xm3", 0, 1, {}),
     ("xm4", 5, 4, {}),
+    pytest.param("xm1", 0, ("act_obj", 1), {}, id="xm1-act_obj-0-1"),
+    pytest.param("xm2", 3, ("act_obj", 1), XM2_BUDGET, id="xm2-act_obj-3-1"),
+    pytest.param("xm4", 1, ("act_obj", 2), {}, id="xm4-act_obj-1-2"),
+    *(pytest.param("xm2", 0, ("aim", aim), XM2_BUDGET, id=f"xm2-aim-{aim}") for aim in "abc"),
 ]
 
 
 class TestBlockChecks:
     @pytest.mark.parametrize("name, seed, entries, budget", BLOCK_CASES)
     def test_the_report_is_that_of_the_walk_without_blocks(self, all_xms, name, seed, entries, budget):
-        act = act_mor_mutant(adjoint_action(dict(all_xms)[name]), seed, entries)
+        act = mutant(adjoint_action(dict(all_xms)[name]), seed, entries)
         # replace(law, blocks=None) is the law itself for the other laws
         laws = [law for law in double_laws(build_transformation_double(act, validate=False)) if law.blocks]
         assert [law.name for law in laws] == ["h-boundary", "v-boundary", "six-composites"]
@@ -687,12 +739,17 @@ class TestBlockChecks:
         [
             ("adjoint", "xm1", 0, 1), ("adjoint", "xm2", 1, 3), ("adjoint", "xm3", 0, 1), ("adjoint", "xm4", 5, 4),
             ("arrow", "xm1", 3, 2), ("arrow", "xm2", 1, 3), ("arrow", "xm4", 0, 1),
+            pytest.param("adjoint", "xm1", 0, ("act_obj", 1), id="adjoint-xm1-act_obj-0-1"),
+            pytest.param("adjoint", "xm4", 3, ("act_obj", 1), id="adjoint-xm4-act_obj-3-1"),
+            pytest.param("arrow", "xm3", 0, ("act_obj", 1), id="arrow-xm3-act_obj-0-1"),
+            pytest.param("arrow", "xm4", 1, ("act_obj", 2), id="arrow-xm4-act_obj-1-2"),
+            *(pytest.param("adjoint", "xm4", 0, ("aim", aim), id=f"adjoint-xm4-aim-{aim}") for aim in "abc"),
         ],
     )
     def test_a_block_fails_exactly_when_its_walk_finds_something(self, all_xms, base, name, seed, entries):
         xm = dict(all_xms)[name]
-        act = adjoint_action(xm) if base == "adjoint" else trivial_strict_action(xm, ARROW)
-        act = act_mor_mutant(act, seed, entries)
+        lawful = adjoint_action(xm) if base == "adjoint" else trivial_strict_action(xm, ARROW)
+        act = mutant(lawful, seed, entries)
         laws = [law for law in double_laws(build_transformation_double(act, validate=False)) if law.blocks]
         blocked = run_laws(Report(), "double", laws)
         assert report_facts(blocked) == report_facts(run_laws(Report(), "double", without_blocks(laws)))
@@ -706,7 +763,9 @@ class TestBlockChecks:
                 # a block holds exactly when its walk finds nothing, and a
                 # failing block hands over the instances of its run
                 assert failing is None if not found else list(failing) == run, (law.name, k)
-            assert any(entries), law.name  # the mutant breaks some block
+            # the mutant breaks some block of each law that reads what it
+            # changed; h-boundary and v-boundary do not read act_obj
+            assert any(entries) or (act.act_mor == lawful.act_mor and law.name != "six-composites"), law.name
 
     @pytest.mark.parametrize(
         "category",
@@ -722,3 +781,47 @@ class TestBlockChecks:
             for law in laws:
                 if law.blocks and law.size:
                     assert list(law.blocks()) == [None] * (law.size // law.width), law.name
+
+
+# six-composites decides a block by object, without its per-f loop, when the
+# conditions listed in transform._six_composites_blocks hold
+class TestSixCompositesByObject:
+    # a condition that never holds, say a tuple compared with a list, keeps
+    # every verdict and only makes the law slow; on lawful actions every
+    # block must be decided by object
+    def test_lawful_actions_are_decided_by_object(self, all_xms):
+        order_12 = xmod_identity(direct_product(symmetric(3), cyclic(2)))
+        acts = [adjoint_action(xm) for _, xm in all_xms] + [adjoint_action(order_12)]
+        acts += [trivial_strict_action(xm, ARROW) for _, xm in all_xms]
+        for act in acts:
+            blocks = list(transform._six_composites_blocks(build_transformation_double(act, validate=False)))
+            assert len(blocks) == act.xm.npairs ** 2
+            assert all(by_object for by_object, _ in blocks), act
+
+    # objects 0 and 1, an arrow a: 0 -> 1 and an idempotent e at 0 (a.e = a);
+    # the one pair of the trivial module sends id1 to e and a, e to id0, so
+    # its row is W(b)(f).n(x) for every f: x -> y but not n(y).W(g)(f), and
+    # c1, c2 and c3 read e where c4, c5, c6 and exp read id0
+    def test_a_row_that_splits_on_one_side_only_is_walked(self):
+        cat = category_from_tables(
+            2, [(0, 0), (1, 1), (0, 1), (0, 0)], [0, 1],
+            [(0, 0, 0), (1, 1, 1), (2, 0, 2), (1, 2, 2), (3, 0, 3), (0, 3, 3), (3, 3, 3), (2, 3, 2)],
+        )
+        act = make_strict_action(xmod_identity(trivial_group()), cat, [[0, 1]], [[0, 3, 0, 0]])
+        d = build_transformation_double(act, validate=False)
+        [(by_object, failing)] = transform._six_composites_blocks(d)
+        assert not by_object and list(failing) == [(0, 0, 0, 0, f) for f in range(4)]
+        six = [law for law in double_laws(d) if law.name == "six-composites"]
+        rep = run_laws(Report(), "double", six)
+        assert report_facts(rep) == report_facts(run_laws(Report(), "double", without_blocks(six)))
+        assert [v.detail for v in rep.violations] == ["composites (3, 3, 3, 0, 0, 0) expected 0"]
+
+    # broken_xm's pair targets are not multiplicative, so condition (d)
+    # fails on some blocks; acting trivially, every composite is still exp
+    def test_a_block_that_fails_a_condition_but_holds_is_none(self, broken_xm):
+        d = build_transformation_double(trivial_strict_action(broken_xm, ARROW), validate=False)
+        blocks = list(transform._six_composites_blocks(d))
+        assert not all(by_object for by_object, _ in blocks)
+        assert all(failing is None for _, failing in blocks)
+        six = [law for law in double_laws(d) if law.name == "six-composites"]
+        assert run_laws(Report(), "double", six).ok
