@@ -565,9 +565,8 @@ def aimed_mutant(act, aim: str):
     non-identity entry of a row whose pair has a label, "b" an entry of the
     row W(g) of a g other than the unit, "c" a component."""
     xm, c = act.xm, act.category
-    g, label = next(x for x in xm.g.elements() if x != xm.g.identity), next(
-        x for x in xm.h.elements() if x != xm.h.identity
-    )
+    g = next(x for x in xm.g.elements() if x != xm.g.identity)
+    label = next(x for x in xm.h.elements() if x != xm.h.identity)
     arrow = next(f for f in c.morphisms() if f not in c.identity)
     row, f = {
         "a": (xm.pair_index(xm.g.identity, label), arrow),
