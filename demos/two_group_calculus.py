@@ -9,11 +9,11 @@ Run:  python3 demos/two_group_calculus.py
 from xmodcat.catgroup import boundary, compose, invert, mor_of, tensor
 from xmodcat.groups import cyclic, make_action, make_homomorphism
 from xmodcat.quintet import (
+    QuintetGrid,
     compose_h,
     embed_morphism,
     enumerate_squares,
     evaluate_grid,
-    make_grid,
     make_square,
 )
 from xmodcat.xmod import make_crossed_module, validate_crossed_module
@@ -47,8 +47,8 @@ def main():
     # a 2x2 grid evaluates to the same square rows-first or columns-first
     s = make_square(xm, 1, 0, 1, 0, 1)
     row = compose_h(s, make_square(xm, 1, 0, 1, 0, 2))
-    grid = make_grid([[s, make_square(xm, 1, 0, 1, 0, 2)],
-                      [s, make_square(xm, 1, 0, 1, 0, 2)]])
+    grid = QuintetGrid([[s, make_square(xm, 1, 0, 1, 0, 2)],
+                        [s, make_square(xm, 1, 0, 1, 0, 2)]])
     by_rows = evaluate_grid(grid, "rows")
     by_cols = evaluate_grid(grid, "columns")
     print(f"one row pastes to      {row}")

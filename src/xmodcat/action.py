@@ -11,9 +11,9 @@ gamma |> x  ->  bnd(chi)*gamma |> y. The validator checks the same data
 against both equivalent presentations: a family of endofunctors with
 natural transformations between them, and a single functorial action of
 pairs on morphisms. Both are read straight off the two tables, and an
-equation the presentations share is one predicate. functor_of and
-nat_trans_of give the first presentation as fincat values, for checking
-it independently.
+equation the presentations share is one predicate. The tests check the
+first presentation independently, on functor and natural-transformation
+values built from the same tables.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from itertools import product
 
 from .catgroup import underlying_category
 from .errors import MalformedTable
-from .fincat import FiniteCategory, Functor, NatTrans
+from .fincat import FiniteCategory
 from .groups import is_index
-from .report import DEFAULT_CAP, Law, Report, holds, list_law, product_law, run_laws
+from .report import Law, Report, holds, list_law, product_law, run_laws
 from .xmod import CrossedModule
 
 
@@ -86,28 +86,9 @@ def make_strict_action(xm: CrossedModule, category: FiniteCategory, act_obj, act
     return StrictAction(xm, category, act_obj, act_mor, is_adjoint)
 
 
-def functor_of(a: StrictAction, gamma: int) -> Functor:
-    """The endofunctor "translate by gamma"."""
-    e_h = a.xm.h.identity
-    return Functor(
-        a.category,
-        a.category,
-        tuple(a.act_obj[gamma]),
-        tuple(a.act_mor[a.xm.pair_index(gamma, e_h)]),
-    )
-
-
 def nat_component(a: StrictAction, gamma: int, chi: int, x: int) -> int:
     """Component at x of the transformation attached to (gamma, chi)."""
     return a.act_mor[a.xm.pair_index(gamma, chi)][a.category.identity[x]]
-
-
-def nat_trans_of(a: StrictAction, gamma: int, chi: int) -> NatTrans:
-    return NatTrans(
-        functor_of(a, gamma),
-        functor_of(a, a.xm.pair_target((gamma, chi))),
-        tuple(nat_component(a, gamma, chi, x) for x in a.category.objects()),
-    )
 
 
 def strict_action_laws(a: StrictAction) -> list[Law]:
@@ -241,7 +222,7 @@ def strict_action_laws(a: StrictAction) -> list[Law]:
     ]
 
 
-def validate_strict_action(a: StrictAction, cap: int = DEFAULT_CAP) -> Report:
+def validate_strict_action(a: StrictAction) -> Report:
     """Check both presentations of the action laws, every instance.
 
     Functor/transformation presentation: each translation is a functor,
@@ -252,7 +233,7 @@ def validate_strict_action(a: StrictAction, cap: int = DEFAULT_CAP) -> Report:
     unit pairs to identities, and is associative on objects and morphisms.
     The unit law of the acting 2-group is enforced explicitly.
     """
-    return run_laws(Report(cap=cap), "action", strict_action_laws(a))
+    return run_laws(Report(), "action", strict_action_laws(a))
 
 
 def adjoint_action(xm: CrossedModule) -> StrictAction:
@@ -366,7 +347,7 @@ def coherence_laws(w: WeakActionData) -> list[Law]:
     ]
 
 
-def check_compositor_coherence(w: WeakActionData, cap: int = DEFAULT_CAP) -> Report:
+def check_compositor_coherence(w: WeakActionData) -> Report:
     """Typing, invertibility, naturality, unit triangles and the pentagon.
 
     The pentagon compares the two rewrites of f |> (g |> (h |> x)) into
@@ -377,4 +358,4 @@ def check_compositor_coherence(w: WeakActionData, cap: int = DEFAULT_CAP) -> Rep
 
     Witnesses are (f, g, h, x) quadruples.
     """
-    return run_laws(Report(cap=cap), "pentagon", coherence_laws(w))
+    return run_laws(Report(), "pentagon", coherence_laws(w))

@@ -24,11 +24,6 @@ class Mor2G:
     eta: int
 
 
-def mor_index(m: Mor2G) -> int:
-    """Position of (g, eta) in the fixed pair indexing g*|H| + eta."""
-    return m.xm.pair_index(m.g, m.eta)
-
-
 def mor_of(xm: CrossedModule, i: int) -> Mor2G:
     return Mor2G(xm, *xm.pair_of(i))
 
@@ -36,10 +31,6 @@ def mor_of(xm: CrossedModule, i: int) -> Mor2G:
 def boundary(m: Mor2G) -> tuple[int, int]:
     """(source, target) = (g, boundary(eta)*g)."""
     return m.g, m.xm.pair_target((m.g, m.eta))
-
-
-def identity_morphism(xm: CrossedModule, g: int) -> Mor2G:
-    return Mor2G(xm, g, xm.h.identity)
 
 
 def compose(m2: Mor2G, m1: Mor2G) -> Mor2G:

@@ -8,18 +8,14 @@ non-associative or non-unital.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     IdentityLawViolation,
     MalformedTable,
-    MixedStructures,
     NonAssociative,
     NotComposable,
     TypeMismatch,
 )
 from .groups import is_index
-from .report import DEFAULT_CAP, Law, Report, holds, list_law, product_law, run_laws
 
 
 class FiniteCategory:
@@ -138,106 +134,3 @@ def category_from_tables(n_objects, morphisms, identity, comp) -> FiniteCategory
 
 def terminal_category() -> FiniteCategory:
     return FiniteCategory(1, (0,), (0,), (0,), {(0, 0): 0})
-
-
-@dataclass(frozen=True, eq=False)
-class Functor:
-    source: FiniteCategory
-    target: FiniteCategory
-    obj_map: tuple[int, ...]
-    mor_map: tuple[int, ...]
-
-    def on_obj(self, x: int) -> int:
-        return self.obj_map[x]
-
-    def on_mor(self, f: int) -> int:
-        return self.mor_map[f]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Functor)
-            and self.obj_map == other.obj_map
-            and self.mor_map == other.mor_map
-            and self.source == other.source
-            and self.target == other.target
-        )
-
-
-def identity_functor(c: FiniteCategory) -> Functor:
-    return Functor(c, c, tuple(c.objects()), tuple(c.morphisms()))
-
-
-def functor_compose(g: Functor, f: Functor) -> Functor:
-    """g after f."""
-    if f.target != g.source:
-        raise MixedStructures("functors not composable")
-    return Functor(
-        f.source,
-        g.target,
-        tuple(g.obj_map[x] for x in f.obj_map),
-        tuple(g.mor_map[m] for m in f.mor_map),
-    )
-
-
-def functor_laws(fun: Functor) -> list[Law]:
-    """Typing on every morphism, identities on every object, composition on
-    every composable pair."""
-    c, d, om, mm = fun.source, fun.target, fun.obj_map, fun.mor_map
-
-    def typed(f) -> bool:
-        ff = mm[f]
-        return d.src[ff] == om[c.src[f]] and d.tgt[ff] == om[c.tgt[f]]
-
-    return [
-        product_law("typing", holds(typed), c.morphisms()),
-        product_law("identities", holds(lambda x: mm[c.identity[x]] == d.identity[om[x]]), c.objects()),
-        list_law(
-            "composition", holds(lambda g, f: mm[c.comp[(g, f)]] == d.comp.get((mm[g], mm[f]))),
-            list(c.composable_pairs()),
-        ),
-    ]
-
-
-def validate_functor(fun: Functor, cap: int = DEFAULT_CAP) -> Report:
-    if len(fun.obj_map) != fun.source.n_objects or len(fun.mor_map) != fun.source.n_morphisms:
-        raise MalformedTable("functor tables have the wrong lengths")
-    return run_laws(Report(cap=cap), "functor", functor_laws(fun))
-
-
-@dataclass(frozen=True, eq=False)
-class NatTrans:
-    """Components indexed by objects of the shared source category."""
-
-    source: Functor
-    target: Functor
-    components: tuple[int, ...]
-
-    def at(self, x: int) -> int:
-        return self.components[x]
-
-
-def nat_trans_laws(t: NatTrans) -> list[Law]:
-    """Typing of every component, then naturality on every morphism; a
-    transformation with an ill-typed component has no naturality instances."""
-    c, d = t.source.source, t.source.target
-    comps, s, u = t.components, t.source, t.target
-
-    def typed(x) -> bool:
-        a = comps[x]
-        return d.src[a] == s.obj_map[x] and d.tgt[a] == u.obj_map[x]
-
-    def natural(f) -> bool:
-        lhs = d.comp.get((comps[c.tgt[f]], s.mor_map[f]))
-        return lhs is not None and lhs == d.comp.get((u.mor_map[f], comps[c.src[f]]))
-
-    natural_space = c.morphisms() if all(map(typed, c.objects())) else ()
-    return [
-        product_law("component-typing", holds(typed), c.objects()),
-        product_law("naturality", holds(natural), natural_space),
-    ]
-
-
-def validate_nat_trans(t: NatTrans, cap: int = DEFAULT_CAP) -> Report:
-    if t.source.source != t.target.source or t.source.target != t.target.target:
-        raise MixedStructures("natural transformation needs parallel functors")
-    return run_laws(Report(cap=cap), "nat-trans", nat_trans_laws(t))

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .errors import BoundaryViolation, XmodcatError
 from .groups import FiniteGroup
-from .quintet import Quintet, QuintetGrid, make_grid, make_square
+from .quintet import Quintet, QuintetGrid, make_square
 from .serialize import FixtureFormatError, load_xmod, read_json, xmod_from_obj, xmod_to_obj
 from .xmod import CrossedModule
 
@@ -110,6 +110,11 @@ class _LineParser:
             raise DslSyntaxError(f"trailing input {t[1]!r}", self.lineno, t[2])
 
 
+def _reads_as_index(text: str) -> bool:
+    """Digits after at most one "-": int() reads it."""
+    return text.removeprefix("-").isdecimal()
+
+
 def _resolve_elem(
     tok: _Token, lineno: int, group: FiniteGroup, aliases: dict[str, tuple[str, int]], scope: str
 ) -> int:
@@ -120,7 +125,7 @@ def _resolve_elem(
     """
     kind, text, col, _ = tok
     if kind == "atom":
-        if text.removeprefix("-").isdecimal():  # digits after at most one "-": int() reads it
+        if _reads_as_index(text):
             v = int(text)
             if not 0 <= v < group.order:
                 raise UnknownNameError(
@@ -207,6 +212,8 @@ def parse_document(text: str, base_dir=".") -> GridDocument:
             raise DslSyntaxError(f"{head!r} before the use directive", lineno, head_col)
         if head == "elem":
             _, name, name_col, _ = lp.take("atom", "alias name")
+            if _reads_as_index(name):  # a reference to it would read as the index
+                raise DslSyntaxError(f"alias name {name!r} reads as an index", lineno, name_col)
             lp.take("=", "'='")
             _, scope, scope_col, _ = lp.take("atom", "G or H")
             if scope not in ("G", "H"):
@@ -248,18 +255,9 @@ def parse_document(text: str, base_dir=".") -> GridDocument:
 
     if not in_grid or not rows:
         raise DslSyntaxError("missing grid section", len(lines) + 1, 1)
-    grid = make_grid([[sq for sq, _ in row] for row in rows])
+    grid = QuintetGrid([[sq for sq, _ in row] for row in rows])
     names = tuple(squares)
     return GridDocument(grid, xmod_ref or "", names)
-
-
-def parse_grid(text: str, base_dir=".") -> QuintetGrid:
-    return parse_document(text, base_dir).grid
-
-
-def parse_grid_file(path) -> QuintetGrid:
-    path = Path(path)
-    return parse_grid(path.read_text(), base_dir=path.parent)
 
 
 def serialize_grid(grid: QuintetGrid, xmod_ref: str) -> str:
@@ -310,7 +308,7 @@ def grid_from_obj(obj, base: Path | None = None, where: str = "grid") -> Quintet
                     f"{where}: cell ({i},{j}) needs keys l,t,r,b,e"
                 ) from exc
         built.append(out)
-    return make_grid(built)
+    return QuintetGrid(built)
 
 
 def grid_to_obj(grid: QuintetGrid, xmod_ref: str | dict) -> dict:
@@ -333,7 +331,11 @@ def load_document(path) -> GridDocument:
     directory; any other path holds grid text."""
     path = Path(path)
     if path.suffix != ".json":
-        return parse_document(path.read_text(), base_dir=path.parent)
+        try:
+            text = path.read_text()
+        except UnicodeDecodeError as exc:
+            raise FixtureFormatError(f"cannot read {path}: {exc}") from exc
+        return parse_document(text, base_dir=path.parent)
     obj = read_json(path)
     grid = grid_from_obj(obj, base=path.parent, where=str(path))
     ref = obj["xmod"]

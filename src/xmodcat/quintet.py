@@ -160,18 +160,6 @@ def square_from_edges(
     return Quintet(xm, *SquareKernel(xm).square(left, top, right, face))
 
 
-def h_identity(xm: CrossedModule, edge: int) -> Quintet:
-    """Identity for compose_h on the vertical edge `edge`."""
-    e = xm.g.identity
-    return Quintet(xm, edge, e, edge, e, xm.h.identity)
-
-
-def v_identity(xm: CrossedModule, edge: int) -> Quintet:
-    """Identity for compose_v on the horizontal edge `edge`."""
-    e = xm.g.identity
-    return Quintet(xm, e, edge, e, edge, xm.h.identity)
-
-
 def _same_xm(xa: CrossedModule, xb: CrossedModule) -> CrossedModule:
     if xa is not xb and xa != xb:
         raise MixedStructures("squares over different crossed modules")
@@ -184,12 +172,6 @@ def compose_h(a: Quintet, b: Quintet) -> Quintet:
     if a.right != b.left:
         raise NotAdjacent(f"a.right={a.right} but b.left={b.left}")
     return Quintet(xm, *SquareKernel(xm).hcomp(a.as_tuple(), b.as_tuple()))
-
-
-def compose_h_face_alt(a: Quintet, b: Quintet) -> int:
-    """Equivalent face formula (a.bottom |> b.face) * a.face, for cross-checks."""
-    xm = _same_xm(a.xm, b.xm)
-    return SquareKernel(xm).hface_alt(a.as_tuple(), b.as_tuple())
 
 
 def compose_v(upper: Quintet, lower: Quintet) -> Quintet:
@@ -210,9 +192,6 @@ def invert(sq: Quintet, axis: str) -> Quintet:
     raise ValueError(f"unknown axis {axis!r}")
 
 
-invert_square = invert  # package-level name, clear of the 2-group invert
-
-
 def embed_morphism(m: Mor2G) -> Quintet:
     """A 2-group pair (g, eta) as the square with identity top/bottom edges.
 
@@ -222,13 +201,6 @@ def embed_morphism(m: Mor2G) -> Quintet:
     xm = m.xm
     e = xm.g.identity
     return make_square(xm, m.g, e, xm.pair_target((m.g, m.eta)), e, m.eta)
-
-
-def extract_morphism(sq: Quintet) -> Mor2G:
-    e = sq.xm.g.identity
-    if sq.top != e or sq.bottom != e:
-        raise BoundaryViolation("square does not have identity top/bottom edges")
-    return Mor2G(sq.xm, sq.left, sq.face)
 
 
 @dataclass(frozen=True)
@@ -278,11 +250,6 @@ class QuintetGrid:
         return self.cells[0][0].xm
 
 
-def make_grid(cells) -> QuintetGrid:
-    """The grid of these rows of squares; QuintetGrid checks it."""
-    return QuintetGrid(cells)
-
-
 def evaluate_grid(grid: QuintetGrid, order: str = "rows") -> Quintet:
     """Collapse a grid to one square.
 
@@ -311,16 +278,6 @@ def enumerate_squares(xm: CrossedModule) -> list[Quintet]:
     return [Quintet(xm, *square(*free)) for free in product(gs, gs, gs, xm.h.elements())]
 
 
-def random_square(xm: CrossedModule, rng: random.Random) -> Quintet:
-    return square_from_edges(
-        xm,
-        rng.randrange(xm.g.order),
-        rng.randrange(xm.g.order),
-        rng.randrange(xm.g.order),
-        rng.randrange(xm.h.order),
-    )
-
-
 def random_grid(
     xm: CrossedModule, n_rows: int, n_cols: int, rng: random.Random
 ) -> QuintetGrid:
@@ -335,4 +292,4 @@ def random_grid(
             top = cells[i - 1][j][3] if i > 0 else rng.randrange(n_g)
             row.append(square(left, top, rng.randrange(n_g), rng.randrange(n_h)))
         cells.append(row)
-    return make_grid([[Quintet(xm, *sq) for sq in row] for row in cells])
+    return QuintetGrid([[Quintet(xm, *sq) for sq in row] for row in cells])

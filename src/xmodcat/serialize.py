@@ -27,18 +27,22 @@ from .xmod import CrossedModule, make_crossed_module
 
 
 class FixtureFormatError(XmodcatError):
-    """A JSON fixture is missing keys or has the wrong shape."""
+    """An input file cannot be read or decoded, or a JSON fixture is not
+    JSON, is missing keys or has the wrong shape."""
 
 
 def read_json(path) -> object:
+    """The JSON value in a file. A file that cannot be read or decoded, or
+    that is not JSON or nests too deeply for the parser, raises
+    FixtureFormatError."""
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FixtureFormatError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise FixtureFormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -170,7 +174,12 @@ def action_from_obj(obj, base: Path | None = None, where: str = "action") -> Str
             raise FixtureFormatError(f"{where}: pair {(gamma, chi)} out of range")
         if not (is_index(f, cat.n_morphisms) and is_index(result, cat.n_morphisms)):
             raise FixtureFormatError(f"{where}: morphism index {(f, result)} out of range")
-        table[xm.pair_index(gamma, chi)][f] = result
+        row = table[xm.pair_index(gamma, chi)]
+        if row[f] not in (-1, result):
+            raise FixtureFormatError(
+                f"{where}: actMor maps pair {(gamma, chi)} on morphism {f} to both {row[f]} and {result}"
+            )
+        row[f] = result
     for p, row in enumerate(table):
         for f, v in enumerate(row):
             if v < 0:

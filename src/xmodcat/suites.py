@@ -346,7 +346,7 @@ def h2_laws(d: TransDoubleCat) -> list[Law]:
     # a cell labelled c1 out of f, then one labelled c2 out of its target
     def h2_stacking(insts, fail) -> None:
         for f, c1, c2 in insts:
-            if lookup[f].get(two.stack(h.table, c1, c2)) != lookup[lookup[f][c1]][c2]:
+            if lookup[f].get(h.table[c1][c2]) != lookup[lookup[f][c1]][c2]:
                 fail((f, c1, c2))
 
     return [

@@ -30,8 +30,8 @@ from operator import getitem, itemgetter
 
 from .action import StrictAction, nat_component, validate_strict_action
 from .errors import InvalidAction, MixedStructures, NotAdjacent
-from .fincat import FiniteCategory, category_from_tables
-from .report import DEFAULT_CAP, Law, Report, holds, product_law, ragged, run_laws
+from .fincat import FiniteCategory
+from .report import DEFAULT_CAP, Law, Report, product_law, ragged, run_laws
 from .xmod import semidirect_group
 
 
@@ -147,16 +147,6 @@ class TDSquare:
         return f"TDSquare(gamma={self.gamma}, chi={self.chi}, f={self.f})"
 
 
-def h_identity_square(act: StrictAction, gamma: int, x: int) -> TDSquare:
-    """Horizontal unit at the vertical morphism (gamma, x)."""
-    return TDSquare(act, gamma, act.xm.h.identity, act.category.identity[x])
-
-
-def v_identity_square(act: StrictAction, f: int) -> TDSquare:
-    """Vertical unit at the horizontal morphism f."""
-    return TDSquare(act, act.xm.g.identity, act.xm.h.identity, f)
-
-
 def compose_squares(s1: TDSquare, s2: TDSquare, axis: str) -> TDSquare:
     """Paste two squares.
 
@@ -183,11 +173,6 @@ def compose_squares(s1: TDSquare, s2: TDSquare, axis: str) -> TDSquare:
             )
         return TDSquare(act, *xm.pair_mul((s1.gamma, s1.chi), (s2.gamma, s2.chi)), s2.f)
     raise ValueError(f"unknown axis {axis!r}")
-
-
-def vertical_inverse_square(s: TDSquare) -> TDSquare:
-    """Inverse for vertical pasting: the pair inverse over the acted edge."""
-    return TDSquare(s.act, *s.act.xm.pair_inv((s.gamma, s.chi)), s.bottom())
 
 
 # --- verification ----------------------------------------------------------
@@ -503,11 +488,10 @@ def verify_double_category(
     samples: int = 100_000,
     seed: int = 0,
     max_exhaustive: int = 10_000_000,
-    cap: int = DEFAULT_CAP,
 ) -> Report:
     """Check every law of double_laws(d), each enumerated when its size is at
     most max_exhaustive and otherwise on `samples` distinct instances."""
-    return run_laws(Report(cap=cap), "double", double_laws(d), samples, seed, max_exhaustive)
+    return run_laws(Report(), "double", double_laws(d), samples, seed, max_exhaustive)
 
 
 # --- transformation groupoids -----------------------------------------------
@@ -583,36 +567,6 @@ def transformation_groupoid(group, n_points: int, table) -> FiniteGroupoid:
     return FiniteGroupoid(n, src, tgt, identity, comp, inverse)
 
 
-def groupoid_laws(gpd: FiniteGroupoid) -> list[Law]:
-    """The category laws, decided by the checked constructor
-    category_from_tables, then both inverse laws on every morphism."""
-    comp, inv, src, tgt, ident = gpd.comp, gpd.inverse, gpd.src, gpd.tgt, gpd.identity
-
-    def category_laws(insts, fail) -> None:
-        for _ in insts:
-            try:
-                category_from_tables(
-                    gpd.n_objects,
-                    list(zip(src, tgt)),
-                    ident,
-                    [(g, f, r) for (g, f), r in comp.items()],
-                )
-            except Exception as exc:  # witness carried in the message
-                fail((), str(exc))
-
-    mors = gpd.morphisms()
-    return [
-        product_law("category-laws", category_laws),
-        product_law("inverse-left", holds(lambda f: comp.get((inv[f], f)) == ident[src[f]]), mors),
-        product_law("inverse-right", holds(lambda f: comp.get((f, inv[f])) == ident[tgt[f]]), mors),
-    ]
-
-
-def validate_groupoid(gpd: FiniteGroupoid, cap: int = DEFAULT_CAP) -> Report:
-    """Re-run the category laws and check both inverse laws."""
-    return run_laws(Report(cap=cap), "groupoid", groupoid_laws(gpd))
-
-
 def connected_components(gpd: FiniteCategory) -> list[list[int]]:
     """Objects grouped by zig-zag connectivity, each group sorted."""
     parent = list(range(gpd.n_objects))
@@ -654,15 +608,9 @@ class NestedInclusions:
     second_mor_map: tuple[int, ...]
     second_full: bool
     second_nonfull_witnesses: list[tuple[int, int]]
-    cap: int = DEFAULT_CAP
-
-    @cached_property
-    def report(self) -> Report:
-        """Every law of nested_laws, checked exhaustively."""
-        return run_laws(Report(cap=self.cap), "nested", nested_laws(self))
 
 
-def nested_inclusions(d: TransDoubleCat, cap: int = DEFAULT_CAP) -> NestedInclusions:
+def nested_inclusions(d: TransDoubleCat) -> NestedInclusions:
     act = d.act
     xm, c = d.xm, d.category
     n_mor = c.n_morphisms
@@ -690,7 +638,7 @@ def nested_inclusions(d: TransDoubleCat, cap: int = DEFAULT_CAP) -> NestedInclus
     return NestedInclusions(
         gpd0, gpd1, gpd2,
         first_obj, first_mor, second_mor,
-        not nonfull, nonfull[:cap], cap,
+        not nonfull, nonfull[:DEFAULT_CAP],
     )
 
 
@@ -733,10 +681,6 @@ class H2Cat:
 
     kernel: tuple[int, ...]
     cells: dict[int, tuple[tuple[int, int], ...]]  # f -> ((chi, target f'), ...)
-
-    def stack(self, h_table, first: int, second: int) -> int:
-        """Label of the composite rewrite: first then second."""
-        return h_table[first][second]
 
 
 def horizontal_2category(d: TransDoubleCat) -> H2Cat:

@@ -37,7 +37,7 @@ from .groups import (
     validate_automorphism_action,
     validate_homomorphism,
 )
-from .report import DEFAULT_CAP, Law, Report, holds, product_law, run_laws
+from .report import Law, Report, holds, product_law, run_laws
 
 
 @dataclass(frozen=True)
@@ -160,14 +160,15 @@ def check_components(xm: CrossedModule) -> None:
         raise ComponentInvalid(f"action is not by automorphisms: {arep.violations[0]}")
 
 
-def validate_crossed_module(xm: CrossedModule, cap: int = DEFAULT_CAP) -> Report:
-    """Report every equivariance/peiffer failure, up to the cap.
+def validate_crossed_module(xm: CrossedModule) -> Report:
+    """Report every equivariance/peiffer failure, keeping the first
+    witnesses of each law (see report.Report).
 
     The constituent homomorphism and action must already be lawful;
     otherwise ComponentInvalid is raised instead of blaming the axioms.
     """
     check_components(xm)
-    return run_laws(Report(cap=cap), "xmod", crossed_module_laws(xm))
+    return run_laws(Report(), "xmod", crossed_module_laws(xm))
 
 
 def xmod_identity(g: FiniteGroup) -> CrossedModule:
@@ -185,11 +186,6 @@ def xmod_trivial_boundary(action: GroupAction) -> CrossedModule:
     return CrossedModule(
         action.actor, h, trivial_homomorphism(h, action.actor), action
     )
-
-
-def pair_table(xm: CrossedModule) -> tuple[tuple[int, ...], ...]:
-    """The semidirect product on pair indices, xm.pair_products."""
-    return xm.pair_products
 
 
 def semidirect_group(xm: CrossedModule) -> FiniteGroup:

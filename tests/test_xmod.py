@@ -18,7 +18,9 @@ from xmodcat.groups import (
     trivial_action,
     trivial_homomorphism,
 )
+from xmodcat.report import Report, run_laws
 from xmodcat.xmod import (
+    crossed_module_laws,
     enumerate_actions,
     enumerate_automorphisms,
     enumerate_crossed_modules,
@@ -47,7 +49,7 @@ class TestAxioms:
         assert first.witness == (1, 2)
 
     def test_a_report_with_no_witness_kept_is_not_ok(self, bad_xm):
-        rep = validate_crossed_module(bad_xm, cap=0)
+        rep = run_laws(Report(cap=0), "xmod", crossed_module_laws(bad_xm))
         assert rep.violations == [] and rep.capped
         assert rep.count() == 18
         assert not rep.ok

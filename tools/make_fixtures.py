@@ -87,7 +87,7 @@ def mutated_action() -> None:
                 table[p][f] = v
                 act = make_strict_action(xm, base.category, base.act_obj, table)
                 d = build_transformation_double(act, validate=False)
-                rep = verify_double_category(d, cap=1_000_000)
+                rep = verify_double_category(d)
                 if rep.count("interchange"):
                     write_json(
                         action_to_obj(act), FIX / "actions" / "mutated.json"
