@@ -13,6 +13,11 @@ Parse errors carry 1-based .line/.col: DslSyntaxError for malformed lines,
 UnknownNameError for unresolvable element or square references,
 GridBoundaryViolation when a declared square breaks the boundary law, and
 GridAdjacencyViolation when neighbouring cells disagree on a shared edge.
+
+A well-formed sq line of canonical indices between use and grid: is read by
+one match of _SQ_LINE; every other line, and every syntax or name error,
+goes through the token walk (_tokenize, _LineParser), and both share one
+boundary check. Squares stay kernel tuples until the finished QuintetGrid.
 """
 
 from __future__ import annotations
@@ -23,9 +28,8 @@ from pathlib import Path
 
 from .errors import BoundaryViolation, XmodcatError
 from .groups import FiniteGroup
-from .quintet import Quintet, QuintetGrid, make_square
+from .quintet import Quintet, QuintetGrid, Square, SquareKernel, make_square
 from .serialize import FixtureFormatError, load_xmod, read_json, xmod_from_obj, xmod_to_obj
-from .xmod import CrossedModule
 
 
 class DslError(XmodcatError):
@@ -54,8 +58,13 @@ class GridAdjacencyViolation(DslError):
 # one token per match: a quoted name, a punctuation mark or an atom; a
 # comment or an unmatched quote stops the scan. Spaces and tabs are the only
 # characters no alternative matches, so finditer steps over them.
-_TOKEN = re.compile(
-    r'"(?P<string>[^"]*)"|(?P<punct>[()=,;:])|(?P<atom>[^ \t"#()=,;:]+)|(?P<stop>[#"])'
+_ATOM = r'[^ \t"#()=,;:]+'
+_TOKEN = re.compile(rf'"(?P<string>[^"]*)"|(?P<punct>[()=,;:])|(?P<atom>{_ATOM})|(?P<stop>[#"])')
+# a whole sq line the token walk would accept: groups name, left, top, right,
+# bottom, face; a reference keeps its quotes
+_REF = rf'[ \t]*("[^"]*"|{_ATOM})[ \t]*'
+_SQ_LINE = re.compile(
+    rf"[ \t]*sq[ \t]+({_ATOM})[ \t]*=[ \t]*\({_REF},{_REF},{_REF},{_REF};{_REF}\)[ \t]*(?:#.*)?"
 )
 
 _Token = tuple  # (kind, text, col, end)
@@ -144,6 +153,37 @@ def _resolve_elem(
     raise UnknownNameError(f"unknown {scope} element {text!r}", lineno, col)
 
 
+def _declare(
+    k: SquareKernel, squares: dict[str, Square], name: str, sq: Square, lineno: int, face_col: int
+) -> None:
+    """squares[name] = sq, once sq passes the boundary check."""
+    try:
+        squares[name] = k.checked(sq)
+    except BoundaryViolation as exc:
+        raise GridBoundaryViolation(f"square {name!r}: {exc}", lineno, face_col) from exc
+
+
+def _walk_sq(
+    lp: _LineParser, k: SquareKernel, aliases: dict[str, tuple[str, int]], squares: dict
+) -> None:
+    """The token walk of an sq line past its head: declares one square."""
+    lineno = lp.lineno
+    _, name, name_col, _ = lp.take("atom", "square name")
+    if name in squares:
+        raise DslSyntaxError(f"duplicate square {name!r}", lineno, name_col)
+    lp.take("=", "'='")
+    lp.take("(", "'('")
+    edges = []
+    for i in range(4):
+        edges.append(_resolve_elem(lp.take_ref("edge"), lineno, k.xm.g, aliases, "G"))
+        lp.take("," if i < 3 else ";", "',' or ';'")
+    face_tok = lp.take_ref("face")
+    face = _resolve_elem(face_tok, lineno, k.xm.h, aliases, "H")
+    lp.take(")", "')'")
+    lp.done()
+    _declare(k, squares, name, (*edges, face), lineno, face_tok[2])
+
+
 @dataclass
 class GridDocument:
     grid: QuintetGrid
@@ -153,22 +193,32 @@ class GridDocument:
 
 def parse_document(text: str, base_dir=".") -> GridDocument:
     base = Path(base_dir)
-    xm: CrossedModule | None = None
+    k: SquareKernel | None = None  # set by the use directive
     xmod_ref: str | None = None
     aliases: dict[str, tuple[str, int]] = {}
-    squares: dict[str, Quintet] = {}
-    rows: list[list[tuple[Quintet, int]]] = []  # each cell with its column
+    squares: dict[str, Square] = {}
+    rows: list[list[tuple[Square, int]]] = []  # each cell with its column
     in_grid = False
     lines = text.splitlines()
 
     for lineno, raw in enumerate(lines, start=1):
+        # one match reads a well-formed sq line of canonical indices; a
+        # duplicate square, an alias, a name or any other index takes the
+        # token walk, which resolves or reports it
+        m = k is not None and not in_grid and _SQ_LINE.fullmatch(raw)
+        if m:
+            name, left, top, right, bottom, face = m.groups()
+            sq = (g_at.get(left), g_at.get(top), g_at.get(right), g_at.get(bottom), h_at.get(face))
+            if None not in sq and name not in squares:
+                _declare(k, squares, name, sq, lineno, m.start(6) + 1)
+                continue
         toks = _tokenize(raw, lineno)
         if not toks:
             continue
         lp = _LineParser(toks, lineno)
 
         if in_grid:
-            row: list[tuple[Quintet, int]] = []
+            row: list[tuple[Square, int]] = []
             while lp.peek() is not None:
                 _, name, col, _ = lp.take("atom", "square name")
                 if name not in squares:
@@ -179,17 +229,17 @@ def parse_document(text: str, base_dir=".") -> GridDocument:
                     f"row has {len(row)} cells, expected {len(rows[0])}", lineno, toks[0][2]
                 )
             for j, (sq, col) in enumerate(row):
-                if j > 0 and row[j - 1][0].right != sq.left:
+                if j > 0 and row[j - 1][0][2] != sq[0]:
                     raise GridAdjacencyViolation(
-                        f"left edge {sq.left} does not match neighbour's right "
-                        f"edge {row[j - 1][0].right}",
+                        f"left edge {sq[0]} does not match neighbour's right "
+                        f"edge {row[j - 1][0][2]}",
                         lineno,
                         col,
                     )
-                if rows and rows[-1][j][0].bottom != sq.top:
+                if rows and rows[-1][j][0][3] != sq[1]:
                     raise GridAdjacencyViolation(
-                        f"top edge {sq.top} does not match the edge above "
-                        f"{rows[-1][j][0].bottom}",
+                        f"top edge {sq[1]} does not match the edge above "
+                        f"{rows[-1][j][0][3]}",
                         lineno,
                         col,
                     )
@@ -198,7 +248,7 @@ def parse_document(text: str, base_dir=".") -> GridDocument:
 
         _, head, head_col, _ = lp.take("atom", "directive")
         if head == "use":
-            if xm is not None:
+            if k is not None:
                 raise DslSyntaxError("duplicate use directive", lineno, head_col)
             _, ref, ref_col, _ = lp.take("string", "quoted path")
             lp.done()
@@ -206,9 +256,13 @@ def parse_document(text: str, base_dir=".") -> GridDocument:
                 xm = load_xmod(base / ref)
             except FixtureFormatError as exc:
                 raise DslSyntaxError(str(exc), lineno, ref_col) from exc
+            k = SquareKernel(xm)
+            # canonical index text to index, for the edges and for the face
+            g_at = {str(v): v for v in xm.g.elements()}
+            h_at = {str(v): v for v in xm.h.elements()}
             xmod_ref = ref
             continue
-        if xm is None:
+        if k is None:
             raise DslSyntaxError(f"{head!r} before the use directive", lineno, head_col)
         if head == "elem":
             _, name, name_col, _ = lp.take("atom", "alias name")
@@ -218,7 +272,7 @@ def parse_document(text: str, base_dir=".") -> GridDocument:
             _, scope, scope_col, _ = lp.take("atom", "G or H")
             if scope not in ("G", "H"):
                 raise DslSyntaxError("scope must be G or H", lineno, scope_col)
-            group = xm.g if scope == "G" else xm.h
+            group = k.xm.g if scope == "G" else k.xm.h
             val = _resolve_elem(lp.take_ref("element"), lineno, group, {}, scope)
             lp.done()
             if name in aliases:
@@ -226,25 +280,7 @@ def parse_document(text: str, base_dir=".") -> GridDocument:
             aliases[name] = (scope, val)
             continue
         if head == "sq":
-            _, name, name_col, _ = lp.take("atom", "square name")
-            if name in squares:
-                raise DslSyntaxError(f"duplicate square {name!r}", lineno, name_col)
-            lp.take("=", "'='")
-            lp.take("(", "'('")
-            edges = []
-            for k in range(4):
-                edges.append(_resolve_elem(lp.take_ref("edge"), lineno, xm.g, aliases, "G"))
-                lp.take("," if k < 3 else ";", "',' or ';'")
-            face_tok = lp.take_ref("face")
-            face = _resolve_elem(face_tok, lineno, xm.h, aliases, "H")
-            lp.take(")", "')'")
-            lp.done()
-            try:
-                squares[name] = make_square(xm, *edges, face)
-            except BoundaryViolation as exc:
-                raise GridBoundaryViolation(
-                    f"square {name!r}: {exc}", lineno, face_tok[2]
-                ) from exc
+            _walk_sq(lp, k, aliases, squares)
             continue
         if head == "grid":
             lp.take(":", "':'")
@@ -255,25 +291,27 @@ def parse_document(text: str, base_dir=".") -> GridDocument:
 
     if not in_grid or not rows:
         raise DslSyntaxError("missing grid section", len(lines) + 1, 1)
-    grid = QuintetGrid([[sq for sq, _ in row] for row in rows])
-    names = tuple(squares)
-    return GridDocument(grid, xmod_ref or "", names)
+    cells = [[sq for sq, _ in row] for row in rows]
+    quintets = {sq: Quintet(k.xm, *sq) for sq in set().union(*cells)}
+    grid = QuintetGrid([[quintets[sq] for sq in row] for row in cells])
+    return GridDocument(grid, xmod_ref or "", tuple(squares))
 
 
 def serialize_grid(grid: QuintetGrid, xmod_ref: str) -> str:
     """Canonical text form: raw indices, squares named in first-use order."""
-    names: dict[Quintet, str] = {}
-    for row in grid.cells:
+    # keyed by the square's tuple: a Quintet hashes its whole crossed module,
+    # and the grid has one module for every cell
+    cells = [[sq.as_tuple() for sq in row] for row in grid.cells]
+    names: dict[Square, str] = {}
+    for row in cells:
         for sq in row:
             if sq not in names:
                 names[sq] = f"s{len(names)}"
     lines = [f'use "{xmod_ref}"']
-    for sq, name in names.items():
-        lines.append(
-            f"sq {name} = ({sq.left}, {sq.top}, {sq.right}, {sq.bottom} ; {sq.face})"
-        )
+    for (left, top, right, bottom, face), name in names.items():
+        lines.append(f"sq {name} = ({left}, {top}, {right}, {bottom} ; {face})")
     lines.append("grid:")
-    for row in grid.cells:
+    for row in cells:
         lines.append(" ".join(names[sq] for sq in row))
     return "\n".join(lines) + "\n"
 
@@ -333,7 +371,7 @@ def load_document(path) -> GridDocument:
     if path.suffix != ".json":
         try:
             text = path.read_text()
-        except UnicodeDecodeError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise FixtureFormatError(f"cannot read {path}: {exc}") from exc
         return parse_document(text, base_dir=path.parent)
     obj = read_json(path)

@@ -565,6 +565,19 @@ class TestUnreadableInput:
         assert obj["error"] == "FixtureFormatError"
         assert obj["message"].startswith(f"cannot read {path}: ")
 
+    @pytest.mark.parametrize("directory", [False, True], ids=["missing", "directory"])
+    @pytest.mark.parametrize("verb", [("eval",), ("export", "--kind", "grid")], ids=["eval", "export"])
+    def test_grid_text_that_cannot_be_opened(self, capsys, tmp_path, verb, directory):
+        # the same record as for a .json path, whatever the OSError
+        path = tmp_path / "d.xmg"
+        if directory:
+            path.mkdir()
+        code, out, err = run_cli(capsys, *verb, str(path))
+        assert (code, out) == (2, "")
+        obj = json.loads(err)
+        assert obj["error"] == "FixtureFormatError"
+        assert obj["message"].startswith(f"cannot read {path}: ")
+
 
 class TestEval:
     def test_grid_evaluates_to_identity_square(self, capsys):

@@ -1,22 +1,30 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from xmodcat.cli import main
+from xmodcat.groups import cyclic, direct_product, symmetric, trivial_action
 from xmodcat.gridlang import (
+    _SQ_LINE,
     DslError,
     DslSyntaxError,
     GridAdjacencyViolation,
     GridBoundaryViolation,
     UnknownNameError,
+    _LineParser,
+    _tokenize,
+    _walk_sq,
     grid_from_obj,
     grid_to_obj,
     load_grid,
     parse_document,
     serialize_grid,
 )
-from xmodcat.quintet import QuintetGrid, evaluate_grid, make_square, random_grid
+from xmodcat.quintet import QuintetGrid, SquareKernel, evaluate_grid, make_square, random_grid
+from xmodcat.serialize import write_json, xmod_to_obj
+from xmodcat.xmod import xmod_identity, xmod_trivial_boundary
 
 GRIDS = Path(__file__).resolve().parent.parent / "fixtures" / "grids"
 
@@ -59,21 +67,28 @@ class TestRoundTrip:
         assert text == again
 
     def test_json_round_trip(self, xm2):
-        import random
-
         grid = random_grid(xm2, 2, 3, random.Random(11))
         obj = grid_to_obj(grid, "../xm2.json")
         back = grid_from_obj(json.loads(json.dumps(obj)), base=GRIDS)
         assert back == grid
 
     def test_random_grids_round_trip_through_the_dsl(self, xm1):
-        import random
-
         rng = random.Random(3)
         for _ in range(20):
             grid = random_grid(xm1, rng.randrange(1, 4), rng.randrange(1, 4), rng)
             text = serialize_grid(grid, "../xm1.json")
             assert parse_document(text, base_dir=GRIDS).grid == grid
+
+    def test_sweep_sized_grids_round_trip_byte_for_byte(self, xm2, tmp_path):
+        # 32x32, as the benchmark's sweep writes them; S3 x Z/2 over itself
+        # has 12 edges and 12 faces, so indices reach two digits
+        o12 = xmod_identity(direct_product(symmetric(3), cyclic(2)))
+        write_json(xmod_to_obj(o12), tmp_path / "o12.json")
+        rng = random.Random(17)
+        for xm, base, ref in ((xm2, GRIDS, "../xm2.json"), (o12, tmp_path, "o12.json")):
+            for _ in range(10):
+                text = serialize_grid(random_grid(xm, 32, 32, rng), ref)
+                assert serialize_grid(parse_document(text, base_dir=base).grid, ref) == text
 
 
 BAD_FILES = [
@@ -287,3 +302,120 @@ class TestSerializeFormat:
         obj = grid_to_obj(grid, "xm1.json")
         assert obj["xmod"] == "xm1.json"
         assert obj["cells"] == [[{"l": 0, "t": 0, "r": 0, "b": 0, "e": 0}]]
+
+
+# --- the sq fast path against the token walk ---------------------------------
+
+# the line a corpus sq line takes in EQUIV_TEXT; the walk alone reads it with
+# the same aliases and the same earlier square D
+EQUIV_TEXT = 'use "../xm2.json"\nelem a = G 1\nelem w = H "(12)"\nsq D = (0, 0, 0, 0 ; 0)\n{}\ngrid:\nA\n'
+EQUIV_LINENO = 5
+EQUIV_ALIASES = {"a": ("G", 1), "w": ("H", 2)}
+# other spellings of an index, by scope: a signed zero, aliases, bare and
+# quoted names
+SPELLINGS = {
+    ("G", 0): ("-0", "e", '"e"'), ("G", 1): ("a", '"(23)"'), ("G", 2): ('"(12)"',),
+    ("H", 0): ("-0", "e", '"e"'), ("H", 2): ("w", '"(12)"'),
+}
+# references that mostly do not resolve: out of range, zero-padded, negative,
+# the other scope's alias, a quoted "#", unquoted punctuation, unknown names
+ODD_REFS = ("6", "99", "007", "-1", "a", "w", '"#"', '"a # b"', "(12)", "zz", '"(99)"')
+SEPARATORS = ("", "", " ", " ", "\t", "  ", " \t")
+GOOD_ENDINGS = ("", "", " ", "  # trailing comment", "#c", '\t# "quoted')
+BAD_ENDINGS = (" x", " )", ' "q"', ' "', " ;")
+
+
+def corpus_sq_line(rng: random.Random, k: SquareKernel) -> str:
+    """An sq line over xm2: a bottom edge that is forced about half the time,
+    indices mostly in canonical form, and now and then another spelling, a
+    reference that does not resolve, a duplicate name, a dropped or repeated
+    token or a bad ending."""
+    vals = [rng.randrange(6) for _ in range(5)]
+    if rng.random() < 0.5:
+        vals[3] = k.square(vals[0], vals[1], vals[2], vals[4])[3]
+    refs = []
+    for scope, v in zip("GGGGH", vals):
+        r = rng.random()
+        spellings = SPELLINGS.get((scope, v))
+        if r < 0.1 and spellings:
+            refs.append(rng.choice(spellings))
+        else:
+            refs.append(rng.choice(ODD_REFS) if r > 0.95 else str(v))
+    name = "D" if rng.random() < 0.05 else "A"
+    toks = [name, "=", "(", refs[0], ",", refs[1], ",", refs[2], ",", refs[3], ";", refs[4], ")"]
+    if rng.random() < 0.05:
+        del toks[rng.randrange(len(toks))]
+    if rng.random() < 0.03:  # never the name, which could become "AA"
+        i = rng.randrange(1, len(toks))
+        toks.insert(i, toks[i])
+    # "sq" and the name always stay apart, so the head is always sq
+    head = rng.choice(("", " ", "\t")) + "sq" + rng.choice((" ", "\t", "  "))
+    body = "".join(t + rng.choice(SEPARATORS) for t in toks)
+    return head + body + rng.choice(BAD_ENDINGS if rng.random() < 0.05 else GOOD_ENDINGS)
+
+
+def outcome(parse):
+    """parse()'s square, or its error's class, message, line and column."""
+    try:
+        return parse()
+    except DslError as exc:
+        return type(exc), str(exc), exc.line, exc.col
+
+
+class TestSqFastPath:
+    """A well-formed sq line is read by one regex match; every line must give
+    what the token walk gives on its own."""
+
+    def walk_alone(self, line, k):
+        squares = {"D": (0, 0, 0, 0, 0)}
+        lp = _LineParser(_tokenize(line, EQUIV_LINENO), EQUIV_LINENO)
+        assert lp.take("atom", "directive")[1] == "sq"
+        _walk_sq(lp, k, dict(EQUIV_ALIASES), squares)
+        return squares["A"]
+
+    def through_document(self, line):
+        return parse_document(EQUIV_TEXT.format(line), base_dir=GRIDS).grid.cells[0][0].as_tuple()
+
+    def test_seeded_corpus_reads_as_the_walk_reads_it(self, xm2):
+        k = SquareKernel(xm2)
+        rng = random.Random(2024)
+        lines = [corpus_sq_line(rng, k) for _ in range(2400)]
+        for line in lines:
+            assert outcome(lambda: self.through_document(line)) == outcome(
+                lambda: self.walk_alone(line, k)
+            ), line
+        # both paths are exercised, and on both outcomes
+        fast = [line for line in lines if _SQ_LINE.fullmatch(line)]
+        assert 0.3 < len(fast) / len(lines) < 0.9
+        results = [outcome(lambda: self.walk_alone(line, k)) for line in fast]
+        kinds = {r[0] if isinstance(r[0], type) else "ok" for r in results}
+        assert kinds == {"ok", GridBoundaryViolation, UnknownNameError, DslSyntaxError}
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "sq\tA\t=\t(0,\t0,\t0,\t0\t;\t0)",
+            "sq A=(1,2,3,0;0)",
+            'sq A = ("(12)", "e", "(12)", "e" ; "e")  # quoted',
+            'sq A = (a, "#", 0, 0 ; w)',
+            "sq A = (007, -0, 0, 0 ; 0)",
+            "sq A = (0, 0, 0, 0 ; 6)",
+            "sq D = (0, 0, 0, 0 ; 0)",
+            "sq A = (0, 0, 0, 1 ; 0)",
+            "sq A = (0, 0, 0, 0 ; 0) x",
+            "sq A = (0, 0, 0, 0 ; 0",
+            "sq A = (0, 0, 0 ; 0)",
+        ],
+    )
+    def test_named_cases(self, xm2, line):
+        k = SquareKernel(xm2)
+        assert outcome(lambda: self.through_document(line)) == outcome(lambda: self.walk_alone(line, k))
+
+    def test_a_face_index_is_read_in_h(self, tmp_path):
+        # Z/4 over the trivial group: face 1 is an index of G but not of H
+        xm = xmod_trivial_boundary(trivial_action(cyclic(4), cyclic(1)))
+        write_json(xmod_to_obj(xm), tmp_path / "xm.json")
+        text = 'use "xm.json"\nsq A = (1, 0, 1, 0 ; 1)\ngrid:\nA\n'
+        with pytest.raises(UnknownNameError) as exc:
+            parse_document(text, base_dir=tmp_path)
+        assert str(exc.value) == "line 2, col 22: index 1 out of range for a group of order 1"
