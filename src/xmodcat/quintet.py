@@ -224,7 +224,7 @@ class QuintetGrid:
             if len(row) != len(rows[0]):
                 raise NotAdjacent(f"row {i} has {len(row)} cells, expected {len(rows[0])}")
             for j, sq in enumerate(row):
-                if sq.xm != xm:
+                if sq.xm is not xm and sq.xm != xm:
                     raise MixedStructures(f"cell ({i},{j}) uses a different crossed module")
                 if j > 0 and row[j - 1].right != sq.left:
                     raise NotAdjacent(

@@ -12,6 +12,9 @@ stream, so they never depend on another law. A law may also carry a block
 check, which decides `width` consecutive instances per step; an enumerated
 law with one hands `check` only the instances of the blocks it rejects, so
 its violations, witnesses and counts are those of the walk without it.
+A law may also carry a proof: a predicate on its inputs that, when true,
+guarantees that the walk would find nothing, so `run_laws` counts the
+instances it would have checked and walks none of them.
 """
 
 from __future__ import annotations
@@ -101,7 +104,12 @@ class Law:
     instances, in order: None when `check` finds no violation in that run,
     else the run's instances, those of `at` in the same order. An enumerated
     law hands `check` just those runs, so `check` stays the only place where
-    witnesses are made."""
+    witnesses are made.
+
+    `proved()`, if given, returns True only when `check`, handed any of the
+    law's instances, finds no violation and raises nothing: a sufficient
+    condition, decided once for the whole law, whose proof its maker writes
+    down. False says nothing, and the law is walked as if it had none."""
 
     name: str
     size: int
@@ -110,6 +118,7 @@ class Law:
     walk: Callable[[], Iterable] | None = None
     blocks: Callable[[], Iterable[Iterable | None]] | None = None
     width: int = 0
+    proved: Callable[[], bool] | None = None
 
     def instances(self) -> Iterable:
         return self.walk() if self.walk else map(self.at, range(self.size))
@@ -177,11 +186,15 @@ def run_laws(
     else check it on the `samples` distinct instances that spread picks with
     the stream seeded "<seed>/<suite>/<law>", in enumeration order; count
     per law. An enumerated law with a block check walks only the blocks
-    that fail it, and must have exactly size / width of them."""
+    that fail it, and must have exactly size / width of them. A law with
+    instances to check whose proof holds is counted as checked on them and
+    walked not at all: its report is the one its walk would give."""
     for law in laws:
         n = law.size if law.size <= max_exhaustive else min(law.size, samples)
         fail = partial(rep.add, law.name)
-        if n < law.size:
+        if n and law.proved is not None and law.proved():
+            pass  # its walk would find nothing
+        elif n < law.size:
             law.check(map(law.at, spread(random.Random(f"{seed}/{suite}/{law.name}"), law.size, n)), fail)
         elif law.blocks is None:
             law.check(law.instances(), fail)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, groupby, product
 from operator import getitem, itemgetter
 
@@ -254,24 +254,31 @@ def double_laws(d: TransDoubleCat) -> list[Law]:
             if act_m[p][top] != ct[act_m[p2][f2]][act_m[p1][f1]]:
                 fail((p1, f1, p2, f2))
 
-    # one block per p1: every row of p1 at once, the rows of one label c2
-    # as one tuple comparison over the composable (f1, f2)
-    def h_boundary_blocks():
+    # per p1, whether every row of p1 holds: the rows of one label c2 as one
+    # tuple comparison over the composable (f1, f2); computed once, on first
+    # use, for h-boundary's blocks and interchange's proof
+    @cache
+    def rows_hold():
         f1s = [f1 for f1 in mors for _ in after[f1]]
         f2s = [f2 for f1 in mors for f2 in after[f1]]
         tops = [ct[f2][f1] for f1, f2 in zip(f1s, f2s)]
         composable = -1 not in tops
         col = list(zip(*ct))  # col[b][a] = ct[a][b]
         at_f1, at_f2, at_top = picker(f1s), picker(f2s), picker(tops)
+        verdicts = []
         for p1 in pairs:
             stack, first_p2 = stacks[p1], pair_tgt[p1] * n_h
             cols = at_f1([col[a] for a in act_m[p1]])  # col[act_m[p1][f1]] per (f1, f2)
-            ok = composable and all(
+            verdicts.append(composable and all(
                 at_top(act_m[stack[c2]])
                 == tuple(map(getitem, cols, at_f2(act_m[first_p2 + c2])))
                 for c2 in hs
-            )
-            yield None if ok else rows_of(p1)
+            ))
+        return verdicts
+
+    # one block per p1: every row of p1 at once
+    def h_boundary_blocks():
+        return (None if ok else rows_of(p1) for p1, ok in zip(pairs, rows_hold()))
 
     def v_boundary(insts, fail) -> None:
         for p2, f2, p1 in insts:
@@ -282,16 +289,21 @@ def double_laws(d: TransDoubleCat) -> list[Law]:
             ):
                 fail((p1, p2, f2))
 
-    # one block per p2: for each p1, clause 1 once and clause 2 as one row
+    # per p2, whether v-boundary's clause 2 holds at every (p1, f), as one
+    # row per p1; computed once, on first use, for v-boundary's blocks and
+    # v-assoc's proof
+    @cache
+    def compositions_hold():
+        return [  # then_p2: row -> row[act_m[p2][f]] for each f
+            all(act_m[pt[p1][p2]] == then_p2(act_m[p1]) for p1 in pairs)
+            for p2, then_p2 in enumerate(map(picker, act_m))
+        ]
+
+    # one block per p2: clause 2 as above, and clause 1 once for each p1
     def v_boundary_blocks():
-        for p2 in pairs:
-            then_p2 = picker(act_m[p2])  # row -> row[act_m[p2][f]] for each f
+        for p2, composes in zip(pairs, compositions_hold()):
             b2 = pair_tgt[p2]
-            ok = all(
-                pair_tgt[pt[p1][p2]] == g.table[pair_tgt[p1]][b2]
-                and act_m[pt[p1][p2]] == then_p2(act_m[p1])
-                for p1 in pairs
-            )
+            ok = composes and all(pair_tgt[pt[p1][p2]] == g.table[pair_tgt[p1]][b2] for p1 in pairs)
             yield None if ok else product((p2,), mors, pairs)
 
     # associativity, vertical: s3 on top, then s2, then s1
@@ -360,6 +372,27 @@ def double_laws(d: TransDoubleCat) -> list[Law]:
                     shown = tuple(None if v < 0 else v for v in composites)
                     fail((g2, c2, g1, c1, f), f"composites {shown} expected {exp}")
 
+    # The proofs of v-assoc and interchange, which run_laws reads before it
+    # walks them (see report.Law). Pairs multiply as (g1, h1) (g2, h2) =
+    # (g1 g2, h1 (g1 |> h2)), and the label c stacks on (g, h) as (g, c h).
+    #
+    # v-assoc: clause 1, (p1 p2) p3 = p1 (p2 p3), is the associativity of
+    # the semidirect product when xm.lawful: both G parts are g1 g2 g3, and
+    # both H parts h1 (g1 |> h2) ((g1 g2) |> h3), by respects-product and
+    # composition. Clause 2, act_m[p2][act_m[p3][f]] = act_m[p2 p3][f], is
+    # v-boundary's clause 2 at (p2, p3), which compositions_hold()[p3]
+    # asserts for every p2 and f.
+    #
+    # interchange: "rows not composable" and "rows not stackable" at a row
+    # (pa, fa, pb, fb) fail h-boundary's equation at it (an entry of act_m
+    # is a morphism, so never -1), which rows_hold()[pa] asserts for every
+    # row of pa. Write pa = (ga, ha), hb for pb's label, pc = (gc, hc) and
+    # pd = (bnd(hc) gc, cd). The two sides of the pair equation have G part
+    # gc ga, and H parts
+    #   stack(pc, cd) (ga, hb ha):      cd hc (gc |> hb) (gc |> ha)
+    #   stack(pc pa, label of pd pb):   cd ((bnd(hc) gc) |> hb) hc (gc |> ha)
+    # by respects-product; they agree by composition and peiffer at
+    # (hc, gc |> hb).
     return [
         product_law("v-unit", v_unit, pairs, mors),
         Law(
@@ -371,8 +404,14 @@ def double_laws(d: TransDoubleCat) -> list[Law]:
             blocks=v_boundary_blocks,
             width=len(mors) * npairs,
         ),
-        product_law("v-assoc", v_assoc, pairs, pairs, pairs, mors),
-        Law("interchange", npairs * row_block * npairs * n_h, grid_at, interchange, grids),
+        replace(
+            product_law("v-assoc", v_assoc, pairs, pairs, pairs, mors),
+            proved=lambda: xm.lawful and all(compositions_hold()),
+        ),
+        Law(
+            "interchange", npairs * row_block * npairs * n_h, grid_at, interchange, grids,
+            proved=lambda: xm.lawful and all(rows_hold()),
+        ),
         replace(
             product_law("six-composites", six_composites, g.elements(), hs, g.elements(), hs, mors),
             blocks=lambda: (entry for _, entry in _six_composites_blocks(d)),

@@ -25,9 +25,11 @@ from .groups import (
     FiniteGroup,
     GroupAction,
     Homomorphism,
+    automorphism_action_laws,
     conjugation_action,
     cyclic,
     group_from_table,
+    homomorphism_laws,
     identity_homomorphism,
     make_action,
     symmetric,
@@ -116,6 +118,20 @@ class CrossedModule:
         """[i][c] is the index of pair_stack(pair_of(i), c)."""
         index, stack, hs = self.pair_index, self.pair_stack, self.h.elements()
         return tuple(tuple(index(*stack(p, c)) for c in hs) for p in self.pairs())
+
+    @cached_property
+    def lawful(self) -> bool:
+        """The boundary is a homomorphism, G acts on H by automorphisms, and
+        equivariance and peiffer hold: the laws homomorphism, bijective,
+        respects-product, unit, composition, equivariance and peiffer, each
+        on every instance (at most |G| |H| (|G| + |H|) lookups). G and H are
+        groups, as group_from_table, the only maker of a FiniteGroup in this
+        package, checks every axiom, and the boundary runs from H to G and
+        the action is of G on H in every module it makes (make_crossed_module
+        checks both). Laws that hold in every crossed module are proved from
+        this."""
+        laws = homomorphism_laws(self.boundary) + automorphism_action_laws(self.action)
+        return run_laws(Report(), "xmod", laws + crossed_module_laws(self)).ok
 
     def __repr__(self) -> str:
         return f"CrossedModule(|G|={self.g.order}, |H|={self.h.order})"

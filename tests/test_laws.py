@@ -1,12 +1,15 @@
 """The law driver: declared sizes, index-addressed instances,
 enumerate-or-sample, per-law counts."""
 
+import json
 import random
 from dataclasses import replace
 from itertools import product
 
 import pytest
 
+from xmodcat.action import adjoint_action
+from xmodcat.cli import main
 from xmodcat.groups import automorphism_action_laws, homomorphism_laws
 from xmodcat.report import Law, Report, product_law, ragged, run_laws, spread
 from xmodcat.suites import (
@@ -25,7 +28,7 @@ from xmodcat.transform import (
     horizontal_2category,
     vertical_2category,
 )
-from xmodcat.xmod import crossed_module_laws
+from xmodcat.xmod import crossed_module_laws, fixture_catalog
 
 ENUMERABLE = 300_000  # largest space walked to count its instances
 
@@ -200,3 +203,50 @@ def test_blocks_that_do_not_tile_the_law_are_refused(runs, width):
     )
     with pytest.raises(ValueError, match="do not tile its 20 instances"):
         run_laws(Report(), "suite", [law])
+
+
+def test_a_proved_law_is_counted_and_not_walked():
+    seen, asked = [], []
+
+    def proved():
+        asked.append(1)
+        return True
+
+    law = replace(product_law("law", lambda insts, fail: seen.extend(insts), range(4), "ab"), proved=proved)
+    assert run_laws(Report(), "suite", [law]).instances == {"law": 8}
+    assert run_laws(Report(), "suite", [law], samples=3, seed=1, max_exhaustive=0).instances == {"law": 3}
+    assert seen == [] and len(asked) == 2
+
+
+def test_a_law_whose_proof_fails_is_walked_as_without_it():
+    def odd(insts, fail):
+        for i, c in insts:
+            if i % 2:
+                fail((i, c), "odd")
+
+    law = product_law("law", odd, range(4), "ab")
+    for budget in ({}, {"samples": 3, "seed": 2, "max_exhaustive": 0}):
+        unproved = run_laws(Report(), "suite", [replace(law, proved=lambda: False)], **budget)
+        walked = run_laws(Report(), "suite", [law], **budget)
+        assert (unproved.violations, unproved.instances) == (walked.violations, walked.instances)
+    assert unproved.count("law") == 2
+
+
+def test_a_law_with_no_instances_asks_for_no_proof():
+    def no_proof():
+        raise AssertionError("proved() called on an empty law")
+
+    law = Law("empty", 0, lambda i: (i,), lambda insts, fail: None, proved=no_proof)
+    assert run_laws(Report(), "suite", [law], samples=5).instances == {}
+
+
+# with the four laws that carry a proof decided by it, --exhaustive finishes
+# at once on xm2 and xm4, and every line is exact
+@pytest.mark.parametrize("name", ["xm2", "xm4"])
+def test_exhaustive_verify_passes_every_law_on_all_its_instances(capsys, name):
+    assert main(["verify", "--adjoint", name, "--exhaustive"]) == 0
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    got = {(o["suite"], o["law"]): (o["status"], o["checked"]) for o in lines if "law" in o}
+    act = adjoint_action(dict(fixture_catalog())[name])
+    assert got == {(suite, law.name): ("pass", law.size) for suite, law in declared_laws(act)}
+    assert len(got) == 56

@@ -29,6 +29,7 @@ from xmodcat.report import Report, run_laws
 from xmodcat.serialize import write_json, xmod_to_obj
 from xmodcat.suites import quintet_laws
 from xmodcat.transform import build_transformation_double
+from xmodcat.xmod import xm_cyc4
 from reference import compose_h_face_alt, extract_morphism, h_identity, random_square, v_identity
 
 
@@ -213,6 +214,16 @@ class TestInterchange:
             QuintetGrid(((),))
         grid = QuintetGrid([[u, u], [u, u]])  # rows given as lists are kept as tuples
         assert grid == QuintetGrid([[u, u], [u, u]]) and grid.cells == ((u, u), (u, u))
+
+    # the grid compares each cell's module with the first by identity, then
+    # by value: an equal module made apart is the same module
+    def test_a_cell_over_an_equal_module_is_accepted(self, xm1, xm4):
+        twin = xm_cyc4()
+        assert twin is not xm4 and twin == xm4
+        u, v = h_identity(xm4, 0), h_identity(twin, 0)
+        assert QuintetGrid([[u, v], [v, u]]).cells[0][1].xm is twin
+        with pytest.raises(MixedStructures, match=r"^cell \(1,0\) uses a different crossed module$"):
+            QuintetGrid([[u], [h_identity(xm1, 0)]])
 
     def test_unknown_evaluation_order(self, xm1):
         grid = QuintetGrid([[h_identity(xm1, 0)]])

@@ -12,10 +12,12 @@ from xmodcat.catgroup import Mor2G, mor_of
 from xmodcat import transform
 from xmodcat.errors import InvalidAction, MixedStructures, NotAdjacent, NotComposable
 from xmodcat.fincat import category_from_tables, terminal_category
-from xmodcat.groups import cyclic, direct_product, make_action, make_homomorphism, symmetric, trivial_group
+from xmodcat.groups import (
+    cyclic, direct_product, make_action, make_homomorphism, small_group_catalog, symmetric, trivial_group,
+)
 from xmodcat.report import DEFAULT_CAP, Report, run_laws
 from xmodcat.serialize import load_action
-from xmodcat.suites import run_all
+from xmodcat.suites import quintet_laws, run_all
 from xmodcat.transform import (
     TDSquare,
     build_transformation_double,
@@ -33,6 +35,7 @@ from xmodcat.transform import (
 )
 from xmodcat.xmod import (
     CrossedModule,
+    enumerate_crossed_modules,
     make_crossed_module,
     semidirect_group,
     xm_sym3,
@@ -822,3 +825,126 @@ class TestSixCompositesByObject:
         assert all(failing is None for _, failing in blocks)
         six = [law for law in double_laws(d) if law.name == "six-composites"]
         assert run_laws(Report(), "double", six).ok
+
+
+# --- proved laws -----------------------------------------------------------------
+
+# face-formulas-agree and grid-interchange (quintet), v-assoc and interchange
+# (double) carry a proof; run_laws skips the walk of a law whose proof holds
+PROVED = {"face-formulas-agree", "grid-interchange", "v-assoc", "interchange"}
+VERIFY_BUDGET = {"samples": 100_000, "max_exhaustive": 10_000_000}  # verify's defaults
+SWEEP_BUDGET = {"samples": 1000, "max_exhaustive": 10_000}  # verify's in the benchmark sweep
+
+
+def proved_laws(act):
+    """(suite, law) for every law with a proof, on one double category."""
+    d = build_transformation_double(act, validate=False)
+    suites = (("quintet", quintet_laws(d)), ("double", double_laws(d)))
+    return [(suite, law) for suite, laws in suites for law in laws if law.proved]
+
+
+def outcome(suite, law, budget):
+    """What run_laws makes of the law alone, at verify's defaults overridden
+    by budget: its report facts, or the class and message of what it raised."""
+    try:
+        return report_facts(run_laws(Report(), suite, [law], **{**VERIFY_BUDGET, **budget}))
+    except Exception as exc:  # a walk that raises must raise without the proof too
+        return type(exc).__name__, str(exc)
+
+
+def proofs_that_hold(act, budget):
+    """The names of the laws whose proof holds on act, after checking that
+    each law reports the same with its proof as without it."""
+    held = set()
+    for suite, law in proved_laws(act):
+        assert outcome(suite, law, budget) == outcome(suite, replace(law, proved=None), budget), law.name
+        if law.proved():
+            held.add(law.name)
+    return held
+
+
+def small_crossed_modules():
+    """Every crossed module on a pair of catalogue groups with |G| |H| <= 12."""
+    catalog = small_group_catalog()
+    return [
+        xm
+        for _, g in catalog
+        for _, h in catalog
+        if g.order * h.order <= 12
+        for xm in enumerate_crossed_modules(g, h)
+    ]
+
+
+class TestProvedLaws:
+    def test_the_four_proved_laws(self, xm2):
+        assert {law.name for _, law in proved_laws(adjoint_action(xm2))} == PROVED
+
+    # xm2 at verify's defaults would walk 1.7 million v-assoc instances
+    @pytest.mark.parametrize(
+        "budget",
+        [{}, SWEEP_BUDGET, {"max_exhaustive": 0, "samples": 50}],
+        ids=["defaults", "sweep", "sampled"],
+    )
+    def test_the_fixtures_are_proved_and_report_as_walked(self, all_xms, budget):
+        for name, xm in all_xms:
+            for act in (adjoint_action(xm), trivial_strict_action(xm, ARROW)):
+                within = {**budget, "max_exhaustive": 300_000} if name == "xm2" and not budget else budget
+                assert proofs_that_hold(act, within) == PROVED
+
+    def test_the_small_crossed_modules_are_proved_and_report_as_walked(self):
+        xms = small_crossed_modules()
+        assert len(xms) == 57  # the benchmark sweep's modules
+        for xm in xms:
+            assert proofs_that_hold(adjoint_action(xm), SWEEP_BUDGET) == PROVED, xm
+
+    @pytest.mark.parametrize(
+        "category",
+        [category_from_tables(0, [], [], []), terminal_category()],
+        ids=["no-morphism", "one-morphism"],
+    )
+    def test_categories_with_fewer_than_two_morphisms(self, all_xms, category):
+        for _, xm in all_xms:
+            assert proofs_that_hold(trivial_strict_action(xm, category), SWEEP_BUDGET) == PROVED
+
+    # bad-peiffer breaks peiffer, broken_xm equivariance: no proof holds,
+    # and the walks still find what they found
+    def test_no_proof_holds_on_a_module_that_breaks_an_axiom(self, bad_xm, broken_xm):
+        for xm in (bad_xm, broken_xm):
+            assert not xm.lawful
+            for act in (adjoint_action(xm), trivial_strict_action(xm, terminal_category()), trivial_strict_action(xm, ARROW)):
+                assert proofs_that_hold(act, SWEEP_BUDGET) == set()
+        lines = run_all(adjoint_action(bad_xm), **SWEEP_BUDGET)
+        failing = {line.law for line in lines if line.status == "fail"}
+        assert {"face-formulas-agree", "grid-interchange", "interchange"} <= failing
+
+    def test_v_assoc_is_walked_on_the_mutated_action(self, fixtures_dir):
+        act = load_action(fixtures_dir / "actions" / "mutated.json")
+        assert act.xm.lawful
+        held = proofs_that_hold(act, {})
+        assert "v-assoc" not in held and held >= {"face-formulas-agree", "grid-interchange"}
+        [line] = [line for line in run_all(act, only=["double"]) if line.law == "v-assoc"]
+        assert line.status == "fail"
+
+    # the seeded act_mor, act_obj and aimed mutants of the block checks: the
+    # module is lawful, so the quintet proofs hold; a mutant that breaks a
+    # row or a composition leaves interchange or v-assoc to its walk
+    @pytest.mark.parametrize("name, seed, entries, budget", BLOCK_CASES)
+    def test_seeded_mutants_report_as_walked(self, all_xms, name, seed, entries, budget):
+        act = mutant(adjoint_action(dict(all_xms)[name]), seed, entries)
+        held = proofs_that_hold(act, budget or SWEEP_BUDGET)
+        assert held >= {"face-formulas-agree", "grid-interchange"}
+        if isinstance(entries, int):  # an act_mor mutant breaks some row and some composition
+            assert held == {"face-formulas-agree", "grid-interchange"}
+
+    @pytest.mark.parametrize("base, name, seed, entries", [("arrow", "xm1", 3, 2), ("arrow", "xm2", 1, 3), ("arrow", "xm4", 0, 1)])
+    def test_seeded_arrow_mutants_report_as_walked(self, all_xms, base, name, seed, entries):
+        act = mutant(trivial_strict_action(dict(all_xms)[name], ARROW), seed, entries)
+        assert proofs_that_hold(act, SWEEP_BUDGET) >= {"face-formulas-agree", "grid-interchange"}
+
+    # a proved law counts the instances its walk would have checked
+    def test_a_proved_law_counts_what_its_walk_would_check(self, xm2):
+        lines = {line.law: line for line in run_all(adjoint_action(xm2), only=["quintet", "double"], samples=700, max_exhaustive=5000)}
+        sizes = {law.name: law.size for _, law in proved_laws(adjoint_action(xm2))}
+        for law in PROVED:
+            want = sizes[law] if sizes[law] <= 5000 else 700
+            assert (lines[law].status, lines[law].checked) == ("pass", want), law
