@@ -124,7 +124,7 @@ class CrossedModule:
         """The boundary is a homomorphism, G acts on H by automorphisms, and
         equivariance and peiffer hold: the laws homomorphism, bijective,
         respects-product, unit, composition, equivariance and peiffer, each
-        on every instance (at most |G| |H| (|G| + |H|) lookups). G and H are
+        on every instance (about |G| |H| (|G| + |H|) of them). G and H are
         groups, as group_from_table, the only maker of a FiniteGroup in this
         package, checks every axiom, and the boundary runs from H to G and
         the action is of G on H in every module it makes (make_crossed_module

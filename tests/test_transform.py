@@ -911,7 +911,8 @@ class TestProvedLaws:
     def test_no_proof_holds_on_a_module_that_breaks_an_axiom(self, bad_xm, broken_xm):
         for xm in (bad_xm, broken_xm):
             assert not xm.lawful
-            for act in (adjoint_action(xm), trivial_strict_action(xm, terminal_category()), trivial_strict_action(xm, ARROW)):
+            acts = [adjoint_action(xm)] + [trivial_strict_action(xm, c) for c in (terminal_category(), ARROW)]
+            for act in acts:
                 assert proofs_that_hold(act, SWEEP_BUDGET) == set()
         lines = run_all(adjoint_action(bad_xm), **SWEEP_BUDGET)
         failing = {line.law for line in lines if line.status == "fail"}
@@ -936,15 +937,7 @@ class TestProvedLaws:
         if isinstance(entries, int):  # an act_mor mutant breaks some row and some composition
             assert held == {"face-formulas-agree", "grid-interchange"}
 
-    @pytest.mark.parametrize("base, name, seed, entries", [("arrow", "xm1", 3, 2), ("arrow", "xm2", 1, 3), ("arrow", "xm4", 0, 1)])
-    def test_seeded_arrow_mutants_report_as_walked(self, all_xms, base, name, seed, entries):
+    @pytest.mark.parametrize("name, seed, entries", [("xm1", 3, 2), ("xm2", 1, 3), ("xm4", 0, 1)])
+    def test_seeded_arrow_mutants_report_as_walked(self, all_xms, name, seed, entries):
         act = mutant(trivial_strict_action(dict(all_xms)[name], ARROW), seed, entries)
         assert proofs_that_hold(act, SWEEP_BUDGET) >= {"face-formulas-agree", "grid-interchange"}
-
-    # a proved law counts the instances its walk would have checked
-    def test_a_proved_law_counts_what_its_walk_would_check(self, xm2):
-        lines = {line.law: line for line in run_all(adjoint_action(xm2), only=["quintet", "double"], samples=700, max_exhaustive=5000)}
-        sizes = {law.name: law.size for _, law in proved_laws(adjoint_action(xm2))}
-        for law in PROVED:
-            want = sizes[law] if sizes[law] <= 5000 else 700
-            assert (lines[law].status, lines[law].checked) == ("pass", want), law
