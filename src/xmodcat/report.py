@@ -8,13 +8,11 @@ flood of failures in one law can never hide another law's witnesses.
 
 `run_laws` alone decides whether a law is enumerated or sampled; a sampled
 law checks distinct instances in enumeration order, picked by its own
-stream, so they never depend on another law. A law may also carry a block
-check, which decides `width` consecutive instances per step; an enumerated
-law with one hands `check` only the instances of the blocks it rejects, so
-its violations, witnesses and counts are those of the walk without it.
-A law may also carry a proof: a predicate on its inputs that, when true,
-guarantees that the walk would find nothing, so `run_laws` counts the
-instances it would have checked and walks none of them.
+stream, so they never depend on another law. A law may also carry a proof:
+a predicate on its inputs that, when true, guarantees that the walk would
+find nothing, so `run_laws` counts the instances it would have checked and
+walks none of them. When the proof fails, the law is walked as without it,
+so its violations, witnesses and counts never depend on the proof.
 """
 
 from __future__ import annotations
@@ -100,24 +98,17 @@ class Law:
     `check(instances, fail)` loops over what it is handed, calling
     `fail(witness, detail="")` once per violation.
 
-    `blocks()`, if given, yields one entry per run of `width` consecutive
-    instances, in order: None when `check` finds no violation in that run,
-    else the run's instances, those of `at` in the same order. An enumerated
-    law hands `check` just those runs, so `check` stays the only place where
-    witnesses are made.
-
     `proved()`, if given, returns True only when `check`, handed any of the
     law's instances, finds no violation and raises nothing: a sufficient
     condition, decided once for the whole law, whose proof its maker writes
-    down. False says nothing, and the law is walked as if it had none."""
+    down. False says nothing, and the law is walked as if it had none, so
+    `check` stays the only place where witnesses are made."""
 
     name: str
     size: int
     at: Callable[[int], tuple]
     check: Callable[[Iterable, Callable], None]
     walk: Callable[[], Iterable] | None = None
-    blocks: Callable[[], Iterable[Iterable | None]] | None = None
-    width: int = 0
     proved: Callable[[], bool] | None = None
 
     def instances(self) -> Iterable:
@@ -185,10 +176,9 @@ def run_laws(
     """Enumerate each law whose size is at most max(max_exhaustive, samples),
     else check it on the `samples` distinct instances that spread picks with
     the stream seeded "<seed>/<suite>/<law>", in enumeration order; count
-    per law. An enumerated law with a block check walks only the blocks
-    that fail it, and must have exactly size / width of them. A law with
-    instances to check whose proof holds is counted as checked on them and
-    walked not at all: its report is the one its walk would give."""
+    per law. A law with instances to check whose proof holds is counted as
+    checked on them and walked not at all: its report is the one its walk
+    would give."""
     for law in laws:
         n = law.size if law.size <= max_exhaustive else min(law.size, samples)
         fail = partial(rep.add, law.name)
@@ -196,15 +186,7 @@ def run_laws(
             pass  # its walk would find nothing
         elif n < law.size:
             law.check(map(law.at, spread(random.Random(f"{seed}/{suite}/{law.name}"), law.size, n)), fail)
-        elif law.blocks is None:
+        else:
             law.check(law.instances(), fail)
-        elif n:
-            runs = 0
-            for failing in law.blocks():
-                runs += 1
-                if failing is not None:
-                    law.check(failing, fail)
-            if runs * law.width != law.size:
-                raise ValueError(f"{law.name}: {runs} blocks of {law.width} do not tile its {law.size} instances")
         rep.tick(law.name, n)
     return rep

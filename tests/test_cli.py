@@ -272,7 +272,7 @@ class TestVerify:
                     law.check(handed[law.name], fail)
 
                 laws[law.name] = law
-                return dataclasses.replace(law, check=check)
+                return dataclasses.replace(law, check=check, proved=None)
 
             return run_laws(rep, suite, [record(law) for law in laws_in], *budget)
 

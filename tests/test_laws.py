@@ -161,50 +161,6 @@ def test_violations_are_counted_past_the_cap():
     assert rep.capped and rep.checked == 10
 
 
-def test_only_the_blocks_that_fail_are_walked_again():
-    seen = []
-
-    def every_seventh(insts, fail):
-        for (i,) in insts:
-            seen.append(i)
-            if i % 7 == 3:
-                fail((i,), "seventh")
-
-    def blocks():  # runs of 5; 3, 10 and 17 fail
-        for k in range(0, 20, 5):
-            run = [(i,) for i in range(k, k + 5)]
-            yield run if any(i % 7 == 3 for (i,) in run) else None
-
-    law = replace(product_law("law", every_seventh, range(20)), blocks=blocks, width=5)
-    rep = run_laws(Report(cap=2), "suite", [law])
-    assert seen == [*range(5), *range(10, 20)]
-    assert [v.witness for v in rep.violations] == [(3,), (10,)]
-    assert (rep.count("law"), rep.capped, rep.instances) == (3, True, {"law": 20})
-
-    seen.clear()
-    sampled = run_laws(Report(), "suite", [law], samples=4, seed=1, max_exhaustive=0)
-    assert seen == [i for (i,) in map(law.at, spread(random.Random("1/suite/law"), 20, 4))]
-    assert sampled.instances == {"law": 4}
-
-
-def test_a_law_with_no_instances_asks_for_no_block():
-    def no_blocks():
-        raise AssertionError("blocks() called on an empty law")
-
-    law = Law("empty", 0, lambda i: (i,), lambda insts, fail: None, blocks=no_blocks, width=3)
-    assert run_laws(Report(), "suite", [law]).instances == {}
-
-
-@pytest.mark.parametrize("runs, width", [(4, 0), (3, 5), (5, 5)], ids=["no-width", "too-few", "too-many"])
-def test_blocks_that_do_not_tile_the_law_are_refused(runs, width):
-    law = replace(
-        product_law("law", lambda insts, fail: None, range(20)),
-        blocks=lambda: iter([None] * runs), width=width,
-    )
-    with pytest.raises(ValueError, match="do not tile its 20 instances"):
-        run_laws(Report(), "suite", [law])
-
-
 def test_a_proved_law_is_counted_and_not_walked():
     seen, asked = [], []
 
@@ -240,8 +196,8 @@ def test_a_law_with_no_instances_asks_for_no_proof():
     assert run_laws(Report(), "suite", [law], samples=5).instances == {}
 
 
-# with the four laws that carry a proof decided by it, --exhaustive finishes
-# at once on xm2 and xm4, and every line is exact
+# with the seven laws that carry a proof decided by it, --exhaustive
+# finishes at once on xm2 and xm4, and every line is exact
 @pytest.mark.parametrize("name", ["xm2", "xm4"])
 def test_exhaustive_verify_passes_every_law_on_all_its_instances(capsys, name):
     assert main(["verify", "--adjoint", name, "--exhaustive"]) == 0

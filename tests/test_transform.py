@@ -15,7 +15,7 @@ from xmodcat.fincat import category_from_tables, terminal_category
 from xmodcat.groups import (
     cyclic, direct_product, make_action, make_homomorphism, small_group_catalog, symmetric, trivial_group,
 )
-from xmodcat.report import DEFAULT_CAP, Report, run_laws
+from xmodcat.report import Report, run_laws
 from xmodcat.serialize import load_action
 from xmodcat.suites import quintet_laws, run_all
 from xmodcat.transform import (
@@ -679,14 +679,16 @@ class TestDoubleKernel:
                     assert mor_of(xm, xm.pair_stacks[i][c]) == catgroup.compose(upper, m)
 
 
-# --- block checks of the enumerated double laws ------------------------------
+# --- proved laws -----------------------------------------------------------------
 
+# face-formulas-agree and grid-interchange (quintet), and every double law
+# but v-unit, carry a proof; run_laws skips the walk of a law whose proof holds
+PROVED = {
+    "face-formulas-agree", "grid-interchange",
+    "h-boundary", "v-boundary", "v-assoc", "interchange", "six-composites",
+}
 # two objects and one arrow between them
 ARROW = category_from_tables(2, [(0, 0), (1, 1), (0, 1)], [0, 1], [(0, 0, 0), (1, 1, 1), (2, 0, 2), (1, 2, 2)])
-
-
-def without_blocks(laws):
-    return [replace(law, blocks=None) for law in laws]
 
 
 def report_facts(rep: Report):
@@ -699,7 +701,7 @@ def report_facts(rep: Report):
 # whose h-boundary, v-boundary and six-composites pass the 100-witness cap;
 # then act_obj mutants and the mutants aimed at six-composites' conditions
 XM2_BUDGET = {"max_exhaustive": 50_000, "samples": 300}
-BLOCK_CASES = [(name, seed, entries, budget) for name, seed, entries, budget, *_ in DOUBLE_PINS] + [
+MUTANT_CASES = [(name, seed, entries, budget) for name, seed, entries, budget, *_ in DOUBLE_PINS] + [
     ("xm2", 1, 3, XM2_BUDGET),
     ("xm2", 2, 1, XM2_BUDGET),
     ("xm3", 0, 1, {}),
@@ -709,129 +711,6 @@ BLOCK_CASES = [(name, seed, entries, budget) for name, seed, entries, budget, *_
     pytest.param("xm4", 1, ("act_obj", 2), {}, id="xm4-act_obj-1-2"),
     *(pytest.param("xm2", 0, ("aim", aim), XM2_BUDGET, id=f"xm2-aim-{aim}") for aim in "abc"),
 ]
-
-
-class TestBlockChecks:
-    @pytest.mark.parametrize("name, seed, entries, budget", BLOCK_CASES)
-    def test_the_report_is_that_of_the_walk_without_blocks(self, all_xms, name, seed, entries, budget):
-        act = mutant(adjoint_action(dict(all_xms)[name]), seed, entries)
-        # replace(law, blocks=None) is the law itself for the other laws
-        laws = [law for law in double_laws(build_transformation_double(act, validate=False)) if law.blocks]
-        assert [law.name for law in laws] == ["h-boundary", "v-boundary", "six-composites"]
-        args = {"samples": 100_000, "max_exhaustive": 10_000_000, **budget}
-        blocked = run_laws(Report(), "double", laws, **args)
-        walked = run_laws(Report(), "double", without_blocks(laws), **args)
-        assert report_facts(blocked) == report_facts(walked)
-
-    def test_the_cap_keeps_the_same_first_witnesses(self, xm2):
-        act = act_mor_mutant(adjoint_action(xm2), 0, 3)
-        laws = double_laws(build_transformation_double(act, validate=False))
-        for law in laws:
-            if law.blocks:
-                blocked = run_laws(Report(), "double", [law])
-                assert blocked.count(law.name) > DEFAULT_CAP and blocked.capped
-                assert report_facts(blocked) == report_facts(run_laws(Report(), "double", without_blocks([law])))
-
-    # the arrow category's 3 morphisms differ in number from every fixture's
-    # pairs, which the adjoint action's morphisms are
-    @pytest.mark.parametrize(
-        "base, name, seed, entries",
-        [
-            ("adjoint", "xm1", 0, 1), ("adjoint", "xm2", 1, 3), ("adjoint", "xm3", 0, 1), ("adjoint", "xm4", 5, 4),
-            ("arrow", "xm1", 3, 2), ("arrow", "xm2", 1, 3), ("arrow", "xm4", 0, 1),
-            pytest.param("adjoint", "xm1", 0, ("act_obj", 1), id="adjoint-xm1-act_obj-0-1"),
-            pytest.param("adjoint", "xm4", 3, ("act_obj", 1), id="adjoint-xm4-act_obj-3-1"),
-            pytest.param("arrow", "xm3", 0, ("act_obj", 1), id="arrow-xm3-act_obj-0-1"),
-            pytest.param("arrow", "xm4", 1, ("act_obj", 2), id="arrow-xm4-act_obj-1-2"),
-            *(pytest.param("adjoint", "xm4", 0, ("aim", aim), id=f"adjoint-xm4-aim-{aim}") for aim in "abc"),
-        ],
-    )
-    def test_a_block_fails_exactly_when_its_walk_finds_something(self, all_xms, base, name, seed, entries):
-        xm = dict(all_xms)[name]
-        lawful = adjoint_action(xm) if base == "adjoint" else trivial_strict_action(xm, ARROW)
-        act = mutant(lawful, seed, entries)
-        laws = [law for law in double_laws(build_transformation_double(act, validate=False)) if law.blocks]
-        blocked = run_laws(Report(), "double", laws)
-        assert report_facts(blocked) == report_facts(run_laws(Report(), "double", without_blocks(laws)))
-        for law in laws:
-            entries = list(law.blocks())
-            assert len(entries) * law.width == law.size, law.name
-            for k, failing in enumerate(entries):
-                run = list(map(law.at, range(k * law.width, (k + 1) * law.width)))
-                found = []
-                law.check(run, lambda w, d="": found.append(w))
-                # a block holds exactly when its walk finds nothing, and a
-                # failing block hands over the instances of its run
-                assert failing is None if not found else list(failing) == run, (law.name, k)
-            # the mutant breaks some block of each law that reads what it
-            # changed; h-boundary and v-boundary do not read act_obj
-            assert any(entries) or (act.act_mor == lawful.act_mor and law.name != "six-composites"), law.name
-
-    @pytest.mark.parametrize(
-        "category",
-        [category_from_tables(0, [], [], []), terminal_category()],
-        ids=["no-morphism", "one-morphism"],
-    )
-    def test_categories_with_fewer_than_two_morphisms(self, all_xms, category):
-        for _, xm in all_xms:
-            laws = double_laws(build_transformation_double(trivial_strict_action(xm, category), validate=False))
-            blocked = run_laws(Report(), "double", laws)
-            assert report_facts(blocked) == report_facts(run_laws(Report(), "double", without_blocks(laws)))
-            assert blocked.ok
-            for law in laws:
-                if law.blocks and law.size:
-                    assert list(law.blocks()) == [None] * (law.size // law.width), law.name
-
-
-# six-composites decides a block by object, without its per-f loop, when the
-# conditions listed in transform._six_composites_blocks hold
-class TestSixCompositesByObject:
-    # a condition that never holds, say a tuple compared with a list, keeps
-    # every verdict and only makes the law slow; on lawful actions every
-    # block must be decided by object
-    def test_lawful_actions_are_decided_by_object(self, all_xms):
-        order_12 = xmod_identity(direct_product(symmetric(3), cyclic(2)))
-        acts = [adjoint_action(xm) for _, xm in all_xms] + [adjoint_action(order_12)]
-        acts += [trivial_strict_action(xm, ARROW) for _, xm in all_xms]
-        for act in acts:
-            blocks = list(transform._six_composites_blocks(build_transformation_double(act, validate=False)))
-            assert len(blocks) == act.xm.npairs ** 2
-            assert all(by_object for by_object, _ in blocks), act
-
-    # objects 0 and 1, an arrow a: 0 -> 1 and an idempotent e at 0 (a.e = a);
-    # the one pair of the trivial module sends id1 to e and a, e to id0, so
-    # its row is W(b)(f).n(x) for every f: x -> y but not n(y).W(g)(f), and
-    # c1, c2 and c3 read e where c4, c5, c6 and exp read id0
-    def test_a_row_that_splits_on_one_side_only_is_walked(self):
-        cat = category_from_tables(
-            2, [(0, 0), (1, 1), (0, 1), (0, 0)], [0, 1],
-            [(0, 0, 0), (1, 1, 1), (2, 0, 2), (1, 2, 2), (3, 0, 3), (0, 3, 3), (3, 3, 3), (2, 3, 2)],
-        )
-        act = make_strict_action(xmod_identity(trivial_group()), cat, [[0, 1]], [[0, 3, 0, 0]])
-        d = build_transformation_double(act, validate=False)
-        [(by_object, failing)] = transform._six_composites_blocks(d)
-        assert not by_object and list(failing) == [(0, 0, 0, 0, f) for f in range(4)]
-        six = [law for law in double_laws(d) if law.name == "six-composites"]
-        rep = run_laws(Report(), "double", six)
-        assert report_facts(rep) == report_facts(run_laws(Report(), "double", without_blocks(six)))
-        assert [v.detail for v in rep.violations] == ["composites (3, 3, 3, 0, 0, 0) expected 0"]
-
-    # broken_xm's pair targets are not multiplicative, so condition (d)
-    # fails on some blocks; acting trivially, every composite is still exp
-    def test_a_block_that_fails_a_condition_but_holds_is_none(self, broken_xm):
-        d = build_transformation_double(trivial_strict_action(broken_xm, ARROW), validate=False)
-        blocks = list(transform._six_composites_blocks(d))
-        assert not all(by_object for by_object, _ in blocks)
-        assert all(failing is None for _, failing in blocks)
-        six = [law for law in double_laws(d) if law.name == "six-composites"]
-        assert run_laws(Report(), "double", six).ok
-
-
-# --- proved laws -----------------------------------------------------------------
-
-# face-formulas-agree and grid-interchange (quintet), v-assoc and interchange
-# (double) carry a proof; run_laws skips the walk of a law whose proof holds
-PROVED = {"face-formulas-agree", "grid-interchange", "v-assoc", "interchange"}
 VERIFY_BUDGET = {"samples": 100_000, "max_exhaustive": 10_000_000}  # verify's defaults
 SWEEP_BUDGET = {"samples": 1000, "max_exhaustive": 10_000}  # verify's in the benchmark sweep
 
@@ -876,7 +755,7 @@ def small_crossed_modules():
 
 
 class TestProvedLaws:
-    def test_the_four_proved_laws(self, xm2):
+    def test_the_seven_proved_laws(self, xm2):
         assert {law.name for _, law in proved_laws(adjoint_action(xm2))} == PROVED
 
     # xm2 at verify's defaults would walk 1.7 million v-assoc instances
@@ -906,14 +785,17 @@ class TestProvedLaws:
         for _, xm in all_xms:
             assert proofs_that_hold(trivial_strict_action(xm, category), SWEEP_BUDGET) == PROVED
 
-    # bad-peiffer breaks peiffer, broken_xm equivariance: no proof holds,
-    # and the walks still find what they found
-    def test_no_proof_holds_on_a_module_that_breaks_an_axiom(self, bad_xm, broken_xm):
-        for xm in (bad_xm, broken_xm):
+    # bad-peiffer breaks peiffer, broken_xm equivariance: no proof that
+    # needs xm.lawful holds, those of h-boundary, v-boundary and
+    # six-composites hold where the action's tables allow, and the walks
+    # still find what they found
+    def test_only_table_proofs_hold_on_a_module_that_breaks_an_axiom(self, bad_xm, broken_xm):
+        table_proofs = {"h-boundary", "v-boundary", "six-composites"}
+        for xm, on_adjoint, on_trivial in ((bad_xm, {"v-boundary"}, table_proofs), (broken_xm, set(), {"h-boundary"})):
             assert not xm.lawful
-            acts = [adjoint_action(xm)] + [trivial_strict_action(xm, c) for c in (terminal_category(), ARROW)]
-            for act in acts:
-                assert proofs_that_hold(act, SWEEP_BUDGET) == set()
+            assert proofs_that_hold(adjoint_action(xm), SWEEP_BUDGET) == on_adjoint
+            for c in (terminal_category(), ARROW):
+                assert proofs_that_hold(trivial_strict_action(xm, c), SWEEP_BUDGET) == on_trivial
         lines = run_all(adjoint_action(bad_xm), **SWEEP_BUDGET)
         failing = {line.law for line in lines if line.status == "fail"}
         assert {"face-formulas-agree", "grid-interchange", "interchange"} <= failing
@@ -926,18 +808,84 @@ class TestProvedLaws:
         [line] = [line for line in run_all(act, only=["double"]) if line.law == "v-assoc"]
         assert line.status == "fail"
 
-    # the seeded act_mor, act_obj and aimed mutants of the block checks: the
-    # module is lawful, so the quintet proofs hold; a mutant that breaks a
-    # row or a composition leaves interchange or v-assoc to its walk
-    @pytest.mark.parametrize("name, seed, entries, budget", BLOCK_CASES)
+    # seeded act_mor, act_obj and aimed mutants of the adjoint actions: the
+    # module is lawful, so the quintet proofs hold; an act_mor mutant breaks
+    # some row, some composition and some condition of six-composites, which
+    # leaves every double law but v-unit to its walk
+    @pytest.mark.parametrize("name, seed, entries, budget", MUTANT_CASES)
     def test_seeded_mutants_report_as_walked(self, all_xms, name, seed, entries, budget):
         act = mutant(adjoint_action(dict(all_xms)[name]), seed, entries)
         held = proofs_that_hold(act, budget or SWEEP_BUDGET)
         assert held >= {"face-formulas-agree", "grid-interchange"}
-        if isinstance(entries, int):  # an act_mor mutant breaks some row and some composition
+        if isinstance(entries, int):
             assert held == {"face-formulas-agree", "grid-interchange"}
 
-    @pytest.mark.parametrize("name, seed, entries", [("xm1", 3, 2), ("xm2", 1, 3), ("xm4", 0, 1)])
-    def test_seeded_arrow_mutants_report_as_walked(self, all_xms, name, seed, entries):
-        act = mutant(trivial_strict_action(dict(all_xms)[name], ARROW), seed, entries)
-        assert proofs_that_hold(act, SWEEP_BUDGET) >= {"face-formulas-agree", "grid-interchange"}
+    # the arrow category's 3 morphisms differ in number from every fixture's
+    # pairs, which the adjoint action's morphisms are. h-boundary and
+    # v-boundary are proved exactly when their walk finds nothing; every
+    # mutant fails six-composites, and h-boundary and v-boundary when it
+    # changes act_mor, the one table those two read
+    @pytest.mark.parametrize(
+        "base, name, seed, entries",
+        [
+            ("adjoint", "xm1", 0, 1), ("adjoint", "xm2", 1, 3), ("adjoint", "xm3", 0, 1), ("adjoint", "xm4", 5, 4),
+            ("arrow", "xm1", 3, 2), ("arrow", "xm2", 1, 3), ("arrow", "xm4", 0, 1),
+            pytest.param("adjoint", "xm1", 0, ("act_obj", 1), id="adjoint-xm1-act_obj-0-1"),
+            pytest.param("adjoint", "xm4", 3, ("act_obj", 1), id="adjoint-xm4-act_obj-3-1"),
+            pytest.param("arrow", "xm3", 0, ("act_obj", 1), id="arrow-xm3-act_obj-0-1"),
+            pytest.param("arrow", "xm4", 1, ("act_obj", 2), id="arrow-xm4-act_obj-1-2"),
+            *(pytest.param("adjoint", "xm4", 0, ("aim", aim), id=f"adjoint-xm4-aim-{aim}") for aim in "abc"),
+        ],
+    )
+    def test_seeded_mutants_fail_what_they_change(self, all_xms, base, name, seed, entries):
+        xm = dict(all_xms)[name]
+        lawful = adjoint_action(xm) if base == "adjoint" else trivial_strict_action(xm, ARROW)
+        act = mutant(lawful, seed, entries)
+        held = proofs_that_hold(act, SWEEP_BUDGET)
+        assert held >= {"face-formulas-agree", "grid-interchange"}
+        table_laws = {"h-boundary", "v-boundary", "six-composites"}
+        laws = [law for law in double_laws(build_transformation_double(act, validate=False)) if law.name in table_laws]
+        rep = run_laws(Report(), "double", laws)
+        failing = {law for law in table_laws if rep.count(law)}
+        for law in ("h-boundary", "v-boundary"):
+            assert (law in held) == (law not in failing), law
+        assert failing >= ({"six-composites"} if act.act_mor == lawful.act_mor else table_laws)
+
+
+# six-composites is proved by object, without its per-f walk, when the
+# conditions listed in transform._six_composites_by_object hold
+class TestSixCompositesByObject:
+    # a condition that never holds, say a tuple compared with a list, keeps
+    # every verdict and only makes the law slow; on lawful actions the proof
+    # must hold
+    def test_lawful_actions_are_decided_by_object(self, all_xms):
+        order_12 = xmod_identity(direct_product(symmetric(3), cyclic(2)))
+        acts = [adjoint_action(xm) for _, xm in all_xms] + [adjoint_action(order_12)]
+        acts += [trivial_strict_action(xm, ARROW) for _, xm in all_xms]
+        for act in acts:
+            assert transform._six_composites_by_object(build_transformation_double(act, validate=False)), act
+
+    # objects 0 and 1, an arrow a: 0 -> 1 and an idempotent e at 0 (a.e = a);
+    # the one pair of the trivial module sends id1 to e and a, e to id0, so
+    # its row is W(b)(f).n(x) for every f: x -> y but not n(y).W(g)(f), and
+    # c1, c2 and c3 read e where c4, c5, c6 and exp read id0
+    def test_a_row_that_splits_on_one_side_only_is_walked(self):
+        cat = category_from_tables(
+            2, [(0, 0), (1, 1), (0, 1), (0, 0)], [0, 1],
+            [(0, 0, 0), (1, 1, 1), (2, 0, 2), (1, 2, 2), (3, 0, 3), (0, 3, 3), (3, 3, 3), (2, 3, 2)],
+        )
+        act = make_strict_action(xmod_identity(trivial_group()), cat, [[0, 1]], [[0, 3, 0, 0]])
+        d = build_transformation_double(act, validate=False)
+        assert not transform._six_composites_by_object(d)
+        [six] = [law for law in double_laws(d) if law.name == "six-composites"]
+        rep = run_laws(Report(), "double", [six])
+        assert report_facts(rep) == report_facts(run_laws(Report(), "double", [replace(six, proved=None)]))
+        assert [v.detail for v in rep.violations] == ["composites (3, 3, 3, 0, 0, 0) expected 0"]
+
+    # broken_xm's pair targets are not multiplicative, so condition (d)
+    # fails on some blocks; acting trivially, every composite is still exp
+    def test_a_law_that_fails_a_condition_but_holds_passes(self, broken_xm):
+        d = build_transformation_double(trivial_strict_action(broken_xm, ARROW), validate=False)
+        assert not transform._six_composites_by_object(d)
+        six = [law for law in double_laws(d) if law.name == "six-composites"]
+        assert run_laws(Report(), "double", six).ok
