@@ -8,10 +8,12 @@ from itertools import product
 
 import pytest
 
-from xmodcat.action import adjoint_action
+from xmodcat.action import adjoint_action, trivial_strict_action
 from xmodcat.cli import main
+from xmodcat.fincat import terminal_category
 from xmodcat.groups import automorphism_action_laws, homomorphism_laws
 from xmodcat.report import Law, Report, product_law, ragged, run_laws, spread
+from xmodcat.serialize import load_action
 from xmodcat.suites import (
     action_laws,
     adjoint_laws,
@@ -206,3 +208,30 @@ def test_exhaustive_verify_passes_every_law_on_all_its_instances(capsys, name):
     act = adjoint_action(dict(fixture_catalog())[name])
     assert got == {(suite, law.name): ("pass", law.size) for suite, law in declared_laws(act)}
     assert len(got) == 56
+
+
+# the inputs where some proof fails, so --exhaustive walks those laws whole:
+# every line that is not a skip is still exact, and the double laws that
+# fail are the ones whose walk finds a violation
+@pytest.mark.parametrize(
+    "kind, failing",
+    [
+        ("adjoint", {"h-boundary", "interchange", "six-composites"}),
+        ("trivial", {"interchange"}),
+        ("mutated", {"v-unit", "h-boundary", "v-boundary", "v-assoc", "interchange", "six-composites"}),
+    ],
+    ids=["adjoint-bad-peiffer", "trivial-bad-peiffer", "mutated"],
+)
+def test_exhaustive_verify_walks_the_laws_whose_proof_fails(capsys, bad_xm, fixtures_dir, kind, failing):
+    if kind == "mutated":
+        path = fixtures_dir / "actions" / "mutated.json"
+        target, act = [str(path)], load_action(path)
+    else:
+        target = [f"--{kind}", "bad-peiffer"]
+        act = adjoint_action(bad_xm) if kind == "adjoint" else trivial_strict_action(bad_xm, terminal_category())
+    assert main(["verify", *target, "--exhaustive"]) == 1
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    got = {(o["suite"], o["law"]): o for o in lines if "law" in o and o["status"] != "skip"}
+    sizes = {(suite, law.name): law.size for suite, law in declared_laws(act)}
+    assert {key: o["checked"] for key, o in got.items()} == {key: sizes[key] for key in got}
+    assert {law for (suite, law), o in got.items() if suite == "double" and o["status"] == "fail"} == failing

@@ -743,15 +743,19 @@ def proofs_that_hold(act, budget):
 
 
 def small_crossed_modules():
-    """Every crossed module on a pair of catalogue groups with |G| |H| <= 12."""
+    """(name, xm) for every crossed module on a pair of catalogue groups with
+    |G| |H| <= 12, named G-H-k as in the benchmark sweep."""
     catalog = small_group_catalog()
     return [
-        xm
-        for _, g in catalog
-        for _, h in catalog
+        (f"{gn}-{hn}-{k}", xm)
+        for gn, g in catalog
+        for hn, h in catalog
         if g.order * h.order <= 12
-        for xm in enumerate_crossed_modules(g, h)
+        for k, xm in enumerate(enumerate_crossed_modules(g, h))
     ]
+
+
+SMALL_XMS = small_crossed_modules()
 
 
 class TestProvedLaws:
@@ -770,11 +774,15 @@ class TestProvedLaws:
                 within = {**budget, "max_exhaustive": 300_000} if name == "xm2" and not budget else budget
                 assert proofs_that_hold(act, within) == PROVED
 
-    def test_the_small_crossed_modules_are_proved_and_report_as_walked(self):
-        xms = small_crossed_modules()
-        assert len(xms) == 57  # the benchmark sweep's modules
-        for xm in xms:
-            assert proofs_that_hold(adjoint_action(xm), SWEEP_BUDGET) == PROVED, xm
+    def test_the_benchmark_sweep_has_57_small_crossed_modules(self):
+        assert len(SMALL_XMS) == 57
+
+    # the adjoint action, which the benchmark sweep verifies, and the trivial
+    # action on the arrow category, which no adjoint action acts on
+    @pytest.mark.parametrize("xm", [xm for _, xm in SMALL_XMS], ids=[name for name, _ in SMALL_XMS])
+    def test_the_small_crossed_modules_are_proved_and_report_as_walked(self, xm):
+        for act in (adjoint_action(xm), trivial_strict_action(xm, ARROW)):
+            assert proofs_that_hold(act, SWEEP_BUDGET) == PROVED, act.category
 
     @pytest.mark.parametrize(
         "category",
