@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import chain, groupby
 from operator import getitem, itemgetter
 
@@ -179,14 +179,99 @@ def compose_squares(s1: TDSquare, s2: TDSquare, axis: str) -> TDSquare:
 
 def picker(idx):
     """row -> (row[i] for i in idx) as a tuple: one itemgetter call when idx
-    has two entries or more (itemgetter() raises, itemgetter(i) gives row[i]).
-    On the order-12 module that call takes the proof of h-boundary from
-    0.38 to 0.16 s and that of v-boundary from 0.17 to 0.04 s, against the
-    one form tuple(map(row.__getitem__, idx)) (best of 5, Python 3.11.7 on
-    2 cores)."""
+    has two entries or more (itemgetter() raises, itemgetter(i) gives row[i])."""
     if len(idx) > 1:
         return itemgetter(*idx)
     return lambda row: tuple(row[i] for i in idx)
+
+
+class DoubleTables:
+    """The lookup tables of the double laws, and seven conditions on them
+    that double_laws proves five laws from, each read once, on first use.
+    natc[p][x] is the component at x of pair p, by_g[g] the row of g |> -,
+    after[f] the morphisms that compose after f, and ct[a][b] is a after b,
+    or -1 when they do not compose; its last column (index -1) is all -1,
+    so composing with a miss is again a miss. Write W(g) = by_g[g],
+    n_p(x) = natc[p][x], u.v = ct[u][v], and g, b for a pair p's ends in G."""
+
+    def __init__(self, d: TransDoubleCat):
+        act, c, xm, n_h = d.act, d.category, d.xm, d.xm.h.order
+        self.act_m, self.act_o, self.c, self.xm = act.act_mor, act.act_obj, c, xm
+        self.natc = list(map(picker(c.identity), act.act_mor))
+        self.by_g = [act.act_mor[gm * n_h + xm.h.identity] for gm in xm.g.elements()]
+        self.ct = [[-1] * (c.n_morphisms + 1) for _ in c.morphisms()]
+        for (a, b), ab in c.comp.items():
+            self.ct[a][b] = ab
+        self.after = [[f2 for f2 in c.morphisms() if c.src[f2] == c.tgt[f]] for f in c.morphisms()]
+        self.ends = [(p, p // n_h, b) for p, b in enumerate(xm.pair_targets)]  # (p, g, b)
+
+    @cached_property
+    def split(self) -> bool:
+        """1: p|>f = W(b)(f).n_p(x) = n_p(y).W(g)(f) for every p and f: x -> y."""
+        row, at_src, at_tgt = self.ct.__getitem__, picker(self.c.src), picker(self.c.tgt)
+        return all(
+            self.act_m[p] == tuple(map(getitem, map(row, self.by_g[b]), at_src(self.natc[p])))
+            == tuple(map(getitem, map(row, at_tgt(self.natc[p])), self.by_g[g]))
+            for p, g, b in self.ends
+        )
+
+    @cached_property
+    def functorial(self) -> bool:
+        """2: every composable (f1, f2) has a composite, and W(g)(f2.f1) =
+        W(g)(f2).W(g)(f1) for every g."""
+        f1s = [f1 for f1, f2s in enumerate(self.after) for _ in f2s]
+        f2s = [f2 for f2s in self.after for f2 in f2s]
+        tops = list(map(getitem, map(self.ct.__getitem__, f2s), f1s))
+        at_f1, at_f2, at_top, row = picker(f1s), picker(f2s), picker(tops), self.ct.__getitem__
+        return -1 not in tops and all(
+            at_top(w) == tuple(map(getitem, map(row, at_f2(w)), at_f1(w))) for w in self.by_g
+        )
+
+    @cached_property
+    def stacking(self) -> bool:
+        """3: n_stack(p1,c)(z) = n_p2(z).n_p1(z), where p2 = (b1, c), for
+        every p1, label c and object z."""
+        natc, row, n_h = self.natc, self.ct.__getitem__, self.xm.h.order
+        return all(
+            natc[stack[c]] == tuple(map(getitem, map(row, natc[b1 * n_h + c]), natc[p1]))
+            for (p1, _, b1), stack in zip(self.ends, self.xm.pair_stacks) for c in self.xm.h.elements()
+        )
+
+    @cached_property
+    def multiplicative(self) -> bool:
+        """4: (p s)|> = p|> o s|> for every p and generator s of
+        xm.pair_tree, and p (d s) = (p d) s for every p and edge (d, s)."""
+        act_m, pt, pairs = self.act_m, self.xm.pair_products, range(self.xm.npairs)
+        gens, edges = self.xm.pair_tree
+        return all(
+            act_m[pt[p][s]] == then_s(act_m[p]) for s in gens for then_s in [picker(act_m[s])] for p in pairs
+        ) and all(pt[p][pt[d][s]] == pt[pt[p][d]][s] for d, s in edges for p in pairs)
+
+    @cached_property
+    def targets_multiply(self) -> bool:
+        """5: the target of p1 p2 is b1 b2, for every p1 and p2."""
+        gt, tgt = self.xm.g.table, self.xm.pair_targets
+        return all(
+            tgt[p12] == gt[b1][b2] for b1, row in zip(tgt, self.xm.pair_products) for p12, b2 in zip(row, tgt)
+        )
+
+    @cached_property
+    def unit_pairs_multiply(self) -> bool:
+        """6: (g1, 1) (g2, 1) = (g1 g2, 1) for every g1 and g2."""
+        n_h, e, pt = self.xm.h.order, self.xm.h.identity, self.xm.pair_products
+        return all(
+            pt[g1 * n_h + e][g2 * n_h + e] == g12 * n_h + e for g1, row in enumerate(self.xm.g.table)
+            for g2, g12 in enumerate(row)
+        )
+
+    @cached_property
+    def components_typed(self) -> bool:
+        """7: n_p(x) runs from g|>x to b|>x, for every p and object x."""
+        at_src, at_tgt, act_o = self.c.src.__getitem__, self.c.tgt.__getitem__, self.act_o
+        return all(
+            tuple(map(at_src, nat)) == act_o[g] and tuple(map(at_tgt, nat)) == act_o[b]
+            for nat, (_, g, b) in zip(self.natc, self.ends)
+        )
 
 
 def double_laws(d: TransDoubleCat) -> list[Law]:
@@ -197,20 +282,13 @@ def double_laws(d: TransDoubleCat) -> list[Law]:
     Horizontal pasting multiplies labels in H and composes tops in C, so its
     unit and associativity laws are those of H's table and C's composition,
     which group_from_table and category_from_tables already check."""
-    act = d.act
-    xm, c = d.xm, d.category
-    g, h = xm.g, xm.h
-    src, tgt = c.src, c.tgt
-    n_h, npairs = h.order, xm.npairs
-    act_m, act_o = act.act_mor, act.act_obj
-    pairs, mors, hs = range(npairs), c.morphisms(), range(n_h)
+    xm, c, t = d.xm, d.category, DoubleTables(d)
+    g, src, tgt, n_h, npairs = xm.g, c.src, c.tgt, xm.h.order, xm.npairs
+    act_m, act_o, natc, by_g, ct, after = t.act_m, t.act_o, t.natc, t.by_g, t.ct, t.after
+    pairs, mors, hs, unit_p = range(npairs), c.morphisms(), range(n_h), xm.pair_unit
     # the pair arithmetic on pair indices: pt[p1][p2] is the product p1 * p2,
     # stacks[p][c] is the label c stacked on p, pair_tgt[p] is p's target in G
     pt, stacks, pair_tgt = xm.pair_products, xm.pair_stacks, xm.pair_targets
-    after = [[f2 for f2 in mors if src[f2] == tgt[f]] for f in mors]  # tops composing after f
-    natc, by_g, ct = _double_tables(d)
-
-    unit_p = xm.pair_unit
 
     def v_unit(insts, fail) -> None:
         for p, f in insts:
@@ -255,28 +333,6 @@ def double_laws(d: TransDoubleCat) -> list[Law]:
             if act_m[p][top] != ct[act_m[p2][f2]][act_m[p1][f1]]:
                 fail((p1, f1, p2, f2))
 
-    # per p1, whether every row of p1 holds: the rows of one label c2 as one
-    # tuple comparison over the composable (f1, f2); computed once, on first
-    # use, for the proofs of h-boundary and interchange
-    @cache
-    def rows_hold():
-        f1s = [f1 for f1 in mors for _ in after[f1]]
-        f2s = [f2 for f1 in mors for f2 in after[f1]]
-        tops = [ct[f2][f1] for f1, f2 in zip(f1s, f2s)]
-        composable = -1 not in tops
-        col = list(zip(*ct))  # col[b][a] = ct[a][b]
-        at_f1, at_f2, at_top = picker(f1s), picker(f2s), picker(tops)
-        verdicts = []
-        for p1 in pairs:
-            stack, first_p2 = stacks[p1], pair_tgt[p1] * n_h
-            cols = at_f1([col[a] for a in act_m[p1]])  # col[act_m[p1][f1]] per (f1, f2)
-            verdicts.append(composable and all(
-                at_top(act_m[stack[c2]])
-                == tuple(map(getitem, cols, at_f2(act_m[first_p2 + c2])))
-                for c2 in hs
-            ))
-        return verdicts
-
     def v_boundary(insts, fail) -> None:
         for p2, f2, p1 in insts:
             pv = pt[p1][p2]
@@ -285,23 +341,6 @@ def double_laws(d: TransDoubleCat) -> list[Law]:
                 or act_m[pv][f2] != act_m[p1][act_m[p2][f2]]
             ):
                 fail((p1, p2, f2))
-
-    # per p2, whether v-boundary's clause 2 holds at every (p1, f), as one
-    # row per p1; computed once, on first use, for the proofs of v-boundary
-    # and v-assoc
-    @cache
-    def compositions_hold():
-        return [  # then_p2: row -> row[act_m[p2][f]] for each f
-            all(act_m[pt[p1][p2]] == then_p2(act_m[p1]) for p1 in pairs)
-            for p2, then_p2 in enumerate(map(picker, act_m))
-        ]
-
-    # v-boundary: clause 2 at every (p1, p2, f) as above, and clause 1 once
-    # for each (p1, p2), since it does not read f
-    def v_boundary_holds():
-        return all(compositions_hold()) and all(
-            pair_tgt[pt[p1][p2]] == g.table[pair_tgt[p1]][pair_tgt[p2]] for p1 in pairs for p2 in pairs
-        )
 
     # associativity, vertical: s3 on top, then s2, then s1
     def v_assoc(insts, fail) -> None:
@@ -369,132 +408,88 @@ def double_laws(d: TransDoubleCat) -> list[Law]:
                     shown = tuple(None if v < 0 else v for v in composites)
                     fail((g2, c2, g1, c1, f), f"composites {shown} expected {exp}")
 
-    # The proofs, which run_laws reads before it walks a law (see
-    # report.Law). rows_hold() compares the two sides of every h-boundary
-    # instance, and v_boundary_holds() both clauses of every v-boundary
-    # instance; _six_composites_by_object proves six-composites.
+    # The proofs (see report.Law), sufficient and not necessary, from the
+    # conditions 1-7 of DoubleTables, none of which assumes xm.lawful. C's
+    # table is typed, complete and associative (category_from_tables), so a
+    # chain whose neighbours compose has one composite however grouped; each
+    # step below turns a composite that exists (act_m has no -1) into one
+    # that exists. (g1, h1) (g2, h2) = (g1 g2, h1 (g1 |> h2)); the label c
+    # stacks on (g, h) as (g, c h).
     #
-    # Pairs multiply as (g1, h1) (g2, h2) = (g1 g2, h1 (g1 |> h2)), and the
-    # label c stacks on (g, h) as (g, c h).
+    # h-boundary, from 1, 2 and 3 (the bifunctor lemma): at a row
+    # (p1, f1, p2, f2), f1: x -> y and f2: y -> z compose by 2, and with
+    # p2 = (b1, c) and p = stack(p1, c), whose source is g1,
+    #   p|>(f2.f1) = n_p(z).W(g1)(f2).W(g1)(f1)          by 1 at p, then 2
+    #              = n_p2(z).n_p1(z).W(g1)(f2).W(g1)(f1)  by 3
+    #              = n_p2(z).W(b1)(f2).W(b1)(f1).n_p1(x)  by 1 at (p1, f2), (p1, f1)
+    #              = (p2|>f2).(p1|>f1)                    by 1 at p2 and p1.
     #
-    # v-assoc: clause 1, (p1 p2) p3 = p1 (p2 p3), is the associativity of
-    # the semidirect product when xm.lawful: both G parts are g1 g2 g3, and
-    # both H parts h1 (g1 |> h2) ((g1 g2) |> h3), by respects-product and
-    # composition. Clause 2, act_m[p2][act_m[p3][f]] = act_m[p2 p3][f], is
-    # v-boundary's clause 2 at (p2, p3), which compositions_hold()[p3]
-    # asserts for every p2 and f.
+    # v-boundary, from 4 and 5: clause 1 is 5. Clause 2, (p q)|> = p|> o q|>,
+    # holds at every generator q by 4, and if at d for every p, then at
+    # q = d s for every edge (d, s), by 4:
+    #   (p q)|> = ((p d) s)|> = (p d)|> o s|> = p|> o d|> o s|> = p|> o q|>,
+    # so at every pair, by induction along the edges.
     #
-    # interchange: "rows not composable" and "rows not stackable" at a row
-    # (pa, fa, pb, fb) fail h-boundary's equation at it (an entry of act_m
-    # is a morphism, so never -1), which rows_hold()[pa] asserts for every
-    # row of pa. Write pa = (ga, ha), hb for pb's label, pc = (gc, hc) and
-    # pd = (bnd(hc) gc, cd). The two sides of the pair equation have G part
-    # gc ga, and H parts
+    # v-assoc, from xm.lawful and 4: clause 2 is v-boundary's at (p2, p3).
+    # Clause 1, (p1 p2) p3 = p1 (p2 p3), is the associativity of the
+    # semidirect product when xm.lawful: both G parts are g1 g2 g3, both H
+    # parts h1 (g1 |> h2) ((g1 g2) |> h3), by respects-product and composition.
+    #
+    # interchange, from xm.lawful and h-boundary's proof: "rows not
+    # composable" and "rows not stackable" at a row (pa, fa, pb, fb) fail
+    # h-boundary's equation at it. Write pa = (ga, ha), hb for pb's label,
+    # pc = (gc, hc) and pd = (bnd(hc) gc, cd). The two sides of the pair
+    # equation have G part gc ga, and H parts
     #   stack(pc, cd) (ga, hb ha):      cd hc (gc |> hb) (gc |> ha)
     #   stack(pc pa, label of pd pb):   cd ((bnd(hc) gc) |> hb) hc (gc |> ha)
     # by respects-product; they agree by composition and peiffer at
     # (hc, gc |> hb).
+    #
+    # six-composites, from 1, 2, 4, 5, 6 and 7: at (p2, p1, f), f: x -> y,
+    # p = p2 p1 has source g2 g1, and b1, b2, b are the targets of p1, p2, p.
+    # The composites, each of which must be exp = p|>f, are
+    #   c1 = n_p2(b1|>y).(W(g2)(n_p1(y)).W(g2 g1)(f))
+    #   c2 = W(b2)(n_p1(y)).(n_p2(g1|>y).W(g2 g1)(f))
+    #   c3 = n_p2(b1|>y).(W(g2 b1)(f).W(g2)(n_p1(x)))
+    #   c4 = W(b2 b1)(f).(n_p2(b1|>x).W(g2)(n_p1(x)))
+    #   c5 = W(b2)(n_p1(y)).(W(b2 g1)(f).n_p2(g1|>x))
+    #   c6 = W(b2 b1)(f).(W(b2)(n_p1(x)).n_p2(g1|>x))
+    # (a) 1 at p: p|>f = W(b)(f).n_p(x) = n_p(y).W(g2 g1)(f).
+    # (b) W(k)(n_p1(y)).W(k g1)(f) = W(k b1)(f).W(k)(n_p1(x)) for every k,
+    #     as W(k) o W(j) = W(k j) by clause 2 and 6, so by 2, W(k) takes the
+    #     two sides of 1 at (p1, f) to these.
+    # (c) n_p(x) = p2|>n_p1(x) = n_p2(b1|>x).W(g2)(n_p1(x)) = W(b2)(n_p1(x)).
+    #     n_p2(g1|>x), by clause 2, then 1 at (p2, n_p1(x)): g1|>x -> b1|>x (7).
+    # (d) b = b2 b1 by 5.
+    # Regrouping, c1 = n_p(y).W(g2 g1)(f) = exp by (c) and (a), and c3 = c1
+    # by (b) at g2; c2 = exp the same way; c6 = W(b)(f).n_p(x) = exp by (c),
+    # (d) and (a), and c4 = c6 by (c); c5 = c6 by (b) at b2.
     return [
         product_law("v-unit", v_unit, pairs, mors),
-        Law("h-boundary", npairs * row_block, row_at, h_boundary, rows, proved=lambda: all(rows_hold())),
-        replace(product_law("v-boundary", v_boundary, pairs, mors, pairs), proved=v_boundary_holds),
+        Law(
+            "h-boundary", npairs * row_block, row_at, h_boundary, rows,
+            proved=lambda: t.split and t.functorial and t.stacking,
+        ),
+        replace(
+            product_law("v-boundary", v_boundary, pairs, mors, pairs),
+            proved=lambda: t.multiplicative and t.targets_multiply,
+        ),
         replace(
             product_law("v-assoc", v_assoc, pairs, pairs, pairs, mors),
-            proved=lambda: xm.lawful and all(compositions_hold()),
+            proved=lambda: xm.lawful and t.multiplicative,
         ),
         Law(
             "interchange", npairs * row_block * npairs * n_h, grid_at, interchange, grids,
-            proved=lambda: xm.lawful and all(rows_hold()),
+            proved=lambda: xm.lawful and t.split and t.functorial and t.stacking,
         ),
         replace(
             product_law("six-composites", six_composites, g.elements(), hs, g.elements(), hs, mors),
-            proved=lambda: _six_composites_by_object(d),
+            proved=lambda: (
+                t.split and t.functorial and t.multiplicative and t.targets_multiply
+                and t.unit_pairs_multiply and t.components_typed
+            ),
         ),
     ]
-
-
-def _double_tables(d: TransDoubleCat):
-    """(natc, by_g, ct) for the double laws: natc[p][x] is the component at
-    x of pair p, by_g[g] is the row of g |> - on morphisms, and ct[a][b] is
-    a after b, or -1 when they do not compose; ct's last column (index -1)
-    is all -1, so composing with a miss is again a miss."""
-    act, c, h = d.act, d.category, d.xm.h
-    natc = [[row[i] for i in c.identity] for row in act.act_mor]
-    by_g = [act.act_mor[gm * h.order + h.identity] for gm in d.xm.g.elements()]
-    ct = [[-1] * (c.n_morphisms + 1) for _ in c.morphisms()]
-    for (a, b), ab in c.comp.items():
-        ct[a][b] = ab
-    return natc, by_g, ct
-
-
-def _six_composites_by_object(d: TransDoubleCat) -> bool:
-    """Whether every block (p1, p2) of six-composites is decided by object,
-    which proves the law; False at the first block that is not.
-
-    Write W(g) = by_g[g], n_p(x) = natc[p][x], u.v = ct[u][v], and take f
-    from x to y. For p = p2 p1, whose G part is g2 g1 by the pair product,
-    with b1, b2, b the targets of p1, p2, p, the six composites are
-
-      c1 = n_p2(b1|>y).(W(g2)(n_p1(y)).W(g2 g1)(f))
-      c2 = W(b2)(n_p1(y)).(n_p2(g1|>y).W(g2 g1)(f))
-      c3 = n_p2(b1|>y).(W(g2 b1)(f).W(g2)(n_p1(x)))
-      c4 = W(b2 b1)(f).(n_p2(b1|>x).W(g2)(n_p1(x)))
-      c5 = W(b2)(n_p1(y)).(W(b2 g1)(f).n_p2(g1|>x))
-      c6 = W(b2 b1)(f).(W(b2)(n_p1(x)).n_p2(g1|>x))
-
-    and each must be exp = p|>f. The block holds when
-      (a) split[p]: p|>f = W(b)(f).n_p(x) = n_p(y).W(g2 g1)(f) for every f;
-      (b) nat_ok[g] at g = g2 and at g = b2: inner1 = inner3, that is
-          W(g)(n_p1(y)).W(g g1)(f) = W(g b1)(f).W(g)(n_p1(x)) for every f;
-      (c) inner4 = inner6 = natc[p]: n_p2(b1|>x).W(g2)(n_p1(x)) =
-          W(b2)(n_p1(x)).n_p2(g1|>x) = n_p(x) for every object x;
-      (d) b = b2 b1.
-    C's table is typed and associative (category_from_tables checks both),
-    so u.(v.w) = (u.v).w, either side a miss exactly when u and v or v and
-    w do not compose. Substituting, then:
-      c1 = (n_p2(b1|>y).W(g2)(n_p1(y))).W(g2 g1)(f) = n_p(y).W(g2 g1)(f)
-         = exp by (c) and (a), and c3 = c1 by (b) at g2;
-      c2 = (W(b2)(n_p1(y)).n_p2(g1|>y)).W(g2 g1)(f) = exp the same way;
-      c6 = W(b)(f).n_p(x) = exp by (c), (d) and (a), and c4 = c6 by (c);
-      c5 = (W(b2)(n_p1(y)).W(b2 g1)(f)).n_p2(g1|>x)
-         = (W(b2 b1)(f).W(b2)(n_p1(x))).n_p2(g1|>x) = c6 by (b) at b2.
-    (a) needs both of its equations: with the first only, c1, c2 and c3
-    can agree with each other and differ from exp. The conditions are
-    sufficient, not necessary: a block may hold and fail one of them."""
-    act, xm, c = d.act, d.xm, d.category
-    g, n_h = xm.g, xm.h.order
-    src, tgt, objects = c.src, c.tgt, c.objects()
-    act_o = act.act_obj
-    pt, pair_tgt = xm.pair_products, xm.pair_targets
-    natc, by_g, ct = _double_tables(d)
-    split = [
-        act.act_mor[p]
-        == tuple([ct[a][nat[x]] for a, x in zip(by_g[pair_tgt[p]], src)])
-        == tuple([ct[nat[y]][a] for y, a in zip(tgt, by_g[p // n_h])])
-        for p, nat in enumerate(natc)
-    ]
-    for p1 in range(xm.npairs):
-        g1, b1, nat1 = p1 // n_h, pair_tgt[p1], natc[p1]
-        o_1, o_b1 = act_o[g1], act_o[b1]
-        per_g = []  # (W(g)(n_p1(x)) by object, nat_ok) per g
-        for gm in g.elements():
-            wn = [by_g[gm][nat1[x]] for x in objects]
-            inner1 = [ct[wn[y]][a] for y, a in zip(tgt, by_g[g.table[gm][g1]])]
-            inner3 = [ct[a][wn[x]] for x, a in zip(src, by_g[g.table[gm][b1]])]
-            per_g.append((wn, inner1 == inner3))
-        for g2 in g.elements():
-            w2n, nat_ok = per_g[g2]
-            for p2 in range(g2 * n_h, g2 * n_h + n_h):
-                b2, nat2, p = pair_tgt[p2], natc[p2], pt[p2][p1]
-                wb2n, nat_ok_b2 = per_g[b2]
-                inner4 = [ct[nat2[ob]][w] for ob, w in zip(o_b1, w2n)]
-                inner6 = [ct[w][nat2[o]] for w, o in zip(wb2n, o_1)]
-                if not (
-                    split[p] and nat_ok and nat_ok_b2
-                    and inner4 == inner6 == natc[p] and pair_tgt[p] == g.table[b2][b1]
-                ):
-                    return False
-    return True
 
 
 def verify_double_category(
@@ -625,33 +620,17 @@ class NestedInclusions:
 
 
 def nested_inclusions(d: TransDoubleCat) -> NestedInclusions:
-    act = d.act
-    xm, c = d.xm, d.category
-    n_mor = c.n_morphisms
-
+    xm, c, n_mor, gs = d.xm, d.category, d.category.n_morphisms, d.xm.g.elements()
     gpd0, gpd2 = d.obj_groupoid, d.mor_groupoid
-    mor_g_table = tuple(
-        act.act_mor[xm.pair_index(gamma, xm.h.identity)] for gamma in xm.g.elements()
-    )
-    gpd1 = transformation_groupoid(xm.g, n_mor, mor_g_table)
-
-    first_obj = tuple(c.identity[x] for x in c.objects())
-    first_mor = tuple(
-        gamma * n_mor + c.identity[x]
-        for gamma in xm.g.elements()
-        for x in c.objects()
-    )
-    second_mor = tuple(
-        xm.pair_index(gamma, xm.h.identity) * n_mor + f
-        for gamma in xm.g.elements()
-        for f in range(n_mor)
-    )
-
+    units = [xm.pair_index(gamma, xm.h.identity) for gamma in gs]  # the pairs (gamma, 1)
+    gpd1 = transformation_groupoid(xm.g, n_mor, tuple(d.act.act_mor[p] for p in units))
+    first_mor = tuple(gamma * n_mor + c.identity[x] for gamma in gs for x in c.objects())
+    second_mor = tuple(p * n_mor + f for p in units for f in range(n_mor))
     second_image = set(second_mor)
     nonfull = [divmod(m, n_mor) for m in gpd2.morphisms() if m not in second_image]
     return NestedInclusions(
         gpd0, gpd1, gpd2,
-        first_obj, first_mor, second_mor,
+        tuple(c.identity), first_mor, second_mor,
         not nonfull, nonfull[:DEFAULT_CAP],
     )
 

@@ -120,6 +120,27 @@ class CrossedModule:
         return tuple(tuple(index(*stack(p, c)) for c in hs) for p in self.pairs())
 
     @cached_property
+    def pair_tree(self) -> tuple[list[int], list[tuple[int, int]]]:
+        """(gens, edges) reaching every pair: each generator is the first
+        pair not yet reached, each edge (d, s) reaches pair_products[d][s]
+        from a generator s and a pair d reached before (in a group, each
+        generator after the first at least doubles what is reached)."""
+        pt, reached = self.pair_products, [False] * self.npairs
+        gens, edges = [], []
+        for r in range(self.npairs):
+            if not reached[r]:
+                gens.append(r)
+                reached[r] = True
+                queue = [q for q in range(self.npairs) if reached[q]]
+                for d in queue:  # grows as it is walked
+                    for s in gens:
+                        if not reached[q := pt[d][s]]:
+                            reached[q] = True
+                            edges.append((d, s))
+                            queue.append(q)
+        return gens, edges
+
+    @cached_property
     def lawful(self) -> bool:
         """The boundary is a homomorphism, G acts on H by automorphisms, and
         equivariance and peiffer hold: the laws homomorphism, bijective,

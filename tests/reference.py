@@ -10,7 +10,9 @@ table-level code against them:
   nat_trans_of, checked independently of strict_action_laws;
 * the groupoid laws, re-run on an action groupoid by the checked
   constructor category_from_tables;
-* the unit and inverse squares of a transformation double category;
+* the unit and inverse squares of a transformation double category, and
+  the multiplicativity of its vertical pasting in the pair at every pair of
+  pairs (clause 2 of the law v-boundary);
 * the unit squares of the quintet calculus, the second face formula of
   horizontal pasting, and the inverse of embed_morphism;
 * the pair index and identity morphisms of the categorical group.
@@ -202,6 +204,18 @@ def v_identity_square(act: StrictAction, f: int) -> TDSquare:
 def vertical_inverse_square(s: TDSquare) -> TDSquare:
     """Inverse for vertical pasting: the pair inverse over the acted edge."""
     return TDSquare(s.act, *s.act.xm.pair_inv((s.gamma, s.chi)), s.bottom())
+
+
+def pairs_act_multiplicatively(act: StrictAction) -> bool:
+    """(p1 p2) |> f = p1 |> (p2 |> f) for every pair of pairs and every
+    morphism f, the pairs multiplied by pair_mul."""
+    xm, am = act.xm, act.act_mor
+    for p1 in xm.pairs():
+        for p2 in xm.pairs():
+            row = am[xm.pair_index(*xm.pair_mul(p1, p2))]
+            if row != tuple(am[xm.pair_index(*p1)][m] for m in am[xm.pair_index(*p2)]):
+                return False
+    return True
 
 
 # --- quintet squares ----------------------------------------------------------

@@ -19,6 +19,7 @@ from xmodcat.report import Report, run_laws
 from xmodcat.serialize import load_action
 from xmodcat.suites import quintet_laws, run_all
 from xmodcat.transform import (
+    DoubleTables,
     TDSquare,
     build_transformation_double,
     compose_squares,
@@ -41,7 +42,9 @@ from xmodcat.xmod import (
     xm_sym3,
     xmod_identity,
 )
-from reference import h_identity_square, v_identity_square, validate_groupoid, vertical_inverse_square
+from reference import (
+    h_identity_square, pairs_act_multiplicatively, v_identity_square, validate_groupoid, vertical_inverse_square,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -579,12 +582,43 @@ def aimed_mutant(act, aim: str):
     return make_strict_action(xm, c, act.act_obj, table)
 
 
+def typed_mutant(act, seed: int, kind: str):
+    """The action with act_mor changed where a random entry would mostly
+    break typing: "swap" copies a seeded row over another, "permute"
+    shuffles a seeded row among the positions of each hom-set, and "hom"
+    replaces a seeded entry by another morphism of its hom-set."""
+    rng = random.Random(seed)
+    c = act.category
+    table = [list(row) for row in act.act_mor]
+    homs: dict[tuple[int, int], list[int]] = {}
+    for f in c.morphisms():
+        homs.setdefault((c.src[f], c.tgt[f]), []).append(f)
+    p = rng.randrange(len(table))
+    row = table[p]
+    if kind == "swap":
+        table[p] = list(table[rng.choice([q for q in range(len(table)) if q != p])])
+    elif kind == "permute":
+        for positions in homs.values():
+            values = [row[f] for f in positions]
+            rng.shuffle(values)
+            for f, v in zip(positions, values):
+                row[f] = v
+    else:
+        f = rng.choice([f for f in c.morphisms() if len(homs[c.src[row[f]], c.tgt[row[f]]]) > 1])
+        row[f] = rng.choice([m for m in homs[c.src[row[f]], c.tgt[row[f]]] if m != row[f]])
+    assert table != [list(row) for row in act.act_mor], "the mutant changes nothing"
+    return make_strict_action(act.xm, c, act.act_obj, table)
+
+
 def mutant(act, seed: int, entries):
     """act_mor_mutant for an int `entries`; ("act_obj", k) overwrites k
-    seeded act_obj entries, and ("aim", a) is aimed_mutant(act, a)."""
+    seeded act_obj entries, ("aim", a) is aimed_mutant(act, a), and
+    ("typed", kind) is typed_mutant(act, seed, kind)."""
     if isinstance(entries, int):
         return act_mor_mutant(act, seed, entries)
     kind, arg = entries
+    if kind == "typed":
+        return typed_mutant(act, seed, arg)
     return act_obj_mutant(act, seed, arg) if kind == "act_obj" else aimed_mutant(act, arg)
 
 
@@ -699,7 +733,8 @@ def report_facts(rep: Report):
 
 # DOUBLE_PINS' mutants, more xm2, xm3 and xm4 mutants, and one xm2 mutant
 # whose h-boundary, v-boundary and six-composites pass the 100-witness cap;
-# then act_obj mutants and the mutants aimed at six-composites' conditions
+# then act_obj mutants, the mutants aimed at six-composites' conditions, and
+# typed mutants, which keep more entries typed than a random entry does
 XM2_BUDGET = {"max_exhaustive": 50_000, "samples": 300}
 MUTANT_CASES = [(name, seed, entries, budget) for name, seed, entries, budget, *_ in DOUBLE_PINS] + [
     ("xm2", 1, 3, XM2_BUDGET),
@@ -710,6 +745,13 @@ MUTANT_CASES = [(name, seed, entries, budget) for name, seed, entries, budget, *
     pytest.param("xm2", 3, ("act_obj", 1), XM2_BUDGET, id="xm2-act_obj-3-1"),
     pytest.param("xm4", 1, ("act_obj", 2), {}, id="xm4-act_obj-1-2"),
     *(pytest.param("xm2", 0, ("aim", aim), XM2_BUDGET, id=f"xm2-aim-{aim}") for aim in "abc"),
+    *(
+        pytest.param(name, seed, ("typed", kind), budget, id=f"{name}-{kind}-{seed}")
+        for name, seed, kind, budget in [
+            ("xm1", 0, "swap", {}), ("xm2", 1, "swap", XM2_BUDGET), ("xm1", 1, "permute", {}),
+            ("xm3", 1, "permute", {}), ("xm1", 1, "hom", {}), ("xm3", 0, "hom", {}),
+        ]
+    ),
 ]
 VERIFY_BUDGET = {"samples": 100_000, "max_exhaustive": 10_000_000}  # verify's defaults
 SWEEP_BUDGET = {"samples": 1000, "max_exhaustive": 10_000}  # verify's in the benchmark sweep
@@ -843,6 +885,13 @@ class TestProvedLaws:
             pytest.param("arrow", "xm3", 0, ("act_obj", 1), id="arrow-xm3-act_obj-0-1"),
             pytest.param("arrow", "xm4", 1, ("act_obj", 2), id="arrow-xm4-act_obj-1-2"),
             *(pytest.param("adjoint", "xm4", 0, ("aim", aim), id=f"adjoint-xm4-aim-{aim}") for aim in "abc"),
+            *(
+                pytest.param("adjoint", name, seed, ("typed", kind), id=f"adjoint-{name}-{kind}-{seed}")
+                for name, seed, kind in [
+                    ("xm1", 2, "swap"), ("xm2", 3, "swap"), ("xm1", 3, "permute"), ("xm3", 2, "permute"),
+                    ("xm1", 3, "hom"), ("xm3", 1, "hom"),
+                ]
+            ),
         ],
     )
     def test_seeded_mutants_fail_what_they_change(self, all_xms, base, name, seed, entries):
@@ -860,18 +909,37 @@ class TestProvedLaws:
         assert failing >= ({"six-composites"} if act.act_mor == lawful.act_mor else table_laws)
 
 
-# six-composites is proved by object, without its per-f walk, when the
-# conditions listed in transform._six_composites_by_object hold
-class TestSixCompositesByObject:
+# the seven conditions of transform.DoubleTables, from which double_laws
+# proves h-boundary, v-boundary, v-assoc, interchange and six-composites
+CONDITIONS = (
+    "split", "functorial", "stacking", "multiplicative", "targets_multiply", "unit_pairs_multiply",
+    "components_typed",
+)
+# one object and the morphisms 0 (its identity), 1 and 2 composing as Z/3
+Z3_MONOID = category_from_tables(1, [(0, 0)] * 3, [0], [(a, b, (a + b) % 3) for a in range(3) for b in range(3)])
+
+
+def failing_conditions(act) -> set[str]:
+    tables = DoubleTables(build_transformation_double(act, validate=False))
+    return {name for name in CONDITIONS if not getattr(tables, name)}
+
+
+def double_proofs_that_hold(act) -> set[str]:
+    """The double laws whose proof holds on act, after checking that each
+    proved law reports the same with its proof as without it."""
+    return proofs_that_hold(act, SWEEP_BUDGET) - {"face-formulas-agree", "grid-interchange"}
+
+
+class TestDoubleTables:
     # a condition that never holds, say a tuple compared with a list, keeps
-    # every verdict and only makes the law slow; on lawful actions the proof
-    # must hold
-    def test_lawful_actions_are_decided_by_object(self, all_xms):
+    # every verdict and only makes the laws slow; on lawful actions every
+    # condition must hold, and on no morphism at all none may raise
+    def test_every_condition_holds_on_lawful_actions(self, all_xms):
         order_12 = xmod_identity(direct_product(symmetric(3), cyclic(2)))
         acts = [adjoint_action(xm) for _, xm in all_xms] + [adjoint_action(order_12)]
-        acts += [trivial_strict_action(xm, ARROW) for _, xm in all_xms]
+        acts += [trivial_strict_action(xm, c) for _, xm in all_xms for c in (ARROW, category_from_tables(0, [], [], []))]
         for act in acts:
-            assert transform._six_composites_by_object(build_transformation_double(act, validate=False)), act
+            assert failing_conditions(act) == set(), act
 
     # objects 0 and 1, an arrow a: 0 -> 1 and an idempotent e at 0 (a.e = a);
     # the one pair of the trivial module sends id1 to e and a, e to id0, so
@@ -884,16 +952,87 @@ class TestSixCompositesByObject:
         )
         act = make_strict_action(xmod_identity(trivial_group()), cat, [[0, 1]], [[0, 3, 0, 0]])
         d = build_transformation_double(act, validate=False)
-        assert not transform._six_composites_by_object(d)
+        assert "split" in failing_conditions(act)
         [six] = [law for law in double_laws(d) if law.name == "six-composites"]
         rep = run_laws(Report(), "double", [six])
         assert report_facts(rep) == report_facts(run_laws(Report(), "double", [replace(six, proved=None)]))
         assert [v.detail for v in rep.violations] == ["composites (3, 3, 3, 0, 0, 0) expected 0"]
 
-    # broken_xm's pair targets are not multiplicative, so condition (d)
-    # fails on some blocks; acting trivially, every composite is still exp
+    # broken_xm's pair targets are not multiplicative, so condition 5 fails;
+    # acting trivially, every composite is still exp
     def test_a_law_that_fails_a_condition_but_holds_passes(self, broken_xm):
-        d = build_transformation_double(trivial_strict_action(broken_xm, ARROW), validate=False)
-        assert not transform._six_composites_by_object(d)
-        six = [law for law in double_laws(d) if law.name == "six-composites"]
+        act = trivial_strict_action(broken_xm, ARROW)
+        assert failing_conditions(act) == {"targets_multiply"}
+        six = [law for law in double_laws(build_transformation_double(act, validate=False)) if law.name == "six-composites"]
         assert run_laws(Report(), "double", six).ok
+
+    # the trivial group acting on Z/2 by swapping its elements, so the unit
+    # of G moves the unit of H: condition 6 alone fails, and six-composites
+    # is walked, and holds, on the trivial action of the arrow category
+    def test_a_module_whose_unit_moves_the_unit_label_is_walked(self):
+        one, z2 = trivial_group(), cyclic(2)
+        xm = make_crossed_module(one, z2, make_homomorphism(z2, one, [0, 0]), make_action(one, z2, [[1, 0]]))
+        act = trivial_strict_action(xm, ARROW)
+        assert failing_conditions(act) == {"unit_pairs_multiply"}
+        assert double_proofs_that_hold(act) == {"h-boundary", "v-boundary"}
+        assert verify_double_category(build_transformation_double(act, validate=False)).count("six-composites") == 0
+
+    # the trivial module acting on Z/3 by t -> t, t^2 -> 1, which fixes the
+    # identity and is idempotent but sends t.t = t^2 to 1, not to t.t: only
+    # condition 2 fails, so h-boundary, interchange and six-composites are
+    # walked, and the first two find it
+    def test_a_translation_that_is_not_a_functor_is_walked(self):
+        act = make_strict_action(xmod_identity(trivial_group()), Z3_MONOID, [[0]], [[0, 1, 0]])
+        assert failing_conditions(act) == {"functorial"}
+        assert double_proofs_that_hold(act) == {"v-boundary", "v-assoc"}
+        rep = verify_double_category(build_transformation_double(act, validate=False))
+        assert rep.count("h-boundary") == 4 and rep.count("interchange") == 4
+
+    # the flip module acting on Z/3 with the label's component t, so that
+    # stacking the label twice gives the unit pair, whose component is 1,
+    # but composing its component twice gives t^2: condition 3 is the only
+    # one of h-boundary's proof (1, 2, 3) that fails. On a lawful module 3
+    # follows from 1, 4, 6 and 7, so 4 fails too, and every proof is False
+    def test_components_that_do_not_stack_are_walked(self, xm3):
+        act = make_strict_action(xm3, Z3_MONOID, [[0]], [[0, 1, 2], [1, 2, 0]])
+        assert failing_conditions(act) == {"stacking", "multiplicative"}
+        assert double_proofs_that_hold(act) == set()
+        rep = verify_double_category(build_transformation_double(act, validate=False))
+        assert rep.count("h-boundary") == 9
+
+    # a trivial group acting on Z/3 by swapping 0 and 1, which is no action
+    # by automorphisms: the pair product is not associative, the tree of
+    # condition 4 reaches 1 and 2 from 0, and this action passes every
+    # generator check of 4 but fails its check of associativity and
+    # v-boundary's clause 2, which the walk finds
+    def test_generator_checks_that_pass_where_the_product_is_not_associative(self):
+        one, z3 = trivial_group(), cyclic(3)
+        xm = make_crossed_module(one, z3, make_homomorphism(z3, one, [0, 0, 0]), make_action(one, z3, [[1, 0, 2]]))
+        act = make_strict_action(xm, Z3_MONOID, [[0]], [[1, 2, 0], [2, 0, 1], [0, 1, 2]])
+        assert xm.pair_tree == ([0], [(0, 0), (1, 0)])
+        am, pt = act.act_mor, xm.pair_products
+        assert all(am[pt[p][0]] == tuple(am[p][m] for m in am[0]) for p in range(3))
+        assert "multiplicative" in failing_conditions(act) and "targets_multiply" not in failing_conditions(act)
+        assert double_proofs_that_hold(act) == set()
+        rep = verify_double_category(build_transformation_double(act, validate=False))
+        assert rep.count("v-boundary") == 18
+
+    # every pair is a generator or reached by one edge (d, s) from a
+    # generator s and a pair d reached before it; on a lawful module the
+    # proof of v-boundary's clause 2 from the tree agrees with the full
+    # comparison, on the adjoint action and on a mutant of it
+    def test_the_pair_tree_reaches_every_pair(self, all_xms, bad_xm, broken_xm):
+        order_12 = xmod_identity(direct_product(symmetric(3), cyclic(2)))
+        xms = [xm for _, xm in all_xms] + [bad_xm, broken_xm, order_12] + [xm for _, xm in SMALL_XMS]
+        for xm in xms:
+            gens, edges = xm.pair_tree
+            reached = list(gens)
+            for d, s in edges:
+                assert s in gens and d in reached
+                reached.append(xm.pair_products[d][s])
+            assert sorted(reached) == list(range(xm.npairs))
+            if xm.lawful:
+                assert 2 ** (len(gens) - 1) <= xm.npairs
+                for act in (adjoint_action(xm), act_mor_mutant(adjoint_action(xm), 0, 1)):
+                    held = "multiplicative" not in failing_conditions(act)
+                    assert held == pairs_act_multiplicatively(act), xm
