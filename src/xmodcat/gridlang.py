@@ -15,9 +15,11 @@ GridBoundaryViolation when a declared square breaks the boundary law, and
 GridAdjacencyViolation when neighbouring cells disagree on a shared edge.
 
 A well-formed sq line of canonical indices between use and grid: is read by
-one match of _SQ_LINE; every other line, and every syntax or name error,
-goes through the token walk (_tokenize, _LineParser), and both share one
-boundary check. Squares stay kernel tuples until the finished QuintetGrid.
+one match of _SQ_LINE, and a well-formed grid row of known names with no
+punctuation, quote or comment by one split into _ATOMS (_read_row). Every
+other line, and every syntax, name or adjacency error, goes through the
+token walk (_tokenize, _LineParser, _walk_sq, _walk_row), which reports it.
+Both sq paths share one boundary check, which makes the square a Quintet.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from pathlib import Path
 
 from .errors import BoundaryViolation, XmodcatError
 from .groups import FiniteGroup
-from .quintet import Quintet, QuintetGrid, Square, SquareKernel, make_square
+from .quintet import Quintet, QuintetGrid, Square, SquareKernel, _quintet, make_square
 from .serialize import FixtureFormatError, load_xmod, read_json, xmod_from_obj, xmod_to_obj
 
 
@@ -59,6 +61,8 @@ class GridAdjacencyViolation(DslError):
 # comment or an unmatched quote stops the scan. Spaces and tabs are the only
 # characters no alternative matches, so finditer steps over them.
 _ATOM = r'[^ \t"#()=,;:]+'
+_ATOMS = re.compile(_ATOM)
+_PLAIN = re.compile(r'[^"#()=,;:]*')  # a line that holds atoms alone
 _TOKEN = re.compile(rf'"(?P<string>[^"]*)"|(?P<punct>[()=,;:])|(?P<atom>{_ATOM})|(?P<stop>[#"])')
 # a whole sq line the token walk would accept: groups name, left, top, right,
 # bottom, face; a reference keeps its quotes
@@ -154,11 +158,11 @@ def _resolve_elem(
 
 
 def _declare(
-    k: SquareKernel, squares: dict[str, Square], name: str, sq: Square, lineno: int, face_col: int
+    k: SquareKernel, squares: dict[str, Quintet], name: str, sq: Square, lineno: int, face_col: int
 ) -> None:
-    """squares[name] = sq, once sq passes the boundary check."""
+    """squares[name] = the Quintet of sq, once sq passes the boundary check."""
     try:
-        squares[name] = k.checked(sq)
+        squares[name] = _quintet(k.xm, k.checked(sq))
     except BoundaryViolation as exc:
         raise GridBoundaryViolation(f"square {name!r}: {exc}", lineno, face_col) from exc
 
@@ -184,6 +188,41 @@ def _walk_sq(
     _declare(k, squares, name, (*edges, face), lineno, face_tok[2])
 
 
+def _read_row(raw: str, squares: dict[str, Quintet], rows: list[list[Quintet]]) -> list[Quintet] | None:
+    """The squares of a grid row of known names with no punctuation, quote or
+    comment, whose length and shared edges fit the rows above; else None,
+    and the token walk reads the row."""
+    try:
+        row = [squares[name] for name in _ATOMS.findall(raw)] if _PLAIN.fullmatch(raw) else None
+    except KeyError:
+        return None
+    if row and all(a[2] == b[0] for a, b in zip(row, row[1:])) and (
+        not rows or len(row) == len(rows[0]) and all(a[3] == b[1] for a, b in zip(rows[-1], row))
+    ):
+        return row
+    return None
+
+
+def _walk_row(lp: _LineParser, squares: dict[str, Quintet], rows: list[list[Quintet]]) -> list[Quintet]:
+    """The token walk of a grid row: its squares, or the first error in it."""
+    lineno, row = lp.lineno, []
+    while lp.peek() is not None:
+        _, name, col, _ = lp.take("atom", "square name")
+        if name not in squares:
+            raise UnknownNameError(f"unknown square {name!r}", lineno, col)
+        row.append(squares[name])
+    if rows and len(row) != len(rows[0]):
+        raise DslSyntaxError(f"row has {len(row)} cells, expected {len(rows[0])}", lineno, lp.toks[0][2])
+    for j, (sq, tok) in enumerate(zip(row, lp.toks)):  # one token a cell
+        if j > 0 and row[j - 1][2] != sq[0]:
+            msg = f"left edge {sq[0]} does not match neighbour's right edge {row[j - 1][2]}"
+            raise GridAdjacencyViolation(msg, lineno, tok[2])
+        if rows and rows[-1][j][3] != sq[1]:
+            msg = f"top edge {sq[1]} does not match the edge above {rows[-1][j][3]}"
+            raise GridAdjacencyViolation(msg, lineno, tok[2])
+    return row
+
+
 @dataclass
 class GridDocument:
     grid: QuintetGrid
@@ -196,17 +235,21 @@ def parse_document(text: str, base_dir=".") -> GridDocument:
     k: SquareKernel | None = None  # set by the use directive
     xmod_ref: str | None = None
     aliases: dict[str, tuple[str, int]] = {}
-    squares: dict[str, Square] = {}
-    rows: list[list[tuple[Square, int]]] = []  # each cell with its column
+    squares: dict[str, Quintet] = {}
+    rows: list[list[Quintet]] = []
     in_grid = False
     lines = text.splitlines()
 
     for lineno, raw in enumerate(lines, start=1):
+        if in_grid:
+            row = _read_row(raw, squares, rows)
+            if row is not None:
+                rows.append(row)
+                continue
         # one match reads a well-formed sq line of canonical indices; a
         # duplicate square, an alias, a name or any other index takes the
         # token walk, which resolves or reports it
-        m = k is not None and not in_grid and _SQ_LINE.fullmatch(raw)
-        if m:
+        elif k is not None and (m := _SQ_LINE.fullmatch(raw)):
             name, left, top, right, bottom, face = m.groups()
             sq = (g_at.get(left), g_at.get(top), g_at.get(right), g_at.get(bottom), h_at.get(face))
             if None not in sq and name not in squares:
@@ -218,32 +261,7 @@ def parse_document(text: str, base_dir=".") -> GridDocument:
         lp = _LineParser(toks, lineno)
 
         if in_grid:
-            row: list[tuple[Square, int]] = []
-            while lp.peek() is not None:
-                _, name, col, _ = lp.take("atom", "square name")
-                if name not in squares:
-                    raise UnknownNameError(f"unknown square {name!r}", lineno, col)
-                row.append((squares[name], col))
-            if rows and len(row) != len(rows[0]):
-                raise DslSyntaxError(
-                    f"row has {len(row)} cells, expected {len(rows[0])}", lineno, toks[0][2]
-                )
-            for j, (sq, col) in enumerate(row):
-                if j > 0 and row[j - 1][0][2] != sq[0]:
-                    raise GridAdjacencyViolation(
-                        f"left edge {sq[0]} does not match neighbour's right "
-                        f"edge {row[j - 1][0][2]}",
-                        lineno,
-                        col,
-                    )
-                if rows and rows[-1][j][0][3] != sq[1]:
-                    raise GridAdjacencyViolation(
-                        f"top edge {sq[1]} does not match the edge above "
-                        f"{rows[-1][j][0][3]}",
-                        lineno,
-                        col,
-                    )
-            rows.append(row)
+            rows.append(_walk_row(lp, squares, rows))
             continue
 
         _, head, head_col, _ = lp.take("atom", "directive")
@@ -256,7 +274,7 @@ def parse_document(text: str, base_dir=".") -> GridDocument:
                 xm = load_xmod(base / ref)
             except FixtureFormatError as exc:
                 raise DslSyntaxError(str(exc), lineno, ref_col) from exc
-            k = SquareKernel(xm)
+            k = xm.kernel
             # canonical index text to index, for the edges and for the face
             g_at = {str(v): v for v in xm.g.elements()}
             h_at = {str(v): v for v in xm.h.elements()}
@@ -291,17 +309,14 @@ def parse_document(text: str, base_dir=".") -> GridDocument:
 
     if not in_grid or not rows:
         raise DslSyntaxError("missing grid section", len(lines) + 1, 1)
-    cells = [[sq for sq, _ in row] for row in rows]
-    quintets = {sq: Quintet(k.xm, *sq) for sq in set().union(*cells)}
-    grid = QuintetGrid([[quintets[sq] for sq in row] for row in cells])
-    return GridDocument(grid, xmod_ref or "", tuple(squares))
+    return GridDocument(QuintetGrid(rows), xmod_ref or "", tuple(squares))
 
 
 def serialize_grid(grid: QuintetGrid, xmod_ref: str) -> str:
     """Canonical text form: raw indices, squares named in first-use order."""
     # keyed by the square's tuple: a Quintet hashes its whole crossed module,
     # and the grid has one module for every cell
-    cells = [[sq.as_tuple() for sq in row] for row in grid.cells]
+    cells = [[sq[:5] for sq in row] for row in grid.cells]
     names: dict[Square, str] = {}
     for row in cells:
         for sq in row:

@@ -15,22 +15,23 @@ rectangular grid of adjacent squares has one well-defined value; see
 evaluate_grid.
 
 The arithmetic lives in one integer kernel, SquareKernel(xm), which reads
-the crossed module's g, h, action and boundary tables and works on plain
+the crossed module's g, h, action and boundary tables and works on
 (left, top, right, bottom, face) tuples. It holds the only copy of the forced
-bottom edge, the two pastings and the two inverses. Every square it pastes or
-inverts is re-checked against the boundary law by table lookups; on a
-mismatch it calls make_square, which raises the BoundaryViolation the checked
-layer would. It does not check adjacency: its callers do, wherever adjacency
-is not true by construction. Making one costs a few attribute reads, so a
-law loop makes one per crossed module and a checked call one per call.
+bottom edge, the two pastings, the two inverses and the boundary check,
+which re-checks every square it pastes or inverts by table lookups and
+raises the BoundaryViolation of the checked layer. It does not check
+adjacency: its callers do, wherever adjacency is not true by construction.
+Each crossed module builds one, CrossedModule.kernel, on first use.
 
 Quintet, make_square, square_from_edges, compose_h, compose_v and invert are
-the checked layer on top: they reject squares over different crossed modules
-and non-adjacent pastes, and return Quintets. A QuintetGrid checks its shape,
-crossed module and adjacency once, when it is built, so evaluate_grid folds
-its cells on the kernel with no check of its own. The verification suite's
-law loops run on the kernel; its embed-compose law and the five-square-strip
-oracle go through the checked layer.
+the checked layer on top: they reject out-of-range squares, squares over
+different crossed modules and non-adjacent pastes, and return Quintets. A
+Quintet is the tuple (left, top, right, bottom, face, xm), so the kernel
+reads it as it is. A QuintetGrid checks its shape, crossed module and
+adjacency once, when it is built, so evaluate_grid folds its cells on the
+kernel with no check of its own. The verification suite's law loops run on
+the kernel; its embed-compose law and the five-square-strip oracle go
+through the checked layer.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import random
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
+from operator import itemgetter
 
 from .catgroup import Mor2G
 from .errors import BoundaryViolation, MixedStructures, NotAdjacent
@@ -48,39 +50,54 @@ from .xmod import CrossedModule
 Square = tuple  # (left, top, right, bottom, face)
 
 
-@dataclass(frozen=True)
-class Quintet:
-    xm: CrossedModule
-    left: int
-    top: int
-    right: int
-    bottom: int
-    face: int
+class Quintet(tuple):
+    """A square over xm: the tuple (left, top, right, bottom, face, xm) with
+    named fields. It equals only another Quintet with equal entries (xm by
+    identity first), hashes as its tuple, and cannot be changed."""
+
+    __slots__ = ()
+    left, top, right, bottom, face, xm = (property(itemgetter(i)) for i in range(6))
+
+    def __new__(cls, xm: CrossedModule, left: int, top: int, right: int, bottom: int, face: int):
+        return tuple.__new__(cls, (left, top, right, bottom, face, xm))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Quintet) and tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+    def __getnewargs__(self):  # copy and pickle call __new__ with these
+        return self[5], *self[:5]
+
+    def __repr__(self) -> str:
+        return "Quintet(xm={5!r}, left={0!r}, top={1!r}, right={2!r}, bottom={3!r}, face={4!r})".format(*self)
 
     def edges(self) -> tuple[int, int, int, int]:
-        return self.left, self.top, self.right, self.bottom
+        return self[:4]
 
     def as_tuple(self) -> Square:
-        return self.left, self.top, self.right, self.bottom, self.face
+        return self[:5]
+
+
+def _quintet(xm: CrossedModule, sq: Square) -> Quintet:
+    """The Quintet of a kernel tuple over xm, with no checks."""
+    return tuple.__new__(Quintet, sq + (xm,))
 
 
 def make_square(
     xm: CrossedModule, left: int, top: int, right: int, bottom: int, face: int
 ) -> Quintet:
     """Checked constructor enforcing the boundary law."""
+    sq, n_g = (left, top, right, bottom, face), xm.g.order
     for e in (left, top, right, bottom):
-        if not is_index(e, xm.g.order):
-            raise BoundaryViolation(f"edge {e!r} out of range", (left, top, right, bottom, face))
+        if not is_index(e, n_g):
+            raise BoundaryViolation(f"edge {e!r} out of range", sq)
     if not is_index(face, xm.h.order):
-        raise BoundaryViolation(f"face {face!r} out of range", (left, top, right, bottom, face))
-    g = xm.g
-    word = g.prod(bottom, right, g.inverse[top], g.inverse[left])
-    if xm.bnd(face) != word:
-        raise BoundaryViolation(
-            f"bnd(face)={xm.bnd(face)} but bottom*right*top^-1*left^-1={word}",
-            (left, top, right, bottom, face),
-        )
-    return Quintet(xm, left, top, right, bottom, face)
+        raise BoundaryViolation(f"face {face!r} out of range", sq)
+    return _quintet(xm, xm.kernel.checked(sq))
 
 
 # --- the integer kernel -----------------------------------------------------
@@ -89,8 +106,9 @@ def make_square(
 class SquareKernel:
     """Square arithmetic on plain (left, top, right, bottom, face) tuples over
     one crossed module, read straight from its g, h, action and boundary
-    tables. hcomp(a, b) needs a.right == b.left and vcomp(upper, lower)
-    needs upper.bottom == lower.top; neither checks it."""
+    tables; an operand may also be a Quintet, read as its tuple. hcomp(a, b)
+    needs a.right == b.left and vcomp(upper, lower) needs upper.bottom ==
+    lower.top; neither checks it."""
 
     __slots__ = ("xm", "gt", "gi", "ht", "hi", "act", "bnd")
 
@@ -100,11 +118,15 @@ class SquareKernel:
         self.act, self.bnd = xm.action.table, xm.boundary.map
 
     def checked(self, sq: Square) -> Square:
-        """sq, once it satisfies the boundary law; else make_square raises."""
+        """sq, an in-range tuple, once it satisfies the boundary law; else
+        BoundaryViolation."""
         gt, gi = self.gt, self.gi
         left, top, right, bottom, face = sq
-        if self.bnd[face] != gt[gt[gt[bottom][right]][gi[top]]][gi[left]]:
-            make_square(self.xm, *sq)  # raises the checked layer's BoundaryViolation
+        word = gt[gt[gt[bottom][right]][gi[top]]][gi[left]]
+        if self.bnd[face] != word:
+            raise BoundaryViolation(
+                f"bnd(face)={self.bnd[face]} but bottom*right*top^-1*left^-1={word}", sq
+            )
         return sq
 
     def square(self, left: int, top: int, right: int, face: int) -> Square:
@@ -114,33 +136,29 @@ class SquareKernel:
 
     def hcomp(self, a: Square, b: Square) -> Square:
         """b pasted right of a; face a.face * ((a.left * a.top * a.right^-1) |> b.face)."""
-        gt = self.gt
-        left, top, right, bottom, face = a
-        w = gt[gt[left][top]][self.gi[right]]
+        gt, left, top = self.gt, a[0], a[1]
+        w = gt[gt[left][top]][self.gi[a[2]]]
         return self.checked(
-            (left, gt[top][b[1]], b[2], gt[bottom][b[3]], self.ht[face][self.act[w][b[4]]])
+            (left, gt[top][b[1]], b[2], gt[a[3]][b[3]], self.ht[a[4]][self.act[w][b[4]]])
         )
 
     def vcomp(self, upper: Square, lower: Square) -> Square:
         """lower pasted under upper; face lower.face * (lower.left |> upper.face)."""
-        gt = self.gt
-        left, top, right, bottom, face = lower
+        gt, left = self.gt, lower[0]
         return self.checked((
-            gt[left][upper[0]], upper[1], gt[right][upper[2]], bottom,
-            self.ht[face][self.act[left][upper[4]]],
+            gt[left][upper[0]], upper[1], gt[lower[2]][upper[2]], lower[3],
+            self.ht[lower[4]][self.act[left][upper[4]]],
         ))
 
     def hinv(self, sq: Square) -> Square:
         """The inverse of sq under hcomp."""
-        left, top, right, bottom, face = sq
-        w = self.gi[bottom]
-        return self.checked((right, self.gi[top], left, w, self.act[w][self.hi[face]]))
+        w = self.gi[sq[3]]
+        return self.checked((sq[2], self.gi[sq[1]], sq[0], w, self.act[w][self.hi[sq[4]]]))
 
     def vinv(self, sq: Square) -> Square:
         """The inverse of sq under vcomp."""
-        left, top, right, bottom, face = sq
-        w = self.gi[left]
-        return self.checked((w, bottom, self.gi[right], top, self.act[w][self.hi[face]]))
+        w = self.gi[sq[0]]
+        return self.checked((w, sq[3], self.gi[sq[2]], sq[1], self.act[w][self.hi[sq[4]]]))
 
     def hface_alt(self, a: Square, b: Square) -> int:
         """The face of hcomp(a, b) by the other formula, (a.bottom |> b.face) * a.face."""
@@ -157,7 +175,7 @@ def square_from_edges(
 
     The bottom edge is forced: bottom = bnd(face) * left * top * right^-1.
     """
-    return Quintet(xm, *SquareKernel(xm).square(left, top, right, face))
+    return _quintet(xm, xm.kernel.square(left, top, right, face))
 
 
 def _same_xm(xa: CrossedModule, xb: CrossedModule) -> CrossedModule:
@@ -171,7 +189,7 @@ def compose_h(a: Quintet, b: Quintet) -> Quintet:
     xm = _same_xm(a.xm, b.xm)
     if a.right != b.left:
         raise NotAdjacent(f"a.right={a.right} but b.left={b.left}")
-    return Quintet(xm, *SquareKernel(xm).hcomp(a.as_tuple(), b.as_tuple()))
+    return _quintet(xm, xm.kernel.hcomp(a, b))
 
 
 def compose_v(upper: Quintet, lower: Quintet) -> Quintet:
@@ -179,16 +197,16 @@ def compose_v(upper: Quintet, lower: Quintet) -> Quintet:
     xm = _same_xm(upper.xm, lower.xm)
     if upper.bottom != lower.top:
         raise NotAdjacent(f"upper.bottom={upper.bottom} but lower.top={lower.top}")
-    return Quintet(xm, *SquareKernel(xm).vcomp(upper.as_tuple(), lower.as_tuple()))
+    return _quintet(xm, xm.kernel.vcomp(upper, lower))
 
 
 def invert(sq: Quintet, axis: str) -> Quintet:
     """Inverse square along "horizontal" or "vertical" (aliases "h"/"v")."""
-    k = SquareKernel(sq.xm)
+    xm = sq.xm
     if axis in ("h", "horizontal"):
-        return Quintet(sq.xm, *k.hinv(sq.as_tuple()))
+        return _quintet(xm, xm.kernel.hinv(sq))
     if axis in ("v", "vertical"):
-        return Quintet(sq.xm, *k.vinv(sq.as_tuple()))
+        return _quintet(xm, xm.kernel.vinv(sq))
     raise ValueError(f"unknown axis {axis!r}")
 
 
@@ -223,18 +241,16 @@ class QuintetGrid:
         for i, row in enumerate(rows):
             if len(row) != len(rows[0]):
                 raise NotAdjacent(f"row {i} has {len(row)} cells, expected {len(rows[0])}")
-            for j, sq in enumerate(row):
-                if sq.xm is not xm and sq.xm != xm:
+            for j, sq in enumerate(row):  # (left, top, right, bottom, face, xm)
+                if sq[5] is not xm and sq[5] != xm:
                     raise MixedStructures(f"cell ({i},{j}) uses a different crossed module")
-                if j > 0 and row[j - 1].right != sq.left:
+                if j > 0 and row[j - 1][2] != sq[0]:
                     raise NotAdjacent(
-                        f"cells ({i},{j - 1})|({i},{j}): right edge "
-                        f"{row[j - 1].right} != left edge {sq.left}"
+                        f"cells ({i},{j - 1})|({i},{j}): right edge {row[j - 1][2]} != left edge {sq[0]}"
                     )
-                if i > 0 and rows[i - 1][j].bottom != sq.top:
+                if i > 0 and rows[i - 1][j][3] != sq[1]:
                     raise NotAdjacent(
-                        f"cells ({i - 1},{j})/({i},{j}): bottom edge "
-                        f"{rows[i - 1][j].bottom} != top edge {sq.top}"
+                        f"cells ({i - 1},{j})/({i},{j}): bottom edge {rows[i - 1][j][3]} != top edge {sq[1]}"
                     )
 
     @property
@@ -260,29 +276,29 @@ def evaluate_grid(grid: QuintetGrid, order: str = "rows") -> Quintet:
     so the fold pastes kernel tuples with no check of its own; the kernel
     still re-checks every paste against the boundary law.
     """
-    k = SquareKernel(grid.xm)
-    cells = [[sq.as_tuple() for sq in row] for row in grid.cells]
+    xm = grid.xm
+    k, cells = xm.kernel, grid.cells
     if order == "rows":
         out = reduce(k.vcomp, [reduce(k.hcomp, row) for row in cells])
     elif order == "columns":
         out = reduce(k.hcomp, [reduce(k.vcomp, col) for col in zip(*cells)])
     else:
         raise ValueError(f"unknown evaluation order {order!r}")
-    return Quintet(grid.xm, *out)
+    return _quintet(xm, out[:5])  # a 1x1 grid folds to its Quintet
 
 
 def enumerate_squares(xm: CrossedModule) -> list[Quintet]:
     """All squares: left/top/right edges and face are free, bottom is forced."""
-    square = SquareKernel(xm).square
+    square = xm.kernel.square
     gs = xm.g.elements()
-    return [Quintet(xm, *square(*free)) for free in product(gs, gs, gs, xm.h.elements())]
+    return [_quintet(xm, square(*free)) for free in product(gs, gs, gs, xm.h.elements())]
 
 
 def random_grid(
     xm: CrossedModule, n_rows: int, n_cols: int, rng: random.Random
 ) -> QuintetGrid:
     """A uniformly random adjacency-valid grid (free edges drawn uniformly)."""
-    square = SquareKernel(xm).square
+    square = xm.kernel.square
     n_g, n_h = xm.g.order, xm.h.order
     cells: list[list[Square]] = []
     for i in range(n_rows):
@@ -292,4 +308,4 @@ def random_grid(
             top = cells[i - 1][j][3] if i > 0 else rng.randrange(n_g)
             row.append(square(left, top, rng.randrange(n_g), rng.randrange(n_h)))
         cells.append(row)
-    return QuintetGrid([[Quintet(xm, *sq) for sq in row] for row in cells])
+    return QuintetGrid([[_quintet(xm, sq) for sq in row] for row in cells])

@@ -17,7 +17,7 @@ from . import catgroup
 from .action import StrictAction, coherence_laws, identity_compositor, strict_action_laws
 from .catgroup import Mor2G, mor_of
 from .errors import XmodcatError
-from .quintet import SquareKernel, compose_h, embed_morphism, square_from_edges
+from .quintet import compose_h, embed_morphism, square_from_edges
 from .groups import automorphism_action_laws, homomorphism_laws
 from .report import Law, Report, list_law, product_law, ragged, run_laws
 from .transform import (
@@ -167,7 +167,7 @@ def quintet_laws(d: TransDoubleCat) -> list[Law]:
     checked Quintet/Mor2G layer."""
     xm = d.xm
     g, h = xm.g, xm.h
-    k = SquareKernel(xm)
+    k = xm.kernel
     square, hcomp, vcomp, hinv, vinv, hface_alt = (
         k.square, k.hcomp, k.vcomp, k.hinv, k.vinv, k.hface_alt
     )
@@ -308,8 +308,7 @@ def five_square_strip(act: StrictAction, gamma: int, chi: int, f: int):
     xm = act.xm
     g, h = xm.g, xm.h
     e = g.identity
-    m = mor_of(xm, f)
-    gg, eta = m.g, m.eta
+    gg, eta = xm.pair_of(f)
     ig = g.inverse[gamma]
     strip = [
         square_from_edges(xm, e, e, e, chi),
@@ -331,12 +330,12 @@ def adjoint_laws(d: TransDoubleCat) -> list[Law]:
     def strip(insts, fail) -> None:
         for gamma, chi, f in insts:
             out = five_square_strip(act, gamma, chi, f)
-            want = mor_of(xm, act.on_mor_pair(gamma, chi, f))
+            want_g, want_eta = xm.pair_of(act.on_mor_pair(gamma, chi, f))
             if (
                 out.left != g.identity
                 or out.right != g.identity
-                or out.top != want.g
-                or out.face != want.eta
+                or out.top != want_g
+                or out.face != want_eta
             ):
                 fail((gamma, chi, f))
 

@@ -63,8 +63,8 @@ class TransDoubleCat:
     @cached_property
     def mor_groupoid(self) -> FiniteGroupoid:
         """C1//(G x| H): the morphisms of C under the semidirect pair group.
-        semidirect_group checks the pair table, so an action that is not by
-        automorphisms raises here."""
+        semidirect_group checks that the pair table is a group's, by the
+        action laws or else by the table, so one that is not raises here."""
         return transformation_groupoid(semidirect_group(self.xm), self.n_horizontal, self.act.act_mor)
 
     @property

@@ -11,7 +11,8 @@ product G x| H; the pair index (g, h) -> g*|H| + h is fixed here and reused
 by every other module. So is the pair arithmetic: pair_mul, pair_inv,
 pair_target and pair_stack give one value each, and the pair tables on pair
 indices, built on first use, give all of them; only law construction and
-semidirect_group ask for the |G x| H|^2 product table.
+semidirect_group ask for the |G x| H|^2 product table. The square kernel,
+quintet.SquareKernel, is built once per module too, as CrossedModule.kernel.
 """
 
 from __future__ import annotations
@@ -120,6 +121,13 @@ class CrossedModule:
         return tuple(tuple(index(*stack(p, c)) for c in hs) for p in self.pairs())
 
     @cached_property
+    def kernel(self):
+        """The module's quintet.SquareKernel, shared by every square over it."""
+        from .quintet import SquareKernel  # quintet imports this module
+
+        return SquareKernel(self)
+
+    @cached_property
     def pair_tree(self) -> tuple[list[int], list[tuple[int, int]]]:
         """(gens, edges) reaching every pair: each generator is the first
         pair not yet reached, each edge (d, s) reaches pair_products[d][s]
@@ -226,10 +234,28 @@ def xmod_trivial_boundary(action: GroupAction) -> CrossedModule:
 
 
 def semidirect_group(xm: CrossedModule) -> FiniteGroup:
-    """The pair group G x| H under (g1,h1)*(g2,h2) = (g1 g2, h1 (g1 |> h2))."""
+    """The pair group G x| H under (g1,h1)*(g2,h2) = (g1 g2, h1 (g1 |> h2)).
+
+    When G acts on H by automorphisms the pair tables are a group's, so they
+    are used with no |G x| H|^3 re-check; else group_from_table checks the
+    table and raises what it finds. G and H are groups and the action table
+    is in range (see CrossedModule.lawful). Write g.h for g |> h:
+    - associativity: the tail of (g1,h1)((g2,h2)(g3,h3)) is h1 g1.(h2 g2.h3)
+      = h1 (g1.h2) (g1 g2).h3 by respects-product and composition, the tail
+      of ((g1,h1)(g2,h2))(g3,h3);
+    - unit: e.h = h by unit, and g.e = e as g.e = (g.e)(g.e) by
+      respects-product, so (e,e)(g,h) = (g,h) = (g,h)(e,e);
+    - inverses: pair_inv(g,h) = (g^-1, g^-1.h^-1) is a right inverse by
+      composition and unit, and a left one by respects-product and g.e = e.
+      (bijective follows from composition and unit.)
+    """
     names = None
     if xm.g.names is not None or xm.h.names is not None:
-        names = [f"({xm.g.name_of(g)}|{xm.h.name_of(h)})" for g, h in xm.pairs()]
+        names = tuple(f"({xm.g.name_of(g)}|{xm.h.name_of(h)})" for g, h in xm.pairs())
+    if run_laws(Report(), "semidirect", automorphism_action_laws(xm.action)).ok and (
+        names is None or len(set(names)) == len(names)  # else group_from_table raises
+    ):
+        return FiniteGroup(xm.pair_products, xm.pair_unit, xm.pair_inverses, names)
     return group_from_table(xm.pair_products, identity=xm.pair_unit, names=names)
 
 

@@ -14,7 +14,9 @@ from xmodcat.gridlang import (
     GridBoundaryViolation,
     UnknownNameError,
     _LineParser,
+    _read_row,
     _tokenize,
+    _walk_row,
     _walk_sq,
     grid_from_obj,
     grid_to_obj,
@@ -371,7 +373,7 @@ class TestSqFastPath:
         lp = _LineParser(_tokenize(line, EQUIV_LINENO), EQUIV_LINENO)
         assert lp.take("atom", "directive")[1] == "sq"
         _walk_sq(lp, k, dict(EQUIV_ALIASES), squares)
-        return squares["A"]
+        return squares["A"].as_tuple()
 
     def through_document(self, line):
         return parse_document(EQUIV_TEXT.format(line), base_dir=GRIDS).grid.cells[0][0].as_tuple()
@@ -419,3 +421,105 @@ class TestSqFastPath:
         with pytest.raises(UnknownNameError) as exc:
             parse_document(text, base_dir=tmp_path)
         assert str(exc.value) == "line 2, col 22: index 1 out of range for a group of order 1"
+
+
+# grid rows over xm1, below five declared squares: A and C meet themselves on
+# every side, Dd and E have top edge 1, and P\xa0Q (a no-break space, which
+# str.split would split and _ATOM does not) is a copy of C
+ROW_HEAD = (
+    'use "../xm1.json"\nsq A = (1, 0, 1, 0 ; 1)\nsq C = (0, 0, 0, 0 ; 0)\n'
+    "sq Dd = (0, 1, 0, 1 ; 0)\nsq E = (1, 1, 1, 1 ; 0)\nsq P\xa0Q = (0, 0, 0, 0 ; 0)\n"
+)
+ROW_A, ROW_C = (1, 0, 1, 0, 1), (0, 0, 0, 0, 0)
+ROW_CASES = {  # grid section -> cells, or the error's class, line, column and message
+    "unknown name": ("grid:\nC C C\nC Zz C\n", (UnknownNameError, 9, 3, "unknown square 'Zz'")),
+    "one cell too many": ("grid:\nC C\nC C C\n", (DslSyntaxError, 9, 1, "row has 3 cells, expected 2")),
+    "one cell too few": ("grid:\nA A A\n  A A\n", (DslSyntaxError, 9, 3, "row has 2 cells, expected 3")),
+    "left/right mismatch": (
+        "grid:\nC C C\nC  C A\n",
+        (GridAdjacencyViolation, 9, 6, "left edge 1 does not match neighbour's right edge 0"),
+    ),
+    "top/bottom mismatch": (
+        "grid:\nC C C\nC Dd C\n",
+        (GridAdjacencyViolation, 9, 3, "top edge 1 does not match the edge above 0"),
+    ),
+    "trailing comment": ("grid:\nA A  # note\nA A# x\n", [[ROW_A] * 2] * 2),
+    "trailing comment, bad row": (
+        "grid:\nA A\nA C # note\n",
+        (GridAdjacencyViolation, 9, 3, "left edge 0 does not match neighbour's right edge 1"),
+    ),
+    "tabs": ("grid:\nA\tA\n\tA \tA\t\n", [[ROW_A] * 2] * 2),
+    "tabs, bad row": (
+        "grid:\nC\tC\nC\t\tDd\n",
+        (GridAdjacencyViolation, 9, 4, "top edge 1 does not match the edge above 0"),
+    ),
+    # splitlines, not the row reader, breaks a line at \f
+    "form feed": ("grid:\nA\fA\n", [[ROW_A]] * 2),
+    "form feed, bad row": ("grid:\nA A\nA\fA\n", (DslSyntaxError, 9, 1, "row has 1 cells, expected 2")),
+    "no-break space in a name": ("grid:\nP\xa0Q C\nC P\xa0Q\n", [[ROW_C] * 2] * 2),
+    "no-break space, unknown": ("grid:\nQ\xa0P\n", (UnknownNameError, 8, 1, "unknown square 'Q\\xa0P'")),
+    "unit separator in a name": ("sq P\x1fQ = (0,0,0,0;0)\ngrid:\nP\x1fQ C\nC P\x1fQ\n", [[ROW_C] * 2] * 2),
+    "blank rows": ("grid:\n\nA A\n  \n\t\nA A\n\n", [[ROW_A] * 2] * 2),
+}
+
+
+def row_outcome(body):
+    """The cells of ROW_HEAD + body as tuples, or its error's class, line,
+    column and message (without its position prefix)."""
+    try:
+        grid = parse_document(ROW_HEAD + body, base_dir=GRIDS).grid
+    except DslError as exc:
+        return type(exc), exc.line, exc.col, str(exc).split(": ", 1)[1]
+    return [[sq.as_tuple() for sq in row] for row in grid.cells]
+
+
+ROW_NAMES = ("A", "A", "C", "C", "Dd", "E", "Zz", "P\xa0Q", '"C"', "A#", "(", "AC")
+ROW_SEPARATORS = (" ", " ", "\t", "  ", " \t", "")
+ROW_ENDINGS = ("", "", " ", "\t", "  # note", "#c")
+
+
+def corpus_row(rng: random.Random) -> str:
+    """A row to read below C C C: most often A A A or C C C, else names drawn
+    from ROW_NAMES, some unknown or not a name at all, with odd separators."""
+    if rng.random() < 0.5:
+        names = [rng.choice("AC")] * 3
+    else:
+        names = [rng.choice(ROW_NAMES) for _ in range(rng.choice((2, 3, 3, 4)))]
+    seps = [rng.choice(ROW_SEPARATORS) if rng.random() < 0.2 else " " for _ in names[1:]]
+    body = names[0] + "".join(sep + name for sep, name in zip(seps, names[1:]))
+    return rng.choice(("", "", " ", "\t")) + body + rng.choice(ROW_ENDINGS)
+
+
+class TestGridRows:
+    """A well-formed grid row is read in one step; every row must give what
+    the token walk gives, with the same error class, line, column and
+    message."""
+
+    @pytest.mark.parametrize("body, want", ROW_CASES.values(), ids=ROW_CASES.keys())
+    def test_named_cases(self, body, want):
+        assert row_outcome(body) == want
+
+    def test_seeded_corpus_reads_as_the_walk_reads_it(self, xm1):
+        squares = {
+            name: make_square(xm1, *sq)
+            for name, sq in (("A", ROW_A), ("C", ROW_C), ("Dd", (0, 1, 0, 1, 0)),
+                             ("E", (1, 1, 1, 1, 0)), ("P\xa0Q", ROW_C))
+        }
+        above = [[squares["C"]] * 3]
+
+        def walked(line):
+            try:
+                row = _walk_row(_LineParser(_tokenize(line, 9), 9), squares, above)
+            except DslError as exc:
+                return type(exc), exc.line, exc.col, str(exc).split(": ", 1)[1]
+            return [[sq.as_tuple() for sq in r] for r in above + [row]]
+
+        rng = random.Random(21)
+        lines = [corpus_row(rng) for _ in range(1500)]
+        for line in lines:
+            assert row_outcome(f"grid:\nC C C\n{line}\n") == walked(line), repr(line)
+        # both readers are exercised, on good rows and on bad ones
+        fast = [line for line in lines if _read_row(line, squares, above) is not None]
+        assert 0.2 < len(fast) / len(lines) < 0.6
+        kinds = {r[0] if isinstance(r[0], type) else "ok" for r in map(walked, lines)}
+        assert kinds == {"ok", DslSyntaxError, UnknownNameError, GridAdjacencyViolation}

@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import itertools
 import json
+import pickle
 import random
 
 import pytest
@@ -29,7 +31,7 @@ from xmodcat.report import Report, run_laws
 from xmodcat.serialize import write_json, xmod_to_obj
 from xmodcat.suites import quintet_laws
 from xmodcat.transform import build_transformation_double
-from xmodcat.xmod import xm_cyc4
+from xmodcat.xmod import xm_cyc4, xm_sym3
 from reference import compose_h_face_alt, extract_morphism, h_identity, random_square, v_identity
 
 
@@ -64,6 +66,58 @@ class TestConstruction:
         b = h_identity(xm3, 0)
         with pytest.raises(MixedStructures):
             compose_h(a, b)
+
+
+class TestQuintetContract:
+    """A Quintet is the tuple (left, top, right, bottom, face, xm) with named
+    fields, equal only to another Quintet with equal entries."""
+
+    def test_equal_fields_over_equal_modules_are_equal_and_hash_equal(self, xm2):
+        twin = xm_sym3()
+        assert twin is not xm2 and twin == xm2
+        a, b = Quintet(xm2, 1, 2, 3, 4, 5), Quintet(twin, 1, 2, 3, 4, 5)
+        assert a == b and not a != b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != Quintet(xm2, 1, 2, 3, 4, 4) and a != Quintet(xm_cyc4(), 1, 2, 3, 0, 1)
+
+    def test_a_plain_tuple_of_its_entries_is_not_a_quintet(self, xm2):
+        q = square_from_edges(xm2, 1, 2, 3, 4)
+        for t in (q.as_tuple(), tuple(q)):
+            assert q != t and t != q and not q == t and not t == q
+            assert t not in {q} and q not in {t}
+
+    def test_fields_indexing_and_iteration(self, xm4):
+        q = square_from_edges(xm4, 0, 0, 1, 0)
+        assert (q.left, q.top, q.right, q.bottom, q.face, q.xm) == tuple(q) == (0, 0, 1, 3, 0, xm4)
+        assert q[2] == q.right and q.edges() == (0, 0, 1, 3) and q.as_tuple() == (0, 0, 1, 3, 0)
+        assert repr(q) == "Quintet(xm=CrossedModule(|G|=4, |H|=4), left=0, top=0, right=1, bottom=3, face=0)"
+        assert copy.copy(q) == q and pickle.loads(pickle.dumps(q)) == q
+
+    def test_it_cannot_be_changed(self, xm4):
+        q = square_from_edges(xm4, 0, 0, 1, 0)
+        with pytest.raises(AttributeError):
+            q.left = 2
+        with pytest.raises(AttributeError):
+            q.colour = "red"
+        assert tuple(q) == (0, 0, 1, 3, 0, xm4)
+
+    def test_the_checked_layer_keeps_its_errors(self, xm1, xm3, xm4):
+        a, b = square_from_edges(xm4, 0, 0, 1, 0), square_from_edges(xm4, 2, 0, 0, 0)
+        with pytest.raises(NotAdjacent, match=r"^a\.right=1 but b\.left=2$"):
+            compose_h(a, b)
+        c, d = square_from_edges(xm4, 0, 1, 0, 0), square_from_edges(xm4, 0, 2, 0, 0)
+        with pytest.raises(NotAdjacent, match=r"^upper\.bottom=1 but lower\.top=2$"):
+            compose_v(c, d)
+        u, v = h_identity(xm1, 0), h_identity(xm3, 0)
+        for paste in (compose_h, compose_v):
+            with pytest.raises(MixedStructures, match="^squares over different crossed modules$"):
+                paste(u, v)
+        with pytest.raises(MixedStructures, match=r"^cell \(1,0\) uses a different crossed module$"):
+            QuintetGrid([[u], [v]])
+
+    def test_a_one_cell_grid_evaluates_to_its_cell(self, xm2):
+        q = square_from_edges(xm2, 1, 2, 3, 4)
+        for order in ("rows", "columns"):
+            assert evaluate_grid(QuintetGrid([[q]]), order) == q
 
 
 class TestWorkedValues:

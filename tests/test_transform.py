@@ -13,7 +13,8 @@ from xmodcat import transform
 from xmodcat.errors import InvalidAction, MixedStructures, NotAdjacent, NotComposable
 from xmodcat.fincat import category_from_tables, terminal_category
 from xmodcat.groups import (
-    cyclic, direct_product, make_action, make_homomorphism, small_group_catalog, symmetric, trivial_group,
+    cyclic, direct_product, group_from_table, make_action, make_homomorphism, small_group_catalog, symmetric,
+    trivial_group,
 )
 from xmodcat.report import Report, run_laws
 from xmodcat.serialize import load_action
@@ -371,6 +372,35 @@ class TestPairGroupCheck:
             {"suite": "nested", "law": "nested-error", "status": "fail", "checked": 0,
              "violations": 1, "detail": "NoIdentity: index 0 is not a unit at 3"}
         ]
+
+    @staticmethod
+    def pair_names(xm):
+        if xm.g.names is None and xm.h.names is None:
+            return None
+        return tuple(f"({xm.g.name_of(g)}|{xm.h.name_of(h)})" for g, h in xm.pairs())
+
+    def test_the_pair_tables_give_the_checked_group(self, all_xms):
+        # an action by automorphisms lets semidirect_group read the pair
+        # tables with no npairs^3 check; it must build what the check builds
+        o12 = xmod_identity(direct_product(symmetric(3), cyclic(2)))
+        for xm in [xm for _, xm in all_xms] + [o12] + [xm for _, xm in SMALL_XMS]:
+            want = group_from_table(xm.pair_products, identity=xm.pair_unit, names=self.pair_names(xm))
+            assert semidirect_group(xm) == want
+
+    def test_the_order_24_pair_group_is_the_checked_one(self):
+        # group_from_table takes seconds here, so its result is rebuilt from
+        # its definition: the table, the unit, the inverse each row finds,
+        # the names, and associativity on a seeded sample of triples
+        xm = xmod_identity(symmetric(4))
+        sd, n = semidirect_group(xm), xm.npairs
+        t, e = sd.table, sd.identity
+        assert t == xm.pair_products and e == xm.pair_unit and sd.names == self.pair_names(xm)
+        assert all(t[e][x] == x == t[x][e] for x in range(n))
+        assert sd.inverse == tuple(t[a].index(e) for a in range(n))
+        assert all(t[b][a] == e for a, b in enumerate(sd.inverse))
+        rng = random.Random(24)
+        for a, b, c in (rng.choices(range(n), k=3) for _ in range(20000)):
+            assert t[t[a][b]][c] == t[a][t[b][c]]
 
     def test_a_failing_pair_group_check_runs_once(self, monkeypatch):
         calls = []
