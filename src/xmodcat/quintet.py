@@ -300,12 +300,12 @@ def random_grid(
     """A uniformly random adjacency-valid grid (free edges drawn uniformly)."""
     square = xm.kernel.square
     n_g, n_h = xm.g.order, xm.h.order
-    cells: list[list[Square]] = []
+    cells: list[list[Quintet]] = []
     for i in range(n_rows):
-        row: list[Square] = []
+        row: list[Quintet] = []
         for j in range(n_cols):
             left = row[j - 1][2] if j > 0 else rng.randrange(n_g)
             top = cells[i - 1][j][3] if i > 0 else rng.randrange(n_g)
-            row.append(square(left, top, rng.randrange(n_g), rng.randrange(n_h)))
+            row.append(_quintet(xm, square(left, top, rng.randrange(n_g), rng.randrange(n_h))))
         cells.append(row)
-    return QuintetGrid([[_quintet(xm, sq) for sq in row] for row in cells])
+    return QuintetGrid(cells)

@@ -457,6 +457,10 @@ ROW_CASES = {  # grid section -> cells, or the error's class, line, column and m
     "form feed": ("grid:\nA\fA\n", [[ROW_A]] * 2),
     "form feed, bad row": ("grid:\nA A\nA\fA\n", (DslSyntaxError, 9, 1, "row has 1 cells, expected 2")),
     "no-break space in a name": ("grid:\nP\xa0Q C\nC P\xa0Q\n", [[ROW_C] * 2] * 2),
+    "no-break space between known names": (
+        "sq P = (0,0,0,0;0)\nsq Q = (0,0,0,0;0)\ngrid:\nC C\nP\xa0Q\n",
+        (DslSyntaxError, 11, 1, "row has 1 cells, expected 2"),
+    ),
     "no-break space, unknown": ("grid:\nQ\xa0P\n", (UnknownNameError, 8, 1, "unknown square 'Q\\xa0P'")),
     "unit separator in a name": ("sq P\x1fQ = (0,0,0,0;0)\ngrid:\nP\x1fQ C\nC P\x1fQ\n", [[ROW_C] * 2] * 2),
     "blank rows": ("grid:\n\nA A\n  \n\t\nA A\n\n", [[ROW_A] * 2] * 2),
