@@ -63,26 +63,39 @@ class StrictAction:
         )
 
 
+def _check_row(name: str, i: int, row: tuple, n: int) -> None:
+    """Raise MalformedTable naming the first entry of row that is not an
+    index below n. A row of ints only, with its least entry at least 0 and
+    its largest below n, is checked at once; any other row, and so every
+    row with a bad entry, takes the per-entry walk that names it."""
+    if set(map(type, row)) == {int} and min(row) >= 0 and max(row) < n:
+        return
+    for x, v in enumerate(row):
+        if not is_index(v, n):
+            raise MalformedTable(f"{name}[{i}][{x}] = {v!r} out of range")
+
+
 def make_strict_action(xm: CrossedModule, category: FiniteCategory, act_obj, act_mor,
                        is_adjoint: bool = False) -> StrictAction:
+    """Checked constructor: act_obj has a row of object indices per element
+    of G and act_mor a row of morphism indices per pair, each as long as
+    the category has objects or morphisms. The first failure raises
+    MalformedTable; no law is checked here (see validate_strict_action)."""
     act_obj = tuple(tuple(r) for r in act_obj)
     act_mor = tuple(tuple(r) for r in act_mor)
+    n_obj, n_mor = category.n_objects, category.n_morphisms
     if len(act_obj) != xm.g.order:
         raise MalformedTable(f"act_obj has {len(act_obj)} rows, expected {xm.g.order}")
     for g, row in enumerate(act_obj):
-        if len(row) != category.n_objects:
+        if len(row) != n_obj:
             raise MalformedTable(f"act_obj row {g} has length {len(row)}")
-        for x, v in enumerate(row):
-            if not is_index(v, category.n_objects):
-                raise MalformedTable(f"act_obj[{g}][{x}] = {v!r} out of range")
+        _check_row("act_obj", g, row, n_obj)
     if len(act_mor) != xm.npairs:
         raise MalformedTable(f"act_mor has {len(act_mor)} rows, expected {xm.npairs}")
     for p, row in enumerate(act_mor):
-        if len(row) != category.n_morphisms:
+        if len(row) != n_mor:
             raise MalformedTable(f"act_mor row {p} has length {len(row)}")
-        for f, v in enumerate(row):
-            if not is_index(v, category.n_morphisms):
-                raise MalformedTable(f"act_mor[{p}][{f}] = {v!r} out of range")
+        _check_row("act_mor", p, row, n_mor)
     return StrictAction(xm, category, act_obj, act_mor, is_adjoint)
 
 
@@ -241,19 +254,24 @@ def adjoint_action(xm: CrossedModule) -> StrictAction:
 
     A pair (gamma, chi) sends (g, eta) to
     (gamma g gamma^-1, chi * (gamma |> eta) * ((gamma g gamma^-1) |> chi^-1)).
+    The formula is read off the G, H and action tables, and each row
+    tabulates its two H factors once: chi * (gamma |> eta) over eta and
+    (gamma g gamma^-1) |> chi^-1 over g. It is not derived from the pair
+    arithmetic, which the five-square oracle checks against it.
     """
     c = underlying_category(xm)
     g, h = xm.g, xm.h
-    act_obj = [[g.conj(gamma, x) for x in g.elements()] for gamma in g.elements()]
+    gt, ginv, ht, hinv, at, n_h = g.table, g.inverse, h.table, h.inverse, xm.action.table, h.order
+    act_obj = tuple(tuple(gt[gt_row[x]][ginv[gamma]] for x in g.elements())
+                    for gamma, gt_row in enumerate(gt))
     act_mor = []
-    for gamma, chi in xm.pairs():
-        ichi = h.inverse[chi]
-        row = []
-        for gg, eta in xm.pairs():
-            cg = g.conj(gamma, gg)
-            new_eta = h.table[h.table[chi][xm.act(gamma, eta)]][xm.act(cg, ichi)]
-            row.append(xm.pair_index(cg, new_eta))
-        act_mor.append(row)
+    for gamma, conj_row in enumerate(act_obj):
+        bases = [cg * n_h for cg in conj_row]  # pair index of (gamma g gamma^-1, eta) less eta
+        for chi_row, ichi in zip(ht, hinv):
+            # the H table rows of chi * (gamma |> eta), over eta
+            lefts = [ht[chi_row[a]] for a in at[gamma]]
+            tails = [at[cg][ichi] for cg in conj_row]
+            act_mor.append([base + left[t] for base, t in zip(bases, tails) for left in lefts])
     return make_strict_action(xm, c, act_obj, act_mor, is_adjoint=True)
 
 

@@ -67,7 +67,7 @@ def underlying_category(xm: CrossedModule) -> FiniteCategory:
     CrossedModule.pair_index so category morphisms and 2-group pairs share
     one index space. A boundary that is not a homomorphism raises
     ComponentInvalid naming its first violation, since no such category
-    exists.
+    exists. The composites are listed by j, then by i, in index order.
     """
     brep = validate_homomorphism(xm.boundary)
     if not brep.ok:
@@ -75,10 +75,12 @@ def underlying_category(xm: CrossedModule) -> FiniteCategory:
     n_h, stacks = xm.h.order, xm.pair_stacks
     mors = [(i // n_h, t) for i, t in enumerate(xm.pair_targets)]
     identity = [xm.pair_index(x, xm.h.identity) for x in xm.g.elements()]
+    into: list[list[int]] = [[] for _ in xm.g.elements()]  # morphisms by target
+    for i, (_, t) in enumerate(mors):
+        into[t].append(i)
     comp = [
         (j, i, stacks[i][j % n_h])  # (g1, e2*e1) for j = (g2, e2) after i = (g1, e1)
         for j, (s2, _) in enumerate(mors)
-        for i, (_, t1) in enumerate(mors)
-        if s2 == t1
+        for i in into[s2]
     ]
     return category_from_tables(xm.g.order, mors, identity, comp)

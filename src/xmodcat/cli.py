@@ -18,6 +18,7 @@ one law or validation failure, 2 unusable input (IO, JSON, grammar, usage).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -305,7 +306,14 @@ def cmd_catalog(args, out: _Out) -> int:
 
 # --- argument parsing ----------------------------------------------------------
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it.
+
+    Parsing keeps no state in the parser: each parse_args call fills a new
+    namespace, and the verb functions bound below by set_defaults are the
+    same for every call. Nothing builds it at import.
+    """
     p = argparse.ArgumentParser(
         prog="xmodcat",
         description="finite crossed modules, quintet squares, and "

@@ -8,6 +8,8 @@ non-associative or non-unital.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .errors import (
     IdentityLawViolation,
     MalformedTable,
@@ -77,6 +79,13 @@ def category_from_tables(n_objects, morphisms, identity, comp) -> FiniteCategory
     """Checked constructor.
 
     morphisms: sequence of (src, tgt) pairs; comp: sequence of (g, f, g_after_f).
+    Checks, raising on the first failure: the counts and every index are in
+    range, each identity is an endomorphism of its object, no composite is
+    given twice with different values, each composite is of a composable
+    pair and has the endpoints of one, none is missing (the table is
+    counted against the composable pairs; only a short table is walked, to
+    name the first missing pair in (f, g) order), the identity laws, and
+    associativity on every composable triple.
     """
     src = tuple(s for s, _ in morphisms)
     tgt = tuple(t for _, t in morphisms)
@@ -108,10 +117,14 @@ def category_from_tables(n_objects, morphisms, identity, comp) -> FiniteCategory
             raise TypeMismatch(f"composite ({g},{f}) defined but not composable")
         if src[r] != src[f] or tgt[r] != tgt[g]:
             raise TypeMismatch(f"composite ({g},{f}) = {r} has wrong endpoints")
-    for f in range(n_mor):
-        for g in range(n_mor):
-            if src[g] == tgt[f] and (g, f) not in table:
-                raise TypeMismatch(f"missing composite for composable pair ({g},{f})")
+    # every key of table is a distinct composable pair, so table holds all
+    # of them exactly when it is as large as their number
+    n_out, n_in = Counter(src), Counter(tgt)
+    if len(table) != sum(n_in[x] * n_out[x] for x in n_in):
+        for f in range(n_mor):
+            for g in range(n_mor):
+                if src[g] == tgt[f] and (g, f) not in table:
+                    raise TypeMismatch(f"missing composite for composable pair ({g},{f})")
 
     for f in range(n_mor):
         if table[(identity[tgt[f]], f)] != f:

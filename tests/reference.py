@@ -15,22 +15,29 @@ table-level code against them:
   pairs (clause 2 of the law v-boundary);
 * the unit squares of the quintet calculus, the second face formula of
   horizontal pasting, and the inverse of embed_morphism;
-* the pair index and identity morphisms of the categorical group.
+* the pair index and identity morphisms of the categorical group, and its
+  composition table listed by the all-pairs scan;
+* the adjoint action by its method-call formula, against which the
+  table-level adjoint_action is checked;
+* the crossed modules on small catalogue groups that the benchmark sweep
+  verifies.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
-from xmodcat.action import StrictAction, nat_component
-from xmodcat.catgroup import Mor2G
+from xmodcat.action import StrictAction, make_strict_action, nat_component
+from xmodcat.catgroup import Mor2G, underlying_category
 from xmodcat.errors import BoundaryViolation, MalformedTable, MixedStructures
 from xmodcat.fincat import FiniteCategory, category_from_tables
+from xmodcat.groups import small_group_catalog
 from xmodcat.quintet import Quintet, SquareKernel, _same_xm, square_from_edges
 from xmodcat.report import DEFAULT_CAP, Law, Report, holds, list_law, product_law, run_laws
 from xmodcat.transform import FiniteGroupoid, TDSquare
-from xmodcat.xmod import CrossedModule
+from xmodcat.xmod import CrossedModule, enumerate_crossed_modules
 
 
 # --- functors and natural transformations -----------------------------------
@@ -264,3 +271,53 @@ def mor_index(m: Mor2G) -> int:
 
 def identity_morphism(xm: CrossedModule, g: int) -> Mor2G:
     return Mor2G(xm, g, xm.h.identity)
+
+
+def underlying_comp_reference(xm: CrossedModule) -> list[tuple[tuple[int, int], int]]:
+    """((j, i), j after i) for every composable pair of the underlying
+    category, found by scanning all npairs^2 pairs, j outer and i inner."""
+    n_h, stacks = xm.h.order, xm.pair_stacks
+    mors = [(i // n_h, t) for i, t in enumerate(xm.pair_targets)]
+    return [
+        ((j, i), stacks[i][j % n_h])
+        for j, (s2, _) in enumerate(mors)
+        for i, (_, t1) in enumerate(mors)
+        if s2 == t1
+    ]
+
+
+# --- the adjoint action -------------------------------------------------------
+
+def adjoint_action_reference(xm: CrossedModule) -> StrictAction:
+    """The adjoint action by its formula, one pair at a time through conj,
+    act and pair_index: (gamma, chi) sends (g, eta) to
+    (gamma g gamma^-1, chi * (gamma |> eta) * ((gamma g gamma^-1) |> chi^-1))."""
+    c = underlying_category(xm)
+    g, h = xm.g, xm.h
+    act_obj = [[g.conj(gamma, x) for x in g.elements()] for gamma in g.elements()]
+    act_mor = []
+    for gamma, chi in xm.pairs():
+        ichi = h.inverse[chi]
+        row = []
+        for gg, eta in xm.pairs():
+            cg = g.conj(gamma, gg)
+            new_eta = h.table[h.table[chi][xm.act(gamma, eta)]][xm.act(cg, ichi)]
+            row.append(xm.pair_index(cg, new_eta))
+        act_mor.append(row)
+    return make_strict_action(xm, c, act_obj, act_mor, is_adjoint=True)
+
+
+# --- the benchmark sweep's crossed modules --------------------------------------
+
+@functools.cache
+def small_crossed_modules() -> tuple[tuple[str, CrossedModule], ...]:
+    """(name, xm) for every crossed module on a pair of catalogue groups with
+    |G| |H| <= 12, named G-H-k as in the benchmark sweep."""
+    catalog = small_group_catalog()
+    return tuple(
+        (f"{gn}-{hn}-{k}", xm)
+        for gn, g in catalog
+        for hn, h in catalog
+        if g.order * h.order <= 12
+        for k, xm in enumerate(enumerate_crossed_modules(g, h))
+    )

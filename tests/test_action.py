@@ -15,8 +15,18 @@ from xmodcat.action import (
 from xmodcat.catgroup import mor_of, underlying_category
 from xmodcat.errors import MalformedTable
 from xmodcat.fincat import category_from_tables, terminal_category
+from xmodcat.groups import cyclic, direct_product, symmetric
 from xmodcat.suites import five_square_strip
-from reference import functor_compose, functor_of, nat_trans_of, validate_functor, validate_nat_trans
+from xmodcat.xmod import xmod_identity
+from reference import (
+    adjoint_action_reference,
+    functor_compose,
+    functor_of,
+    nat_trans_of,
+    small_crossed_modules,
+    validate_functor,
+    validate_nat_trans,
+)
 
 
 class TestStrictActions:
@@ -94,6 +104,63 @@ class TestStrictActions:
             make_strict_action(xm1, c, good_obj, good_mor[:3])
         with pytest.raises(MalformedTable):
             make_strict_action(xm1, c, [[9, 9], [9, 9]], good_mor)
+
+    def test_adjoint_action_is_the_reference_formula(self, all_xms, bad_xm):
+        xms = [xm for _, xm in all_xms] + [bad_xm] + [xm for _, xm in small_crossed_modules()] + [
+            xmod_identity(direct_product(symmetric(3), cyclic(2))),
+            xmod_identity(symmetric(4)),
+        ]
+        for xm in xms:
+            got, want = adjoint_action(xm), adjoint_action_reference(xm)
+            assert got.act_obj == want.act_obj
+            assert got.act_mor == want.act_mor
+            assert got == want and got.is_adjoint
+
+
+class TestMalformedEntries:
+    """make_strict_action names the first bad entry of a table, row by row
+    and within a row by position; the messages are pinned."""
+
+    @pytest.mark.parametrize(
+        "table, row, entries, message",
+        [
+            ("act_obj", 1, [0, True], "act_obj[1][1] = True out of range"),
+            ("act_obj", 1, [-1, 0], "act_obj[1][0] = -1 out of range"),
+            ("act_obj", 1, [0, 2], "act_obj[1][1] = 2 out of range"),
+            ("act_obj", 0, [0.0, 1], "act_obj[0][0] = 0.0 out of range"),
+            ("act_obj", 1, [0, "1"], "act_obj[1][1] = '1' out of range"),
+            ("act_obj", 1, [2, -1], "act_obj[1][0] = 2 out of range"),
+            ("act_mor", 3, [0, 1, 2, False, 4, 5], "act_mor[3][3] = False out of range"),
+            ("act_mor", 0, [0, 1, 2, 3, 4, -6], "act_mor[0][5] = -6 out of range"),
+            ("act_mor", 5, [0, 6, 2, 3, 4, 5], "act_mor[5][1] = 6 out of range"),
+            ("act_mor", 2, [0, 1, 2, 3, 4.0, 5], "act_mor[2][4] = 4.0 out of range"),
+            ("act_mor", 4, ["0", 1, 2, 3, 4, 5], "act_mor[4][0] = '0' out of range"),
+            ("act_mor", 1, [0, 1, 7, True, -1, 2.5], "act_mor[1][2] = 7 out of range"),
+            ("act_mor", 1, [0, None, 6, 3, 4, 5], "act_mor[1][1] = None out of range"),
+        ],
+        ids=[
+            "obj-bool", "obj-negative", "obj-n", "obj-float", "obj-str", "obj-several",
+            "mor-bool", "mor-negative", "mor-n", "mor-float", "mor-str", "mor-several", "mor-none-first",
+        ],
+    )
+    def test_the_first_bad_entry_is_named(self, xm1, table, row, entries, message):
+        c = underlying_category(xm1)
+        tables = {"act_obj": [[0, 1]] * 2, "act_mor": [list(range(6))] * 6}
+        tables[table] = [entries if r == row else good for r, good in enumerate(tables[table])]
+        with pytest.raises(MalformedTable) as exc:
+            make_strict_action(xm1, c, tables["act_obj"], tables["act_mor"])
+        assert str(exc.value) == message
+
+    def test_a_bad_act_obj_entry_is_named_before_act_mor(self, xm1):
+        c = underlying_category(xm1)
+        with pytest.raises(MalformedTable) as exc:
+            make_strict_action(xm1, c, [[0, 1], [1, 5]], [[9] * 6] * 6)
+        assert str(exc.value) == "act_obj[1][1] = 5 out of range"
+
+    def test_empty_rows_are_accepted(self, xm1):
+        empty = category_from_tables(0, [], [], [])
+        act = make_strict_action(xm1, empty, [[]] * 2, [[]] * 6)
+        assert act.act_obj == ((), ()) and act.act_mor == ((),) * 6
 
 
 def mutate_mor(act, pair, f, value):

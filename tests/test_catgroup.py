@@ -18,10 +18,12 @@ from xmodcat.catgroup import (
 )
 from xmodcat.action import adjoint_action
 from xmodcat.errors import MixedStructures, NotComposable, XmodcatError
+from xmodcat.groups import cyclic, direct_product, symmetric
 from xmodcat.report import Report, run_laws
 from xmodcat.suites import catgroup_laws
 from xmodcat.transform import build_transformation_double
-from reference import identity_morphism, mor_index
+from xmodcat.xmod import xmod_identity
+from reference import identity_morphism, mor_index, small_crossed_modules, underlying_comp_reference
 
 
 def all_morphisms(xm):
@@ -192,6 +194,12 @@ class TestUnderlyingCategory:
     def test_trivial_boundary_makes_all_endomorphisms(self, xm1):
         c = underlying_category(xm1)
         assert all(c.src[i] == c.tgt[i] for i in c.morphisms())
+
+    def test_composites_keep_the_all_pairs_scan_order(self, all_xms, bad_xm):
+        xms = [xm for _, xm in all_xms] + [bad_xm] + [xm for _, xm in small_crossed_modules()]
+        xms.append(xmod_identity(direct_product(symmetric(3), cyclic(2))))
+        for xm in xms:
+            assert list(underlying_category(xm).comp.items()) == underlying_comp_reference(xm)
 
 
 # --- the pair-index laws against the Mor2G layer --------------------------------

@@ -787,6 +787,74 @@ class TestCatalogAndOutput:
             assert list(obj) == sorted(obj)
 
 
+VERBS = ("validate", "build", "eval", "verify", "export", "catalog")
+
+
+class TestParserReuse:
+    """main builds its argument parser once per process; a call must read as
+    it reads on a parser of its own, whatever calls came before it."""
+
+    @staticmethod
+    def outcome(capsys, argv):
+        """(exit code, stdout, stderr) of main(argv), a SystemExit included."""
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def on_a_new_parser(self, capsys, monkeypatch, argv):
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parser", cli._parser.__wrapped__)
+            return self.outcome(capsys, argv)
+
+    def test_the_parser_is_built_once(self):
+        assert cli._parser() is cli._parser()
+
+    def test_calls_read_as_on_a_new_parser(self, capsys, monkeypatch):
+        grid = str(FIXTURES / "grids" / "xm1_2x2.xmg")
+        calls = [
+            ("verify", "--adjoint", "xm1", "--suite", "xmod", "--suite", "quintet", "--pretty"),
+            ("catalog",),
+            ("verify", "--adjoint", "xm3", "--suite", "catgroup"),
+            ("eval", grid, "--check-interchange", "--pretty"),
+            ("verify", "--samples", "x"),
+            ("verify", "--adjoint", "xm1", "--suite", "xmod"),
+            ("validate", "--kind", "xmod", "xm2"),
+            ("export", "--kind", "xmod", "xm1", "--pretty"),
+            ("eval", grid),
+            ("verify", "--adjoint", "xm1", "--suite", "nested", "--suite", "xmod", "--suite", "quintet"),
+        ]
+        want = [self.on_a_new_parser(capsys, monkeypatch, argv) for argv in calls]
+        assert [self.outcome(capsys, argv) for argv in calls] == want
+        # the calls differ in verb, --suite and --pretty, so a value carried
+        # over from an earlier call would show in these
+        assert want[0][1].startswith("# seed=0 samples=100000 exhaustive=False\n")
+        assert want[4][0] == 2
+        assert want[5][1].startswith('{"log": {"exhaustive": false, "samples": 100000, "seed": 0}}\n')
+        assert [{o["suite"] for o in law_objs(want[i][1])} for i in (2, 5)] == [{"catgroup"}, {"xmod"}]
+
+    def test_a_usage_error_leaves_the_parser_usable(self, capsys):
+        code, out, err = self.outcome(capsys, ("verify", "--samples", "x"))
+        assert (code, out) == (2, "")
+        assert "argument --samples: invalid int value: 'x'" in err
+        code, out, _ = self.outcome(capsys, ("verify", "--adjoint", "xm1", "--suite", "xmod"))
+        assert code == 0
+        assert {o["suite"] for o in law_objs(out)} == {"xmod"}
+
+    def test_help_reads_the_same_before_and_after_other_calls(self, capsys, monkeypatch):
+        helps = [("--help",)] + [(verb, "--help") for verb in VERBS]
+        want = [self.on_a_new_parser(capsys, monkeypatch, argv) for argv in helps]
+        assert all(code == 0 and out.startswith("usage: xmodcat") and not err for code, out, err in want)
+        cli._parser.cache_clear()  # so the first of these calls builds it
+        first = [self.outcome(capsys, argv) for argv in helps]
+        for argv in (("catalog",), ("verify", "--adjoint", "xm3", "--suite", "xmod", "--pretty")):
+            self.outcome(capsys, argv)
+        assert first == want
+        assert [self.outcome(capsys, argv) for argv in helps] == want
+
+
 def test_console_script_entry_point():
     env = dict(os.environ)
     proc = subprocess.run(

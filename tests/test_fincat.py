@@ -87,6 +87,18 @@ class TestConstruction:
                 [(0, 0, 0), (1, 1, 1), (2, 0, 2)],
             )
 
+    def test_the_first_missing_composite_is_named(self):
+        # (1,2) and (2,0) are both missing; the walk is by f, then by g, so
+        # it names (2,0), which comes second by (g, f)
+        with pytest.raises(TypeMismatch) as exc:
+            category_from_tables(
+                2,
+                [(0, 0), (1, 1), (0, 1)],
+                [0, 1],
+                [(0, 0, 0), (1, 1, 1)],
+            )
+        assert str(exc.value) == "missing composite for composable pair (2,0)"
+
     def test_composite_with_wrong_endpoints_rejected(self):
         with pytest.raises(TypeMismatch):
             category_from_tables(

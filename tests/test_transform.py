@@ -13,7 +13,7 @@ from xmodcat import transform
 from xmodcat.errors import InvalidAction, MixedStructures, NotAdjacent, NotComposable
 from xmodcat.fincat import category_from_tables, terminal_category
 from xmodcat.groups import (
-    cyclic, direct_product, group_from_table, make_action, make_homomorphism, small_group_catalog, symmetric,
+    cyclic, direct_product, group_from_table, make_action, make_homomorphism, symmetric,
     trivial_group,
 )
 from xmodcat.report import Report, run_laws
@@ -37,14 +37,14 @@ from xmodcat.transform import (
 )
 from xmodcat.xmod import (
     CrossedModule,
-    enumerate_crossed_modules,
     make_crossed_module,
     semidirect_group,
     xm_sym3,
     xmod_identity,
 )
 from reference import (
-    h_identity_square, pairs_act_multiplicatively, v_identity_square, validate_groupoid, vertical_inverse_square,
+    h_identity_square, pairs_act_multiplicatively, small_crossed_modules, v_identity_square, validate_groupoid,
+    vertical_inverse_square,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -812,19 +812,6 @@ def proofs_that_hold(act, budget):
         if law.proved():
             held.add(law.name)
     return held
-
-
-def small_crossed_modules():
-    """(name, xm) for every crossed module on a pair of catalogue groups with
-    |G| |H| <= 12, named G-H-k as in the benchmark sweep."""
-    catalog = small_group_catalog()
-    return [
-        (f"{gn}-{hn}-{k}", xm)
-        for gn, g in catalog
-        for hn, h in catalog
-        if g.order * h.order <= 12
-        for k, xm in enumerate(enumerate_crossed_modules(g, h))
-    ]
 
 
 SMALL_XMS = small_crossed_modules()
