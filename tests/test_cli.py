@@ -864,6 +864,12 @@ def test_console_script_entry_point():
         env=env,
     )
     assert proc.returncode == 0
+    for argv, code in ((["--help"], 0), (["verify", "--help"], 0), (["verify", "--samples", "x"], 2)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "xmodcat.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == code, argv
+        assert "usage: xmodcat" in proc.stdout + proc.stderr
     exe = Path(sys.executable).with_name("xmodcat")
     if exe.exists():
         proc = subprocess.run(

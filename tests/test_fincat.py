@@ -98,6 +98,15 @@ class TestConstruction:
                 [(0, 0, 0), (1, 1, 1)],
             )
         assert str(exc.value) == "missing composite for composable pair (2,0)"
+        # (1,1) and (2,1) are both missing and share f; the lower g is named
+        with pytest.raises(TypeMismatch) as exc:
+            category_from_tables(
+                1,
+                [(0, 0)] * 3,
+                [0],
+                [(g, f, 0) for g in range(3) for f in range(3) if f != 1 or g == 0],
+            )
+        assert str(exc.value) == "missing composite for composable pair (1,1)"
 
     def test_composite_with_wrong_endpoints_rejected(self):
         with pytest.raises(TypeMismatch):
