@@ -10,15 +10,18 @@ A pair (gamma, chi) sends f : x -> y to a morphism
 gamma |> x  ->  bnd(chi)*gamma |> y. The validator checks the same data
 against both equivalent presentations: a family of endofunctors with
 natural transformations between them, and a single functorial action of
-pairs on morphisms. Both are read straight off the two tables, and an
-equation the presentations share is one predicate. The tests check the
-first presentation independently, on functor and natural-transformation
-values built from the same tables.
+pairs on morphisms. Both are read off the two tables and the tables
+derived from them once per action (StrictAction.tables), which transform
+reads too; an equation the presentations share is one predicate. The
+tests check the first presentation independently, on functor and
+natural-transformation values built from the same tables.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import product
+from operator import getitem, itemgetter
 
 from .catgroup import underlying_category
 from .errors import MalformedTable
@@ -46,6 +49,11 @@ class StrictAction:
 
     def on_mor_pair(self, gamma: int, chi: int, f: int) -> int:
         return self.act_mor[self.xm.pair_index(gamma, chi)][f]
+
+    @cached_property
+    def tables(self) -> ActionTables:
+        """The lookup tables of the action's laws, built on first use."""
+        return ActionTables(self)
 
     def __eq__(self, other) -> bool:
         return (
@@ -99,35 +107,127 @@ def make_strict_action(xm: CrossedModule, category: FiniteCategory, act_obj, act
     return StrictAction(xm, category, act_obj, act_mor, is_adjoint)
 
 
-def nat_component(a: StrictAction, gamma: int, chi: int, x: int) -> int:
-    """Component at x of the transformation attached to (gamma, chi)."""
-    return a.act_mor[a.xm.pair_index(gamma, chi)][a.category.identity[x]]
+def picker(idx):
+    """row -> (row[i] for i in idx) as a tuple: one itemgetter call when idx
+    has two entries or more (itemgetter() raises, itemgetter(i) gives row[i])."""
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    return lambda row: tuple(row[i] for i in idx)
+
+
+class ActionTables:
+    """The lookup tables that the laws of an action read, and seven
+    conditions on them, each decided once, on first use. natc[p][x] is the
+    component at x of pair p, by_g[g] the row of g |> -, after[f] the
+    morphisms that compose after f, and ct[a][b] is a after b, or -1 when
+    they do not compose; its last column (index -1) is all -1, so composing
+    with a miss is again a miss. Write W(g) = by_g[g], n_p(x) = natc[p][x],
+    u.v = ct[u][v], and g, b for a pair p's ends in G. transform.double_laws
+    proves five laws from the conditions; 1, 2, 3 and 7 are the bulk form of
+    the action laws whisker-agreement, endofunctor-composition,
+    component-stacking and transformation-component-typing."""
+
+    def __init__(self, a: StrictAction):
+        c, xm, n_h = a.category, a.xm, a.xm.h.order
+        self.act_m, self.act_o, self.c, self.xm = a.act_mor, a.act_obj, c, xm
+        self.natc = tuple(map(picker(c.identity), a.act_mor))
+        self.by_g = a.act_mor[xm.h.identity::n_h]  # the rows of the pairs (g, 1)
+        self.ct = [[-1] * (c.n_morphisms + 1) for _ in c.morphisms()]
+        for (f2, f1), f21 in c.comp.items():
+            self.ct[f2][f1] = f21
+        by_src = [[] for _ in c.objects()]
+        for f, x in enumerate(c.src):
+            by_src[x].append(f)
+        self.after = [by_src[y] for y in c.tgt]
+        self.ends = [(p, p // n_h, b) for p, b in enumerate(xm.pair_targets)]  # (p, g, b)
+
+    @cached_property
+    def split(self) -> bool:
+        """1: p|>f = W(b)(f).n_p(x) = n_p(y).W(g)(f) for every p and f: x -> y."""
+        row, at_src, at_tgt = self.ct.__getitem__, picker(self.c.src), picker(self.c.tgt)
+        return all(
+            self.act_m[p] == tuple(map(getitem, map(row, self.by_g[b]), at_src(self.natc[p])))
+            == tuple(map(getitem, map(row, at_tgt(self.natc[p])), self.by_g[g]))
+            for p, g, b in self.ends
+        )
+
+    @cached_property
+    def functorial(self) -> bool:
+        """2: every composable (f1, f2) has a composite, and W(g)(f2.f1) =
+        W(g)(f2).W(g)(f1) for every g."""
+        f1s = [f1 for f1, f2s in enumerate(self.after) for _ in f2s]
+        f2s = [f2 for f2s in self.after for f2 in f2s]
+        tops = list(map(getitem, map(self.ct.__getitem__, f2s), f1s))
+        at_f1, at_f2, at_top, row = picker(f1s), picker(f2s), picker(tops), self.ct.__getitem__
+        return -1 not in tops and all(
+            at_top(w) == tuple(map(getitem, map(row, at_f2(w)), at_f1(w))) for w in self.by_g
+        )
+
+    @cached_property
+    def stacking(self) -> bool:
+        """3: n_stack(p1,c)(z) = n_p2(z).n_p1(z), where p2 = (b1, c), for
+        every p1, label c and object z."""
+        natc, row, n_h = self.natc, self.ct.__getitem__, self.xm.h.order
+        return all(
+            natc[stack[c]] == tuple(map(getitem, map(row, natc[b1 * n_h + c]), natc[p1]))
+            for (p1, _, b1), stack in zip(self.ends, self.xm.pair_stacks) for c in self.xm.h.elements()
+        )
+
+    @cached_property
+    def multiplicative(self) -> bool:
+        """4: (p s)|> = p|> o s|> for every p and generator s of
+        xm.pair_tree, and p (d s) = (p d) s for every p and edge (d, s)."""
+        act_m, pt, pairs = self.act_m, self.xm.pair_products, range(self.xm.npairs)
+        gens, edges = self.xm.pair_tree
+        return all(
+            act_m[pt[p][s]] == then_s(act_m[p]) for s in gens for then_s in [picker(act_m[s])] for p in pairs
+        ) and all(pt[p][pt[d][s]] == pt[pt[p][d]][s] for d, s in edges for p in pairs)
+
+    @cached_property
+    def targets_multiply(self) -> bool:
+        """5: the target of p1 p2 is b1 b2, for every p1 and p2."""
+        gt, tgt = self.xm.g.table, self.xm.pair_targets
+        return all(
+            tgt[p12] == gt[b1][b2] for b1, row in zip(tgt, self.xm.pair_products) for p12, b2 in zip(row, tgt)
+        )
+
+    @cached_property
+    def unit_pairs_multiply(self) -> bool:
+        """6: (g1, 1) (g2, 1) = (g1 g2, 1) for every g1 and g2."""
+        n_h, e, pt = self.xm.h.order, self.xm.h.identity, self.xm.pair_products
+        return all(
+            pt[g1 * n_h + e][g2 * n_h + e] == g12 * n_h + e for g1, row in enumerate(self.xm.g.table)
+            for g2, g12 in enumerate(row)
+        )
+
+    @cached_property
+    def components_typed(self) -> bool:
+        """7: n_p(x) runs from g|>x to b|>x, for every p and object x."""
+        at_src, at_tgt, act_o = self.c.src.__getitem__, self.c.tgt.__getitem__, self.act_o
+        return all(
+            tuple(map(at_src, nat)) == act_o[g] and tuple(map(at_tgt, nat)) == act_o[b]
+            for nat, (_, g, b) in zip(self.natc, self.ends)
+        )
 
 
 def strict_action_laws(a: StrictAction) -> list[Law]:
     """Both presentations of the action laws, read off the act_obj/act_mor
-    tables (see validate_strict_action)."""
-    xm, c = a.xm, a.category
+    tables and a.tables (see validate_strict_action)."""
+    xm, c, t = a.xm, a.category, a.tables
     g, h = xm.g, xm.h
     gs, hs, objs, mors = g.elements(), h.elements(), c.objects(), c.morphisms()
     e_g, e_h = g.identity, h.identity
-    comp, src, tgt, ident = c.comp, c.src, c.tgt, c.identity
+    src, tgt, ident = c.src, c.tgt, c.identity
     gt, ao, am, nh = g.table, a.act_obj, a.act_mor, h.order
+    # every operand of ct below is an act_mor entry or a composable pair
+    by_g, natc, ct, after = t.by_g, t.natc, t.ct, t.after
     # the pair arithmetic, on pair indices gamma*|H| + chi
     pt, pair_tgt, stacks = xm.pair_products, xm.pair_targets, xm.pair_stacks
-
-    # a.on_mor_pair and nat_component without their method calls, which
-    # would dominate the per-instance cost; p is a pair index
-    def on(gamma: int, chi: int, f: int) -> int:
-        return am[gamma * nh + chi][f]
-
-    def nat(p: int, x: int) -> int:
-        return am[p][ident[x]]
 
     # the unit pair has identity components, so each endofunctor keeps
     # identities
     def unit_component(gamma, x) -> bool:
-        return on(gamma, e_h, ident[x]) == ident[ao[gamma][x]]
+        return natc[gamma * nh + e_h][x] == ident[ao[gamma][x]]
 
     def pair_typing(gamma, chi, f) -> bool:
         p = gamma * nh + chi
@@ -138,22 +238,19 @@ def strict_action_laws(a: StrictAction) -> list[Law]:
     # at tgt f after gamma |> f, and bnd(chi)*gamma |> f after the component
     # at src f
     def naturality_sides(gamma, chi, f) -> tuple:
-        p = gamma * nh + chi
-        return (
-            comp.get((nat(p, tgt[f]), on(gamma, e_h, f))),
-            comp.get((on(pair_tgt[p], e_h, f), nat(p, src[f]))),
-        )
+        nat = natc[gamma * nh + chi]
+        return ct[nat[tgt[f]]][by_g[gamma][f]], ct[by_g[pair_tgt[gamma * nh + chi]][f]][nat[src[f]]]
 
     # --- presentation 1: endofunctors and natural transformations
 
     def endofunctor_typing(gamma, f) -> bool:
-        ff = on(gamma, e_h, f)
+        ff = by_g[gamma][f]
         return src[ff] == ao[gamma][src[f]] and tgt[ff] == ao[gamma][tgt[f]]
 
     def endofunctor_composition(insts, fail) -> None:
         for gamma, (fg, ff) in insts:
-            row = am[gamma * nh + e_h]
-            if row[comp[(fg, ff)]] != comp.get((row[fg], row[ff])):
+            row = by_g[gamma]
+            if row[ct[fg][ff]] != ct[row[fg]][row[ff]]:
                 fail((gamma, fg, ff))
 
     # a transformation with an ill-typed component has no naturality instances
@@ -162,36 +259,32 @@ def strict_action_laws(a: StrictAction) -> list[Law]:
     def transformation_naturality(insts, fail) -> None:
         for (gamma, chi), f in insts:
             via_tgt, via_src = naturality_sides(gamma, chi, f)
-            if via_tgt is None or via_tgt != via_src:
+            if via_tgt < 0 or via_tgt != via_src:
                 fail((gamma, chi, f))
 
     # components stack: (bnd(c1)*g1, c2) after (g1, c1) is (g1, c2*c1)
     def component_stacking(g1, c1, c2, x) -> bool:
         p1 = g1 * nh + c1
-        return comp.get((nat(pair_tgt[p1] * nh + c2, x), nat(p1, x))) == nat(stacks[p1][c2], x)
+        return ct[natc[pair_tgt[p1] * nh + c2][x]][natc[p1][x]] == natc[stacks[p1][c2]][x]
 
     # translating by g3, then by g1, is translating by g1*g3
     def translation_composition(g1, g3) -> bool:
-        o1, m1, g13 = ao[g1], am[g1 * nh + e_h], gt[g1][g3]
-        return tuple(o1[x] for x in ao[g3]) == ao[g13] and (
-            tuple(m1[f] for f in am[g3 * nh + e_h]) == am[g13 * nh + e_h]
-        )
+        o1, m1, g13 = ao[g1], by_g[g1], gt[g1][g3]
+        return tuple(o1[x] for x in ao[g3]) == ao[g13] and tuple(m1[f] for f in by_g[g3]) == by_g[g13]
 
     # components multiply horizontally: (g1,c1)'s component at
     # (bnd(c2)g3 |> x), after the g1-translate of (g3,c2)'s component at x,
     # is the component of the product pair at x
     def component_product(g1, c1, g3, c2, x) -> bool:
         p1, p3 = g1 * nh + c1, g3 * nh + c2
-        got = comp.get((nat(p1, ao[pair_tgt[p3]][x]), on(g1, e_h, nat(p3, x))))
-        return got == nat(pt[p1][p3], x)
+        return ct[natc[p1][ao[pair_tgt[p3]][x]]][by_g[g1][natc[p3][x]]] == natc[pt[p1][p3]][x]
 
     # --- presentation 2: functorial pair action
 
     def pair_functoriality(insts, fail) -> None:
         for g1, c1, c2, (fg, ff) in insts:
             p1 = g1 * nh + c1
-            got = comp.get((on(pair_tgt[p1], c2, fg), am[p1][ff]))
-            if got != am[stacks[p1][c2]][comp[(fg, ff)]]:
+            if ct[am[pair_tgt[p1] * nh + c2][fg]][am[p1][ff]] != am[stacks[p1][c2]][ct[fg][ff]]:
                 fail((g1, c1, c2, fg, ff))
 
     def morphism_associativity(g1, c1, g3, c2, f) -> bool:
@@ -202,9 +295,9 @@ def strict_action_laws(a: StrictAction) -> list[Law]:
     # of the naturality square
     def whisker_agreement(gamma, chi, f) -> bool:
         via_tgt, via_src = naturality_sides(gamma, chi, f)
-        return on(gamma, chi, f) == via_tgt == via_src
+        return am[gamma * nh + chi][f] == via_tgt == via_src
 
-    composable = list(c.composable_pairs())
+    composable = [(f2, f1) for f1 in mors for f2 in after[f1]]
     return [
         product_law("endofunctor-typing", holds(endofunctor_typing), gs, mors),
         product_law("endofunctor-identities", holds(unit_component), gs, objs),
@@ -230,7 +323,7 @@ def strict_action_laws(a: StrictAction) -> list[Law]:
         product_law("morphism-associativity", holds(morphism_associativity), gs, hs, gs, hs, mors),
         # the explicit unit law of the acting 2-group
         product_law("unit-object", holds(lambda x: ao[e_g][x] == x), objs),
-        product_law("unit-morphism", holds(lambda f: on(e_g, e_h, f) == f), mors),
+        product_law("unit-morphism", holds(lambda f: by_g[e_g][f] == f), mors),
         product_law("whisker-agreement", holds(whisker_agreement), gs, hs, mors),
     ]
 
@@ -322,9 +415,11 @@ def identity_compositor(a: StrictAction) -> WeakActionData:
 
 def coherence_laws(w: WeakActionData) -> list[Law]:
     """The compositor laws (see check_compositor_coherence); invertibility
-    is asked only of compositors that passed compositor-typing."""
+    is asked only of compositors that passed compositor-typing.
+    Compositor entries are not range-checked, so composites with them are
+    looked up in c.comp, where a miss is None, and not in the tables."""
     a = w.base
-    c, gt, cw, ao = a.category, a.xm.g.table, w.compositor, a.act_obj
+    c, gt, cw, ao, by_g = a.category, a.xm.g.table, w.compositor, a.act_obj, a.tables.by_g
     gs, objs, comp, ident = a.xm.g.elements(), c.objects(), c.comp, c.identity
     e = a.xm.g.identity
 
@@ -340,8 +435,8 @@ def coherence_laws(w: WeakActionData) -> list[Law]:
         )
 
     def natural(g1, g2, f) -> bool:
-        lhs = comp.get((cw[g1][g2][c.tgt[f]], a.on_mor(g1, a.on_mor(g2, f))))
-        return lhs is not None and lhs == comp.get((a.on_mor(gt[g1][g2], f), cw[g1][g2][c.src[f]]))
+        lhs = comp.get((cw[g1][g2][c.tgt[f]], by_g[g1][by_g[g2][f]]))
+        return lhs is not None and lhs == comp.get((by_g[gt[g1][g2]][f], cw[g1][g2][c.src[f]]))
 
     # two triangles per (gamma, x): the compositors with the unit on either side
     def unit_triangle(insts, fail) -> None:
@@ -352,7 +447,7 @@ def coherence_laws(w: WeakActionData) -> list[Law]:
 
     def pentagon(f1, g1, h1, x) -> bool:
         lhs = comp.get((cw[gt[f1][g1]][h1][x], cw[f1][g1][ao[h1][x]]))
-        rhs = comp.get((cw[f1][gt[g1][h1]][x], a.on_mor(f1, cw[g1][h1][x])))
+        rhs = comp.get((cw[f1][gt[g1][h1]][x], by_g[f1][cw[g1][h1][x]]))
         return lhs is not None and lhs == rhs
 
     typed_triples = [t for t in product(gs, gs, objs) if typed(*t)]

@@ -40,6 +40,7 @@ from .gridlang import (
 )
 from .groups import small_group_catalog
 from .quintet import evaluate_grid
+from .report import DEFAULT_MAX_EXHAUSTIVE, DEFAULT_SAMPLES
 from .serialize import (
     FixtureFormatError,
     action_to_obj,
@@ -357,13 +358,13 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("path", nargs="?", help="action fixture path")
     sp.add_argument("--adjoint", metavar="XMOD", help="verify the adjoint action")
     sp.add_argument("--trivial", metavar="XMOD", help="verify the trivial action")
-    sp.add_argument("--samples", type=int, default=100_000, help="distinct instances checked per oversized law")
+    sp.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, help="distinct instances checked per oversized law")
     sp.add_argument("--seed", type=int, default=0, help="seed for sampled laws")
     sp.add_argument("--exhaustive", action="store_true", help="never sample, enumerate everything")
     sp.add_argument(
         "--max-exhaustive",
         type=int,
-        default=10_000_000,
+        default=DEFAULT_MAX_EXHAUSTIVE,
         help="instance-space cutoff between enumeration and sampling",
     )
     sp.add_argument("--suite", action="append", help="run only this suite (repeatable)")

@@ -51,14 +51,6 @@ class FiniteCategory:
     def is_identity(self, f: int) -> bool:
         return self.identity[self.src[f]] == f
 
-    def composable_pairs(self):
-        by_src: dict[int, list[int]] = {}
-        for g in self.morphisms():
-            by_src.setdefault(self.src[g], []).append(g)
-        for f in self.morphisms():
-            for g in by_src.get(self.tgt[f], ()):
-                yield g, f
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FiniteCategory)

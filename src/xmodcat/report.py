@@ -26,6 +26,9 @@ from itertools import accumulate, product
 from typing import Callable, Iterable, Iterator, Sequence
 
 DEFAULT_CAP = 100
+# verify's budget: a law of more than DEFAULT_MAX_EXHAUSTIVE instances is sampled
+DEFAULT_SAMPLES = 100_000
+DEFAULT_MAX_EXHAUSTIVE = 10_000_000
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from .catgroup import Mor2G, mor_of
 from .errors import XmodcatError
 from .quintet import compose_h, embed_morphism, square_from_edges
 from .groups import automorphism_action_laws, homomorphism_laws
-from .report import Law, Report, list_law, product_law, ragged, run_laws
+from .report import DEFAULT_MAX_EXHAUSTIVE, DEFAULT_SAMPLES, Law, Report, list_law, product_law, ragged, run_laws
 from .transform import (
     TransDoubleCat,
     build_transformation_double,
@@ -109,8 +109,7 @@ def suite_xmod(d, samples, seed, max_exhaustive) -> list[LawLine]:
 
 def catgroup_laws(d: TransDoubleCat) -> list[Law]:
     xm = d.xm
-    g, h = xm.g, xm.h
-    kernel = [chi for chi in h.elements() if xm.bnd(chi) == g.identity]
+    g, h, kernel = xm.g, xm.h, xm.boundary_kernel
     # every law runs on pair indices g*|H| + eta and the crossed module's pair tables
     n_h, gt, ht = h.order, g.table, h.table
     pt, tgt, stack = xm.pair_products, xm.pair_targets, xm.pair_stacks
@@ -470,9 +469,9 @@ def _guarded(name, fn, d, samples, seed, max_exhaustive) -> list[LawLine]:
 
 def run_all(
     act: StrictAction,
-    samples: int = 100_000,
+    samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
-    max_exhaustive: int = 10_000_000,
+    max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE,
     only: list[str] | None = None,
 ) -> list[LawLine]:
     """Run every suite (or the named subset) in the registry order, all on

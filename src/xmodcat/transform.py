@@ -18,6 +18,9 @@ Read vertically, the same cells form two action groupoids, C0//G and
 C1//(G x| H): the transpose of the double category. TransDoubleCat builds
 them on the index schemes of its vertical morphisms and squares, so that
 reading holds by construction and no law re-checks it.
+
+Every law and construction here reads translations, components and
+composites from the action's tables (StrictAction.tables), and builds none.
 """
 
 from __future__ import annotations
@@ -26,12 +29,12 @@ from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, groupby
-from operator import getitem, itemgetter
+from operator import itemgetter
 
-from .action import StrictAction, nat_component, validate_strict_action
+from .action import StrictAction, validate_strict_action
 from .errors import InvalidAction, MixedStructures, NotAdjacent
 from .fincat import FiniteCategory
-from .report import DEFAULT_CAP, Law, Report, product_law, ragged, run_laws
+from .report import DEFAULT_CAP, DEFAULT_MAX_EXHAUSTIVE, DEFAULT_SAMPLES, Law, Report, product_law, ragged, run_laws
 from .xmod import semidirect_group
 
 
@@ -177,103 +180,6 @@ def compose_squares(s1: TDSquare, s2: TDSquare, axis: str) -> TDSquare:
 
 # --- verification ----------------------------------------------------------
 
-def picker(idx):
-    """row -> (row[i] for i in idx) as a tuple: one itemgetter call when idx
-    has two entries or more (itemgetter() raises, itemgetter(i) gives row[i])."""
-    if len(idx) > 1:
-        return itemgetter(*idx)
-    return lambda row: tuple(row[i] for i in idx)
-
-
-class DoubleTables:
-    """The lookup tables of the double laws, and seven conditions on them
-    that double_laws proves five laws from, each read once, on first use.
-    natc[p][x] is the component at x of pair p, by_g[g] the row of g |> -,
-    after[f] the morphisms that compose after f, and ct[a][b] is a after b,
-    or -1 when they do not compose; its last column (index -1) is all -1,
-    so composing with a miss is again a miss. Write W(g) = by_g[g],
-    n_p(x) = natc[p][x], u.v = ct[u][v], and g, b for a pair p's ends in G."""
-
-    def __init__(self, d: TransDoubleCat):
-        act, c, xm, n_h = d.act, d.category, d.xm, d.xm.h.order
-        self.act_m, self.act_o, self.c, self.xm = act.act_mor, act.act_obj, c, xm
-        self.natc = list(map(picker(c.identity), act.act_mor))
-        self.by_g = [act.act_mor[gm * n_h + xm.h.identity] for gm in xm.g.elements()]
-        self.ct = [[-1] * (c.n_morphisms + 1) for _ in c.morphisms()]
-        for (a, b), ab in c.comp.items():
-            self.ct[a][b] = ab
-        self.after = [[f2 for f2 in c.morphisms() if c.src[f2] == c.tgt[f]] for f in c.morphisms()]
-        self.ends = [(p, p // n_h, b) for p, b in enumerate(xm.pair_targets)]  # (p, g, b)
-
-    @cached_property
-    def split(self) -> bool:
-        """1: p|>f = W(b)(f).n_p(x) = n_p(y).W(g)(f) for every p and f: x -> y."""
-        row, at_src, at_tgt = self.ct.__getitem__, picker(self.c.src), picker(self.c.tgt)
-        return all(
-            self.act_m[p] == tuple(map(getitem, map(row, self.by_g[b]), at_src(self.natc[p])))
-            == tuple(map(getitem, map(row, at_tgt(self.natc[p])), self.by_g[g]))
-            for p, g, b in self.ends
-        )
-
-    @cached_property
-    def functorial(self) -> bool:
-        """2: every composable (f1, f2) has a composite, and W(g)(f2.f1) =
-        W(g)(f2).W(g)(f1) for every g."""
-        f1s = [f1 for f1, f2s in enumerate(self.after) for _ in f2s]
-        f2s = [f2 for f2s in self.after for f2 in f2s]
-        tops = list(map(getitem, map(self.ct.__getitem__, f2s), f1s))
-        at_f1, at_f2, at_top, row = picker(f1s), picker(f2s), picker(tops), self.ct.__getitem__
-        return -1 not in tops and all(
-            at_top(w) == tuple(map(getitem, map(row, at_f2(w)), at_f1(w))) for w in self.by_g
-        )
-
-    @cached_property
-    def stacking(self) -> bool:
-        """3: n_stack(p1,c)(z) = n_p2(z).n_p1(z), where p2 = (b1, c), for
-        every p1, label c and object z."""
-        natc, row, n_h = self.natc, self.ct.__getitem__, self.xm.h.order
-        return all(
-            natc[stack[c]] == tuple(map(getitem, map(row, natc[b1 * n_h + c]), natc[p1]))
-            for (p1, _, b1), stack in zip(self.ends, self.xm.pair_stacks) for c in self.xm.h.elements()
-        )
-
-    @cached_property
-    def multiplicative(self) -> bool:
-        """4: (p s)|> = p|> o s|> for every p and generator s of
-        xm.pair_tree, and p (d s) = (p d) s for every p and edge (d, s)."""
-        act_m, pt, pairs = self.act_m, self.xm.pair_products, range(self.xm.npairs)
-        gens, edges = self.xm.pair_tree
-        return all(
-            act_m[pt[p][s]] == then_s(act_m[p]) for s in gens for then_s in [picker(act_m[s])] for p in pairs
-        ) and all(pt[p][pt[d][s]] == pt[pt[p][d]][s] for d, s in edges for p in pairs)
-
-    @cached_property
-    def targets_multiply(self) -> bool:
-        """5: the target of p1 p2 is b1 b2, for every p1 and p2."""
-        gt, tgt = self.xm.g.table, self.xm.pair_targets
-        return all(
-            tgt[p12] == gt[b1][b2] for b1, row in zip(tgt, self.xm.pair_products) for p12, b2 in zip(row, tgt)
-        )
-
-    @cached_property
-    def unit_pairs_multiply(self) -> bool:
-        """6: (g1, 1) (g2, 1) = (g1 g2, 1) for every g1 and g2."""
-        n_h, e, pt = self.xm.h.order, self.xm.h.identity, self.xm.pair_products
-        return all(
-            pt[g1 * n_h + e][g2 * n_h + e] == g12 * n_h + e for g1, row in enumerate(self.xm.g.table)
-            for g2, g12 in enumerate(row)
-        )
-
-    @cached_property
-    def components_typed(self) -> bool:
-        """7: n_p(x) runs from g|>x to b|>x, for every p and object x."""
-        at_src, at_tgt, act_o = self.c.src.__getitem__, self.c.tgt.__getitem__, self.act_o
-        return all(
-            tuple(map(at_src, nat)) == act_o[g] and tuple(map(at_tgt, nat)) == act_o[b]
-            for nat, (_, g, b) in zip(self.natc, self.ends)
-        )
-
-
 def double_laws(d: TransDoubleCat) -> list[Law]:
     """The vertical pasting unit and associativity, boundary bookkeeping of
     both pastings, the 2x2 interchange law, and equality of the six
@@ -282,7 +188,7 @@ def double_laws(d: TransDoubleCat) -> list[Law]:
     Horizontal pasting multiplies labels in H and composes tops in C, so its
     unit and associativity laws are those of H's table and C's composition,
     which group_from_table and category_from_tables already check."""
-    xm, c, t = d.xm, d.category, DoubleTables(d)
+    xm, c, t = d.xm, d.category, d.act.tables
     g, src, tgt, n_h, npairs = xm.g, c.src, c.tgt, xm.h.order, xm.npairs
     act_m, act_o, natc, by_g, ct, after = t.act_m, t.act_o, t.natc, t.by_g, t.ct, t.after
     pairs, mors, hs, unit_p = range(npairs), c.morphisms(), range(n_h), xm.pair_unit
@@ -409,7 +315,7 @@ def double_laws(d: TransDoubleCat) -> list[Law]:
                     fail((g2, c2, g1, c1, f), f"composites {shown} expected {exp}")
 
     # The proofs (see report.Law), sufficient and not necessary, from the
-    # conditions 1-7 of DoubleTables, none of which assumes xm.lawful. C's
+    # conditions 1-7 of action.ActionTables, none of which assumes xm.lawful. C's
     # table is typed, complete and associative (category_from_tables), so a
     # chain whose neighbours compose has one composite however grouped; each
     # step below turns a composite that exists (act_m has no -1) into one
@@ -494,9 +400,9 @@ def double_laws(d: TransDoubleCat) -> list[Law]:
 
 def verify_double_category(
     d: TransDoubleCat,
-    samples: int = 100_000,
+    samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
-    max_exhaustive: int = 10_000_000,
+    max_exhaustive: int = DEFAULT_MAX_EXHAUSTIVE,
 ) -> Report:
     """Check every law of double_laws(d), each enumerated when its size is at
     most max_exhaustive and otherwise on `samples` distinct instances."""
@@ -622,10 +528,9 @@ class NestedInclusions:
 def nested_inclusions(d: TransDoubleCat) -> NestedInclusions:
     xm, c, n_mor, gs = d.xm, d.category, d.category.n_morphisms, d.xm.g.elements()
     gpd0, gpd2 = d.obj_groupoid, d.mor_groupoid
-    units = [xm.pair_index(gamma, xm.h.identity) for gamma in gs]  # the pairs (gamma, 1)
-    gpd1 = transformation_groupoid(xm.g, n_mor, tuple(d.act.act_mor[p] for p in units))
+    gpd1 = transformation_groupoid(xm.g, n_mor, d.act.tables.by_g)
     first_mor = tuple(gamma * n_mor + c.identity[x] for gamma in gs for x in c.objects())
-    second_mor = tuple(p * n_mor + f for p in units for f in range(n_mor))
+    second_mor = tuple(xm.pair_index(gamma, xm.h.identity) * n_mor + f for gamma in gs for f in range(n_mor))
     second_image = set(second_mor)
     nonfull = [divmod(m, n_mor) for m in gpd2.morphisms() if m not in second_image]
     return NestedInclusions(
@@ -677,19 +582,15 @@ class H2Cat:
 
 
 def horizontal_2category(d: TransDoubleCat) -> H2Cat:
-    act = d.act
-    xm, c = d.xm, d.category
-    kernel = tuple(chi for chi in xm.h.elements() if xm.bnd(chi) == xm.g.identity)
+    xm, c, t = d.xm, d.category, d.act.tables
+    nats = [(chi, t.natc[xm.pair_index(xm.g.identity, chi)]) for chi in xm.boundary_kernel]  # of (1, chi)
     cells: dict[int, tuple[tuple[int, int], ...]] = {}
-    e_g = xm.g.identity
-    for f in c.morphisms():
-        x = c.src[f]
-        out = []
-        for chi in kernel:
-            a = nat_component(act, e_g, chi, x)
-            out.append((chi, c.comp[(f, a)]))
-        cells[f] = tuple(out)
-    return H2Cat(kernel, cells)
+    for f, x in enumerate(c.src):
+        for _, nat in nats:
+            if t.ct[f][nat[x]] < 0:
+                raise KeyError((f, nat[x]))  # as c.comp[(f, nat[x])] would
+        cells[f] = tuple((chi, t.ct[f][nat[x]]) for chi, nat in nats)
+    return H2Cat(xm.boundary_kernel, cells)
 
 
 @dataclass
@@ -704,17 +605,15 @@ class V2Cat:
 
 
 def vertical_2category(d: TransDoubleCat) -> V2Cat:
-    act = d.act
-    xm, c = d.xm, d.category
+    xm, c, natc = d.xm, d.category, d.act.tables.natc
     cells: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
     for gamma in xm.g.elements():
         for x in c.objects():
-            out = []
-            target_id = c.identity[act.act_obj[gamma][x]]
-            for chi in xm.h.elements():
-                if nat_component(act, gamma, chi, x) == target_id:
-                    out.append((chi, xm.pair_target((gamma, chi))))
-            cells[(gamma, x)] = tuple(out)
+            target_id = c.identity[d.act.act_obj[gamma][x]]
+            cells[(gamma, x)] = tuple(
+                (chi, xm.pair_target((gamma, chi)))
+                for chi in xm.h.elements() if natc[xm.pair_index(gamma, chi)][x] == target_id
+            )
     return V2Cat(cells)
 
 

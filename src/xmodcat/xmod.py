@@ -149,6 +149,16 @@ class CrossedModule:
         return gens, edges
 
     @cached_property
+    def boundary_kernel(self) -> tuple[int, ...]:
+        """ker(bnd): the labels whose boundary is the unit of G, in order."""
+        return tuple(chi for chi in self.h.elements() if self.bnd(chi) == self.g.identity)
+
+    @cached_property
+    def acts_by_automorphisms(self) -> bool:
+        """automorphism_action_laws hold, each on every instance."""
+        return run_laws(Report(), "xmod", automorphism_action_laws(self.action)).ok
+
+    @cached_property
     def lawful(self) -> bool:
         """The boundary is a homomorphism, G acts on H by automorphisms, and
         equivariance and peiffer hold: the laws homomorphism, bijective,
@@ -159,8 +169,8 @@ class CrossedModule:
         the action is of G on H in every module it makes (make_crossed_module
         checks both). Laws that hold in every crossed module are proved from
         this."""
-        laws = homomorphism_laws(self.boundary) + automorphism_action_laws(self.action)
-        return run_laws(Report(), "xmod", laws + crossed_module_laws(self)).ok
+        laws = homomorphism_laws(self.boundary) + crossed_module_laws(self)
+        return self.acts_by_automorphisms and run_laws(Report(), "xmod", laws).ok
 
     def __repr__(self) -> str:
         return f"CrossedModule(|G|={self.g.order}, |H|={self.h.order})"
@@ -252,7 +262,7 @@ def semidirect_group(xm: CrossedModule) -> FiniteGroup:
     names = None
     if xm.g.names is not None or xm.h.names is not None:
         names = tuple(f"({xm.g.name_of(g)}|{xm.h.name_of(h)})" for g, h in xm.pairs())
-    if run_laws(Report(), "semidirect", automorphism_action_laws(xm.action)).ok and (
+    if xm.acts_by_automorphisms and (
         names is None or len(set(names)) == len(names)  # else group_from_table raises
     ):
         return FiniteGroup(xm.pair_products, xm.pair_unit, xm.pair_inverses, names)

@@ -29,7 +29,7 @@ import functools
 import random
 from dataclasses import dataclass
 
-from xmodcat.action import StrictAction, make_strict_action, nat_component
+from xmodcat.action import StrictAction, make_strict_action
 from xmodcat.catgroup import Mor2G, underlying_category
 from xmodcat.errors import BoundaryViolation, MalformedTable, MixedStructures
 from xmodcat.fincat import FiniteCategory, category_from_tables
@@ -95,7 +95,7 @@ def functor_laws(fun: Functor) -> list[Law]:
         product_law("identities", holds(lambda x: mm[c.identity[x]] == d.identity[om[x]]), c.objects()),
         list_law(
             "composition", holds(lambda g, f: mm[c.comp[(g, f)]] == d.comp.get((mm[g], mm[f]))),
-            list(c.composable_pairs()),
+            [(g, f) for f in c.morphisms() for g in c.morphisms() if c.src[g] == c.tgt[f]],
         ),
     ]
 
@@ -159,10 +159,12 @@ def functor_of(a: StrictAction, gamma: int) -> Functor:
 
 
 def nat_trans_of(a: StrictAction, gamma: int, chi: int) -> NatTrans:
+    """The transformation of the pair (gamma, chi), its components read
+    from the action's table of components, a.tables.natc."""
     return NatTrans(
         functor_of(a, gamma),
         functor_of(a, a.xm.pair_target((gamma, chi))),
-        tuple(nat_component(a, gamma, chi, x) for x in a.category.objects()),
+        a.tables.natc[a.xm.pair_index(gamma, chi)],
     )
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from xmodcat.action import adjoint_action, make_strict_action, trivial_strict_action
+from xmodcat.action import ActionTables, adjoint_action, make_strict_action, trivial_strict_action
 from xmodcat import catgroup
 from xmodcat.catgroup import Mor2G, mor_of
 from xmodcat import transform
@@ -18,9 +18,10 @@ from xmodcat.groups import (
 )
 from xmodcat.report import Report, run_laws
 from xmodcat.serialize import load_action
-from xmodcat.suites import quintet_laws, run_all
+from xmodcat.suites import (
+    action_laws, h2_laws, nested_suite_laws, pentagon_laws, quintet_laws, run_all, v2_laws,
+)
 from xmodcat.transform import (
-    DoubleTables,
     TDSquare,
     build_transformation_double,
     compose_squares,
@@ -743,6 +744,143 @@ class TestDoubleKernel:
                     assert mor_of(xm, xm.pair_stacks[i][c]) == catgroup.compose(upper, m)
 
 
+# the suites besides double whose laws read the action's tables
+# (action.ActionTables)
+TABLE_SUITES = {
+    "action": action_laws, "nested": nested_suite_laws, "h2cat": h2_laws, "v2cat": v2_laws,
+    "pentagon": pentagon_laws,
+}
+
+
+def table_suite_facts(act, budget, check) -> dict:
+    """suite -> [[law, witness, detail] of each violation, Report.instances,
+    violations per law, whether the cap cut] of each of TABLE_SUITES on act,
+    at verify's defaults overridden by budget, or [class, message] of what
+    building its laws raised; check(rep, suite, laws) sees each report."""
+    d = build_transformation_double(act, validate=False)
+    out = {}
+    for suite, laws_of in TABLE_SUITES.items():
+        try:
+            laws = laws_of(d)
+        except KeyError as exc:  # a (1, chi) component that does not compose after f
+            out[suite] = [type(exc).__name__, str(exc)]
+            continue
+        rep = run_laws(Report(), suite, laws, **{**VERIFY_BUDGET, **budget})
+        check(rep, suite, [law for law in laws if law.name in rep.instances])  # not the empty ones
+        out[suite] = [
+            [[v.law, list(v.witness), v.detail] for v in rep.violations],
+            rep.instances, {law: rep.count(law) for law in rep.instances}, rep.capped,
+        ]
+    return out
+
+
+# (fixture, seed, entries, budget) of a mutant of the adjoint action (see
+# mutant), the sha256 of the JSON of table_suite_facts on it, and the
+# violations per suite, or what building its laws raised: each row at
+# verify's defaults, which enumerate every law, then sampled. Pinned when
+# each suite read its own lookups: comp.get, nat_component and the units rows.
+SUITE_PINS = [
+    ("xm1", 0, 1, {},
+     "828420c2d4fcc2c2f903f9594de67b8e2c99ccd46d716370e55055b023871007",
+     {"action": 84, "nested": 3, "h2cat": 0, "v2cat": 3, "pentagon": 7}),
+    ("xm1", 0, 1, {"max_exhaustive": 0, "samples": 40},
+     "c7d8244fe83840a2b8f3542a7329297029e2e57a1640c9a2b4897c82579a2d45",
+     {"action": 34, "nested": 3, "h2cat": 0, "v2cat": 3, "pentagon": 7}),
+    ("xm1", 7, 2, {},
+     "2610bfd8bb2d6d2ec7de96c533fda11adc17e02c42e37d957c30697fadf2a331",
+     {"action": 158, "nested": 3, "h2cat": "KeyError", "v2cat": 3, "pentagon": 8}),
+    ("xm1", 7, 2, {"max_exhaustive": 0, "samples": 40},
+     "e68f17fa893600b573212f2aec896624298953f6105b2d8d894665c4edcf735a",
+     {"action": 77, "nested": 3, "h2cat": "KeyError", "v2cat": 3, "pentagon": 8}),
+    ("xm1", 0, ("act_obj", 1), {},
+     "5375d1b69d6a535555b724eb6637159957b7d296623db30c4bed4f594c2532dd",
+     {"action": 38, "nested": 3, "h2cat": 0, "v2cat": 1, "pentagon": 12}),
+    ("xm1", 0, ("act_obj", 1), {"max_exhaustive": 0, "samples": 40},
+     "b889e42ab063537ae52a6de39b11ccae00a5c92549a737f77ead7b22903ed9bb",
+     {"action": 27, "nested": 3, "h2cat": 0, "v2cat": 1, "pentagon": 12}),
+    ("xm1", 0, ("typed", "swap"), {},
+     "68a2aac6d26b10b43719523ff288f9d338defa9d689992fcc80aabddc37d1df5",
+     {"action": 145, "nested": 3, "h2cat": 0, "v2cat": 1, "pentagon": 4}),
+    ("xm1", 0, ("typed", "swap"), {"max_exhaustive": 0, "samples": 40},
+     "7062e12f2511f921bd83119eb3d87c120663f2cd62a95db98dc5bc99cf7d259e",
+     {"action": 60, "nested": 3, "h2cat": 0, "v2cat": 1, "pentagon": 4}),
+    ("xm1", 1, ("typed", "permute"), {},
+     "0841021e4921942353c5db12bf3f5681ee328f7abc1f778a6ff674d486897105",
+     {"action": 171, "nested": 0, "h2cat": 24, "v2cat": 2, "pentagon": 0}),
+    ("xm1", 1, ("typed", "permute"), {"max_exhaustive": 0, "samples": 40},
+     "a192d5412621d5f22f2163cdab5d81bc9d554c8131ff6f2d4b28a7c3e784e180",
+     {"action": 48, "nested": 0, "h2cat": 18, "v2cat": 2, "pentagon": 0}),
+    ("xm1", 1, ("typed", "hom"), {},
+     "e35db3d4c8edbea11ed8049f9b93a05ce88858b658c598f9f18f1cff0df14867",
+     {"action": 37, "nested": 0, "h2cat": 0, "v2cat": 0, "pentagon": 0}),
+    ("xm1", 1, ("typed", "hom"), {"max_exhaustive": 0, "samples": 40},
+     "e19c904461fd622875f597df9b0244fc6fd9d88f7312acd6cf3371c93275528d",
+     {"action": 3, "nested": 0, "h2cat": 0, "v2cat": 0, "pentagon": 0}),
+    ("xm2", 0, 3, {},
+     "2c282fa4a1999acd0a515f8e98582cb91bcc82fc545084b92cd28a6e70d3b175",
+     {"action": 766, "nested": 0, "h2cat": 0, "v2cat": 0, "pentagon": 0}),
+    ("xm2", 0, 3, {"max_exhaustive": 0, "samples": 40},
+     "0d483f13eb672cc16990443683bb689f1048e916fcedebbc183bbb30fdf30d94",
+     {"action": 5, "nested": 0, "h2cat": 0, "v2cat": 0, "pentagon": 0}),
+    ("xm2", 3, ("act_obj", 1), {},
+     "98d0ce5593be9b9f4c689a723cd6328ba7520c03cf00363155d11d41e58c4f8d",
+     {"action": 338, "nested": 7, "h2cat": 0, "v2cat": 3, "pentagon": 191}),
+    ("xm2", 3, ("act_obj", 1), {"max_exhaustive": 0, "samples": 40},
+     "83e6b092520de3d18439114f435830ca29afe44518b670256d9375c985fda21f",
+     {"action": 26, "nested": 2, "h2cat": 0, "v2cat": 1, "pentagon": 5}),
+    ("xm2", 1, ("typed", "swap"), {},
+     "cca38db0fbdd63f6320f33040d7daab62ab30d01a83229009021754e2603a559",
+     {"action": 6621, "nested": 0, "h2cat": 0, "v2cat": 1, "pentagon": 0}),
+    ("xm2", 1, ("typed", "swap"), {"max_exhaustive": 0, "samples": 40},
+     "05fbb7b7b3d398a6d76a2fba664fe18b634828b863a7121cf8671ee3f132024d",
+     {"action": 12, "nested": 0, "h2cat": 0, "v2cat": 1, "pentagon": 0}),
+    ("xm3", 0, 1, {},
+     "1512d0815d477ae4afa75b61607bbc16bba9ff6ae5287ba3d7e79c4031a2c18f",
+     {"action": 8, "nested": 0, "h2cat": 0, "v2cat": 0, "pentagon": 0}),
+    ("xm3", 0, 1, {"max_exhaustive": 0, "samples": 3},
+     "ffe2a6e150e9f70d6c519e01c0dca6a5e8cbbeeb3aa2e3c4a152441fcb4eaa97",
+     {"action": 1, "nested": 0, "h2cat": 0, "v2cat": 0, "pentagon": 0}),
+    ("xm3", 1, ("typed", "permute"), {},
+     "2ddf62cddeba7c6559180ca5459207e124526463d00dc085fde7357b22706747",
+     {"action": 42, "nested": 2, "h2cat": 10, "v2cat": 2, "pentagon": 3}),
+    ("xm3", 1, ("typed", "permute"), {"max_exhaustive": 0, "samples": 3},
+     "f3c1aa4e2bc623f77c0a78ec51dc9e5f9915bf7152fc9c64e9c0d7cd9e1d6152",
+     {"action": 21, "nested": 2, "h2cat": 5, "v2cat": 2, "pentagon": 3}),
+    ("xm3", 0, ("typed", "hom"), {},
+     "6ad8bc352aaf09e137cfd088760ddffd85cf773969f058b2c557d555903a718c",
+     {"action": 8, "nested": 0, "h2cat": 0, "v2cat": 0, "pentagon": 0}),
+    ("xm3", 0, ("typed", "hom"), {"max_exhaustive": 0, "samples": 3},
+     "9fe287c984e7cf4bf2899c4519073ed48852afacc6097194cd82b99c556e5313",
+     {"action": 0, "nested": 0, "h2cat": 0, "v2cat": 0, "pentagon": 0}),
+    ("xm4", 5, 4, {},
+     "15397bcd0ffd07817d87b651cc9f3fc84d252806aabaed566e72a6b54dc27dfb",
+     {"action": 483, "nested": 0, "h2cat": 0, "v2cat": 6, "pentagon": 0}),
+    ("xm4", 5, 4, {"max_exhaustive": 0, "samples": 40},
+     "cf15783b7674557e26b33303b44ab6f9ea2f4cd57fbcc860b6d11bf488badcd7",
+     {"action": 16, "nested": 0, "h2cat": 0, "v2cat": 3, "pentagon": 0}),
+    ("xm4", 1, ("act_obj", 2), {},
+     "62c25f70b8721725537fd369372ea75bc01e033ecd881178ac33483bea21944a",
+     {"action": 253, "nested": 10, "h2cat": 0, "v2cat": 8, "pentagon": 158}),
+    ("xm4", 1, ("act_obj", 2), {"max_exhaustive": 0, "samples": 40},
+     "d264c87b58f7a07c3f0bf34bc4011f849a504578a07ee59d840a13c348c14b4f",
+     {"action": 55, "nested": 7, "h2cat": 0, "v2cat": 5, "pentagon": 33}),
+]
+
+
+class TestSuitePins:
+    @pytest.mark.parametrize("name, seed, entries, budget, digest, violations", SUITE_PINS)
+    def test_mutant_reports_are_pinned(
+        self, all_xms, sampled_witnesses_are_real, name, seed, entries, budget, digest, violations,
+    ):
+        act = mutant(adjoint_action(dict(all_xms)[name]), seed, entries)
+        facts = table_suite_facts(act, budget, sampled_witnesses_are_real)
+        assert hashlib.sha256(json.dumps(facts, sort_keys=True).encode()).hexdigest() == digest
+        assert {
+            suite: found[0] if isinstance(found[0], str) else sum(found[2].values())
+            for suite, found in facts.items()
+        } == violations
+
+
 # --- proved laws -----------------------------------------------------------------
 
 # face-formulas-agree and grid-interchange (quintet), and every double law
@@ -926,7 +1064,7 @@ class TestProvedLaws:
         assert failing >= ({"six-composites"} if act.act_mor == lawful.act_mor else table_laws)
 
 
-# the seven conditions of transform.DoubleTables, from which double_laws
+# the seven conditions of action.ActionTables, from which double_laws
 # proves h-boundary, v-boundary, v-assoc, interchange and six-composites
 CONDITIONS = (
     "split", "functorial", "stacking", "multiplicative", "targets_multiply", "unit_pairs_multiply",
@@ -937,7 +1075,7 @@ Z3_MONOID = category_from_tables(1, [(0, 0)] * 3, [0], [(a, b, (a + b) % 3) for 
 
 
 def failing_conditions(act) -> set[str]:
-    tables = DoubleTables(build_transformation_double(act, validate=False))
+    tables = ActionTables(act)
     return {name for name in CONDITIONS if not getattr(tables, name)}
 
 
@@ -945,6 +1083,25 @@ def double_proofs_that_hold(act) -> set[str]:
     """The double laws whose proof holds on act, after checking that each
     proved law reports the same with its proof as without it."""
     return proofs_that_hold(act, SWEEP_BUDGET) - {"face-formulas-agree", "grid-interchange"}
+
+
+class TestActionTables:
+    # each table against its definition from act_mor and the category's
+    # composition, on lawful actions, mutants and a category with no morphism
+    def test_the_tables_are_read_off_the_action(self, all_xms):
+        acts = [adjoint_action(xm) for _, xm in all_xms] + [trivial_strict_action(xm, ARROW) for _, xm in all_xms]
+        acts += [mutant(adjoint_action(dict(all_xms)["xm1"]), 1, ("typed", "permute")), act_mor_mutant(acts[1], 0, 3)]
+        acts += [trivial_strict_action(dict(all_xms)["xm2"], category_from_tables(0, [], [], []))]
+        for act in acts:
+            t, xm, c = act.tables, act.xm, act.category
+            assert act.tables is t  # built once, then kept
+            for p, row in enumerate(act.act_mor):
+                assert t.natc[p] == tuple(row[c.identity[x]] for x in c.objects())
+            assert t.by_g == tuple(act.act_mor[xm.pair_index(g, xm.h.identity)] for g in xm.g.elements())
+            for f in c.morphisms():
+                assert t.ct[f] == [c.comp.get((f, f1), -1) for f1 in c.morphisms()] + [-1]
+                assert t.after[f] == [f2 for f2 in c.morphisms() if c.src[f2] == c.tgt[f]]
+            assert len(t.ct) == len(t.after) == c.n_morphisms
 
 
 class TestDoubleTables:
