@@ -72,39 +72,32 @@ class StrictAction:
 
 
 def _check_row(name: str, i: int, row: tuple, n: int) -> None:
-    """Raise MalformedTable naming the first entry of row that is not an
-    index below n. A row of ints only, with its least entry at least 0 and
-    its largest below n, is checked at once; any other row, and so every
-    row with a bad entry, takes the per-entry walk that names it."""
-    if set(map(type, row)) == {int} and min(row) >= 0 and max(row) < n:
-        return
+    """Raise MalformedTable unless row holds n indices below n, naming its
+    length or its first bad entry: make_strict_action's check of a file."""
+    if len(row) != n:
+        raise MalformedTable(f"{name} row {i} has length {len(row)}")
     for x, v in enumerate(row):
         if not is_index(v, n):
             raise MalformedTable(f"{name}[{i}][{x}] = {v!r} out of range")
 
 
-def make_strict_action(xm: CrossedModule, category: FiniteCategory, act_obj, act_mor,
-                       is_adjoint: bool = False) -> StrictAction:
-    """Checked constructor: act_obj has a row of object indices per element
-    of G and act_mor a row of morphism indices per pair, each as long as
-    the category has objects or morphisms. The first failure raises
-    MalformedTable; no law is checked here (see validate_strict_action)."""
+def make_strict_action(xm: CrossedModule, category: FiniteCategory, act_obj, act_mor) -> StrictAction:
+    """Checked constructor, for tables read from a file: act_obj has a row
+    of object indices per element of G and act_mor a row of morphism
+    indices per pair, each as long as the category has objects or
+    morphisms. The first failure raises MalformedTable; no law is checked
+    here (see validate_strict_action)."""
     act_obj = tuple(tuple(r) for r in act_obj)
     act_mor = tuple(tuple(r) for r in act_mor)
-    n_obj, n_mor = category.n_objects, category.n_morphisms
-    if len(act_obj) != xm.g.order:
-        raise MalformedTable(f"act_obj has {len(act_obj)} rows, expected {xm.g.order}")
-    for g, row in enumerate(act_obj):
-        if len(row) != n_obj:
-            raise MalformedTable(f"act_obj row {g} has length {len(row)}")
-        _check_row("act_obj", g, row, n_obj)
-    if len(act_mor) != xm.npairs:
-        raise MalformedTable(f"act_mor has {len(act_mor)} rows, expected {xm.npairs}")
-    for p, row in enumerate(act_mor):
-        if len(row) != n_mor:
-            raise MalformedTable(f"act_mor row {p} has length {len(row)}")
-        _check_row("act_mor", p, row, n_mor)
-    return StrictAction(xm, category, act_obj, act_mor, is_adjoint)
+    for name, rows, count, n in (
+        ("act_obj", act_obj, xm.g.order, category.n_objects),
+        ("act_mor", act_mor, xm.npairs, category.n_morphisms),
+    ):
+        if len(rows) != count:
+            raise MalformedTable(f"{name} has {len(rows)} rows, expected {count}")
+        for i, row in enumerate(rows):
+            _check_row(name, i, row, n)
+    return StrictAction(xm, category, act_obj, act_mor)
 
 
 def picker(idx):
@@ -351,6 +344,9 @@ def adjoint_action(xm: CrossedModule) -> StrictAction:
     tabulates its two H factors once: chi * (gamma |> eta) over eta and
     (gamma g gamma^-1) |> chi^-1 over g. It is not derived from the pair
     arithmetic, which the five-square oracle checks against it.
+
+    Built in range, so not checked: act_obj has |G| rows of |G| elements of
+    G, and act_mor |G| |H| rows of |G| |H| pair indices (gamma g gamma^-1) |H| + t.
     """
     c = underlying_category(xm)
     g, h = xm.g, xm.h
@@ -365,16 +361,14 @@ def adjoint_action(xm: CrossedModule) -> StrictAction:
             lefts = [ht[chi_row[a]] for a in at[gamma]]
             tails = [at[cg][ichi] for cg in conj_row]
             act_mor.append([base + left[t] for base, t in zip(bases, tails) for left in lefts])
-    return make_strict_action(xm, c, act_obj, act_mor, is_adjoint=True)
+    return StrictAction(xm, c, act_obj, act_mor, is_adjoint=True)
 
 
 def trivial_strict_action(xm: CrossedModule, c: FiniteCategory) -> StrictAction:
-    """Every 1- and 2-morphism acts as the identity translation."""
+    """Every 1- and 2-morphism acts as the identity, so each row is in range."""
     obj_row = tuple(c.objects())
     mor_row = tuple(c.morphisms())
-    return make_strict_action(
-        xm, c, (obj_row,) * xm.g.order, (mor_row,) * xm.npairs
-    )
+    return StrictAction(xm, c, (obj_row,) * xm.g.order, (mor_row,) * xm.npairs)
 
 
 # --- weak actions: compositor data and its coherence ----------------------

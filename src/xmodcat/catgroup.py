@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ComponentInvalid, MixedStructures, NotComposable
-from .fincat import FiniteCategory, category_from_tables
+from .fincat import FiniteCategory
 from .groups import validate_homomorphism
 from .xmod import CrossedModule
 
@@ -68,19 +68,19 @@ def underlying_category(xm: CrossedModule) -> FiniteCategory:
     one index space. A boundary that is not a homomorphism raises
     ComponentInvalid naming its first violation, since no such category
     exists. The composites are listed by j, then by i, in index order.
+
+    Built, not checked: given a homomorphic boundary b and the group H, the
+    tables are a category's. (g, e) runs from g to b(e) g; j = (g2, e2)
+    after i = (g1, e1) is (g1, e2 e1), from g1 to b(e2) b(e1) g1 = b(e2) g2,
+    j's target (typed); each j is listed after each i with tgt i = src j
+    (complete); (x, 1) runs from x to b(1) x = x, and stacking 1 on either
+    side of e leaves e (unital); stacking is H's product (associative).
     """
-    brep = validate_homomorphism(xm.boundary)
-    if not brep.ok:
+    if not (brep := validate_homomorphism(xm.boundary)).ok:
         raise ComponentInvalid(f"boundary is not a homomorphism: {brep.violations[0]}")
-    n_h, stacks = xm.h.order, xm.pair_stacks
-    mors = [(i // n_h, t) for i, t in enumerate(xm.pair_targets)]
+    n_h, stacks, tgt = xm.h.order, xm.pair_stacks, xm.pair_targets
+    src = tuple(i // n_h for i in range(xm.npairs))
     identity = [xm.pair_index(x, xm.h.identity) for x in xm.g.elements()]
-    into: list[list[int]] = [[] for _ in xm.g.elements()]  # morphisms by target
-    for i, (_, t) in enumerate(mors):
-        into[t].append(i)
-    comp = [
-        (j, i, stacks[i][j % n_h])  # (g1, e2*e1) for j = (g2, e2) after i = (g1, e1)
-        for j, (s2, _) in enumerate(mors)
-        for i in into[s2]
-    ]
-    return category_from_tables(xm.g.order, mors, identity, comp)
+    into = [[i for i, t in enumerate(tgt) if t == x] for x in xm.g.elements()]  # morphisms by target
+    comp = {(j, i): stacks[i][j % n_h] for j, s2 in enumerate(src) for i in into[s2]}
+    return FiniteCategory(xm.g.order, src, tgt, identity, comp)

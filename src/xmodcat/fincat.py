@@ -2,8 +2,13 @@
 
 Objects are 0..n_objects-1, morphisms 0..n_morphisms-1 with src/tgt arrays.
 comp[(g, f)] is the composite "g after f" and is defined exactly when
-src[g] == tgt[f]; the checked constructor rejects anything partial, ill-typed,
-non-associative or non-unital.
+src[g] == tgt[f]. Every FiniteGroup and FiniteCategory the package makes
+satisfies its axioms: checked when read from a file (serialize calls
+groups.group_from_table and category_from_tables), proved beside the code
+when built from the package's own tables (terminal_category,
+catgroup.underlying_category, xmod.semidirect_group). The named groups of
+groups.py pass through group_from_table, and transform.transformation_groupoid
+is a groupoid when its table is an action.
 """
 
 from __future__ import annotations
@@ -66,7 +71,7 @@ class FiniteCategory:
 
 
 def category_from_tables(n_objects, morphisms, identity, comp) -> FiniteCategory:
-    """Checked constructor.
+    """Checked constructor, for tables read from a file.
 
     morphisms: sequence of (src, tgt) pairs; comp: sequence of (g, f, g_after_f).
     Checks, raising on the first failure: the counts and every index are in
@@ -131,4 +136,5 @@ def category_from_tables(n_objects, morphisms, identity, comp) -> FiniteCategory
 
 
 def terminal_category() -> FiniteCategory:
+    """One object and its identity, which composes with itself to itself."""
     return FiniteCategory(1, (0,), (0,), (0,), {(0, 0): 0})

@@ -15,8 +15,8 @@ from itertools import product
 
 from . import catgroup
 from .action import StrictAction, coherence_laws, identity_compositor, strict_action_laws
-from .catgroup import Mor2G, mor_of
-from .errors import XmodcatError
+from .catgroup import Mor2G
+from .errors import NotComposable, XmodcatError
 from .quintet import compose_h, embed_morphism, square_from_edges
 from .groups import automorphism_action_laws, homomorphism_laws
 from .report import DEFAULT_MAX_EXHAUSTIVE, DEFAULT_SAMPLES, Law, Report, list_law, product_law, ragged, run_laws
@@ -130,7 +130,7 @@ def catgroup_laws(d: TransDoubleCat) -> list[Law]:
             lhs = pt[stack[m1][c2]][stack[n1][d2]]
             upper, lower = pt[m2][n2], pt[m1][n1]
             if src[upper] != tgt[lower]:
-                catgroup.compose(mor_of(xm, upper), mor_of(xm, lower))  # raises NotComposable
+                raise NotComposable(f"tgt {tgt[lower]} != src {src[upper]}")
             if lhs != stack[lower][label[upper]]:
                 fail((src[m1], label[m1], c2, src[n1], label[n1], d2))
 

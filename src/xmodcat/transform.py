@@ -187,7 +187,7 @@ def double_laws(d: TransDoubleCat) -> list[Law]:
 
     Horizontal pasting multiplies labels in H and composes tops in C, so its
     unit and associativity laws are those of H's table and C's composition,
-    which group_from_table and category_from_tables already check."""
+    which hold as H is a group and C a category (see fincat)."""
     xm, c, t = d.xm, d.category, d.act.tables
     g, src, tgt, n_h, npairs = xm.g, c.src, c.tgt, xm.h.order, xm.npairs
     act_m, act_o, natc, by_g, ct, after = t.act_m, t.act_o, t.natc, t.by_g, t.ct, t.after
@@ -316,7 +316,7 @@ def double_laws(d: TransDoubleCat) -> list[Law]:
 
     # The proofs (see report.Law), sufficient and not necessary, from the
     # conditions 1-7 of action.ActionTables, none of which assumes xm.lawful. C's
-    # table is typed, complete and associative (category_from_tables), so a
+    # table is typed, complete and associative (C is a category, see fincat), so a
     # chain whose neighbours compose has one composite however grouped; each
     # step below turns a composite that exists (act_m has no -1) into one
     # that exists. (g1, h1) (g2, h2) = (g1 g2, h1 (g1 |> h2)); the label c

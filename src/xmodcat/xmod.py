@@ -164,11 +164,10 @@ class CrossedModule:
         equivariance and peiffer hold: the laws homomorphism, bijective,
         respects-product, unit, composition, equivariance and peiffer, each
         on every instance (about |G| |H| (|G| + |H|) of them). G and H are
-        groups, as group_from_table, the only maker of a FiniteGroup in this
-        package, checks every axiom, and the boundary runs from H to G and
-        the action is of G on H in every module it makes (make_crossed_module
-        checks both). Laws that hold in every crossed module are proved from
-        this."""
+        groups, as is every FiniteGroup the package makes (see fincat), and
+        the boundary runs from H to G and the action is of G on H in every
+        module it makes (make_crossed_module checks both). Laws that hold in
+        every crossed module are proved from this."""
         laws = homomorphism_laws(self.boundary) + crossed_module_laws(self)
         return self.acts_by_automorphisms and run_laws(Report(), "xmod", laws).ok
 

@@ -5,6 +5,7 @@ import pytest
 from xmodcat import (
     adjoint_action,
     cyclic,
+    direct_product,
     make_crossed_module,
     make_homomorphism,
     symmetric,
@@ -14,6 +15,7 @@ from xmodcat import (
     xm_inversion,
     xm_peiffer_broken,
     xm_sym3,
+    xmod_identity,
 )
 from xmodcat.report import Report, run_laws
 from xmodcat.transform import (
@@ -22,7 +24,7 @@ from xmodcat.transform import (
     compose_squares,
     verify_double_category,
 )
-from reference import v_identity_square, vertical_inverse_square
+from reference import small_crossed_modules, v_identity_square, vertical_inverse_square
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -77,6 +79,17 @@ def all_xms(xm1, xm2, xm3, xm4):
 
 
 @pytest.fixture(scope="session")
+def table_xms(all_xms, bad_xm, broken_xm):
+    """xm1-xm4, bad-peiffer, broken_xm, the 57 benchmark sweep modules, and
+    the identity modules of order 12 and 24: the modules on which a table
+    the package builds is checked against its reference."""
+    return [xm for _, xm in all_xms] + [bad_xm, broken_xm] + [xm for _, xm in small_crossed_modules()] + [
+        xmod_identity(direct_product(symmetric(3), cyclic(2))),
+        xmod_identity(symmetric(4)),
+    ]
+
+
+@pytest.fixture(scope="session")
 def s3():
     return symmetric(3)
 
@@ -102,12 +115,13 @@ def sampled_witnesses_are_real():
     """A check that every (law, witness, detail) a sampled law of `rep`
     reported appears, in the same relative order, in the exhaustive report of
     that law with the cap at its size. A law that reported no witness, or
-    has more than RERUN_LIMIT instances, is not rerun."""
+    has more than RERUN_LIMIT instances, is not rerun; one missing from
+    rep.instances ran on none."""
 
     def check(rep: Report, suite: str, laws) -> None:
         for law in laws:
             sampled = [v for v in rep.violations if v.law == law.name]
-            if rep.instances[law.name] == law.size or not sampled or law.size > RERUN_LIMIT:
+            if rep.instances.get(law.name, 0) == law.size or not sampled or law.size > RERUN_LIMIT:
                 continue
             full = iter(run_laws(Report(cap=law.size), suite, [law]).violations)
             assert all(v in full for v in sampled), law.name  # a subsequence

@@ -16,7 +16,8 @@ table-level code against them:
 * the unit squares of the quintet calculus, the second face formula of
   horizontal pasting, and the inverse of embed_morphism;
 * the pair index and identity morphisms of the categorical group, and its
-  composition table listed by the all-pairs scan;
+  underlying category, composites listed by the all-pairs scan and passed
+  through the checked constructor category_from_tables;
 * the adjoint action by its method-call formula, against which the
   table-level adjoint_action is checked;
 * the crossed modules on small catalogue groups that the benchmark sweep
@@ -29,7 +30,7 @@ import functools
 import random
 from dataclasses import dataclass
 
-from xmodcat.action import StrictAction, make_strict_action
+from xmodcat.action import StrictAction
 from xmodcat.catgroup import Mor2G, underlying_category
 from xmodcat.errors import BoundaryViolation, MalformedTable, MixedStructures
 from xmodcat.fincat import FiniteCategory, category_from_tables
@@ -275,17 +276,21 @@ def identity_morphism(xm: CrossedModule, g: int) -> Mor2G:
     return Mor2G(xm, g, xm.h.identity)
 
 
-def underlying_comp_reference(xm: CrossedModule) -> list[tuple[tuple[int, int], int]]:
-    """((j, i), j after i) for every composable pair of the underlying
-    category, found by scanning all npairs^2 pairs, j outer and i inner."""
+def underlying_category_reference(xm: CrossedModule) -> FiniteCategory:
+    """The underlying category, its composites (j, i, j after i)
+    found by scanning all npairs^2 pairs, j outer and i inner, and its
+    axioms checked by category_from_tables, which raises on a boundary that
+    is not a homomorphism."""
     n_h, stacks = xm.h.order, xm.pair_stacks
     mors = [(i // n_h, t) for i, t in enumerate(xm.pair_targets)]
-    return [
-        ((j, i), stacks[i][j % n_h])
+    identity = [xm.pair_index(x, xm.h.identity) for x in xm.g.elements()]
+    comp = [
+        (j, i, stacks[i][j % n_h])
         for j, (s2, _) in enumerate(mors)
         for i, (_, t1) in enumerate(mors)
         if s2 == t1
     ]
+    return category_from_tables(xm.g.order, mors, identity, comp)
 
 
 # --- the adjoint action -------------------------------------------------------
@@ -306,7 +311,7 @@ def adjoint_action_reference(xm: CrossedModule) -> StrictAction:
             new_eta = h.table[h.table[chi][xm.act(gamma, eta)]][xm.act(cg, ichi)]
             row.append(xm.pair_index(cg, new_eta))
         act_mor.append(row)
-    return make_strict_action(xm, c, act_obj, act_mor, is_adjoint=True)
+    return StrictAction(xm, c, act_obj, act_mor, is_adjoint=True)
 
 
 # --- the benchmark sweep's crossed modules --------------------------------------

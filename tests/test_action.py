@@ -15,15 +15,12 @@ from xmodcat.action import (
 from xmodcat.catgroup import mor_of, underlying_category
 from xmodcat.errors import MalformedTable
 from xmodcat.fincat import category_from_tables, terminal_category
-from xmodcat.groups import cyclic, direct_product, symmetric
 from xmodcat.suites import five_square_strip
-from xmodcat.xmod import xmod_identity
 from reference import (
     adjoint_action_reference,
     functor_compose,
     functor_of,
     nat_trans_of,
-    small_crossed_modules,
     validate_functor,
     validate_nat_trans,
 )
@@ -105,16 +102,25 @@ class TestStrictActions:
         with pytest.raises(MalformedTable):
             make_strict_action(xm1, c, [[9, 9], [9, 9]], good_mor)
 
-    def test_adjoint_action_is_the_reference_formula(self, all_xms, bad_xm):
-        xms = [xm for _, xm in all_xms] + [bad_xm] + [xm for _, xm in small_crossed_modules()] + [
-            xmod_identity(direct_product(symmetric(3), cyclic(2))),
-            xmod_identity(symmetric(4)),
-        ]
-        for xm in xms:
+    def test_adjoint_action_is_the_reference_formula(self, table_xms):
+        for xm in table_xms:
             got, want = adjoint_action(xm), adjoint_action_reference(xm)
             assert got.act_obj == want.act_obj
             assert got.act_mor == want.act_mor
             assert got == want and got.is_adjoint
+
+    def test_built_actions_pass_the_checked_constructor(self, table_xms):
+        # adjoint_action and trivial_strict_action make their StrictAction
+        # with no check; make_strict_action accepts the same tables
+        arrow = category_from_tables(2, [(0, 0), (1, 1), (0, 1)], [0, 1], [(0, 0, 0), (1, 1, 1), (2, 0, 2), (1, 2, 2)])
+        for xm in table_xms:
+            c = underlying_category(xm)
+            acts = [adjoint_action(xm)] + [
+                trivial_strict_action(xm, cat) for cat in (c, arrow, terminal_category(), category_from_tables(0, [], [], []))
+            ]
+            for act in acts:
+                assert act == make_strict_action(xm, act.category, act.act_obj, act.act_mor)
+            assert [act.is_adjoint for act in acts] == [True, False, False, False, False]
 
 
 class TestMalformedEntries:

@@ -18,12 +18,10 @@ from xmodcat.catgroup import (
 )
 from xmodcat.action import adjoint_action
 from xmodcat.errors import MixedStructures, NotComposable, XmodcatError
-from xmodcat.groups import cyclic, direct_product, symmetric
 from xmodcat.report import Report, run_laws
 from xmodcat.suites import catgroup_laws
 from xmodcat.transform import build_transformation_double
-from xmodcat.xmod import xmod_identity
-from reference import identity_morphism, mor_index, small_crossed_modules, underlying_comp_reference
+from reference import identity_morphism, mor_index, underlying_category_reference
 
 
 def all_morphisms(xm):
@@ -183,9 +181,7 @@ class TestUnderlyingCategory:
                 out = compose(mor_of(xm, j), mor_of(xm, i))
                 assert mor_index(out) == r
 
-    def test_category_passes_checked_constructor(self, xm2):
-        # underlying_category already routes through the checked constructor;
-        # verify endpoints against the boundary formula too
+    def test_endpoints_follow_the_boundary_formula(self, xm2):
         c = underlying_category(xm2)
         for i in range(xm2.npairs):
             s, t = boundary(mor_of(xm2, i))
@@ -195,11 +191,12 @@ class TestUnderlyingCategory:
         c = underlying_category(xm1)
         assert all(c.src[i] == c.tgt[i] for i in c.morphisms())
 
-    def test_composites_keep_the_all_pairs_scan_order(self, all_xms, bad_xm):
-        xms = [xm for _, xm in all_xms] + [bad_xm] + [xm for _, xm in small_crossed_modules()]
-        xms.append(xmod_identity(direct_product(symmetric(3), cyclic(2))))
-        for xm in xms:
-            assert list(underlying_category(xm).comp.items()) == underlying_comp_reference(xm)
+    def test_equals_the_checked_construction(self, table_xms):
+        # built from the pair tables with no check, it is the category that
+        # category_from_tables accepts, its composites in the all-pairs scan order
+        for xm in table_xms:
+            got, want = underlying_category(xm), underlying_category_reference(xm)
+            assert got == want and list(got.comp.items()) == list(want.comp.items())
 
 
 # --- the pair-index laws against the Mor2G layer --------------------------------

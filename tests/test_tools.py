@@ -1,8 +1,8 @@
 """The fixture generator reproduces the committed fixtures byte for byte,
 the bench recorder assembles its record, every demo runs to completion, the
 README's law-line count and grid example are current, no module imports a
-name it does not use, and every public name of the package has a reader
-outside the tests."""
+name it does not use, every public name of the package has a reader
+outside the tests, and only serialize uses a checked constructor."""
 
 import ast
 import importlib.util
@@ -199,3 +199,41 @@ def test_every_public_name_has_a_reader_outside_the_tests():
     modules = {p.stem: p.read_text() for p in PACKAGE}
     readers = [p.read_text() for d in ("tools", "demos", "perfbench") for p in sorted((ROOT / d).glob("*.py"))]
     assert unread_public_names(modules, readers) == sorted(KEPT_UNREAD)
+
+
+# the checked constructors guard tables read from a file; a structure the
+# package builds has its proof beside its code and is not re-checked
+CHECKED_CONSTRUCTORS = {"category_from_tables", "make_strict_action"}
+
+
+def checked_constructor_uses(source: str) -> list[tuple[int, str]]:
+    """(line, name) for each import or read of a checked constructor, so an
+    alias or an attribute call is found too."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, a.name) for a in node.names if a.name in CHECKED_CONSTRUCTORS]
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in CHECKED_CONSTRUCTORS:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr in CHECKED_CONSTRUCTORS:
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_a_checked_constructor_use_is_found():
+    source = (
+        "from .fincat import category_from_tables as build\nfrom . import action\n\n"
+        "def make_strict_action():\n    pass\n\nbuild(0, [], [], [])\naction.make_strict_action(xm, c, [], [])\n"
+    )
+    assert checked_constructor_uses(source) == [(1, "category_from_tables"), (8, "make_strict_action")]
+
+
+def test_only_serialize_uses_a_checked_constructor():
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in PACKAGE if path.name != "serialize.py"
+        for line, name in checked_constructor_uses(path.read_text())
+    ]
+    assert found == []
+    serialize = ROOT / "src" / "xmodcat" / "serialize.py"
+    assert {name for _, name in checked_constructor_uses(serialize.read_text())} == CHECKED_CONSTRUCTORS
