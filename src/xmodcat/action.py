@@ -109,16 +109,18 @@ def picker(idx):
 
 
 class ActionTables:
-    """The lookup tables that the laws of an action read, and seven
-    conditions on them, each decided once, on first use. natc[p][x] is the
-    component at x of pair p, by_g[g] the row of g |> -, after[f] the
-    morphisms that compose after f, and ct[a][b] is a after b, or -1 when
-    they do not compose; its last column (index -1) is all -1, so composing
-    with a miss is again a miss. Write W(g) = by_g[g], n_p(x) = natc[p][x],
-    u.v = ct[u][v], and g, b for a pair p's ends in G. transform.double_laws
-    proves five laws from the conditions; 1, 2, 3 and 7 are the bulk form of
-    the action laws whisker-agreement, endofunctor-composition,
-    component-stacking and transformation-component-typing."""
+    """The lookup tables that the laws of an action read, and five
+    conditions on them, each decided once, on first use; each reads the
+    action, and facts of the crossed module alone are CrossedModule.lawful's.
+    natc[p][x] is the component at x of pair p, by_g[g] the row of g |> -,
+    after[f] the morphisms that compose after f, and ct[a][b] is a after b,
+    or -1 when they do not compose; its last column (index -1) is all -1,
+    so composing with a miss is again a miss. Write W(g) = by_g[g], n_p(x)
+    = natc[p][x], u.v = ct[u][v], and g, b for a pair p's ends in G.
+    transform.double_laws proves five laws from the conditions and
+    xm.lawful; 1, 2, 3 and 5 are the bulk form of the action laws
+    whisker-agreement, endofunctor-composition, component-stacking and
+    transformation-component-typing."""
 
     def __init__(self, a: StrictAction):
         c, xm, n_h = a.category, a.xm, a.xm.h.order
@@ -169,33 +171,16 @@ class ActionTables:
     @cached_property
     def multiplicative(self) -> bool:
         """4: (p s)|> = p|> o s|> for every p and generator s of
-        xm.pair_tree, and p (d s) = (p d) s for every p and edge (d, s)."""
+        xm.pair_generators."""
         act_m, pt, pairs = self.act_m, self.xm.pair_products, range(self.xm.npairs)
-        gens, edges = self.xm.pair_tree
         return all(
-            act_m[pt[p][s]] == then_s(act_m[p]) for s in gens for then_s in [picker(act_m[s])] for p in pairs
-        ) and all(pt[p][pt[d][s]] == pt[pt[p][d]][s] for d, s in edges for p in pairs)
-
-    @cached_property
-    def targets_multiply(self) -> bool:
-        """5: the target of p1 p2 is b1 b2, for every p1 and p2."""
-        gt, tgt = self.xm.g.table, self.xm.pair_targets
-        return all(
-            tgt[p12] == gt[b1][b2] for b1, row in zip(tgt, self.xm.pair_products) for p12, b2 in zip(row, tgt)
-        )
-
-    @cached_property
-    def unit_pairs_multiply(self) -> bool:
-        """6: (g1, 1) (g2, 1) = (g1 g2, 1) for every g1 and g2."""
-        n_h, e, pt = self.xm.h.order, self.xm.h.identity, self.xm.pair_products
-        return all(
-            pt[g1 * n_h + e][g2 * n_h + e] == g12 * n_h + e for g1, row in enumerate(self.xm.g.table)
-            for g2, g12 in enumerate(row)
+            act_m[pt[p][s]] == then_s(act_m[p])
+            for s in self.xm.pair_generators for then_s in [picker(act_m[s])] for p in pairs
         )
 
     @cached_property
     def components_typed(self) -> bool:
-        """7: n_p(x) runs from g|>x to b|>x, for every p and object x."""
+        """5: n_p(x) runs from g|>x to b|>x, for every p and object x."""
         at_src, at_tgt, act_o = self.c.src.__getitem__, self.c.tgt.__getitem__, self.act_o
         return all(
             tuple(map(at_src, nat)) == act_o[g] and tuple(map(at_tgt, nat)) == act_o[b]
@@ -378,7 +363,8 @@ class WeakActionData:
 
     compositor[g1][g2][x] is a chosen morphism g1 |> (g2 |> x) -> (g1 g2) |> x
     in the category. The tables themselves may fail strictness; coherence of
-    the compositor is what check_compositor_coherence decides.
+    the compositor is what check_compositor_coherence decides. An entry that
+    is not a morphism index raises MalformedTable, naming the first.
     """
 
     def __init__(self, base: StrictAction, compositor):
@@ -392,6 +378,12 @@ class WeakActionData:
             for p in self.compositor
         ):
             raise MalformedTable("compositor must be indexed by G x G x objects")
+        n = base.category.n_morphisms
+        for g1, plane in enumerate(self.compositor):
+            for g2, row in enumerate(plane):
+                for x, m in enumerate(row):
+                    if not is_index(m, n):
+                        raise MalformedTable(f"compositor[{g1}][{g2}][{x}] = {m!r} out of range")
 
 
 def identity_compositor(a: StrictAction) -> WeakActionData:
@@ -409,12 +401,10 @@ def identity_compositor(a: StrictAction) -> WeakActionData:
 
 def coherence_laws(w: WeakActionData) -> list[Law]:
     """The compositor laws (see check_compositor_coherence); invertibility
-    is asked only of compositors that passed compositor-typing.
-    Compositor entries are not range-checked, so composites with them are
-    looked up in c.comp, where a miss is None, and not in the tables."""
+    is asked only of compositors that passed compositor-typing."""
     a = w.base
-    c, gt, cw, ao, by_g = a.category, a.xm.g.table, w.compositor, a.act_obj, a.tables.by_g
-    gs, objs, comp, ident = a.xm.g.elements(), c.objects(), c.comp, c.identity
+    c, gt, cw, ao, by_g, ct = a.category, a.xm.g.table, w.compositor, a.act_obj, a.tables.by_g, a.tables.ct
+    gs, objs, ident = a.xm.g.elements(), c.objects(), c.identity
     e = a.xm.g.identity
 
     def typed(g1, g2, x) -> bool:
@@ -424,13 +414,11 @@ def coherence_laws(w: WeakActionData) -> list[Law]:
     def invertible(g1, g2, x) -> bool:
         m = cw[g1][g2][x]
         s, t = c.src[m], c.tgt[m]
-        return any(
-            comp.get((n, m)) == ident[s] and comp.get((m, n)) == ident[t] for n in c.hom(t, s)
-        )
+        return any(ct[n][m] == ident[s] and ct[m][n] == ident[t] for n in c.hom(t, s))
 
     def natural(g1, g2, f) -> bool:
-        lhs = comp.get((cw[g1][g2][c.tgt[f]], by_g[g1][by_g[g2][f]]))
-        return lhs is not None and lhs == comp.get((by_g[gt[g1][g2]][f], cw[g1][g2][c.src[f]]))
+        lhs = ct[cw[g1][g2][c.tgt[f]]][by_g[g1][by_g[g2][f]]]
+        return lhs >= 0 and lhs == ct[by_g[gt[g1][g2]][f]][cw[g1][g2][c.src[f]]]
 
     # two triangles per (gamma, x): the compositors with the unit on either side
     def unit_triangle(insts, fail) -> None:
@@ -440,9 +428,8 @@ def coherence_laws(w: WeakActionData) -> list[Law]:
                 fail((g1, g2, x))
 
     def pentagon(f1, g1, h1, x) -> bool:
-        lhs = comp.get((cw[gt[f1][g1]][h1][x], cw[f1][g1][ao[h1][x]]))
-        rhs = comp.get((cw[f1][gt[g1][h1]][x], by_g[f1][cw[g1][h1][x]]))
-        return lhs is not None and lhs == rhs
+        lhs = ct[cw[gt[f1][g1]][h1][x]][cw[f1][g1][ao[h1][x]]]
+        return lhs >= 0 and lhs == ct[cw[f1][gt[g1][h1]][x]][by_g[f1][cw[g1][h1][x]]]
 
     typed_triples = [t for t in product(gs, gs, objs) if typed(*t)]
     return [

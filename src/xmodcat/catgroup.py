@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ComponentInvalid, MixedStructures, NotComposable
+from .errors import MixedStructures, NotComposable
 from .fincat import FiniteCategory
-from .groups import validate_homomorphism
-from .xmod import CrossedModule
+from .xmod import CrossedModule, check_boundary
 
 
 @dataclass(frozen=True)
@@ -76,8 +75,7 @@ def underlying_category(xm: CrossedModule) -> FiniteCategory:
     (complete); (x, 1) runs from x to b(1) x = x, and stacking 1 on either
     side of e leaves e (unital); stacking is H's product (associative).
     """
-    if not (brep := validate_homomorphism(xm.boundary)).ok:
-        raise ComponentInvalid(f"boundary is not a homomorphism: {brep.violations[0]}")
+    check_boundary(xm)
     n_h, stacks, tgt = xm.h.order, xm.pair_stacks, xm.pair_targets
     src = tuple(i // n_h for i in range(xm.npairs))
     identity = [xm.pair_index(x, xm.h.identity) for x in xm.g.elements()]

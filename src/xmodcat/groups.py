@@ -43,9 +43,6 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
     def conj(self, a: int, b: int) -> int:
         """a * b * a^-1."""
         return self.table[self.table[a][b]][self.inverse[a]]

@@ -314,13 +314,16 @@ def double_laws(d: TransDoubleCat) -> list[Law]:
                     shown = tuple(None if v < 0 else v for v in composites)
                     fail((g2, c2, g1, c1, f), f"composites {shown} expected {exp}")
 
-    # The proofs (see report.Law), sufficient and not necessary, from the
-    # conditions 1-7 of action.ActionTables, none of which assumes xm.lawful. C's
-    # table is typed, complete and associative (C is a category, see fincat), so a
-    # chain whose neighbours compose has one composite however grouped; each
-    # step below turns a composite that exists (act_m has no -1) into one
-    # that exists. (g1, h1) (g2, h2) = (g1 g2, h1 (g1 |> h2)); the label c
-    # stacks on (g, h) as (g, c h).
+    # The proofs (see report.Law), sufficient and not necessary, from
+    # xm.lawful and the conditions 1-5 of action.ActionTables; lawful comes
+    # first in each, as it is cached and cheap. When xm.lawful, by its
+    # docstring: (L1) the target of p1 p2 is b1 b2, for p1, p2 with targets
+    # b1, b2; (L2) (k, 1) (j, 1) = (k j, 1); (L3) the pair product is
+    # associative. C's table is typed, complete and associative (C is a
+    # category, see fincat), so a chain whose neighbours compose has one
+    # composite however grouped; each step below turns a composite that
+    # exists (act_m has no -1) into one that exists. (g1, h1) (g2, h2) =
+    # (g1 g2, h1 (g1 |> h2)); the label c stacks on (g, h) as (g, c h).
     #
     # h-boundary, from 1, 2 and 3 (the bifunctor lemma): at a row
     # (p1, f1, p2, f2), f1: x -> y and f2: y -> z compose by 2, and with
@@ -330,16 +333,16 @@ def double_laws(d: TransDoubleCat) -> list[Law]:
     #              = n_p2(z).W(b1)(f2).W(b1)(f1).n_p1(x)  by 1 at (p1, f2), (p1, f1)
     #              = (p2|>f2).(p1|>f1)                    by 1 at p2 and p1.
     #
-    # v-boundary, from 4 and 5: clause 1 is 5. Clause 2, (p q)|> = p|> o q|>,
-    # holds at every generator q by 4, and if at d for every p, then at
-    # q = d s for every edge (d, s), by 4:
+    # v-boundary, from xm.lawful and 4: clause 1 is L1. Clause 2,
+    # (p q)|> = p|> o q|>, holds at every generator q of xm.pair_generators
+    # by 4, and if at d for every p, then at q = d s for every generator s,
+    # by L3 and 4:
     #   (p q)|> = ((p d) s)|> = (p d)|> o s|> = p|> o d|> o s|> = p|> o q|>,
-    # so at every pair, by induction along the edges.
+    # so at every pair, by induction on the positive words in the
+    # generators, which reach every pair.
     #
-    # v-assoc, from xm.lawful and 4: clause 2 is v-boundary's at (p2, p3).
-    # Clause 1, (p1 p2) p3 = p1 (p2 p3), is the associativity of the
-    # semidirect product when xm.lawful: both G parts are g1 g2 g3, both H
-    # parts h1 (g1 |> h2) ((g1 g2) |> h3), by respects-product and composition.
+    # v-assoc, from xm.lawful and 4: clause 2 is v-boundary's at (p2, p3),
+    # and clause 1, (p1 p2) p3 = p1 (p2 p3), is L3.
     #
     # interchange, from xm.lawful and h-boundary's proof: "rows not
     # composable" and "rows not stackable" at a row (pa, fa, pb, fb) fail
@@ -351,7 +354,7 @@ def double_laws(d: TransDoubleCat) -> list[Law]:
     # by respects-product; they agree by composition and peiffer at
     # (hc, gc |> hb).
     #
-    # six-composites, from 1, 2, 4, 5, 6 and 7: at (p2, p1, f), f: x -> y,
+    # six-composites, from xm.lawful, 1, 2, 4 and 5: at (p2, p1, f), f: x -> y,
     # p = p2 p1 has source g2 g1, and b1, b2, b are the targets of p1, p2, p.
     # The composites, each of which must be exp = p|>f, are
     #   c1 = n_p2(b1|>y).(W(g2)(n_p1(y)).W(g2 g1)(f))
@@ -362,11 +365,11 @@ def double_laws(d: TransDoubleCat) -> list[Law]:
     #   c6 = W(b2 b1)(f).(W(b2)(n_p1(x)).n_p2(g1|>x))
     # (a) 1 at p: p|>f = W(b)(f).n_p(x) = n_p(y).W(g2 g1)(f).
     # (b) W(k)(n_p1(y)).W(k g1)(f) = W(k b1)(f).W(k)(n_p1(x)) for every k,
-    #     as W(k) o W(j) = W(k j) by clause 2 and 6, so by 2, W(k) takes the
+    #     as W(k) o W(j) = W(k j) by clause 2 and L2, so by 2, W(k) takes the
     #     two sides of 1 at (p1, f) to these.
     # (c) n_p(x) = p2|>n_p1(x) = n_p2(b1|>x).W(g2)(n_p1(x)) = W(b2)(n_p1(x)).
-    #     n_p2(g1|>x), by clause 2, then 1 at (p2, n_p1(x)): g1|>x -> b1|>x (7).
-    # (d) b = b2 b1 by 5.
+    #     n_p2(g1|>x), by clause 2, then 1 at (p2, n_p1(x)): g1|>x -> b1|>x (5).
+    # (d) b = b2 b1 by L1.
     # Regrouping, c1 = n_p(y).W(g2 g1)(f) = exp by (c) and (a), and c3 = c1
     # by (b) at g2; c2 = exp the same way; c6 = W(b)(f).n_p(x) = exp by (c),
     # (d) and (a), and c4 = c6 by (c); c5 = c6 by (b) at b2.
@@ -378,7 +381,7 @@ def double_laws(d: TransDoubleCat) -> list[Law]:
         ),
         replace(
             product_law("v-boundary", v_boundary, pairs, mors, pairs),
-            proved=lambda: t.multiplicative and t.targets_multiply,
+            proved=lambda: xm.lawful and t.multiplicative,
         ),
         replace(
             product_law("v-assoc", v_assoc, pairs, pairs, pairs, mors),
@@ -390,10 +393,7 @@ def double_laws(d: TransDoubleCat) -> list[Law]:
         ),
         replace(
             product_law("six-composites", six_composites, g.elements(), hs, g.elements(), hs, mors),
-            proved=lambda: (
-                t.split and t.functorial and t.multiplicative and t.targets_multiply
-                and t.unit_pairs_multiply and t.components_typed
-            ),
+            proved=lambda: xm.lawful and t.split and t.functorial and t.multiplicative and t.components_typed,
         ),
     ]
 
@@ -419,9 +419,6 @@ class FiniteGroupoid(FiniteCategory):
     def __init__(self, n_objects, src, tgt, identity, comp, inverse):
         super().__init__(n_objects, src, tgt, identity, comp)
         self.inverse = tuple(inverse)
-
-    def inv(self, f: int) -> int:
-        return self.inverse[f]
 
 
 class ActionComposition(Mapping):

@@ -128,13 +128,11 @@ class CrossedModule:
         return SquareKernel(self)
 
     @cached_property
-    def pair_tree(self) -> tuple[list[int], list[tuple[int, int]]]:
-        """(gens, edges) reaching every pair: each generator is the first
-        pair not yet reached, each edge (d, s) reaches pair_products[d][s]
-        from a generator s and a pair d reached before (in a group, each
-        generator after the first at least doubles what is reached)."""
-        pt, reached = self.pair_products, [False] * self.npairs
-        gens, edges = [], []
+    def pair_generators(self) -> tuple[int, ...]:
+        """Pairs whose positive words reach every pair: each is the first
+        pair not reached by products of those before it (in a group, each
+        after the first at least doubles what is reached)."""
+        pt, reached, gens = self.pair_products, [False] * self.npairs, []
         for r in range(self.npairs):
             if not reached[r]:
                 gens.append(r)
@@ -144,9 +142,8 @@ class CrossedModule:
                     for s in gens:
                         if not reached[q := pt[d][s]]:
                             reached[q] = True
-                            edges.append((d, s))
                             queue.append(q)
-        return gens, edges
+        return tuple(gens)
 
     @cached_property
     def boundary_kernel(self) -> tuple[int, ...]:
@@ -167,7 +164,16 @@ class CrossedModule:
         groups, as is every FiniteGroup the package makes (see fincat), and
         the boundary runs from H to G and the action is of G on H in every
         module it makes (make_crossed_module checks both). Laws that hold in
-        every crossed module are proved from this."""
+        every crossed module are proved from this: quintet
+        face-formulas-agree and grid-interchange, and double interchange
+        and v-assoc; with conditions on the action's tables, double
+        v-boundary and six-composites too. Those four double proofs read
+        three facts of the pair arithmetic that follow from it:
+        - pair targets multiply: bnd(h1 (g1 |> h2)) g1 g2 = bnd(h1) g1
+          bnd(h2) g1^-1 g1 g2 = bnd(h1) g1 bnd(h2) g2, by homomorphism and
+          equivariance;
+        - g |> 1 = 1 by respects-product, so (k, 1) (j, 1) = (k j, 1);
+        - the pair product is associative (see semidirect_group)."""
         laws = homomorphism_laws(self.boundary) + crossed_module_laws(self)
         return self.acts_by_automorphisms and run_laws(Report(), "xmod", laws).ok
 
@@ -203,12 +209,17 @@ def crossed_module_laws(xm: CrossedModule) -> list[Law]:
     ]
 
 
+def check_boundary(xm: CrossedModule) -> None:
+    """Raise ComponentInvalid, naming the first violation, when the boundary
+    is not a homomorphism."""
+    if not (brep := validate_homomorphism(xm.boundary)).ok:
+        raise ComponentInvalid(f"boundary is not a homomorphism: {brep.violations[0]}")
+
+
 def check_components(xm: CrossedModule) -> None:
     """Raise ComponentInvalid, naming the first violation, when the boundary
     is not a homomorphism or the action is not by automorphisms."""
-    brep = validate_homomorphism(xm.boundary)
-    if not brep.ok:
-        raise ComponentInvalid(f"boundary is not a homomorphism: {brep.violations[0]}")
+    check_boundary(xm)
     arep = validate_automorphism_action(xm.action)
     if not arep.ok:
         raise ComponentInvalid(f"action is not by automorphisms: {arep.violations[0]}")

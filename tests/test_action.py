@@ -349,6 +349,24 @@ class TestCompositorCoherence:
         with pytest.raises(MalformedTable):
             WeakActionData(act, [[[0]]])
 
+    # an entry that is no morphism index is refused when the data comes in:
+    # not read as one (True as morphism 1, -1 as the last morphism), nor
+    # left for the laws to raise IndexError on
+    @pytest.mark.parametrize("kind", ["bool", "negative", "n_morphisms"])
+    def test_compositor_entries_checked(self, xm1, kind):
+        act = adjoint_action(xm1)
+        value = {"bool": True, "negative": -1, "n_morphisms": act.category.n_morphisms}[kind]
+        with pytest.raises(MalformedTable) as raised:
+            with_compositor_entry(act, 1, 1, 0, value)
+        assert str(raised.value) == f"compositor[1][1][0] = {value!r} out of range"
+
+    def test_the_first_bad_compositor_entry_is_named(self, xm1):
+        act = adjoint_action(xm1)
+        comp = [[list(r) for r in plane] for plane in identity_compositor(act).compositor]
+        comp[1][0][0], comp[0][1][1] = -1, 2.0
+        with pytest.raises(MalformedTable, match=r"^compositor\[0\]\[1\]\[1\] = 2\.0 out of range$"):
+            WeakActionData(act, comp)
+
     def test_pentagon_break_on_inversion_fixture(self, xm1):
         # replace the (1,1) plane with the non-identity endomorphisms (x, 1);
         # typing, units and naturality all survive but the two pentagon

@@ -2,7 +2,8 @@
 the bench recorder assembles its record, every demo runs to completion, the
 README's law-line count and grid example are current, no module imports a
 name it does not use, every public name of the package has a reader
-outside the tests, and only serialize uses a checked constructor."""
+outside the tests, every method of its classes has a reader, and only
+serialize uses a checked constructor."""
 
 import ast
 import importlib.util
@@ -199,6 +200,58 @@ def test_every_public_name_has_a_reader_outside_the_tests():
     modules = {p.stem: p.read_text() for p in PACKAGE}
     readers = [p.read_text() for d in ("tools", "demos", "perfbench") for p in sorted((ROOT / d).glob("*.py"))]
     assert unread_public_names(modules, readers) == sorted(KEPT_UNREAD)
+
+
+def methods(tree: ast.AST):
+    """(class, name, node) for each method and property of each class in
+    tree whose name is not a dunder."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and not (node.name.startswith("__") and node.name.endswith("__")):
+                    yield cls.name, node.name, node
+
+
+def attribute_reads(tree: ast.AST) -> Counter:
+    """How often each name is read in tree as an attribute or is a string
+    literal there, as getattr(tables, name) reads a condition."""
+    return Counter(
+        node.attr if isinstance(node, ast.Attribute) else node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        or isinstance(node, ast.Constant) and isinstance(node.value, str)
+    )
+
+
+def unread_methods(modules: dict[str, str], readers: list[str]) -> list[str]:
+    """"module:Class.name" for each method or property of the classes of
+    `modules` (name -> source) that nothing reads outside its own body, in
+    the modules or in a reader's source."""
+    trees = {name: ast.parse(source) for name, source in modules.items()}
+    read = sum(map(attribute_reads, [*trees.values(), *map(ast.parse, readers)]), Counter())
+    return [
+        f"{module}:{cls}.{name}"
+        for module, tree in trees.items() for cls, name, node in methods(tree)
+        if read[name] == attribute_reads(node)[name]
+    ]
+
+
+def test_an_unread_method_is_found():
+    modules = {
+        "a": (
+            "class C:\n    def __eq__(self, o):\n        return self.f()\n\n    def f(self):\n        return 1\n\n"
+            "    def g(self):\n        return self.g()\n\n    @property\n    def h(self):\n        return 2\n\n"
+            "    def k(self):\n        pass\n"
+        ),
+        "b": "from a import C\n\nC().h\n",
+    }
+    assert unread_methods(modules, ["getattr(C(), 'k')\n"]) == ["a:C.g"]
+
+
+def test_every_method_has_a_reader():
+    modules = {p.stem: p.read_text() for p in sorted((ROOT / "src" / "xmodcat").glob("*.py"))}
+    readers = [p.read_text() for d in ("tests", "tools", "demos", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    assert unread_methods(modules, readers) == []
 
 
 # the checked constructors guard tables read from a file; a structure the

@@ -991,16 +991,14 @@ class TestProvedLaws:
             assert proofs_that_hold(trivial_strict_action(xm, category), SWEEP_BUDGET) == PROVED
 
     # bad-peiffer breaks peiffer, broken_xm equivariance: no proof that
-    # needs xm.lawful holds, those of h-boundary, v-boundary and
-    # six-composites hold where the action's tables allow, and the walks
-    # still find what they found
+    # needs xm.lawful holds, h-boundary's, the one that does not, holds where
+    # the action's tables allow, and the walks still find what they found
     def test_only_table_proofs_hold_on_a_module_that_breaks_an_axiom(self, bad_xm, broken_xm):
-        table_proofs = {"h-boundary", "v-boundary", "six-composites"}
-        for xm, on_adjoint, on_trivial in ((bad_xm, {"v-boundary"}, table_proofs), (broken_xm, set(), {"h-boundary"})):
+        for xm in (bad_xm, broken_xm):
             assert not xm.lawful
-            assert proofs_that_hold(adjoint_action(xm), SWEEP_BUDGET) == on_adjoint
+            assert proofs_that_hold(adjoint_action(xm), SWEEP_BUDGET) == set()
             for c in (terminal_category(), ARROW):
-                assert proofs_that_hold(trivial_strict_action(xm, c), SWEEP_BUDGET) == on_trivial
+                assert proofs_that_hold(trivial_strict_action(xm, c), SWEEP_BUDGET) == {"h-boundary"}
         lines = run_all(adjoint_action(bad_xm), **SWEEP_BUDGET)
         failing = {line.law for line in lines if line.status == "fail"}
         assert {"face-formulas-agree", "grid-interchange", "interchange"} <= failing
@@ -1064,12 +1062,10 @@ class TestProvedLaws:
         assert failing >= ({"six-composites"} if act.act_mor == lawful.act_mor else table_laws)
 
 
-# the seven conditions of action.ActionTables, from which double_laws
-# proves h-boundary, v-boundary, v-assoc, interchange and six-composites
-CONDITIONS = (
-    "split", "functorial", "stacking", "multiplicative", "targets_multiply", "unit_pairs_multiply",
-    "components_typed",
-)
+# the five conditions of action.ActionTables, from which, with xm.lawful,
+# double_laws proves h-boundary, v-boundary, v-assoc, interchange and
+# six-composites
+CONDITIONS = ("split", "functorial", "stacking", "multiplicative", "components_typed")
 # one object and the morphisms 0 (its identity), 1 and 2 composing as Z/3
 Z3_MONOID = category_from_tables(1, [(0, 0)] * 3, [0], [(a, b, (a + b) % 3) for a in range(3) for b in range(3)])
 
@@ -1132,23 +1128,25 @@ class TestDoubleTables:
         assert report_facts(rep) == report_facts(run_laws(Report(), "double", [replace(six, proved=None)]))
         assert [v.detail for v in rep.violations] == ["composites (3, 3, 3, 0, 0, 0) expected 0"]
 
-    # broken_xm's pair targets are not multiplicative, so condition 5 fails;
-    # acting trivially, every composite is still exp
+    # broken_xm's pair targets are not multiplicative, so it is not lawful,
+    # though every condition holds; acting trivially, every composite is
+    # still exp
     def test_a_law_that_fails_a_condition_but_holds_passes(self, broken_xm):
         act = trivial_strict_action(broken_xm, ARROW)
-        assert failing_conditions(act) == {"targets_multiply"}
+        assert not broken_xm.lawful and failing_conditions(act) == set()
         six = [law for law in double_laws(build_transformation_double(act, validate=False)) if law.name == "six-composites"]
         assert run_laws(Report(), "double", six).ok
 
     # the trivial group acting on Z/2 by swapping its elements, so the unit
-    # of G moves the unit of H: condition 6 alone fails, and six-composites
-    # is walked, and holds, on the trivial action of the arrow category
+    # of G moves the unit of H and (1, 1) (1, 1) is not (1, 1): the module is
+    # not lawful, no condition fails, and six-composites is walked, and
+    # holds, on the trivial action of the arrow category
     def test_a_module_whose_unit_moves_the_unit_label_is_walked(self):
         one, z2 = trivial_group(), cyclic(2)
         xm = make_crossed_module(one, z2, make_homomorphism(z2, one, [0, 0]), make_action(one, z2, [[1, 0]]))
         act = trivial_strict_action(xm, ARROW)
-        assert failing_conditions(act) == {"unit_pairs_multiply"}
-        assert double_proofs_that_hold(act) == {"h-boundary", "v-boundary"}
+        assert not xm.lawful and failing_conditions(act) == set()
+        assert double_proofs_that_hold(act) == {"h-boundary"}
         assert verify_double_category(build_transformation_double(act, validate=False)).count("six-composites") == 0
 
     # the trivial module acting on Z/3 by t -> t, t^2 -> 1, which fixes the
@@ -1166,7 +1164,7 @@ class TestDoubleTables:
     # stacking the label twice gives the unit pair, whose component is 1,
     # but composing its component twice gives t^2: condition 3 is the only
     # one of h-boundary's proof (1, 2, 3) that fails. On a lawful module 3
-    # follows from 1, 4, 6 and 7, so 4 fails too, and every proof is False
+    # follows from 1, 4 and 5, so 4 fails too, and every proof is False
     def test_components_that_do_not_stack_are_walked(self, xm3):
         act = make_strict_action(xm3, Z3_MONOID, [[0]], [[0, 1, 2], [1, 2, 0]])
         assert failing_conditions(act) == {"stacking", "multiplicative"}
@@ -1175,36 +1173,34 @@ class TestDoubleTables:
         assert rep.count("h-boundary") == 9
 
     # a trivial group acting on Z/3 by swapping 0 and 1, which is no action
-    # by automorphisms: the pair product is not associative, the tree of
-    # condition 4 reaches 1 and 2 from 0, and this action passes every
-    # generator check of 4 but fails its check of associativity and
-    # v-boundary's clause 2, which the walk finds
+    # by automorphisms: the pair product is not associative, the positive
+    # words in the one generator 0 reach 1 and 2, and this action passes
+    # condition 4 but fails v-boundary's clause 2, which the walk finds
     def test_generator_checks_that_pass_where_the_product_is_not_associative(self):
         one, z3 = trivial_group(), cyclic(3)
         xm = make_crossed_module(one, z3, make_homomorphism(z3, one, [0, 0, 0]), make_action(one, z3, [[1, 0, 2]]))
         act = make_strict_action(xm, Z3_MONOID, [[0]], [[1, 2, 0], [2, 0, 1], [0, 1, 2]])
-        assert xm.pair_tree == ([0], [(0, 0), (1, 0)])
+        assert xm.pair_generators == (0,)
         am, pt = act.act_mor, xm.pair_products
         assert all(am[pt[p][0]] == tuple(am[p][m] for m in am[0]) for p in range(3))
-        assert "multiplicative" in failing_conditions(act) and "targets_multiply" not in failing_conditions(act)
+        assert not xm.lawful and "multiplicative" not in failing_conditions(act)
         assert double_proofs_that_hold(act) == set()
         rep = verify_double_category(build_transformation_double(act, validate=False))
         assert rep.count("v-boundary") == 18
 
-    # every pair is a generator or reached by one edge (d, s) from a
-    # generator s and a pair d reached before it; on a lawful module the
-    # proof of v-boundary's clause 2 from the tree agrees with the full
-    # comparison, on the adjoint action and on a mutant of it
+    # the positive words in xm.pair_generators reach every pair; on a
+    # lawful module the proof of v-boundary's clause 2 from the generators
+    # agrees with the full comparison, on the adjoint action and on a mutant
+    # of it
     def test_the_pair_tree_reaches_every_pair(self, all_xms, bad_xm, broken_xm):
         order_12 = xmod_identity(direct_product(symmetric(3), cyclic(2)))
         xms = [xm for _, xm in all_xms] + [bad_xm, broken_xm, order_12] + [xm for _, xm in SMALL_XMS]
         for xm in xms:
-            gens, edges = xm.pair_tree
-            reached = list(gens)
-            for d, s in edges:
-                assert s in gens and d in reached
-                reached.append(xm.pair_products[d][s])
-            assert sorted(reached) == list(range(xm.npairs))
+            gens, pt = xm.pair_generators, xm.pair_products
+            reached = set(gens)
+            while len(reached) < len(grown := reached | {pt[d][s] for d in reached for s in gens}):
+                reached = grown
+            assert reached == set(range(xm.npairs))
             if xm.lawful:
                 assert 2 ** (len(gens) - 1) <= xm.npairs
                 for act in (adjoint_action(xm), act_mor_mutant(adjoint_action(xm), 0, 1)):
