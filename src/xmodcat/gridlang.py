@@ -19,13 +19,18 @@ one match of _SQ_LINE, and a well-formed grid row of known names with no
 punctuation, quote or comment by one split into _ATOMS (_read_row). Every
 other line, and every syntax, name or adjacency error, goes through the
 token walk (_tokenize, _LineParser, _walk_sq, _walk_row), which reports it.
-Both sq paths share one boundary check, which makes the square a Quintet.
+The one-match path tests the boundary law inline on the kernel's tables, as
+SquareKernel.checked does; a square that breaks it goes to the check that
+the token walk's squares go through (_declare), which reports it. Rows are
+checked as they are read, so the grid is built from them with no second
+check.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import BoundaryViolation, XmodcatError
@@ -72,6 +77,7 @@ _SQ_LINE = re.compile(
 )
 
 _Token = tuple  # (kind, text, col, end)
+_LEFT, _TOP, _RIGHT, _BOTTOM = map(itemgetter, range(4))  # a square's edges
 
 
 def _tokenize(line: str, lineno: int) -> list[_Token]:
@@ -196,8 +202,9 @@ def _read_row(raw: str, squares: dict[str, Quintet], rows: list[list[Quintet]]) 
         row = [squares[name] for name in _ATOMS.findall(raw)] if _PLAIN.fullmatch(raw) else None
     except KeyError:
         return None
-    if row and all(a[2] == b[0] for a, b in zip(row, row[1:])) and (
-        not rows or len(row) == len(rows[0]) and all(a[3] == b[1] for a, b in zip(rows[-1], row))
+    # equal edge lists above and below also mean equal row lengths
+    if row and [*map(_RIGHT, row[:-1])] == [*map(_LEFT, row[1:])] and (
+        not rows or [*map(_BOTTOM, rows[-1])] == [*map(_TOP, row)]
     ):
         return row
     return None
@@ -253,7 +260,11 @@ def parse_document(text: str, base_dir=".") -> GridDocument:
             name, left, top, right, bottom, face = m.groups()
             sq = (g_at.get(left), g_at.get(top), g_at.get(right), g_at.get(bottom), h_at.get(face))
             if None not in sq and name not in squares:
-                _declare(k, squares, name, sq, lineno, m.start(6) + 1)
+                left, top, right, bottom, face = sq
+                if bnd[face] == gt[gt[gt[bottom][right]][gi[top]]][gi[left]]:  # k.checked's test
+                    squares[name] = _quintet(xm, sq)
+                else:
+                    _declare(k, squares, name, sq, lineno, m.start(6) + 1)  # raises
                 continue
         toks = _tokenize(raw, lineno)
         if not toks:
@@ -275,6 +286,7 @@ def parse_document(text: str, base_dir=".") -> GridDocument:
             except FixtureFormatError as exc:
                 raise DslSyntaxError(str(exc), lineno, ref_col) from exc
             k = xm.kernel
+            gt, gi, bnd = k.gt, k.gi, k.bnd
             # canonical index text to index, for the edges and for the face
             g_at = {str(v): v for v in xm.g.elements()}
             h_at = {str(v): v for v in xm.h.elements()}
@@ -309,7 +321,9 @@ def parse_document(text: str, base_dir=".") -> GridDocument:
 
     if not in_grid or not rows:
         raise DslSyntaxError("missing grid section", len(lines) + 1, 1)
-    return GridDocument(QuintetGrid(rows), xmod_ref or "", tuple(squares))
+    # every square is over xm, and the row readers checked the shape and
+    # the shared edges
+    return GridDocument(QuintetGrid._of_checked_rows(rows), xmod_ref or "", tuple(squares))
 
 
 def serialize_grid(grid: QuintetGrid, xmod_ref: str) -> str:

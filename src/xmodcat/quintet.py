@@ -17,21 +17,26 @@ evaluate_grid.
 The arithmetic lives in one integer kernel, SquareKernel(xm), which reads
 the crossed module's g, h, action and boundary tables and works on
 (left, top, right, bottom, face) tuples. It holds the only copy of the forced
-bottom edge, the two pastings, the two inverses and the boundary check,
-which re-checks every square it pastes or inverts by table lookups and
-raises the BoundaryViolation of the checked layer. It does not check
-adjacency: its callers do, wherever adjacency is not true by construction.
-Each crossed module builds one, CrossedModule.kernel, on first use.
+bottom edge, the two pastings, the two inverses and the boundary check. Over
+a lawful module (CrossedModule.lawful) a paste or inverse of lawful squares
+is lawful, as the kernel's docstring derives, so it returns the result as
+computed; over any other module it re-checks every square it pastes or
+inverts by table lookups and raises the BoundaryViolation of the checked
+layer. It does not check adjacency: its callers do, wherever adjacency is
+not true by construction. Each crossed module builds one,
+CrossedModule.kernel, on first use.
 
-Quintet, make_square, square_from_edges, compose_h, compose_v and invert are
-the checked layer on top: they reject out-of-range squares, squares over
-different crossed modules and non-adjacent pastes, and return Quintets. A
-Quintet is the tuple (left, top, right, bottom, face, xm), so the kernel
-reads it as it is. A QuintetGrid checks its shape, crossed module and
-adjacency once, when it is built, so evaluate_grid folds its cells on the
-kernel with no check of its own. The verification suite's law loops run on
-the kernel; its embed-compose law and the five-square-strip oracle go
-through the checked layer.
+Quintet, square_from_edges, compose_h, compose_v and invert are the checked
+layer on top: Quintet(xm, ...), also named make_square, rejects out-of-range
+squares and squares that break the boundary law, the pastes reject squares
+over different crossed modules and non-adjacent pastes, and all return
+Quintets; _quintet wraps a kernel output, or a square checked as `checked`
+checks it, with no check of its own. A Quintet is the tuple (left, top,
+right, bottom, face, xm), so the kernel reads it as it is. A QuintetGrid
+checks its shape, crossed module and adjacency once, when it is built, so
+evaluate_grid folds its cells on the kernel with no check of its own. The
+verification suite's law loops, the five-square-strip oracle among them,
+run on the kernel; its embed-compose law goes through the checked layer.
 """
 
 from __future__ import annotations
@@ -52,14 +57,22 @@ Square = tuple  # (left, top, right, bottom, face)
 
 class Quintet(tuple):
     """A square over xm: the tuple (left, top, right, bottom, face, xm) with
-    named fields. It equals only another Quintet with equal entries (xm by
-    identity first), hashes as its tuple, and cannot be changed."""
+    named fields. Building one checks that its edges and face are in range
+    and that it satisfies the boundary law, else raises BoundaryViolation.
+    It equals only another Quintet with equal entries (xm by identity
+    first), hashes as its tuple, and cannot be changed."""
 
     __slots__ = ()
     left, top, right, bottom, face, xm = (property(itemgetter(i)) for i in range(6))
 
     def __new__(cls, xm: CrossedModule, left: int, top: int, right: int, bottom: int, face: int):
-        return tuple.__new__(cls, (left, top, right, bottom, face, xm))
+        sq, n_g = (left, top, right, bottom, face), xm.g.order
+        for e in (left, top, right, bottom):
+            if not is_index(e, n_g):
+                raise BoundaryViolation(f"edge {e!r} out of range", sq)
+        if not is_index(face, xm.h.order):
+            raise BoundaryViolation(f"face {face!r} out of range", sq)
+        return tuple.__new__(cls, xm.kernel.checked(sq) + (xm,))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Quintet) and tuple.__eq__(self, other)
@@ -83,21 +96,12 @@ class Quintet(tuple):
 
 
 def _quintet(xm: CrossedModule, sq: Square) -> Quintet:
-    """The Quintet of a kernel tuple over xm, with no checks."""
+    """The Quintet of sq over xm, with no checks: sq is a kernel output, or
+    has passed the test of SquareKernel.checked."""
     return tuple.__new__(Quintet, sq + (xm,))
 
 
-def make_square(
-    xm: CrossedModule, left: int, top: int, right: int, bottom: int, face: int
-) -> Quintet:
-    """Checked constructor enforcing the boundary law."""
-    sq, n_g = (left, top, right, bottom, face), xm.g.order
-    for e in (left, top, right, bottom):
-        if not is_index(e, n_g):
-            raise BoundaryViolation(f"edge {e!r} out of range", sq)
-    if not is_index(face, xm.h.order):
-        raise BoundaryViolation(f"face {face!r} out of range", sq)
-    return _quintet(xm, xm.kernel.checked(sq))
+make_square = Quintet  # the checked constructor, called as a function
 
 
 # --- the integer kernel -----------------------------------------------------
@@ -108,7 +112,31 @@ class SquareKernel:
     one crossed module, read straight from its g, h, action and boundary
     tables; an operand may also be a Quintet, read as its tuple. hcomp(a, b)
     needs a.right == b.left and vcomp(upper, lower) needs upper.bottom ==
-    lower.top; neither checks it."""
+    lower.top; neither checks it. Every operand must satisfy the boundary
+    law bnd(face) = bottom * right * top^-1 * left^-1, as every square of
+    `square` and every Quintet does.
+
+    The kernel reads xm.lawful once, when it is built. When it holds, the
+    boundary is a homomorphism and equivariant, and hcomp, vcomp, hinv and
+    vinv return their result with no check, since it satisfies the boundary
+    law too. Write w_s = s.left * s.top * s.right^-1, so s.bottom =
+    bnd(s.face) * w_s:
+    - hcomp(a, b), with b.left = a.right, has the boundary word a.bottom *
+      b.bottom * b.right * b.top^-1 * a.top^-1 * a.left^-1 = bnd(a.face) *
+      w_a * bnd(b.face) * w_a^-1 (as b.bottom * b.right * b.top^-1 =
+      bnd(b.face) * a.right), bnd of its face a.face * (w_a |> b.face) by
+      homomorphism and equivariance;
+    - vcomp(u, l), with l.top = u.bottom, has the word bnd(l.face) * l.left
+      * bnd(u.face) * l.left^-1 the same way, bnd of l.face * (l.left |>
+      u.face);
+    - hinv(s) has the word s.bottom^-1 * s.left * s.top * s.right^-1 =
+      s.bottom^-1 * bnd(s.face)^-1 * s.bottom, bnd of its face
+      s.bottom^-1 |> s.face^-1;
+    - vinv(s) has the word s.top * s.right^-1 * s.bottom^-1 * s.left =
+      s.left^-1 * bnd(s.face)^-1 * s.left, bnd of its face s.left^-1 |>
+      s.face^-1.
+    Over a module that is not lawful the kernel becomes a _CheckingKernel,
+    whose pastes and inverses pass their result through `checked`."""
 
     __slots__ = ("xm", "gt", "gi", "ht", "hi", "act", "bnd")
 
@@ -116,6 +144,8 @@ class SquareKernel:
         self.xm = xm
         self.gt, self.gi, self.ht, self.hi = xm.g.table, xm.g.inverse, xm.h.table, xm.h.inverse
         self.act, self.bnd = xm.action.table, xm.boundary.map
+        if not xm.lawful:
+            self.__class__ = _CheckingKernel
 
     def checked(self, sq: Square) -> Square:
         """sq, an in-range tuple, once it satisfies the boundary law; else
@@ -138,31 +168,48 @@ class SquareKernel:
         """b pasted right of a; face a.face * ((a.left * a.top * a.right^-1) |> b.face)."""
         gt, left, top = self.gt, a[0], a[1]
         w = gt[gt[left][top]][self.gi[a[2]]]
-        return self.checked(
-            (left, gt[top][b[1]], b[2], gt[a[3]][b[3]], self.ht[a[4]][self.act[w][b[4]]])
-        )
+        return left, gt[top][b[1]], b[2], gt[a[3]][b[3]], self.ht[a[4]][self.act[w][b[4]]]
 
     def vcomp(self, upper: Square, lower: Square) -> Square:
         """lower pasted under upper; face lower.face * (lower.left |> upper.face)."""
         gt, left = self.gt, lower[0]
-        return self.checked((
+        return (
             gt[left][upper[0]], upper[1], gt[lower[2]][upper[2]], lower[3],
             self.ht[lower[4]][self.act[left][upper[4]]],
-        ))
+        )
 
     def hinv(self, sq: Square) -> Square:
         """The inverse of sq under hcomp."""
         w = self.gi[sq[3]]
-        return self.checked((sq[2], self.gi[sq[1]], sq[0], w, self.act[w][self.hi[sq[4]]]))
+        return sq[2], self.gi[sq[1]], sq[0], w, self.act[w][self.hi[sq[4]]]
 
     def vinv(self, sq: Square) -> Square:
         """The inverse of sq under vcomp."""
         w = self.gi[sq[0]]
-        return self.checked((w, sq[3], self.gi[sq[2]], sq[1], self.act[w][self.hi[sq[4]]]))
+        return w, sq[3], self.gi[sq[2]], sq[1], self.act[w][self.hi[sq[4]]]
 
     def hface_alt(self, a: Square, b: Square) -> int:
         """The face of hcomp(a, b) by the other formula, (a.bottom |> b.face) * a.face."""
         return self.ht[self.act[a[3]][b[4]]][a[4]]
+
+
+class _CheckingKernel(SquareKernel):
+    """The kernel of a module that is not lawful: a paste or an inverse may
+    break the boundary law there, so each result goes through `checked`."""
+
+    __slots__ = ()
+
+    def hcomp(self, a: Square, b: Square) -> Square:
+        return self.checked(SquareKernel.hcomp(self, a, b))
+
+    def vcomp(self, upper: Square, lower: Square) -> Square:
+        return self.checked(SquareKernel.vcomp(self, upper, lower))
+
+    def hinv(self, sq: Square) -> Square:
+        return self.checked(SquareKernel.hinv(self, sq))
+
+    def vinv(self, sq: Square) -> Square:
+        return self.checked(SquareKernel.vinv(self, sq))
 
 
 # --- the checked layer ------------------------------------------------------
@@ -253,6 +300,15 @@ class QuintetGrid:
                         f"cells ({i - 1},{j})/({i},{j}): bottom edge {rows[i - 1][j][3]} != top edge {sq[1]}"
                     )
 
+    @classmethod
+    def _of_checked_rows(cls, rows: list[list[Quintet]]) -> QuintetGrid:
+        """The grid of rows whose shape, crossed module and adjacency the
+        caller has checked as __post_init__ does, built without checking
+        them again."""
+        grid = object.__new__(cls)
+        object.__setattr__(grid, "cells", tuple(map(tuple, rows)))
+        return grid
+
     @property
     def n_rows(self) -> int:
         return len(self.cells)
@@ -273,8 +329,9 @@ def evaluate_grid(grid: QuintetGrid, order: str = "rows") -> Quintet:
     bottom; order="columns" folds each column first. The interchange law
     makes both orders agree, which the verification suite exercises. The
     grid checked its shape, crossed module and adjacency when it was built,
-    so the fold pastes kernel tuples with no check of its own; the kernel
-    still re-checks every paste against the boundary law.
+    and each cell the boundary law, so the fold pastes kernel tuples with no
+    check of its own; only over a module that is not lawful does the kernel
+    re-check each paste against the boundary law (see SquareKernel).
     """
     xm = grid.xm
     k, cells = xm.kernel, grid.cells

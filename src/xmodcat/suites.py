@@ -248,14 +248,9 @@ def quintet_laws(d: TransDoubleCat) -> list[Law]:
     # right * top^-1 * left^-1, which every square of `square` satisfies.
     # Write w_s = s.left * s.top * s.right^-1, so s.bottom = bnd(s.face) * w_s.
     #
-    # No paste of two squares that share an edge raises in
-    # SquareKernel.checked, and every paste here is one. hcomp(a, b), with
-    # b.left = a.right, has the boundary word a.bottom * b.bottom * b.right *
-    # b.top^-1 * a.top^-1 * a.left^-1 = bnd(a.face) * w_a * bnd(b.face) *
-    # w_a^-1 (as b.bottom * b.right * b.top^-1 = bnd(b.face) * a.right), bnd
-    # of its face a.face * (w_a |> b.face) by homomorphism and equivariance;
-    # vcomp(u, l), with l.top = u.bottom, has the word bnd(l.face) * l.left *
-    # bnd(u.face) * l.left^-1 the same way, bnd of l.face * (l.left |> u.face).
+    # When xm.lawful, no paste here raises in SquareKernel.checked: each is
+    # of two squares that share an edge, and SquareKernel derives that such a
+    # paste satisfies the boundary law.
     #
     # face-formulas-agree: a.bottom |> b.face = bnd(a.face) |> (w_a |> b.face)
     # by the composition law of the action, which peiffer at (a.face,
@@ -302,7 +297,8 @@ def five_square_strip(act: StrictAction, gamma: int, chi: int, f: int):
     The row has identity left/right edges throughout; its tops read
     e, gamma, src(f), gamma^-1, e and its faces read chi, 1, face(f), 1,
     chi^-1. The horizontal composite's top edge and face must be the source
-    and face of the image morphism.
+    and face of the image morphism. adjoint_laws folds the same row on the
+    kernel (_kernel_strips); this is its checked-layer form.
     """
     xm = act.xm
     g, h = xm.g, xm.h
@@ -322,24 +318,40 @@ def five_square_strip(act: StrictAction, gamma: int, chi: int, f: int):
     return out
 
 
+def _kernel_strips(act: StrictAction, insts):
+    """(gamma, chi, f, out) for each (gamma, chi, f) of insts, where out is
+    five_square_strip(act, gamma, chi, f) folded on the kernel: the same
+    squares, pasted left to right as it pastes them, as a plain tuple. The
+    first paste and the last two squares depend only on (gamma, chi), so a
+    run of instances in one (gamma, chi) row makes them once."""
+    xm = act.xm
+    g, h = xm.g, xm.h
+    square, hcomp = xm.kernel.square, xm.kernel.hcomp
+    e, one, n_h = g.identity, h.identity, h.order
+    row = None
+    for gamma, chi, f in insts:
+        if row != (gamma, chi):
+            row = gamma, chi
+            head = hcomp(square(e, e, e, chi), square(e, gamma, e, one))
+            fourth, fifth = square(e, g.inverse[gamma], e, one), square(e, e, e, h.inverse[chi])
+        gg, eta = divmod(f, n_h)  # xm.pair_of(f)
+        yield gamma, chi, f, hcomp(hcomp(hcomp(head, square(e, gg, e, eta)), fourth), fifth)
+
+
 def adjoint_laws(d: TransDoubleCat) -> list[Law]:
     act, xm = d.act, d.xm
-    g = xm.g
+    g, h = xm.g, xm.h
+    e, n_h, act_mor = g.identity, h.order, act.act_mor
 
     def strip(insts, fail) -> None:
-        for gamma, chi, f in insts:
-            out = five_square_strip(act, gamma, chi, f)
-            want_g, want_eta = xm.pair_of(act.on_mor_pair(gamma, chi, f))
-            if (
-                out.left != g.identity
-                or out.right != g.identity
-                or out.top != want_g
-                or out.face != want_eta
-            ):
+        for gamma, chi, f, out in _kernel_strips(act, insts):
+            # xm.pair_of(act.on_mor_pair(gamma, chi, f))
+            want_g, want_eta = divmod(act_mor[gamma * n_h + chi][f], n_h)
+            if out[0] != e or out[2] != e or out[1] != want_g or out[4] != want_eta:
                 fail((gamma, chi, f))
 
     mors = d.category.morphisms()
-    return [product_law("five-square-strip", strip, g.elements(), xm.h.elements(), mors)]
+    return [product_law("five-square-strip", strip, g.elements(), h.elements(), mors)]
 
 
 def suite_adjoint_oracle(d, samples, seed, max_exhaustive) -> list[LawLine]:

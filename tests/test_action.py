@@ -15,7 +15,9 @@ from xmodcat.action import (
 from xmodcat.catgroup import mor_of, underlying_category
 from xmodcat.errors import MalformedTable
 from xmodcat.fincat import category_from_tables, terminal_category
-from xmodcat.suites import five_square_strip
+from xmodcat.groups import cyclic, direct_product, symmetric
+from xmodcat.suites import _kernel_strips, five_square_strip
+from xmodcat.xmod import xmod_identity
 from reference import (
     adjoint_action_reference,
     functor_compose,
@@ -318,6 +320,23 @@ class TestFiveSquareOracle:
             out = five_square_strip(act, gamma, chi, f)
             want = mor_of(xm2, act.on_mor_pair(gamma, chi, f))
             assert (out.top, out.face) == (want.g, want.eta)
+
+
+    def test_the_kernel_fold_is_the_checked_fold(self, all_xms):
+        o12 = xmod_identity(direct_product(symmetric(3), cyclic(2)))
+        for xm in [xm for _, xm in all_xms] + [o12]:
+            act = adjoint_action(xm)
+            insts = list(itertools.product(xm.g.elements(), xm.h.elements(), act.category.morphisms()))
+            seen = 0
+            for (gamma, chi, f, out), inst in zip(_kernel_strips(act, insts), insts):
+                assert (gamma, chi, f) == inst
+                assert out == five_square_strip(act, gamma, chi, f).as_tuple()
+                seen += 1
+            assert seen == len(insts) > 0
+            # out of row order too, as sampled instances come
+            shuffled = random.Random(7).sample(insts, min(len(insts), 3000))
+            for gamma, chi, f, out in _kernel_strips(act, shuffled):
+                assert out == five_square_strip(act, gamma, chi, f).as_tuple()
 
 
 def one_object_groupoid(group):

@@ -24,8 +24,8 @@ from xmodcat.gridlang import (
     parse_document,
     serialize_grid,
 )
-from xmodcat.quintet import QuintetGrid, SquareKernel, evaluate_grid, make_square, random_grid
-from xmodcat.serialize import write_json, xmod_to_obj
+from xmodcat.quintet import Quintet, QuintetGrid, SquareKernel, evaluate_grid, make_square, random_grid
+from xmodcat.serialize import load_xmod, write_json, xmod_to_obj
 from xmodcat.xmod import xmod_identity, xmod_trivial_boundary
 
 GRIDS = Path(__file__).resolve().parent.parent / "fixtures" / "grids"
@@ -103,6 +103,33 @@ BAD_FILES = [
     ("sq_before_use.xmg", DslSyntaxError, 1, 1),
     ("no_grid.xmg", DslSyntaxError, 3, 1),
 ]
+BAD_MESSAGES = {
+    "syntax.xmg": "expected '=', found '('",
+    "unknown_name.xmg": "unknown G element 'q'",
+    "out_of_range.xmg": "index 7 out of range for a group of order 2",
+    "boundary.xmg": "square 'A': bnd(face)=0 but bottom*right*top^-1*left^-1=1",
+    "adjacency.xmg": "left edge 0 does not match neighbour's right edge 1",
+    "ragged.xmg": "row has 1 cells, expected 2",
+    "sq_before_use.xmg": "'sq' before the use directive",
+    "no_grid.xmg": "missing grid section",
+}
+
+
+class TestCheckedOnce:
+    """parse_document builds its grid from rows it checked as it read them,
+    with no second check; the grid must be the one the checking
+    constructors build from the same squares."""
+
+    def test_seeded_grids_equal_the_checked_construction(self):
+        rng = random.Random(20261021)
+        for i in range(200):
+            name = f"xm{1 + i % 4}"
+            xm = load_xmod(GRIDS.parent / f"{name}.json")
+            grid = random_grid(xm, rng.randint(1, 40), rng.randint(1, 40), rng)
+            parsed = parse_document(serialize_grid(grid, f"../{name}.json"), base_dir=GRIDS).grid
+            rows = [[Quintet(parsed.xm, *sq.as_tuple()) for sq in row] for row in grid.cells]
+            assert parsed == QuintetGrid(rows) == grid
+            assert type(parsed.cells) is tuple and all(type(row) is tuple for row in parsed.cells)
 
 
 class TestDiagnostics:
@@ -111,6 +138,7 @@ class TestDiagnostics:
         with pytest.raises(exc_type) as exc:
             load_grid(GRIDS / "bad" / name)
         assert (exc.value.line, exc.value.col) == (line, col)
+        assert str(exc.value) == f"line {line}, col {col}: {BAD_MESSAGES[name]}"
 
     def test_boundary_diagnostic_mentions_the_square(self):
         with pytest.raises(GridBoundaryViolation) as exc:

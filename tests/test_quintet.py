@@ -31,7 +31,9 @@ from xmodcat.report import Report, run_laws
 from xmodcat.serialize import write_json, xmod_to_obj
 from xmodcat.suites import quintet_laws
 from xmodcat.transform import build_transformation_double
-from xmodcat.xmod import xm_cyc4, xm_sym3
+from xmodcat.groups import cyclic, direct_product, symmetric
+from xmodcat.quintet import _CheckingKernel
+from xmodcat.xmod import xm_cyc4, xm_sym3, xmod_identity
 from reference import compose_h_face_alt, extract_morphism, h_identity, random_square, v_identity
 
 
@@ -48,6 +50,24 @@ class TestConstruction:
             make_square(xm1, 9, 0, 0, 0, 0)
         with pytest.raises(BoundaryViolation):
             make_square(xm1, 0, 0, 0, 0, 9)
+
+    def test_the_constructor_checks_range_then_boundary(self, xm2):
+        assert make_square is Quintet
+        cases = [
+            ((99, 0, 0, 0, 0), "edge 99 out of range"),
+            ((0, 0, True, 0, 0), "edge True out of range"),
+            ((0, 0, 0, 0, 6), "face 6 out of range"),
+            ((99, 0, 0, 0, 6), "edge 99 out of range"),  # the edges first
+            ((0, 0, 0, 0, 1), "bnd(face)=1 but bottom*right*top^-1*left^-1=0"),
+        ]
+        for sq, msg in cases:
+            with pytest.raises(BoundaryViolation) as exc:
+                Quintet(xm2, *sq)
+            assert str(exc.value).startswith(msg) and exc.value.witness == sq
+        # so no grid holds a square that breaks the boundary law
+        with pytest.raises(BoundaryViolation):
+            evaluate_grid(QuintetGrid([[Quintet(xm2, 0, 0, 0, 0, 1)]]))
+        assert Quintet(xm2, 0, 0, 0, 1, 1) == square_from_edges(xm2, 0, 0, 0, 1)
 
     def test_square_from_edges_forces_the_bottom(self, all_xms):
         for _, xm in all_xms:
@@ -75,9 +95,9 @@ class TestQuintetContract:
     def test_equal_fields_over_equal_modules_are_equal_and_hash_equal(self, xm2):
         twin = xm_sym3()
         assert twin is not xm2 and twin == xm2
-        a, b = Quintet(xm2, 1, 2, 3, 4, 5), Quintet(twin, 1, 2, 3, 4, 5)
+        a, b = Quintet(xm2, 1, 2, 3, 2, 5), Quintet(twin, 1, 2, 3, 2, 5)
         assert a == b and not a != b and hash(a) == hash(b) and len({a, b}) == 1
-        assert a != Quintet(xm2, 1, 2, 3, 4, 4) and a != Quintet(xm_cyc4(), 1, 2, 3, 0, 1)
+        assert a != Quintet(xm2, 1, 2, 3, 0, 4) and a != Quintet(xm_cyc4(), 1, 2, 3, 1, 1)
 
     def test_a_plain_tuple_of_its_entries_is_not_a_quintet(self, xm2):
         q = square_from_edges(xm2, 1, 2, 3, 4)
@@ -458,6 +478,64 @@ class TestSquareKernel:
         assert compose_h_face_alt(a, b) == k.hface_alt(a.as_tuple(), b.as_tuple())
         assert invert_square(a, "h").as_tuple() == k.hinv(a.as_tuple())
         assert invert_square(a, "v").as_tuple() == k.vinv(a.as_tuple())
+
+
+def pastes_and_inverses(k: SquareKernel, squares, h_pairs, v_pairs):
+    """Every kernel output on these operands."""
+    return (
+        [k.hcomp(a, b) for a, b in h_pairs] + [k.vcomp(a, b) for a, b in v_pairs]
+        + [k.hinv(sq) for sq in squares] + [k.vinv(sq) for sq in squares]
+    )
+
+
+class TestLawfulGate:
+    """Over a lawful module the kernel's pastes and inverses skip `checked`,
+    by the derivation in SquareKernel's docstring; their results must pass
+    it all the same."""
+
+    def test_every_adjacent_paste_and_every_inverse_passes_the_check(self, all_xms):
+        for _, xm in all_xms:
+            k = SquareKernel(xm)
+            assert xm.lawful and type(k) is SquareKernel
+            sqs = [sq.as_tuple() for sq in enumerate_squares(xm)]
+            by_left, by_top = {}, {}
+            for sq in sqs:
+                by_left.setdefault(sq[0], []).append(sq)
+                by_top.setdefault(sq[1], []).append(sq)
+            h_pairs = [(a, b) for a in sqs for b in by_left[a[2]]]
+            v_pairs = [(a, b) for a in sqs for b in by_top[a[3]]]
+            assert len(h_pairs) == len(v_pairs) == len(sqs) ** 2 // xm.g.order
+            for out in pastes_and_inverses(k, sqs, h_pairs, v_pairs):
+                assert k.checked(out) is out
+
+    def test_seeded_pastes_on_the_order_12_module_pass_the_check(self):
+        xm = xmod_identity(direct_product(symmetric(3), cyclic(2)))
+        k, rng = xm.kernel, random.Random(20261021)
+        assert type(k) is SquareKernel
+        n_g, n_h = xm.g.order, xm.h.order
+
+        def free():
+            return rng.randrange(n_g), rng.randrange(n_g), rng.randrange(n_h)
+
+        sqs = [k.square(rng.randrange(n_g), *free()) for _ in range(10_000)]
+        h_pairs = [(a, k.square(a[2], *free())) for a in sqs]
+        v_pairs = []
+        for a in sqs:  # lower.top = a.bottom
+            left, right, face = free()
+            v_pairs.append((a, k.square(left, a[3], right, face)))
+        for out in pastes_and_inverses(k, sqs, h_pairs, v_pairs):
+            assert k.checked(out) is out
+
+    def test_the_gate_is_read_from_lawful(self, xm2, bad_xm, broken_xm):
+        # on a lawful module an operand that breaks the boundary law is not
+        # caught: the pastes do not check
+        k = xm2.kernel
+        bad = (0, 0, 0, 0, 1)
+        with pytest.raises(BoundaryViolation):
+            k.checked(k.hcomp(bad, k.square(0, 0, 0, 0)))
+        # bad-peiffer keeps equivariance, broken_xm does not; neither is lawful
+        for xm in (bad_xm, broken_xm):
+            assert not xm.lawful and type(xm.kernel) is _CheckingKernel
 
 
 # verify's quintet and catgroup lines on the equivariance-broken module, as
