@@ -150,9 +150,21 @@ def catgroup_laws(d: TransDoubleCat) -> list[Law]:
             ):
                 fail((a, b))
 
+    # The proof of interchange reads xm.lawful (see CrossedModule.lawful).
+    # At (m1, c2, n1, d2) write m1 = (gm, hm) and n1 = (gn, hn), with targets
+    # bm = bnd(hm) gm and bn. upper = (bm, c2) (bn, d2) has source bm bn,
+    # and lower = m1 n1 has target bm bn, as pair targets multiply, so
+    # NotComposable is not raised. Both sides have G part gm gn, and H parts
+    #   stack(m1, c2) stack(n1, d2):   c2 hm (gm |> d2) (gm |> hn)
+    #   stack(lower, label of upper):  c2 ((bnd(hm) gm) |> d2) hm (gm |> hn)
+    # by respects-product; they agree by composition and peiffer at
+    # (hm, gm |> d2).
     return [
         product_law("tensor-typing", tensor_typing, pairs, pairs),
-        product_law("interchange", interchange, pairs, h.elements(), pairs, h.elements()),
+        replace(
+            product_law("interchange", interchange, pairs, h.elements(), pairs, h.elements()),
+            proved=lambda: xm.lawful,
+        ),
         product_law("tensor-inverse", tensor_inverse, pairs),
         product_law("eckmann-hilton", eckmann_hilton, kernel, kernel),
     ]
@@ -243,14 +255,13 @@ def quintet_laws(d: TransDoubleCat) -> list[Law]:
             if lhs != embed_morphism(catgroup.compose(m2, m1)):
                 fail((gg, eta, eta2))
 
-    # The proofs of face-formulas-agree and grid-interchange read xm.lawful
-    # (see CrossedModule.lawful) and the boundary law bnd(face) = bottom *
+    # The proofs of every law but embed-compose read xm.lawful (see
+    # CrossedModule.lawful) and the boundary law bnd(face) = bottom *
     # right * top^-1 * left^-1, which every square of `square` satisfies.
     # Write w_s = s.left * s.top * s.right^-1, so s.bottom = bnd(s.face) * w_s.
     #
-    # When xm.lawful, no paste here raises in SquareKernel.checked: each is
-    # of two squares that share an edge, and SquareKernel derives that such a
-    # paste satisfies the boundary law.
+    # When xm.lawful, the kernel re-checks no paste or inverse (see
+    # SquareKernel), so no proved law here raises.
     #
     # face-formulas-agree: a.bottom |> b.face = bnd(a.face) |> (w_a |> b.face)
     # by the composition law of the action, which peiffer at (a.face,
@@ -268,13 +279,38 @@ def quintet_laws(d: TransDoubleCat) -> list[Law]:
     # the last factors agree. c.top = a.bottom gives w_c = c.left *
     # bnd(a.face) * w_a * c.right^-1 = bnd(X) * w_v by equivariance, so
     # Y = bnd(X) |> Z = X * Z * X^-1 by peiffer at (X, Z), and Y * X = X * Z.
+    #
+    # The identity and inverse laws, at a square s = (l, t, r, b, f) with
+    # w = w_s, so b = bnd(f) * w. In each clause the edges agree by G's
+    # table alone (t * t^-1 = 1, 1 * b = b, ...), so only the faces are
+    # derived.
+    #
+    # h-inverse: hinv(s) = (r, t^-1, l, b^-1, b^-1 |> f^-1), and its w is
+    # w^-1. hcomp(s, hinv(s)) has the face f * ((w * b^-1) |> f^-1) by
+    # composition, and w * b^-1 = bnd(f)^-1 = bnd(f^-1) by homomorphism, so
+    # it is f * (bnd(f^-1) |> f^-1) = f * f^-1 = 1 by peiffer at (f^-1, f^-1).
+    # hcomp(hinv(s), s) has the face (b^-1 |> f^-1) * (w^-1 |> f) =
+    # w^-1 |> ((bnd(f^-1) |> f^-1) * f) by composition and respects-product,
+    # which is w^-1 |> 1 = 1 by the same peiffer instance.
+    #
+    # The other three laws read the automorphism laws only (respects-product,
+    # and with it g |> 1 = 1, unit and composition), so they can fail only
+    # on a module on which G does not act by automorphisms.
+    # v-inverse: vinv(s) = (l^-1, b, r^-1, t, l^-1 |> f^-1). vcomp(s,
+    # vinv(s)) has the face (l^-1 |> f^-1) * (l^-1 |> f) = l^-1 |> 1 = 1,
+    # and vcomp(vinv(s), s) the face f * (l |> (l^-1 |> f^-1)) = f * f^-1 = 1
+    # by composition and unit.
+    # h-identity: hcomp(h_id(l), s) has the face 1 * ((l * l^-1) |> f) = f by
+    # unit, and hcomp(s, h_id(r)) the face f * (w |> 1) = f.
+    # v-identity: vcomp(v_id(t), s) has the face f * (l |> 1) = f, and
+    # vcomp(s, v_id(b)) the face 1 * (1 |> f) = f by unit.
     lawful = lambda: xm.lawful
     return [
         replace(product_law("face-formulas-agree", faces_agree, squares, gs, gs, hs), proved=lawful),
-        product_law("h-inverse", h_inverse, squares),
-        product_law("v-inverse", v_inverse, squares),
-        product_law("h-identity", h_identities, squares),
-        product_law("v-identity", v_identities, squares),
+        replace(product_law("h-inverse", h_inverse, squares), proved=lawful),
+        replace(product_law("v-inverse", v_inverse, squares), proved=lawful),
+        replace(product_law("h-identity", h_identities, squares), proved=lawful),
+        replace(product_law("v-identity", v_identities, squares), proved=lawful),
         replace(
             product_law("grid-interchange", grid_interchange, gs, gs, gs, hs, gs, gs, hs, gs, gs, hs, gs, hs),
             proved=lawful,

@@ -164,10 +164,11 @@ class CrossedModule:
         groups, as is every FiniteGroup the package makes (see fincat), and
         the boundary runs from H to G and the action is of G on H in every
         module it makes (make_crossed_module checks both). Laws that hold in
-        every crossed module are proved from this: quintet
-        face-formulas-agree and grid-interchange, and double interchange
-        and v-assoc; with conditions on the action's tables, double
-        v-boundary and six-composites too. Those four double proofs read
+        every crossed module are proved from this: catgroup interchange,
+        every quintet law but embed-compose, and double interchange and
+        v-assoc; with conditions on the action's tables, double v-boundary
+        and six-composites, and action morphism-associativity and
+        component-product, too. The proofs of the laws on pair indices read
         three facts of the pair arithmetic that follow from it:
         - pair targets multiply: bnd(h1 (g1 |> h2)) g1 g2 = bnd(h1) g1
           bnd(h2) g1^-1 g1 g2 = bnd(h1) g1 bnd(h2) g2, by homomorphism and

@@ -19,7 +19,7 @@ from xmodcat.groups import (
 from xmodcat.report import Report, run_laws
 from xmodcat.serialize import load_action
 from xmodcat.suites import (
-    action_laws, h2_laws, nested_suite_laws, pentagon_laws, quintet_laws, run_all, v2_laws,
+    action_laws, catgroup_laws, h2_laws, nested_suite_laws, pentagon_laws, quintet_laws, run_all, v2_laws,
 )
 from xmodcat.transform import (
     TDSquare,
@@ -883,11 +883,22 @@ class TestSuitePins:
 
 # --- proved laws -----------------------------------------------------------------
 
-# face-formulas-agree and grid-interchange (quintet), and every double law
-# but v-unit, carry a proof; run_laws skips the walk of a law whose proof holds
-PROVED = {
-    "face-formulas-agree", "grid-interchange",
-    "h-boundary", "v-boundary", "v-assoc", "interchange", "six-composites",
+# (suite, law) of the laws that carry a proof: catgroup interchange, every
+# quintet law but embed-compose, three action laws and every double law but
+# v-unit; run_laws skips the walk of a law whose proof holds. interchange
+# names a catgroup law and a double law
+QUINTET_PROVED = {
+    ("quintet", law)
+    for law in ("face-formulas-agree", "h-inverse", "v-inverse", "h-identity", "v-identity", "grid-interchange")
+}
+# the proofs that read xm.lawful alone, so hold on every action of a lawful module
+LAWFUL_PROVED = QUINTET_PROVED | {("catgroup", "interchange")}
+# the proofs that read the action's tables alone, the only ones that can hold
+# on a module that is not lawful
+TABLE_PROVED = {("double", "h-boundary"), ("action", "pair-functoriality")}
+PROVED = LAWFUL_PROVED | TABLE_PROVED | {
+    ("action", "component-product"), ("action", "morphism-associativity"),
+    ("double", "v-boundary"), ("double", "v-assoc"), ("double", "interchange"), ("double", "six-composites"),
 }
 # two objects and one arrow between them
 ARROW = category_from_tables(2, [(0, 0), (1, 1), (0, 1)], [0, 1], [(0, 0, 0), (1, 1, 1), (2, 0, 2), (1, 2, 2)])
@@ -928,7 +939,10 @@ SWEEP_BUDGET = {"samples": 1000, "max_exhaustive": 10_000}  # verify's in the be
 def proved_laws(act):
     """(suite, law) for every law with a proof, on one double category."""
     d = build_transformation_double(act, validate=False)
-    suites = (("quintet", quintet_laws(d)), ("double", double_laws(d)))
+    suites = (
+        ("catgroup", catgroup_laws(d)), ("quintet", quintet_laws(d)), ("action", action_laws(d)),
+        ("double", double_laws(d)),
+    )
     return [(suite, law) for suite, laws in suites for law in laws if law.proved]
 
 
@@ -942,13 +956,13 @@ def outcome(suite, law, budget):
 
 
 def proofs_that_hold(act, budget):
-    """The names of the laws whose proof holds on act, after checking that
-    each law reports the same with its proof as without it."""
+    """(suite, law name) of the laws whose proof holds on act, after
+    checking that each law reports the same with its proof as without it."""
     held = set()
     for suite, law in proved_laws(act):
-        assert outcome(suite, law, budget) == outcome(suite, replace(law, proved=None), budget), law.name
+        assert outcome(suite, law, budget) == outcome(suite, replace(law, proved=None), budget), (suite, law.name)
         if law.proved():
-            held.add(law.name)
+            held.add((suite, law.name))
     return held
 
 
@@ -956,8 +970,9 @@ SMALL_XMS = small_crossed_modules()
 
 
 class TestProvedLaws:
-    def test_the_seven_proved_laws(self, xm2):
-        assert {law.name for _, law in proved_laws(adjoint_action(xm2))} == PROVED
+    def test_the_fifteen_proved_laws(self, xm2):
+        assert len(PROVED) == 15
+        assert {(suite, law.name) for suite, law in proved_laws(adjoint_action(xm2))} == PROVED
 
     # xm2 at verify's defaults would walk 1.7 million v-assoc instances
     @pytest.mark.parametrize(
@@ -991,37 +1006,77 @@ class TestProvedLaws:
             assert proofs_that_hold(trivial_strict_action(xm, category), SWEEP_BUDGET) == PROVED
 
     # bad-peiffer breaks peiffer, broken_xm equivariance: no proof that
-    # needs xm.lawful holds, h-boundary's, the one that does not, holds where
-    # the action's tables allow, and the walks still find what they found
+    # needs xm.lawful holds, those of h-boundary and pair-functoriality, which
+    # do not, hold where the action's tables allow, and the walks still find
+    # what they found
     def test_only_table_proofs_hold_on_a_module_that_breaks_an_axiom(self, bad_xm, broken_xm):
         for xm in (bad_xm, broken_xm):
             assert not xm.lawful
             assert proofs_that_hold(adjoint_action(xm), SWEEP_BUDGET) == set()
             for c in (terminal_category(), ARROW):
-                assert proofs_that_hold(trivial_strict_action(xm, c), SWEEP_BUDGET) == {"h-boundary"}
+                assert proofs_that_hold(trivial_strict_action(xm, c), SWEEP_BUDGET) == TABLE_PROVED
         lines = run_all(adjoint_action(bad_xm), **SWEEP_BUDGET)
         failing = {line.law for line in lines if line.status == "fail"}
         assert {"face-formulas-agree", "grid-interchange", "interchange"} <= failing
+
+    # Z/2 acting on Z/4 by inversion, with the boundary onto Z/2: a
+    # homomorphism, and equivariant, but peiffer fails on the diagonal
+    # (bnd(1) |> 1 = 3), which h-inverse's proof reads; no suite raises, as
+    # a paste of squares keeps the boundary law here
+    def test_h_inverse_fails_where_peiffer_fails_on_the_diagonal(self):
+        z2, z4 = cyclic(2), cyclic(4)
+        xm = make_crossed_module(
+            z2, z4, make_homomorphism(z4, z2, [0, 1, 0, 1]), make_action(z2, z4, [[0, 1, 2, 3], [0, 3, 2, 1]])
+        )
+        assert xm.acts_by_automorphisms and not xm.lawful
+        act = adjoint_action(xm)
+        assert proofs_that_hold(act, SWEEP_BUDGET) == set()
+        lines = run_all(act, **SWEEP_BUDGET)
+        assert not [line for line in lines if line.law.endswith("-error")]
+        [line] = [line for line in lines if (line.suite, line.law) == ("quintet", "h-inverse")]
+        assert line.to_obj() == {
+            "suite": "quintet", "law": "h-inverse", "status": "fail", "checked": 32, "violations": 16,
+            "witness": [0, 0, 0, 1, 1],
+        }
+
+    # TestPairGroupCheck's module, on which the unit of H is not fixed by the
+    # element 1 of G, so G does not act by automorphisms: h-inverse and the
+    # three quintet laws that read only the automorphism laws fail
+    def test_the_quintet_unit_and_inverse_laws_fail_where_g_moves_the_unit(self):
+        z2, z3 = cyclic(2), cyclic(3)
+        xm = make_crossed_module(
+            z2, z3, make_homomorphism(z3, z2, [0, 0, 0]), make_action(z2, z3, [[0, 1, 2], [1, 0, 2]])
+        )
+        act = trivial_strict_action(xm, terminal_category())
+        assert proofs_that_hold(act, SWEEP_BUDGET) == TABLE_PROVED
+        witnesses = {"h-inverse": [0, 0, 1, 1, 0], "v-inverse": [1, 0, 0, 1, 0], "h-identity": [0, 0, 1, 1, 0],
+                     "v-identity": [1, 0, 0, 1, 0]}
+        lines = [line.to_obj() for line in run_all(act, only=["quintet"], **SWEEP_BUDGET)]
+        assert [line for line in lines if line["law"] in witnesses] == [
+            {"suite": "quintet", "law": law, "status": "fail", "checked": 24, "violations": 12, "witness": w}
+            for law, w in witnesses.items()
+        ]
 
     def test_v_assoc_is_walked_on_the_mutated_action(self, fixtures_dir):
         act = load_action(fixtures_dir / "actions" / "mutated.json")
         assert act.xm.lawful
         held = proofs_that_hold(act, {})
-        assert "v-assoc" not in held and held >= {"face-formulas-agree", "grid-interchange"}
+        assert ("double", "v-assoc") not in held and held >= LAWFUL_PROVED
         [line] = [line for line in run_all(act, only=["double"]) if line.law == "v-assoc"]
         assert line.status == "fail"
 
     # seeded act_mor, act_obj and aimed mutants of the adjoint actions: the
-    # module is lawful, so the quintet proofs hold; an act_mor mutant breaks
-    # some row, some composition and some condition of six-composites, which
-    # leaves every double law but v-unit to its walk
+    # module is lawful, so the catgroup and quintet proofs hold; an act_mor
+    # mutant breaks some row, some composition and some condition of
+    # six-composites, which leaves every double law but v-unit, and the
+    # three proved action laws, to their walks
     @pytest.mark.parametrize("name, seed, entries, budget", MUTANT_CASES)
     def test_seeded_mutants_report_as_walked(self, all_xms, name, seed, entries, budget):
         act = mutant(adjoint_action(dict(all_xms)[name]), seed, entries)
         held = proofs_that_hold(act, budget or SWEEP_BUDGET)
-        assert held >= {"face-formulas-agree", "grid-interchange"}
+        assert held >= LAWFUL_PROVED
         if isinstance(entries, int):
-            assert held == {"face-formulas-agree", "grid-interchange"}
+            assert held == LAWFUL_PROVED
 
     # the arrow category's 3 morphisms differ in number from every fixture's
     # pairs, which the adjoint action's morphisms are. h-boundary and
@@ -1052,13 +1107,13 @@ class TestProvedLaws:
         lawful = adjoint_action(xm) if base == "adjoint" else trivial_strict_action(xm, ARROW)
         act = mutant(lawful, seed, entries)
         held = proofs_that_hold(act, SWEEP_BUDGET)
-        assert held >= {"face-formulas-agree", "grid-interchange"}
+        assert held >= LAWFUL_PROVED
         table_laws = {"h-boundary", "v-boundary", "six-composites"}
         laws = [law for law in double_laws(build_transformation_double(act, validate=False)) if law.name in table_laws]
         rep = run_laws(Report(), "double", laws)
         failing = {law for law in table_laws if rep.count(law)}
         for law in ("h-boundary", "v-boundary"):
-            assert (law in held) == (law not in failing), law
+            assert (("double", law) in held) == (law not in failing), law
         assert failing >= ({"six-composites"} if act.act_mor == lawful.act_mor else table_laws)
 
 
@@ -1078,7 +1133,7 @@ def failing_conditions(act) -> set[str]:
 def double_proofs_that_hold(act) -> set[str]:
     """The double laws whose proof holds on act, after checking that each
     proved law reports the same with its proof as without it."""
-    return proofs_that_hold(act, SWEEP_BUDGET) - {"face-formulas-agree", "grid-interchange"}
+    return {law for suite, law in proofs_that_hold(act, SWEEP_BUDGET) if suite == "double"}
 
 
 class TestActionTables:
@@ -1159,6 +1214,27 @@ class TestDoubleTables:
         assert double_proofs_that_hold(act) == {"v-boundary", "v-assoc"}
         rep = verify_double_category(build_transformation_double(act, validate=False))
         assert rep.count("h-boundary") == 4 and rep.count("interchange") == 4
+
+    # the trivial group and Z/2, acting on the monoid {1, e}, e.e = e, by
+    # the label swapping 1 and e: the pairs act multiplicatively, as the swap
+    # is an involution, and each component is typed, but the label's row
+    # does not split, and its component e composed with itself is e, not
+    # the unit pair's component 1. So component-product, whose proof needs
+    # the split, is walked and fails
+    def test_components_that_multiply_but_do_not_split_are_walked(self):
+        one, z2 = trivial_group(), cyclic(2)
+        xm = make_crossed_module(one, z2, make_homomorphism(z2, one, [0, 0]), make_action(one, z2, [[0, 1]]))
+        idempotent = category_from_tables(1, [(0, 0)] * 2, [0], [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1)])
+        act = make_strict_action(xm, idempotent, [[0]], [[0, 1], [1, 0]])
+        assert xm.lawful and failing_conditions(act) == {"split", "stacking"}
+        assert proofs_that_hold(act, {}) == LAWFUL_PROVED | {
+            ("action", "morphism-associativity"), ("double", "v-boundary"), ("double", "v-assoc"),
+        }
+        [line] = [line for line in run_all(act, only=["action"]) if line.law == "component-product"]
+        assert line.to_obj() == {
+            "suite": "action", "law": "component-product", "status": "fail", "checked": 4, "violations": 1,
+            "witness": [0, 1, 0, 1, 0],
+        }
 
     # the flip module acting on Z/3 with the label's component t, so that
     # stacking the label twice gives the unit pair, whose component is 1,
